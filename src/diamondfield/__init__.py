@@ -30,6 +30,7 @@ from .modes import (
     ExteriorMode,
     Packet,
     PlaneWave,
+    Profile,
     eval_mode,
     gaussian_packet,
     kg_product,
@@ -88,6 +89,7 @@ __all__ = [
     "ExteriorMode",
     "Packet",
     "PlaneWave",
+    "Profile",
     "eval_mode",
     "gaussian_packet",
     "kg_product",

@@ -48,7 +48,9 @@ def integrate_adaptive(
     max_doublings: int = 12,
 ):
     """Integrate f over [lo, hi] doubling the panel count until two successive
-    refinements agree within tol (absolute).  Returns (value, est_error)."""
+    refinements agree within tol (absolute).  Returns (value, est_error);
+    raises ConvergenceError when the budget runs out or the estimate is not
+    finite."""
     if hi <= lo:
         return 0.0 + 0.0j, 0.0
     # start with ~3 panels per oscillation of the fastest expected phase
@@ -60,6 +62,8 @@ def integrate_adaptive(
         err = abs(cur - prev)
         if err <= tol:
             return cur, err
+        if not np.isfinite(err):  # NaN never satisfies err <= tol
+            raise ConvergenceError(f"quadrature error estimate is {err} (non-finite integrand)")
         prev = cur
     raise ConvergenceError(
         f"quadrature did not reach tol={tol:g} within budget (last err={err:g})"

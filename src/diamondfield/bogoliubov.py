@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_legendre, integrate_adaptive, panel_nodes
+from ._quad import integrate_adaptive, panel_nodes
 from .errors import DomainError
 from .geometry import DiamondScale
+from .modes import Profile
 from .specfun import kummer_asymptotic_sectors, kummer_m_vec
 
 
@@ -94,16 +95,6 @@ def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
 # ---------------------------------------------------------------------------
 # smeared spectra
 
-def _packet_nodes(omega0, sigma, n_nodes):
-    x, w = gauss_legendre(n_nodes)
-    lo = max(omega0 - 8.0 * sigma, 1e-12)
-    hi = omega0 + 8.0 * sigma
-    om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-    wt = 0.5 * (hi - lo) * w
-    G = (2.0 * math.pi * sigma**2) ** (-0.25) * np.exp(-((om - omega0) ** 2) / (4.0 * sigma**2))
-    return om, wt, G
-
-
 def smeared_ab(om, coeff, kappa):
     """A_G, B_G at the kappa grid for a packet with frequency nodes om and
     combined weights coeff (quadrature weight times profile)."""
@@ -150,14 +141,13 @@ class SpectrumResult:
     tail_part: float
 
 
-def _smeared_integral(omega0, sigma, which, kappa_split, n_omega, tol, v0=0.0):
-    """Int dka of |B_G|^2 ('occupation') or |A_G|^2 - |B_G|^2 ('completeness')."""
-    if not (omega0 > 0.0 and sigma > 0.0):
-        raise DomainError("need omega0 > 0 and sigma > 0")
+def _smeared_integral(profile, which, kappa_split, tol):
+    """Int dka of |B_G|^2 ('occupation') or |A_G|^2 - |B_G|^2 ('completeness')
+    for a Profile in units of a = 1."""
+    om, wt, G = profile.nodes()
     if kappa_split < 30.0:
         raise DomainError("kappa_split below the certified sector regime")
-    om, wt, G = _packet_nodes(omega0, sigma, n_omega)
-    coeff = wt * G * np.exp(-1j * om * v0)
+    coeff = wt * G
 
     def f(kappa):
         A, B = smeared_ab(om, coeff, kappa)
@@ -170,28 +160,25 @@ def _smeared_integral(omega0, sigma, which, kappa_split, n_omega, tol, v0=0.0):
 
     # tail in L = ln(kappa): smooth sector moduli under the log-normal envelope
     L_lo = math.log(kappa_split)
-    L_hi = L_lo + 2.0 + 7.0 / sigma  # envelope below 1e-21 of peak
+    L_hi = L_lo + 2.0 + 7.0 / profile.sigma  # envelope below 1e-21 of peak
+
+    def tail(n_panels):
+        """(tail integral, scale of the neglected cross term) on n_panels."""
+        Ls, Lw = panel_nodes(L_lo, L_hi, n_panels)
+        ka_t = np.exp(Ls)
+        QA1, QA2, QB1, QB2 = _sector_amplitudes(om, coeff, ka_t)
+        if which == "occupation":
+            dens = np.abs(QB1) ** 2 + np.abs(QB2) ** 2
+            cross_scale = np.abs(QB1 * QB2)
+        else:
+            dens = np.abs(QA1) ** 2 + np.abs(QA2) ** 2 - np.abs(QB1) ** 2 - np.abs(QB2) ** 2
+            cross_scale = np.abs(QA1 * QA2) + np.abs(QB1 * QB2)
+        return float(np.sum(dens * ka_t * Lw)), cross_scale
+
     n_panels = max(64, int(0.8 * (om[-1] * (L_hi - L_lo)) / (2.0 * math.pi) * 3.0) + 16)
-    Ls, Lw = panel_nodes(L_lo, L_hi, n_panels)
-    ka_t = np.exp(Ls)
-    QA1, QA2, QB1, QB2 = _sector_amplitudes(om, coeff, ka_t)
-    if which == "occupation":
-        dens = np.abs(QB1) ** 2 + np.abs(QB2) ** 2
-        cross_scale = np.abs(QB1 * QB2)
-    else:
-        dens = np.abs(QA1) ** 2 + np.abs(QA2) ** 2 - np.abs(QB1) ** 2 - np.abs(QB2) ** 2
-        cross_scale = np.abs(QA1 * QA2) + np.abs(QB1 * QB2)
-    tail = float(np.sum(dens * ka_t * Lw))
-    # doubled-panel check of the L quadrature
-    Ls2, Lw2 = panel_nodes(L_lo, L_hi, 2 * n_panels)
-    ka_t2 = np.exp(Ls2)
-    QA1, QA2, QB1, QB2 = _sector_amplitudes(om, coeff, ka_t2)
-    if which == "occupation":
-        dens2 = np.abs(QB1) ** 2 + np.abs(QB2) ** 2
-    else:
-        dens2 = np.abs(QA1) ** 2 + np.abs(QA2) ** 2 - np.abs(QB1) ** 2 - np.abs(QB2) ** 2
-    tail2 = float(np.sum(dens2 * ka_t2 * Lw2))
-    err_t = abs(tail2 - tail)
+    tail1, cross_scale = tail(n_panels)
+    tail2, _ = tail(2 * n_panels)  # doubled-panel check of the L quadrature
+    err_t = abs(tail2 - tail1)
     # neglected oscillatory cross term: boundary-dominated, ~ |Q Q'|(split)/2
     err_cross = float(np.max(cross_scale[:16])) / 2.0
     return SpectrumResult(
@@ -203,29 +190,27 @@ def _smeared_integral(omega0, sigma, which, kappa_split, n_omega, tol, v0=0.0):
 
 
 def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), kappa_split=40.0,
-                       n_omega=96, tol=1e-7, v0=0.0):
+                       tol=1e-7, v0=0.0):
     """Smeared diamond-mode occupation Int dka |B_G(ka)|^2 in the vacuum.
 
     omega0, sigma are in absolute units, v0 is the packet center in the
     diamond null coordinate; the result is dimensionless and should match
     Int dw |G(w)|^2 / (e^{2 pi w / a} - 1) independently of v0.
     """
-    a = scale.a
-    return _smeared_integral(omega0 / a, sigma / a, "occupation", kappa_split,
-                             n_omega, tol, v0 * a)
+    profile = Profile(omega0, sigma, v0).natural(scale.a)
+    return _smeared_integral(profile, "occupation", kappa_split, tol)
 
 
-def completeness_check(omega0, sigma=0.02, scale=DiamondScale(), kappa_split=40.0,
-                       n_omega=96, tol=1e-7):
+def completeness_check(omega0, sigma=0.02, scale=DiamondScale(), kappa_split=40.0, tol=1e-7):
     """Smeared Bogoliubov completeness Int dka (|A_G|^2 - |B_G|^2); exactly 1."""
-    a = scale.a
-    return _smeared_integral(omega0 / a, sigma / a, "completeness", kappa_split, n_omega, tol)
+    profile = Profile(omega0, sigma).natural(scale.a)
+    return _smeared_integral(profile, "completeness", kappa_split, tol)
 
 
 def planck_occupation(omega0, sigma=0.02, scale=DiamondScale()):
     """Reference value: packet-averaged Planck factor at T = a / 2 pi."""
-    om, wt, G = _packet_nodes(omega0 / scale.a, sigma / scale.a, 96)
-    return float(np.sum(wt * G**2 / np.expm1(2.0 * math.pi * om)))
+    om, wt, G = Profile(omega0, sigma).natural(scale.a).nodes()
+    return float(np.sum(wt * np.abs(G) ** 2 / np.expm1(2.0 * math.pi * om)))
 
 
 def fit_temperature(omega, occupation, scale=DiamondScale()):

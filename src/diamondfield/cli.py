@@ -141,7 +141,7 @@ def cmd_correlations(args):
 
 
 def cmd_fig2(args):
-    from .gaussian import WavepacketSpec, build_covariance, joint_variance, squeezing_witness
+    from .gaussian import fig2_sweep
 
     phis = _parse_phi_list("0,0.2pi" if args.phi is None else args.phi)
     grid = _parse_grid("0.5:1.5:0.01" if args.grid is None else args.grid)
@@ -152,24 +152,15 @@ def cmd_fig2(args):
         caveat="x axis is the first-diamond central frequency; "
                "axes reconstructed from the described phenomenology",
     )
-    rows = []
-    covs = []
-    for om1 in grid:
-        cov = build_covariance([
-            WavepacketSpec(0, 1.0, args.sigma),
-            WavepacketSpec(1, float(om1), args.sigma),
-        ])
-        covs.append((om1, cov, squeezing_witness(cov, 0, 1)["entangled"]))
-    for phi in phis:
-        for om1, cov, flag in covs:
-            rows.append((phi, om1, joint_variance(cov, 0, 1, -1, phi),
-                         joint_variance(cov, 0, 1, +1, phi), flag))
-    _emit(args.out, args.format, meta, ("phi", "omega1", "v_minus", "v_plus", "entangled"), rows)
+    header = ("phi", "omega1", "v_minus", "v_plus", "entangled")
+    tab = fig2_sweep(phis, grid, omega0=1.0, sigma=args.sigma)
+    rows = list(zip(*(tab[key].tolist() for key in header)))
+    _emit(args.out, args.format, meta, header, rows)
     return EXIT_OK
 
 
 def cmd_detector(args):
-    from .detector import expected_rate, identity_residual, response_rate
+    from .detector import expected_rate, fit_temperature, identity_residual, response_rate
 
     grid = _parse_grid("0.5,1.0,2.0" if args.grid is None else args.grid)
     meta = _base_meta(args, "detector")
@@ -183,12 +174,9 @@ def cmd_detector(args):
         dn = response_rate(-E, args.window, args.eps)
         up_half = response_rate(E, args.window, args.eps / 2.0)
         consistent = abs(up.value - up_half.value) <= 0.02 * abs(up.value)
-        pairs.append((E, up.value, dn.value))
+        pairs.append((up.value, dn.value))
         rows.append((E, up.value, up.value / dn.value, expected_rate(E), consistent))
-    # balance slope fit: rate(E)/rate(-E) = e^{-E/T}
-    Es = np.array([p[0] for p in pairs])
-    logr = np.log([p[1] / p[2] for p in pairs])
-    T_fit = -1.0 / float(np.sum(Es * logr) / np.sum(Es * Es))
+    T_fit = fit_temperature(grid, pairs)
     meta["fitted_T"] = T_fit
     rowsT = [row + (T_fit,) for row in rows]
     _emit(args.out, args.format, meta,
@@ -202,7 +190,7 @@ def _validate_checks():
     import numpy as _np
 
     def specfun_identities():
-        from .specfun import gamma_complex, kummer_m, log_gamma
+        from .specfun import gamma_complex, kummer_m
 
         zs = [0.3 + 1j, 2.5 - 3j, -1.3 + 0.7j]
         worst = 0.0
@@ -299,12 +287,14 @@ def build_parser():
     p.add_argument("--a", type=float, default=1.0, help="diamond scale for display units")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, tol=True, sigma=True):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--tol", type=float, default=0.02)
+        if tol:
+            sp.add_argument("--tol", type=float, default=0.02)
         sp.add_argument("--grid", default=None, help="comma list or lo:hi:step")
-        sp.add_argument("--sigma", type=float, default=0.02)
+        if sigma:
+            sp.add_argument("--sigma", type=float, default=0.02)
 
     sp = sub.add_parser("spectrum", help="smeared vacuum occupation vs Planck")
     common(sp)
@@ -316,12 +306,12 @@ def build_parser():
     sp.set_defaults(func=cmd_correlations)
 
     sp = sub.add_parser("fig2", help="joint-quadrature variance sweep")
-    common(sp)
+    common(sp, tol=False)
     sp.add_argument("--phi", default=None, help="comma list, 'pi' suffix allowed")
     sp.set_defaults(func=cmd_fig2)
 
     sp = sub.add_parser("detector", help="energy-scaled detector response")
-    common(sp)
+    common(sp, tol=False, sigma=False)
     sp.add_argument("--eps", type=float, default=1e-8)
     sp.add_argument("--window", type=float, default=80.0)
     sp.set_defaults(func=cmd_detector)

@@ -26,7 +26,7 @@ import numpy as np
 from ._quad import integrate_adaptive
 from .errors import DomainError, PoleError
 from .geometry import DiamondScale
-from .modes import Packet, kg_product
+from .modes import Packet, Profile, kg_product
 from .specfun import log_gamma
 
 _POLE_GUARD = 1e-12
@@ -65,7 +65,7 @@ def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
     return complex(alpha) / scale.a, complex(beta) / scale.a
 
 
-def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10, v_cut=40.0):
+def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10):
     """(alpha, beta, est_error) for diamond n >= 1 by regularized quadrature.
 
     The KG integral over the nth diamond is written in the diamond rapidity;
@@ -100,6 +100,7 @@ def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10, v_c
         return -base * np.exp(-1j * (Omega_p * v - Omega * L))
 
     pref = (2.0 / math.pi) * math.sqrt(Omega / Omega_p)
+    v_cut = 40.0  # rapidity cut of the quadrature
     va, ea = integrate_adaptive(f_alpha, -v_cut, v_cut, tol=tol, est_freq=Omega + Omega_p)
     vb, eb = integrate_adaptive(f_beta, -v_cut, v_cut, tol=tol, est_freq=Omega + Omega_p)
     # Abel means of the residual oscillations beyond the lower cut
@@ -126,32 +127,22 @@ class CrossMoments:
     est_error: float
 
 
-def _profile_nodes(omega0, sigma, v0, n_nodes=96):
-    from .bogoliubov import _packet_nodes
-
-    om, wt, Gmag = _packet_nodes(omega0, sigma, n_nodes)
-    G = Gmag * np.exp(-1j * om * v0)
-    return om, wt, G
-
-
 def cross_moments(spec0, spec_n, n, scale=DiamondScale(), tol=1e-9):
     """Smeared <b0 bn> and <b0+ bn> for Gaussian packets spec = (omega0, sigma)
     or (omega0, sigma, v0), the nth packet living in diamond n >= 1."""
     if n < 1:
         raise DomainError("cross_moments requires diamond separation n >= 1")
-    a = scale.a
-    om0, s0, v0 = (*spec0, 0.0)[:3]
-    om1, s1, v1 = (*spec_n, 0.0)[:3]
-    o0, w0, G0 = _profile_nodes(om0 / a, s0 / a, v0 * a)
-    o1, w1, G1 = _profile_nodes(om1 / a, s1 / a, v1 * a)
+    p0 = Profile(*spec0).natural(scale.a)
+    p1 = Profile(*spec_n).natural(scale.a)
+    o0, w0, G0 = p0.nodes()
+    o1, w1, G1 = p1.nodes()
 
     Pn = Packet(kind="diamond", n=n, omegas=o1, weights=w1 * G1,
-                center=v1 * a, sigma_env=s1 / a)
+                center=p1.v0, sigma_env=p1.sigma)
     th = 2.0 * np.sinh(math.pi * o0)
     E_minus = Packet(kind="exterior", n=0, omegas=o0, weights=w0 * np.conj(G0) / th,
-                     center=-v0 * a, sigma_env=s0 / a)
-    E_plus = Packet(kind="exterior", n=0, omegas=o0, weights=w0 * np.conj(G0) / th,
-                    center=-v0 * a, sigma_env=s0 / a, conj=True)
+                     center=-p0.v0, sigma_env=p0.sigma)
+    E_plus = E_minus.conjugate()
 
     rm = kg_product(Pn, E_minus, tol=tol)
     rp = kg_product(Pn, E_plus, tol=tol)
@@ -181,14 +172,19 @@ def asymptotic_moment(n, Omega, Omega_p, scale=DiamondScale()):
 
 def smeared_asymptotic_moment(spec0, spec_n, n, scale=DiamondScale()):
     """asymptotic_moment at the packet centers times the profile integrals
-    (Int dw G0)(Int dw G1), directly comparable with cross_moments."""
-    a = scale.a
-    om0, s0 = spec0[0] / a, spec0[1] / a
-    om1, s1 = spec_n[0] / a, spec_n[1] / a
-    o0, w0, G0 = _profile_nodes(om0, s0, 0.0)
-    o1, w1, G1 = _profile_nodes(om1, s1, 0.0)
+    (Int dw G0)(Int dw G1), directly comparable with cross_moments.
+
+    Only packets centered at v0 = 0 are covered: the center phases e^{-i w v0}
+    are not part of the asymptotic form.
+    """
+    p0 = Profile(*spec0).natural(scale.a)
+    p1 = Profile(*spec_n).natural(scale.a)
+    if p0.v0 or p1.v0:
+        raise DomainError("smeared asymptotic moments need packets centered at v0 = 0")
+    _, w0, G0 = p0.nodes()
+    _, w1, G1 = p1.nodes()
     norm = float(np.sum(w0 * G0).real) * float(np.sum(w1 * G1).real)
-    mm, mp = asymptotic_moment(n, om0, om1)
+    mm, mp = asymptotic_moment(n, p0.omega0, p1.omega0)
     return mm * norm, mp * norm
 
 
@@ -207,7 +203,7 @@ def _gamma_minus_pole(z):
     return out
 
 
-def adjacent_moments_analytic(spec0, spec1, n_nodes=128, scale=DiamondScale()):
+def adjacent_moments_analytic(spec0, spec1, scale=DiamondScale()):
     """<b0 b1> and <b0+ b1> from the adjacent-diamond closed forms.
 
     The alpha pole on the frequency diagonal is split off exactly:
@@ -216,23 +212,18 @@ def adjacent_moments_analytic(spec0, spec1, n_nodes=128, scale=DiamondScale()):
     plus pi times the residue line.  Cross-validated against the pole-free
     KG-quadrature route, which fixes that choice of side.
     """
-    a = scale.a
-    om0, s0, v0 = (*spec0, 0.0)[:3]
-    om1, s1, v1 = (*spec1, 0.0)[:3]
-
-    def evaluate(nn):
-        return _adjacent_moments_eval(om0 / a, s0 / a, v0 * a, om1 / a, s1 / a, v1 * a, nn)
-
-    mm, mp = evaluate(n_nodes)
-    mm2, mp2 = evaluate(max(64, (3 * n_nodes) // 4))
+    p0 = Profile(*spec0).natural(scale.a)
+    p1 = Profile(*spec1).natural(scale.a)
+    mm, mp = _adjacent_moments_eval(p0, p1, 128)
+    mm2, mp2 = _adjacent_moments_eval(p0, p1, 96)
     return CrossMoments(m_minus=mm, m_plus=mp,
                         est_error=max(abs(mm - mm2), abs(mp - mp2)))
 
 
-def _adjacent_moments_eval(om0, s0, v0, om1, s1, v1, n_nodes):
+def _adjacent_moments_eval(p0, p1, n_nodes):
     # deliberately different node counts so the two grids never coincide
-    o0, w0, G0 = _profile_nodes(om0, s0, v0, n_nodes)
-    o1, w1, G1 = _profile_nodes(om1, s1, v1, n_nodes + 17)
+    o0, w0, G0 = p0.nodes(n_nodes)
+    o1, w1, G1 = p1.nodes(n_nodes + 17)
     th = 2.0 * np.sinh(math.pi * o0)
 
     Om = o0[:, None]
@@ -260,12 +251,7 @@ def _adjacent_moments_eval(om0, s0, v0, om1, s1, v1, n_nodes):
     for i, W in enumerate(o0):
         qn = prof1 * np.squeeze(pref_alpha(W, o1))
         if lo < W < hi:
-            qW = complex(
-                np.conj((2.0 * math.pi * s1**2) ** (-0.25)
-                        * np.exp(-((W - om1) ** 2) / (4.0 * s1**2))
-                        * np.exp(-1j * W * v1))
-                * complex(pref_alpha(W, W))
-            )
+            qW = complex(np.conj(p1.amplitude(W)) * complex(pref_alpha(W, W)))
             pv = np.sum(w1 * (qn - qW) / (o1 - W)) + qW * math.log((hi - W) / (W - lo))
             val = -1j * pv + math.pi * qW
         else:

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bogoliubov import planck_occupation, thermal_occupation, _packet_nodes
+from ._quad import panel_nodes
+from .bogoliubov import planck_occupation, thermal_occupation
 from .correlations import adjacent_moments_analytic, cross_moments
 from .errors import ConvergenceError, DomainError
+from .modes import Profile
 
 WITNESS_MARGIN = 1e-6
 
@@ -39,6 +41,10 @@ class WavepacketSpec:
         if self.omega0 < 5.0 * self.sigma:
             raise DomainError("need omega0 >= 5 sigma")
 
+    @property
+    def profile(self) -> Profile:
+        return Profile(self.omega0, self.sigma, self.v0)
+
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -61,12 +67,8 @@ def _same_diamond_occupation(s1, s2):
     diagonal in frequency, so this is the Planck-weighted profile overlap."""
     lo = max(min(s1.omega0 - 8 * s1.sigma, s2.omega0 - 8 * s2.sigma), 1e-12)
     hi = max(s1.omega0 + 8 * s1.sigma, s2.omega0 + 8 * s2.sigma)
-    from ._quad import panel_nodes
-
     om, wt = panel_nodes(lo, hi, 64)
-    g1 = (2 * math.pi * s1.sigma**2) ** -0.25 * np.exp(-((om - s1.omega0) ** 2) / (4 * s1.sigma**2))
-    g2 = (2 * math.pi * s2.sigma**2) ** -0.25 * np.exp(-((om - s2.omega0) ** 2) / (4 * s2.sigma**2))
-    prof = np.conj(g1 * np.exp(-1j * om * s1.v0)) * g2 * np.exp(-1j * om * s2.v0)
+    prof = np.conj(s1.profile.amplitude(om)) * s2.profile.amplitude(om)
     return complex(np.sum(wt * prof / np.expm1(2.0 * math.pi * om)))
 
 
@@ -97,12 +99,10 @@ def _mode_moments(specs, tol, diagonal, adjacent):
                 N[j, i] = np.conj(N[i, j])
                 continue  # <b b> vanishes within one diamond
             lo, hi = (si, sj) if dn > 0 else (sj, si)
-            p0 = (lo.omega0, lo.sigma, lo.v0)
-            p1 = (hi.omega0, hi.sigma, hi.v0)
             if abs(dn) == 1 and adjacent == "analytic":
-                cm = adjacent_moments_analytic(p0, p1)
+                cm = adjacent_moments_analytic(lo.profile, hi.profile)
             else:
-                cm = cross_moments(p0, p1, abs(dn), tol=tol)
+                cm = cross_moments(lo.profile, hi.profile, abs(dn), tol=tol)
             err += cm.est_error
             M[i, j] = M[j, i] = cm.m_minus
             if dn > 0:
@@ -184,30 +184,27 @@ def fig2_sweep(phi_list=(0.0, 0.2 * math.pi), omega1_grid=None,
                omega0=1.0, sigma=0.02, v0=0.0):
     """Joint-variance sweep between a zeroth- and a first-diamond packet.
 
-    Returns rows (phi, omega1, V_minus, V_plus) as a dict of arrays, ordered
-    by (phi, omega1).  The zeroth packet is fixed at (omega0, sigma, v0); the
-    first-diamond central frequency runs over omega1_grid.
+    Returns rows (phi, omega1, V_minus, V_plus, entangled) as a dict of
+    arrays, ordered by (phi, omega1).  The zeroth packet is fixed at
+    (omega0, sigma, v0); the first-diamond central frequency runs over
+    omega1_grid.  entangled is the squeezing_witness verdict of each
+    covariance, independent of phi.
     """
     if omega1_grid is None:
         omega1_grid = np.arange(0.5, 1.5 + 1e-9, 0.01)
     omega1_grid = np.asarray(omega1_grid, dtype=float)
-    phis, om1s, vm, vp = [], [], [], []
-    covs = [
-        build_covariance([
+    covs = []
+    for om1 in omega1_grid:
+        cov = build_covariance([
             WavepacketSpec(0, omega0, sigma, v0),
             WavepacketSpec(1, float(om1), sigma, v0),
         ])
-        for om1 in omega1_grid
-    ]
+        covs.append((float(om1), cov, squeezing_witness(cov, 0, 1)["entangled"]))
+    tab = {key: [] for key in ("phi", "omega1", "v_minus", "v_plus", "entangled")}
     for phi in phi_list:
-        for om1, cov in zip(omega1_grid, covs):
-            phis.append(float(phi))
-            om1s.append(float(om1))
-            vm.append(joint_variance(cov, 0, 1, -1, phi))
-            vp.append(joint_variance(cov, 0, 1, +1, phi))
-    return {
-        "phi": np.array(phis),
-        "omega1": np.array(om1s),
-        "v_minus": np.array(vm),
-        "v_plus": np.array(vp),
-    }
+        for om1, cov, flag in covs:
+            row = (float(phi), om1, joint_variance(cov, 0, 1, -1, phi),
+                   joint_variance(cov, 0, 1, +1, phi), flag)
+            for col, x in zip(tab.values(), row):
+                col.append(x)
+    return {key: np.array(col) for key, col in tab.items()}

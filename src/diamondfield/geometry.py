@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConvergenceError, OutsideDiamondError, SingularMapError
 
@@ -94,7 +93,7 @@ def _to_minkowski_residual(u, d_scaled):
     ev = MinkowskiEvent(*u)
     try:
         dd = to_diamond(ev, DiamondScale(1.0))
-    except (OutsideDiamondError, SingularMapError):
+    except ValueError:  # outside the diamond, singular map or non-finite image
         return np.full(4, 1e6)
     return np.array(
         [
@@ -107,40 +106,30 @@ def _to_minkowski_residual(u, d_scaled):
 
 
 def to_minkowski(d: DiamondEvent, scale: DiamondScale = DiamondScale()) -> MinkowskiEvent:
-    """Numerical inverse of to_diamond (the map has no published closed form).
+    """Closed-form inverse of to_diamond.
 
-    In null variables Vn = t + x, Un = t - x the forward map is equivalent to
-        Vn (2 + Un) - s^2 = 2 tanh(v/2) (2 + Un),
-        Un (2 - Vn) + s^2 = 2 tanh(u/2) (2 - Vn),
-    with v = eta + xi, u = eta - xi, s^2 = y^2 + z^2 and 2y = zeta f,
-    2z = rho f.  This polynomial system is smooth everywhere, so a standard
-    root solve from the exact s = 0 seed converges over the whole interior.
+    With f the map denominator, to_diamond gives q = f e^xi cosh(eta) and
+    t = f e^xi sinh(eta), and its definitions of q and f give x = 2 - q - f
+    and 4 (q - 1) = t^2 - r^2.  Eliminating t, x, y = zeta f/2, z = rho f/2:
+
+        f = 4 / (1 + 2 e^xi cosh(eta) + e^{2 xi} + (zeta^2 + rho^2)/4) > 0,
+
+    a sum of positive terms (the equivalent (1 + e^xi cosh eta)^2 -
+    e^{2 xi} sinh^2 eta cancels catastrophically at large |eta|, |xi|).
+    Images that round onto the null boundary fail the round-trip check and
+    raise ConvergenceError.
     """
     a = scale.a
     _check_finite(d.eta, d.xi, d.zeta, d.rho)
     eta, xi, zeta, rho = a * d.eta, a * d.xi, a * d.zeta, a * d.rho
 
-    T1 = math.tanh((eta + xi) / 2.0)
-    T2 = math.tanh((eta - xi) / 2.0)
-
-    def poly_residual(u):
-        t, x, y, z = u
-        Vn, Un = t + x, t - x
-        s2 = y * y + z * z
-        f = 1.0 - (Un * Vn - s2) / 4.0 - (Vn - Un) / 2.0
-        return np.array(
-            [
-                Vn * (2.0 + Un) - s2 - 2.0 * T1 * (2.0 + Un),
-                Un * (2.0 - Vn) + s2 - 2.0 * T2 * (2.0 - Vn),
-                2.0 * y - zeta * f,
-                2.0 * z - rho * f,
-            ]
-        )
-
-    f0 = 1.0 - T1 * T2 - (T1 - T2)
-    seed = np.array([T1 + T2, T1 - T2, 0.5 * zeta * f0, 0.5 * rho * f0])
-    sol = optimize.root(poly_residual, seed, tol=1e-14)
-    out = sol.x
+    try:
+        e_xi = math.exp(xi)
+        q_f, t_f = e_xi * math.cosh(eta), e_xi * math.sinh(eta)  # q / f, t / f
+    except OverflowError:
+        raise ConvergenceError("to_minkowski: coordinates overflow double precision") from None
+    f = 4.0 / (1.0 + 2.0 * q_f + e_xi * e_xi + (zeta * zeta + rho * rho) / 4.0)
+    out = np.array([f * t_f, 2.0 - f * (1.0 + q_f), 0.5 * zeta * f, 0.5 * rho * f])
 
     res = _to_minkowski_residual(out, [eta, xi, zeta, rho])
     if np.max(np.abs(res)) > 1e-10:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import integrate_adaptive
+from ._quad import gauss_legendre, integrate_adaptive
 from .errors import DomainError
 
 DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
@@ -108,15 +109,43 @@ def boundary_mask(mode, V):
 # ---------------------------------------------------------------------------
 # wavepackets
 
-def _gauss_nodes(omega0, sigma, n_nodes):
-    from ._quad import gauss_legendre
+class Profile(NamedTuple):
+    """Gaussian frequency profile of a wavepacket,
 
-    lo = max(omega0 - 8.0 * sigma, 1e-12)
-    hi = omega0 + 8.0 * sigma
-    x, w = gauss_legendre(n_nodes)
-    om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-    wt = 0.5 * (hi - lo) * w
-    return om, wt
+        G(w) = (2 pi sigma^2)^(-1/4) exp(-(w - omega0)^2 / 4 sigma^2) e^{-i w v0},
+
+    normalized so that Int dw |G|^2 = 1; v0 is the packet center in its
+    natural null coordinate.  Every smeared quantity in the package is an
+    integral over such a profile on the nodes(n) grid.
+    """
+
+    omega0: float
+    sigma: float
+    v0: float = 0.0
+
+    def natural(self, a):
+        """The same profile in units of a = 1."""
+        return Profile(self.omega0 / a, self.sigma / a, self.v0 * a)
+
+    def amplitude(self, om):
+        """G at the frequencies om (scalar or array)."""
+        return (
+            (2.0 * math.pi * self.sigma**2) ** (-0.25)
+            * np.exp(-((om - self.omega0) ** 2) / (4.0 * self.sigma**2))
+            * np.exp(-1j * om * self.v0)
+        )
+
+    def nodes(self, n=96):
+        """(om, wt, G): n Gauss-Legendre nodes over omega0 +- 8 sigma, their
+        weights and the profile on them."""
+        if not (self.omega0 > 0.0 and self.sigma > 0.0):
+            raise DomainError("packet needs omega0 > 0 and sigma > 0")
+        x, w = gauss_legendre(n)
+        lo = max(self.omega0 - 8.0 * self.sigma, 1e-12)
+        hi = self.omega0 + 8.0 * self.sigma
+        om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        wt = 0.5 * (hi - lo) * w
+        return om, wt, self.amplitude(om)
 
 
 @dataclass(frozen=True)
@@ -164,19 +193,12 @@ class Packet:
         return val, dval
 
 
-def gaussian_packet(kind, omega0, sigma=DEFAULT_SIGMA, v0=0.0, n=0, n_nodes=None):
-    """Gaussian wavepacket (2 pi sigma^2)^(-1/4) exp(-(w-w0)^2/4 s^2) e^{-i w v0}."""
-    if not (omega0 > 0.0 and sigma > 0.0):
-        raise DomainError("packet needs omega0 > 0 and sigma > 0")
-    if n_nodes is None:
-        half_phase = 8.0 * sigma * (_TAIL / sigma + abs(v0))
-        n_nodes = max(128, int(1.6 * half_phase) + 16)
-    om, wt = _gauss_nodes(omega0, sigma, n_nodes)
-    profile = (2.0 * math.pi * sigma**2) ** (-0.25) * np.exp(
-        -((om - omega0) ** 2) / (4.0 * sigma**2)
-    )
-    weights = wt * profile * np.exp(-1j * om * v0)
-    return Packet(kind=kind, n=n, omegas=om, weights=weights, center=v0, sigma_env=sigma)
+def gaussian_packet(kind, omega0, sigma=DEFAULT_SIGMA, v0=0.0, n=0):
+    """Packet with the Gaussian Profile(omega0, sigma, v0) on mode family kind."""
+    # resolve the phase e^{-i w u} across omega0 +- 8 sigma and |u - v0| <= _TAIL / sigma
+    n_nodes = max(128, int(12.8 * (_TAIL + sigma * abs(v0))) + 16)
+    om, wt, G = Profile(omega0, sigma, v0).nodes(n_nodes)
+    return Packet(kind=kind, n=n, omegas=om, weights=wt * G, center=v0, sigma_env=sigma)
 
 
 def _wrap_sharp(mode):
@@ -223,58 +245,34 @@ def _natural_in_chart(packet, chart_kind, chart_n, u):
             dnat_dV = np.ones(u.shape)
         return u, dnat_dV, np.ones(u.shape, dtype=bool)
 
-    if chart_kind == "diamond":
-        V, _ = _chart_V("diamond", chart_n, u)
-        if pk == "plane":
-            return V, np.ones(u.shape), np.ones(u.shape, dtype=bool)
-        if pk == "exterior":
-            # V -+ 2 without cancellation at the adjacent-diamond tips
-            Vm2 = 4.0 * (chart_n - 1) + 4.0 / (1.0 + np.exp(-u))
-            Vp2 = 4.0 * chart_n + 4.0 / (1.0 + np.exp(-u))
-            valid = (Vm2 > 0) == (Vp2 > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                L = np.where(valid, np.log(np.abs(Vp2)) - np.log(np.abs(Vm2)), 0.0)
-                dL_dV = np.where(valid, -4.0 / (Vp2 * Vm2), 0.0)
-            return L, dL_dV, valid
-        if pk == "diamond":
-            s_lo = 4.0 * (chart_n - pn - 1) + 4.0 / (1.0 + np.exp(-u))  # V-(4 pn-2)
-            s_hi = 4.0 * (pn - chart_n - 1) + 4.0 / (1.0 + np.exp(u))  # (4 pn+2)-V
-            valid = (s_lo > 0) & (s_hi > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = np.where(valid, np.log(s_lo) - np.log(s_hi), 0.0)
-                dv_dV = np.where(valid, 1.0 / s_lo + 1.0 / s_hi, 0.0)
-            return v, dv_dV, valid
-
     if chart_kind == "exterior":
+        # _pick_chart prefers diamond charts, so only plane packets get here
         with np.errstate(divide="ignore", over="ignore"):
-            Vm2 = 4.0 / np.expm1(u)  # V - 2, exact on both branches
-            Vp2 = -4.0 / np.expm1(-u)  # V + 2
-        V = 2.0 + Vm2
-        if pk == "plane":
-            valid = np.isfinite(V) & (np.abs(V) < 1e12)
-            return np.where(valid, V, 0.0), np.ones(u.shape), valid
-        if pk == "diamond":
-            s_lo = Vm2 + 4.0 * (1 - pn)  # V - (4 pn - 2), exact for pn = 1
-            s_hi = 4.0 * pn + 2.0 - V
-            valid = (s_lo > 0) & (s_hi > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = np.where(valid, np.log(np.where(valid, s_lo, 1.0)) - np.log(np.where(valid, s_hi, 1.0)), 0.0)
-                dv_dV = np.where(valid, 1.0 / s_lo + 1.0 / s_hi, 0.0)
-            return v, dv_dV, valid
+            V = 2.0 + 4.0 / np.expm1(u)  # V - 2 exact on both branches
+        valid = np.isfinite(V) & (np.abs(V) < 1e12)
+        return np.where(valid, V, 0.0), np.ones(u.shape), valid
 
-    if chart_kind == "plane":
-        V = u
-        if pk == "diamond":
-            s = V - 4.0 * pn
-            valid = np.abs(s) < 2.0
-            sv = np.where(valid, s, 0.0)
-            v = np.log(2.0 + sv) - np.log(2.0 - sv)
-            return np.where(valid, v, 0.0), np.where(valid, 4.0 / (4.0 - sv**2), 0.0), valid
-        if pk == "exterior":
-            valid = np.abs(V) > 2.0
-            Vv = np.where(valid, V, 4.0)
-            L = np.log(np.abs(Vv + 2.0)) - np.log(np.abs(Vv - 2.0))
-            return np.where(valid, L, 0.0), np.where(valid, -4.0 / (Vv**2 - 4.0), 0.0), valid
+    # diamond chart; a plane chart holds only plane packets (same-kind above)
+    if pk == "plane":
+        V, _ = _chart_V("diamond", chart_n, u)
+        return V, np.ones(u.shape), np.ones(u.shape, dtype=bool)
+    if pk == "exterior":
+        # V -+ 2 without cancellation at the adjacent-diamond tips
+        Vm2 = 4.0 * (chart_n - 1) + 4.0 / (1.0 + np.exp(-u))
+        Vp2 = 4.0 * chart_n + 4.0 / (1.0 + np.exp(-u))
+        valid = (Vm2 > 0) == (Vp2 > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = np.where(valid, np.log(np.abs(Vp2)) - np.log(np.abs(Vm2)), 0.0)
+            dL_dV = np.where(valid, -4.0 / (Vp2 * Vm2), 0.0)
+        return L, dL_dV, valid
+    if pk == "diamond":
+        s_lo = 4.0 * (chart_n - pn - 1) + 4.0 / (1.0 + np.exp(-u))  # V-(4 pn-2)
+        s_hi = 4.0 * (pn - chart_n - 1) + 4.0 / (1.0 + np.exp(u))  # (4 pn+2)-V
+        valid = (s_lo > 0) & (s_hi > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.where(valid, np.log(s_lo) - np.log(s_hi), 0.0)
+            dv_dV = np.where(valid, 1.0 / s_lo + 1.0 / s_hi, 0.0)
+        return v, dv_dV, valid
 
     raise DomainError(f"no chart path for packet {pk} in chart {chart_kind}")
 

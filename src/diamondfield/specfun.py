@@ -9,7 +9,6 @@ rather than by comparison with an external library.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import mpmath
@@ -34,6 +33,8 @@ _LANCZOS_C = np.array(
 )
 
 _LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2*pi))
+
+_ASYM_REL_TOL = 1e-11  # smallest asymptotic term, relative to the sum, that certifies a lane
 
 
 def _lanczos_loggamma(z):
@@ -88,13 +89,13 @@ def gamma_complex(z):
     return out
 
 
-def _kummer_taylor(a, b, z, max_terms=400):
+def _kummer_taylor(a, b, z):
     """Plain Taylor series; reliable only while cancellation ~ exp(|z|) is benign."""
     z = np.asarray(z, dtype=complex)
     term = np.ones(z.shape, dtype=complex)
     total = np.ones(z.shape, dtype=complex)
     comp = np.zeros(z.shape, dtype=complex)  # Kahan compensation
-    for n in range(max_terms):
+    for n in range(400):
         term = term * ((a + n) / ((b + n) * (n + 1.0))) * z
         y = term - comp
         t = total + y
@@ -105,14 +106,14 @@ def _kummer_taylor(a, b, z, max_terms=400):
     raise ConvergenceError("Kummer Taylor series did not converge")
 
 
-def kummer_asymptotic_sectors(a, b, z, rel_tol=1e-11):
+def kummer_asymptotic_sectors(a, b, z):
     """Large-|z| expansion of M(a, b, z), the two sectors kept separate.
 
     M(a,b,z) ~ Gamma(b) [ (-z)^(-a)/Gamma(b-a) * S1  +  e^z z^(a-b)/Gamma(a) * S2 ]
     with S1, S2 the standard inverse-power series.  Returns (t1, t2, ok) with
     M ~ t1 + exp(z) * t2; t1 and t2 vary slowly along rays |z| -> inf, which
     lets callers integrate the rapid exp(z) phase analytically.  ok flags the
-    lanes where both series bottom out below rel_tol.
+    lanes where both series bottom out below _ASYM_REL_TOL.
     """
     z = np.asarray(z, dtype=complex)
 
@@ -131,10 +132,10 @@ def kummer_asymptotic_sectors(a, b, z, rel_tol=1e-11):
             upd = ~frozen
             total = np.where(upd, total + term, total)
             best = np.where(upd, np.minimum(best, mag), best)
-            ok |= best <= rel_tol * np.maximum(np.abs(total), 1e-300)
+            ok |= best <= _ASYM_REL_TOL * np.maximum(np.abs(total), 1e-300)
             if np.all(ok | frozen):
                 break
-        good = best <= rel_tol * np.maximum(np.abs(total), 1e-300)
+        good = best <= _ASYM_REL_TOL * np.maximum(np.abs(total), 1e-300)
         return total, good
 
     s1, ok1 = inv_series(a, a - b + 1.0, -z)
@@ -145,14 +146,14 @@ def kummer_asymptotic_sectors(a, b, z, rel_tol=1e-11):
     return t1, t2, (ok1 & ok2)
 
 
-def _kummer_asymptotic(a, b, z, rel_tol=1e-11):
-    t1, t2, ok = kummer_asymptotic_sectors(a, b, z, rel_tol)
+def _kummer_asymptotic(a, b, z):
+    t1, t2, ok = kummer_asymptotic_sectors(a, b, z)
     return t1 + np.exp(z) * t2, ok
 
 
-def _kummer_mp(a, b, z, extra_dps=0):
+def _kummer_mp(a, b, z):
     """Arbitrary-precision fallback (adaptive series, certified by mpmath)."""
-    dps = 25 + int(0.5 * abs(z)) + extra_dps
+    dps = 25 + int(0.5 * abs(z))
     with mpmath.workdps(dps):
         v = mpmath.hyp1f1(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(z))
         return complex(v)
@@ -171,39 +172,26 @@ _ASYM_TRY = 20.0
 
 
 def kummer_m(a, b, z):
-    """Kummer's M(a, b, z) for complex a, z and b not a nonpositive integer.
-
-    Certified for b = 2, a = 1 +- i*Omega (|Omega| <= 50) and purely
-    imaginary z with |z| <= 4e3; other arguments are evaluated on a
-    best-effort basis through the same machinery.
-    """
-    a = complex(a)
-    b = complex(b)
-    z = complex(z)
-    if b.imag == 0.0 and b.real == round(b.real) and b.real <= 0.0:
-        raise PoleError("M(a, b, z) undefined at nonpositive integer b")
-    if z == 0.0:
-        return 1.0 + 0.0j
-    r = abs(z)
-    if _taylor_ok(a, r):
-        return complex(_kummer_taylor(a, b, z))
-    if r >= _ASYM_TRY:
-        # per-lane certification decides whether the series bottomed out
-        val, ok = _kummer_asymptotic(a, b, z)
-        if bool(np.all(ok)):
-            return complex(val)
-    return _kummer_mp(a, b, z)
+    """Kummer's M(a, b, z) at one point; see kummer_m_vec."""
+    return complex(kummer_m_vec(a, b, z))
 
 
 def kummer_m_vec(a, b, z):
-    """Vectorized M(a, b, z) over an array of z at fixed (a, b).
+    """Kummer's M(a, b, z) for complex a, z and b not a nonpositive integer,
+    vectorized over an array of z at fixed (a, b).
 
-    Splits z by magnitude: Taylor sum for small |z|, two-sector asymptotic
-    series for large |z|, arbitrary-precision evaluation in the band between
-    (where double precision cannot certify the 1e-10 contract).
+    Certified for b = 2, a = 1 +- i*Omega (|Omega| <= 50) and purely
+    imaginary z with |z| <= 4e3; other arguments are evaluated on a
+    best-effort basis through the same machinery.  Splits z by magnitude:
+    Taylor sum for small |z|, two-sector asymptotic series for large |z|,
+    arbitrary-precision evaluation in the band between (where double
+    precision cannot certify the 1e-10 contract) and for asymptotic lanes
+    whose series did not bottom out.
     """
     a = complex(a)
     b = complex(b)
+    if b.imag == 0.0 and b.real == round(b.real) and b.real <= 0.0:
+        raise PoleError("M(a, b, z) undefined at nonpositive integer b")
     z_in = np.asarray(z, dtype=complex)
     z = np.atleast_1d(z_in).ravel()
     out = np.empty(z.shape, dtype=complex)
@@ -214,15 +202,7 @@ def kummer_m_vec(a, b, z):
     band = ~small & ~large
 
     if np.any(small):
-        zs = z[small]
-        vals = np.where(zs == 0.0, 1.0 + 0.0j, 0.0)
-        nz = zs != 0.0
-        if np.any(nz):
-            v = _kummer_taylor(a, b, zs[nz])
-            tmp = np.array(vals, dtype=complex)
-            tmp[nz] = v
-            vals = tmp
-        out[small] = vals
+        out[small] = _kummer_taylor(a, b, z[small])  # M(a, b, 0) = 1 exactly
     if np.any(large):
         idx = np.where(large)[0]
         val, ok = _kummer_asymptotic(a, b, z[large])

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -106,3 +107,24 @@ class TestAsymptotics:
             warnings.simplefilter("always")
             asymptotic_moment(7, 1.0, 1.0)
         assert any("rough" in str(w.message) for w in rec)
+
+
+class TestPacketDomain:
+    @pytest.mark.parametrize("bad", [(-1.0, 0.05), (1.0, -0.05), (1.0, 0.0)])
+    def test_bad_packets_fail_fast(self, bad):
+        calls = (
+            lambda: adjacent_moments_analytic(bad, (1.0, 0.05)),
+            lambda: adjacent_moments_analytic((1.0, 0.05), bad),
+            lambda: cross_moments(bad, (1.0, 0.05), 2),
+        )
+        for call in calls:
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError):
+                call()
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_smeared_asymptotic_rejects_offset_centers(self):
+        # the asymptotic form has no e^{-i w v0} phases; the numeric moments do
+        for spec0, spec1 in (((1.0, 0.05, 0.3), (1.0, 0.05)), ((1.0, 0.05), (1.0, 0.05, -1.0))):
+            with pytest.raises(DomainError):
+                smeared_asymptotic_moment(spec0, spec1, 20)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamondfield.errors import OutsideDiamondError
+from diamondfield.errors import ConvergenceError, OutsideDiamondError
 from diamondfield.geometry import (
     DiamondEvent,
     DiamondScale,
@@ -37,6 +37,13 @@ class TestCoordinateMap:
         assert abs(back.x - ev.x) < 1e-9
         assert abs(back.y - ev.y) < 1e-9
         assert abs(back.z - ev.z) < 1e-9
+
+    @pytest.mark.parametrize("d", [(30.0, 30.0, 0.0, 0.0), (800.0, 0.0, 0.0, 0.0),
+                                   (400.0, 400.0, 0.0, 0.0), (0.0, 0.0, 1e200, 1e200)])
+    def test_inverse_rejects_images_on_the_boundary(self, d):
+        # these images round onto the null boundary (or overflow) in doubles
+        with pytest.raises(ConvergenceError):
+            to_minkowski(DiamondEvent(*d))
 
     def test_origin_fixed_point(self):
         d = to_diamond(MinkowskiEvent(0.0, 0.0, 0.0, 0.0))

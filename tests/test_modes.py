@@ -8,6 +8,7 @@ from diamondfield.modes import (
     DiamondMode,
     ExteriorMode,
     PlaneWave,
+    Profile,
     boundary_mask,
     eval_mode,
     gaussian_packet,
@@ -116,3 +117,16 @@ class TestOverlaps:
     def test_sharp_same_family_distributional(self):
         with pytest.raises(DomainError):
             kg_product(DiamondMode(n=0, omega=1.0), DiamondMode(n=0, omega=1.0))
+
+
+class TestProfile:
+    def test_unit_norm_on_nodes(self):
+        _, wt, G = Profile(2.0, 0.1, 0.5).nodes(96)
+        assert abs(np.sum(wt * np.abs(G) ** 2) - 1.0) < 1e-12
+
+    def test_natural_units(self):
+        assert Profile(2.0, 0.1, 0.5).natural(2.0) == Profile(1.0, 0.05, 1.0)
+
+    def test_bad_profile_rejected(self):
+        with pytest.raises(DomainError):
+            Profile(1.0, 0.0).nodes(16)

@@ -52,6 +52,17 @@ class TestIntegrate:
         b = integrate_adaptive(f, 0.0, 4.0, tol=1e-11, est_freq=37.0)
         assert a == b
 
+    def test_nan_integrand_stops_at_first_estimate(self):
+        sizes = []
+
+        def f(u):
+            sizes.append(u.size)
+            return np.full(u.shape, np.nan)
+
+        with pytest.raises(ConvergenceError):
+            integrate_adaptive(f, 0.0, 1.0, tol=1e-10)
+        assert len(sizes) <= 2
+
     def test_budget_exhaustion_raises(self):
         # a kink the panel doubling cannot resolve to 1e-15
         with pytest.raises(ConvergenceError):

@@ -89,6 +89,10 @@ class TestKummer:
         with pytest.raises(PoleError):
             kummer_m(1.0, 0.0, 1.0j)
 
+    def test_nonpositive_integer_b_vectorized(self):
+        with pytest.raises(PoleError):
+            kummer_m_vec(1.0, 0.0, [1.0j])
+
     def test_contiguous_recurrence_large_z(self):
         # a M(a+1, b, z) = (z + 2 a - b) M(a, b, z) + (b - a) M(a-1, b, z)
         a, b, z = 1.0 + 1.5j, 2.0, 150.0j
