@@ -220,6 +220,10 @@ def fit_temperature(omega, occupation, scale=DiamondScale()):
     n = np.asarray(occupation, dtype=float)
     if np.any(n <= 0.0):
         raise DomainError("occupations must be positive")
-    y = np.log1p(1.0 / n)
-    slope = float(np.sum(omega * y) / np.sum(omega * omega))
+    return _temperature_fit(omega, np.log1p(1.0 / n))
+
+
+def _temperature_fit(x, y):
+    """T from Boltzmann exponents y = x / T: least squares through the origin."""
+    slope = float(np.sum(x * y) / np.sum(x * x))
     return 1.0 / slope

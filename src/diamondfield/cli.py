@@ -112,7 +112,10 @@ def cmd_correlations(args):
         smeared_asymptotic_moment,
     )
 
-    ns = [int(x) for x in _parse_grid("1,20" if args.n is None else args.n)]
+    ns = _parse_grid("1,20" if args.n is None else args.n)
+    if not all(x.is_integer() for x in ns):
+        raise ValueError("diamond separations must be integers")
+    ns = [int(x) for x in ns]
     freqs = _parse_grid("1.0,1.3" if args.grid is None else args.grid)
     meta = _base_meta(args, "correlations")
     meta.update(sigma=args.sigma, tol=args.tol)

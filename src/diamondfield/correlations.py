@@ -32,6 +32,20 @@ from .specfun import log_gamma
 _POLE_GUARD = 1e-12
 
 
+def _adjacent_kernels(W, Wp):
+    """(alpha / Gamma(-i(Wp - W)), beta) of alpha_beta_adjacent, elementwise
+    over broadcast arrays of exterior (W) and first-diamond (Wp) frequencies."""
+    c = np.sqrt(W / Wp) / (2.0 * math.pi)
+    lg1 = log_gamma(1.0 + 1j * Wp)
+    alpha_reg = c * 2.0 ** (-1j * (W - Wp)) * np.exp(lg1 - log_gamma(1.0 + 1j * W))
+    beta = (
+        -c
+        * 2.0 ** (1j * (W + Wp))
+        * np.exp(lg1 + log_gamma(-1j * (Wp + W)) - log_gamma(1.0 - 1j * W))
+    )
+    return alpha_reg, beta
+
+
 def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
     """Sharp adjacent-diamond coefficients (alpha, beta) in closed form.
 
@@ -43,25 +57,8 @@ def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
         raise DomainError("frequencies must be positive")
     if abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
-    c = math.sqrt(Omega / Omega_p) / (2.0 * math.pi)
-    alpha = (
-        c
-        * 2.0 ** (-1j * (Omega - Omega_p))
-        * np.exp(
-            log_gamma(1.0 + 1j * Omega_p)
-            + log_gamma(-1j * (Omega_p - Omega))
-            - log_gamma(1.0 + 1j * Omega)
-        )
-    )
-    beta = (
-        -c
-        * 2.0 ** (1j * (Omega + Omega_p))
-        * np.exp(
-            log_gamma(1.0 + 1j * Omega_p)
-            + log_gamma(-1j * (Omega_p + Omega))
-            - log_gamma(1.0 - 1j * Omega)
-        )
-    )
+    alpha_reg, beta = _adjacent_kernels(Omega, Omega_p)
+    alpha = alpha_reg * np.exp(log_gamma(-1j * (Omega_p - Omega)))
     return complex(alpha) / scale.a, complex(beta) / scale.a
 
 
@@ -228,46 +225,26 @@ def _adjacent_moments_eval(p0, p1, n_nodes):
 
     Om = o0[:, None]
     Omp = o1[None, :]
-
-    def pref_alpha(W, Wp):
-        return (
-            np.sqrt(W / Wp)
-            / (2.0 * math.pi)
-            * 2.0 ** (1j * (W - Wp))
-            * np.exp(log_gamma(1.0 - 1j * Wp) - log_gamma(1.0 - 1j * W))
-        )
-
-    P = pref_alpha(Om, Omp)
+    alpha_reg, beta = _adjacent_kernels(Om, Omp)
+    P = np.conj(alpha_reg)  # alpha-bar / Gamma(i(W' - W)), regular on W = W'
     wa0 = w0 * np.conj(G0) / th
     wa1 = w1 * np.conj(G1)
 
     # entire part: plain tensor quadrature
     mm = complex(np.sum(wa0[:, None] * wa1[None, :] * P * _gamma_minus_pole(1j * (Omp - Om))))
 
-    # pole part: for each W node, Int dW' q(W') / (i(W'-W)) with
-    # q(W') = wa1-profile * P(W, W'); PV by smooth subtraction plus pi q(W)
+    # pole part: Int dW' q(W, W') / (i(W' - W)) with q(W, W') = conj(G1(W')) P(W, W'),
+    # as PV by smooth subtraction of q(W) = q(W, W) = conj(G1(W)) / 2 pi plus pi q(W);
+    # W nodes outside the o1 range have no pole (q = 0, no log term)
     lo, hi = o1[0], o1[-1]
-    prof1 = np.conj(G1)  # smooth profile behind the w1 quadrature weights
-    for i, W in enumerate(o0):
-        qn = prof1 * np.squeeze(pref_alpha(W, o1))
-        if lo < W < hi:
-            qW = complex(np.conj(p1.amplitude(W)) * complex(pref_alpha(W, W)))
-            pv = np.sum(w1 * (qn - qW) / (o1 - W)) + qW * math.log((hi - W) / (W - lo))
-            val = -1j * pv + math.pi * qW
-        else:
-            val = -1j * np.sum(w1 * qn / (o1 - W))
-        mm += wa0[i] * complex(val)
+    inside = (lo < o0) & (o0 < hi)
+    q = np.where(inside, np.conj(p1.amplitude(o0)) * (1.0 / (2.0 * math.pi)), 0.0)
+    log_ends = np.zeros(o0.shape)
+    log_ends[inside] = np.log((hi - o0[inside]) / (o0[inside] - lo))
+    Q = np.conj(G1)[None, :] * P
+    pv = np.sum(w1 * (Q - q[:, None]) / (Omp - Om), axis=1) + q * log_ends
+    for term in wa0 * (-1j * pv + math.pi * q):
+        mm += term  # node order, as a scalar running sum
 
-    beta = (
-        -np.sqrt(Om / Omp)
-        / (2.0 * math.pi)
-        * 2.0 ** (-1j * (Om + Omp))
-        * np.exp(
-            log_gamma(1.0 - 1j * Omp)
-            + log_gamma(1j * (Omp + Om))
-            - log_gamma(1.0 + 1j * Om)
-        )
-    )
-    wb = (w0 * G0 / th)[:, None] * (w1 * np.conj(G1))[None, :]
-    mp = complex(np.sum(wb * beta))
+    mp = complex(np.sum((w0 * G0 / th)[:, None] * wa1[None, :] * np.conj(beta)))
     return mm, mp

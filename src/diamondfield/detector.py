@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import integrate_adaptive
+from .bogoliubov import _temperature_fit
 from .errors import DomainError
 from .geometry import DiamondScale
 
@@ -158,7 +159,4 @@ def fit_temperature(energies, rates, scale=DiamondScale()):
     # rate(E)/rate(-E) = e^{-E/T}
     if rates.shape != (len(energies), 2):
         raise DomainError("rates must be pairs (rate(+E), rate(-E))")
-    logr = np.log(rates[:, 0] / rates[:, 1])
-    Eh = energies / scale.a
-    slope = float(np.sum(Eh * logr) / np.sum(Eh * Eh))
-    return -1.0 / slope
+    return _temperature_fit(energies / scale.a, -np.log(rates[:, 0] / rates[:, 1]))

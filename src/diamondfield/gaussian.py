@@ -54,14 +54,6 @@ class CovarianceMatrix:
     min_symplectic_eig: float
 
 
-def _symplectic_form(m):
-    S = np.zeros((2 * m, 2 * m))
-    for i in range(m):
-        S[2 * i, 2 * i + 1] = 1.0
-        S[2 * i + 1, 2 * i] = -1.0
-    return S
-
-
 def _same_diamond_occupation(s1, s2):
     """<b1+ b2> for two packets in the same diamond: the thermal kernel is
     diagonal in frequency, so this is the Planck-weighted profile overlap."""
@@ -114,14 +106,6 @@ def _mode_moments(specs, tol, diagonal, adjacent):
     return N, M, err
 
 
-def _quad_entry(N, M, i, phi, j, psi):
-    val = 2.0 * np.real(np.exp(-1j * (phi + psi)) * M[i, j])
-    val += 2.0 * np.real(np.exp(1j * (phi - psi)) * N[i, j])
-    if i == j:
-        val += math.cos(phi - psi)
-    return float(val)
-
-
 def build_covariance(specs, tol=1e-8, diagonal="planck", adjacent="analytic"):
     """Vacuum covariance matrix of the quadratures of the given modes.
 
@@ -134,16 +118,15 @@ def build_covariance(specs, tol=1e-8, diagonal="planck", adjacent="analytic"):
     if m == 0:
         raise DomainError("need at least one mode")
     N, M, err = _mode_moments(specs, tol, diagonal, adjacent)
+    # X(0) = b + b+ and X(pi/2) = -i b + i b+, interleaved per mode
+    eye = np.eye(m)
     cov = np.empty((2 * m, 2 * m))
-    half = math.pi / 2.0
-    for i in range(m):
-        for j in range(m):
-            cov[2 * i, 2 * j] = _quad_entry(N, M, i, 0.0, j, 0.0)
-            cov[2 * i, 2 * j + 1] = _quad_entry(N, M, i, 0.0, j, half)
-            cov[2 * i + 1, 2 * j] = _quad_entry(N, M, i, half, j, 0.0)
-            cov[2 * i + 1, 2 * j + 1] = _quad_entry(N, M, i, half, j, half)
+    cov[0::2, 0::2] = 2.0 * np.real(M + N) + eye
+    cov[0::2, 1::2] = 2.0 * np.imag(M + N)
+    cov[1::2, 0::2] = 2.0 * np.imag(M - N)
+    cov[1::2, 1::2] = 2.0 * np.real(N - M) + eye
     cov = 0.5 * (cov + cov.T)
-    eig = np.linalg.eigvalsh(cov + 1j * _symplectic_form(m))
+    eig = np.linalg.eigvalsh(cov + 1j * np.kron(eye, [[0.0, 1.0], [-1.0, 0.0]]))
     if eig[0] < -1e-9:
         raise ConvergenceError(f"unphysical covariance, min eig {eig[0]:.3e}")
     return CovarianceMatrix(modes=specs, matrix=cov, est_error=err,

@@ -245,14 +245,7 @@ def _natural_in_chart(packet, chart_kind, chart_n, u):
             dnat_dV = np.ones(u.shape)
         return u, dnat_dV, np.ones(u.shape, dtype=bool)
 
-    if chart_kind == "exterior":
-        # _pick_chart prefers diamond charts, so only plane packets get here
-        with np.errstate(divide="ignore", over="ignore"):
-            V = 2.0 + 4.0 / np.expm1(u)  # V - 2 exact on both branches
-        valid = np.isfinite(V) & (np.abs(V) < 1e12)
-        return np.where(valid, V, 0.0), np.ones(u.shape), valid
-
-    # diamond chart; a plane chart holds only plane packets (same-kind above)
+    # a diamond chart: plane and exterior charts hold only same-kind packets
     if pk == "plane":
         V, _ = _chart_V("diamond", chart_n, u)
         return V, np.ones(u.shape), np.ones(u.shape, dtype=bool)
@@ -330,10 +323,14 @@ def kg_product(m1, m2, tol=1e-8):
 
     Accepts Packet objects or sharp mode labels; sharp labels are wrapped in
     narrow Gaussian packets (DEFAULT_SIGMA), except that two sharp modes of
-    the same family with overlapping support are rejected as distributional.
+    the same family with overlapping support are rejected as distributional,
+    and plane with exterior packets are rejected before any quadrature.
     """
     p1, sharp1 = _wrap_sharp(m1)
     p2, sharp2 = _wrap_sharp(m2)
+    if {p1.kind, p2.kind} == {"plane", "exterior"}:
+        # the exterior-chart quadrature of this pair never meets its tolerance
+        raise DomainError("no KG product between plane and exterior packets")
     if sharp1 and sharp2 and p1.kind == p2.kind and not _disjoint(p1, p2):
         raise DomainError(
             "product of two sharp same-family modes is distributional; "

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -48,6 +49,13 @@ class TestCorrelations:
             main(["correlations", "--n", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n", ["2.7", "0.5", "1,1.5"])
+    def test_fractional_n_rejected(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["correlations", "--n", n])
+        assert exc.value.code == 2
+        assert "integers" in capsys.readouterr().err
+
 
 class TestFig2:
     def test_blocks_and_dip(self, tmp_path):
@@ -77,6 +85,13 @@ class TestDetector:
         assert float(meta["identity_residual"]) <= 1e-10
         rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
         assert all(r[4] == "true" for r in rows)  # eps consistency column
+
+    def test_negative_energies_fit(self, tmp_path):
+        # rate pairs at E < 0 are fitted as Boltzmann exponents, not occupations
+        code, text = run(tmp_path, "detector", "--grid=-1,-0.5,2")
+        assert code == 0
+        meta = dict(ln[2:].split("=", 1) for ln in text.splitlines() if ln.startswith("# "))
+        assert abs(float(meta["fitted_T"]) - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
 
 
 class TestValidate:

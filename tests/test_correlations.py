@@ -71,6 +71,13 @@ class TestCrossMoments:
         an = adjacent_moments_analytic((1.0, 0.05), (1.2, 0.05))
         assert abs(kg.m_minus - an.m_minus) <= 1e-4 * abs(kg.m_minus)
 
+    def test_adjacent_routes_agree_offset_centers(self):
+        # the v0 phases enter the pole term through q(W) = conj(G1(W)) / 2 pi
+        s0, s1 = (1.0, 0.05, 0.3), (1.0, 0.05, -0.2)
+        kg = cross_moments(s0, s1, 1)
+        an = adjacent_moments_analytic(s0, s1)
+        assert abs(kg.m_minus - an.m_minus) <= 1e-5 * abs(kg.m_minus)
+
     def test_moments_fall_off(self):
         m1 = abs(cross_moments((1.0, 0.05), (1.0, 0.05), 1).m_minus)
         m5 = abs(cross_moments((1.0, 0.05), (1.0, 0.05), 5).m_minus)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ class TestOverlaps:
     def test_sharp_same_family_distributional(self):
         with pytest.raises(DomainError):
             kg_product(DiamondMode(n=0, omega=1.0), DiamondMode(n=0, omega=1.0))
+
+    def test_plane_exterior_fails_fast(self):
+        # the exterior-chart quadrature of this pair grows without bound
+        plane, ext = gaussian_packet("plane", 1.0), gaussian_packet("exterior", 1.0)
+        pairs = [
+            (plane, ext),
+            (ext.conjugate(), plane),
+            (PlaneWave(k=1.0), ExteriorMode(omega=1.0)),
+            (ExteriorMode(omega=1.0), PlaneWave(k=1.0)),
+            (plane, ExteriorMode(omega=1.0)),
+        ]
+        for m1, m2 in pairs:
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError):
+                kg_product(m1, m2)
+            assert time.perf_counter() - t0 < 1.0
 
 
 class TestProfile:
