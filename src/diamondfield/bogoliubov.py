@@ -34,7 +34,14 @@ from ._quad import integrate_adaptive, panel_nodes
 from .errors import DomainError
 from .geometry import DiamondScale
 from .modes import Profile
-from .specfun import kummer_asymptotic_sectors, kummer_m_vec
+from .specfun import (
+    _ASYM_TRY,
+    _kummer_asymptotic,
+    _kummer_taylor,
+    _taylor_ok,
+    kummer_asymptotic_sectors,
+    kummer_m_vec,
+)
 
 
 def _prefactor(Omega, kappa):
@@ -95,16 +102,100 @@ def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
 # ---------------------------------------------------------------------------
 # smeared spectra
 
-def smeared_ab(om, coeff, kappa):
-    """A_G, B_G at the kappa grid for a packet with frequency nodes om and
-    combined weights coeff (quadrature weight times profile)."""
-    kappa = np.asarray(kappa, dtype=float)
+# Euler-integral band route: trapezoid rule in s on |s| <= _EULER_S with step
+# _EULER_H, certified per kappa lane against _EULER_TOL relative, evaluated
+# _EULER_CHUNK lanes at a time
+_EULER_H = 0.025
+_EULER_S = 20.0
+_EULER_TOL = 1e-10
+_EULER_CHUNK = 32
+
+
+def _kummer_double(a, b, z):
+    """kummer_m_vec without its mpmath fallback: NaN on band lanes and on
+    asymptotic lanes whose series did not bottom out."""
+    r = np.abs(z)
+    out = np.full(z.shape, np.nan, dtype=complex)
+    small = _taylor_ok(a, r)
+    large = ~small & (r >= _ASYM_TRY)
+    if np.any(small):
+        out[small] = _kummer_taylor(a, b, z[small])
+    if np.any(large):
+        val, ok = _kummer_asymptotic(a, b, z[large])
+        out[large] = np.where(ok, val, np.nan)
+    return out
+
+
+def _per_node_sum(om, coeff, kappa, kummer):
+    """A_G, B_G as the sum over frequency nodes of the closed forms, with M
+    from kummer(a, b, z)."""
     A = np.zeros(kappa.shape, dtype=complex)
     B = np.zeros(kappa.shape, dtype=complex)
     for Om, c in zip(om, coeff):
-        pref = _prefactor(Om, kappa)
-        A += c * pref * np.exp(2j * kappa) * kummer_m_vec(1.0 + 1j * Om, 2.0, -4j * kappa)
-        B += c * pref * np.exp(-2j * kappa) * kummer_m_vec(1.0 + 1j * Om, 2.0, 4j * kappa)
+        pref = c * _prefactor(Om, kappa)
+        A += pref * np.exp(2j * kappa) * kummer(1.0 + 1j * Om, 2.0, -4j * kappa)
+        B += pref * np.exp(-2j * kappa) * kummer(1.0 + 1j * Om, 2.0, 4j * kappa)
+    return A, B
+
+
+def _smeared_ab_euler(om, coeff, kappa):
+    """A_G, B_G from the Euler integral (DLMF 13.4.1) with the packet summed
+    inside, and a per-lane certificate.
+
+    With t = (1 + tanh s)/2, pref M(1 + i Om, 2, -+4 i ka) e^{+-2 i ka} =
+    sqrt(ka) Int ds e^{-+2 i ka tanh s} (2/(pi sqrt(Om))) e^{2 i Om s}/(2 cosh^2 s),
+    so A_G, B_G = sqrt(ka) Int ds e^{-+2 i ka tanh s} K(s) with the packet kernel
+    K(s) = sum_j c_j (2/(pi sqrt(Om_j))) e^{2 i Om_j s}/(2 cosh^2 s).  The
+    integrand is analytic in a strip, so the trapezoid rule converges
+    exponentially; |T_h - T_2h| plus the rounding scale of the sum must stay
+    below _EULER_TOL |T_h| on both A and B for a lane to be ok.
+    """
+    n = round(_EULER_S / _EULER_H)
+    s = _EULER_H * np.arange(-n, n + 1)  # node spacing exactly the weight h
+    K = np.zeros(s.shape, dtype=complex)
+    for Om, c in zip(om, coeff):
+        K += (c * 2.0 / (math.pi * math.sqrt(Om))) * np.exp(2j * Om * s)
+    K *= 0.5 / np.cosh(s) ** 2
+    # trapezoid weights for A and conj(B): step h, then step 2h on every second node
+    W = _EULER_H * np.stack([K, K.conj()], axis=1)
+    W2 = 2.0 * W
+    W2[1::2] = 0.0
+    W = np.concatenate([W, W2], axis=1)
+    rounding = 1e-15 * _EULER_H * float(np.sum(np.abs(K)))
+    th = np.tanh(s)
+    A = np.empty(kappa.shape, dtype=complex)
+    B = np.empty(kappa.shape, dtype=complex)
+    ok = np.empty(kappa.shape, dtype=bool)
+    for lo in range(0, kappa.size, _EULER_CHUNK):
+        sl = slice(lo, lo + _EULER_CHUNK)
+        P = np.outer(kappa[sl], -2j * th)
+        np.exp(P, out=P)
+        T = P @ W
+        T_h = T[:, :2]
+        err = np.abs(T_h - T[:, 2:]) + rounding
+        ok[sl] = np.all(err <= _EULER_TOL * np.abs(T_h), axis=1)
+        root = np.sqrt(kappa[sl])
+        A[sl] = root * T_h[:, 0]
+        B[sl] = root * T_h[:, 1].conj()
+    return A, B, ok
+
+
+def smeared_ab(om, coeff, kappa):
+    """A_G, B_G at the kappa grid for a packet with frequency nodes om and
+    combined weights coeff (quadrature weight times profile).
+
+    Columns where every node's M is a Taylor or certified asymptotic lane
+    are summed per node; the rest go through the Euler integral, and lanes
+    it cannot certify fall back to the per-node kummer_m_vec sum.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    A, B = _per_node_sum(om, coeff, kappa, _kummer_double)
+    hard = np.flatnonzero(np.isnan(A) | np.isnan(B))
+    if hard.size:
+        A[hard], B[hard], ok = _smeared_ab_euler(om, coeff, kappa[hard])
+        bad = hard[~ok]
+        if bad.size:
+            A[bad], B[bad] = _per_node_sum(om, coeff, kappa[bad], kummer_m_vec)
     return A, B
 
 
@@ -133,6 +224,10 @@ def _sector_amplitudes(om, coeff, kappa):
     return QA1, QA2, QB1, QB2
 
 
+# largest ln(kappa) whose Kummer argument 4 kappa is a finite double
+_L_MAX = math.log(np.finfo(float).max / 4.0)
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     value: float
@@ -147,6 +242,14 @@ def _smeared_integral(profile, which, kappa_split, tol):
     om, wt, G = profile.nodes()
     if kappa_split < 30.0:
         raise DomainError("kappa_split below the certified sector regime")
+    # tail in L = ln(kappa) up to where the envelope is below 1e-21 of its peak
+    L_lo = math.log(kappa_split)
+    L_hi = L_lo + 2.0 + 7.0 / profile.sigma
+    if L_hi > _L_MAX:
+        raise DomainError(
+            f"sigma = {profile.sigma:g} (in units of a) is too narrow: the log-kappa "
+            f"tail would reach kappa = e^{L_hi:.0f}, beyond double precision"
+        )
     coeff = wt * G
 
     def f(kappa):
@@ -158,15 +261,15 @@ def _smeared_integral(profile, which, kappa_split, tol):
     # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms
     finite, err_f = integrate_adaptive(f, 1e-9, kappa_split, tol=tol, est_freq=4.0)
 
-    # tail in L = ln(kappa): smooth sector moduli under the log-normal envelope
-    L_lo = math.log(kappa_split)
-    L_hi = L_lo + 2.0 + 7.0 / profile.sigma  # envelope below 1e-21 of peak
-
+    # tail: smooth sector moduli under the log-normal envelope
     def tail(n_panels):
         """(tail integral, scale of the neglected cross term) on n_panels."""
         Ls, Lw = panel_nodes(L_lo, L_hi, n_panels)
         ka_t = np.exp(Ls)
-        QA1, QA2, QB1, QB2 = _sector_amplitudes(om, coeff, ka_t)
+        # near the top of the range the sector series' divisor (s + 1) 4 ka
+        # may round to inf; the term it divides is then exactly 0 in doubles
+        with np.errstate(over="ignore"):
+            QA1, QA2, QB1, QB2 = _sector_amplitudes(om, coeff, ka_t)
         if which == "occupation":
             dens = np.abs(QB1) ** 2 + np.abs(QB2) ** 2
             cross_scale = np.abs(QB1 * QB2)

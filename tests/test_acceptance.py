@@ -60,6 +60,11 @@ class TestThermalSpectrum:
             ref = planck_occupation(om, SIGMA)
             assert abs(occupations[om].value - ref) <= 0.02 * ref
 
+    def test_est_error_bounds_planck_gap(self, occupations):
+        for om in FREQS:
+            ref = planck_occupation(om, SIGMA)
+            assert abs(occupations[om].value - ref) <= occupations[om].est_error
+
 
 class TestCompleteness:
     @pytest.mark.parametrize("om", FREQS)

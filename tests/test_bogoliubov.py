@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from diamondfield.bogoliubov import (
     completeness_check,
     fit_temperature,
     planck_occupation,
+    smeared_ab,
     thermal_occupation,
 )
 from diamondfield.errors import DomainError
 from diamondfield.geometry import DiamondScale
+from diamondfield.modes import Profile
+from diamondfield.specfun import kummer_m_vec
 
 
 class TestCoefficients:
@@ -88,3 +92,80 @@ class TestSpectrum:
     def test_fit_temperature_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             fit_temperature([1.0], [0.0])
+
+
+def _count_mp_calls(monkeypatch):
+    import mpmath
+
+    calls = []
+    hyp1f1 = mpmath.hyp1f1
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return hyp1f1(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "hyp1f1", counting)
+    return calls
+
+
+def _packet(omega0, v0=0.0):
+    om, wt, G = Profile(omega0, 0.02, v0).nodes()
+    return om, wt * G
+
+
+def _closed_form_sum(om, coeff, kappa):
+    """A_G, B_G as the sum of closed forms, mpmath in the Kummer band."""
+    A = np.zeros(kappa.shape, dtype=complex)
+    B = np.zeros(kappa.shape, dtype=complex)
+    for Om, c in zip(om, coeff):
+        pref = c * 2.0 * np.sqrt(Om * kappa) / math.sinh(math.pi * Om)
+        A += pref * np.exp(2j * kappa) * kummer_m_vec(1.0 + 1j * Om, 2.0, -4j * kappa)
+        B += pref * np.exp(-2j * kappa) * kummer_m_vec(1.0 + 1j * Om, 2.0, 4j * kappa)
+    return A, B
+
+
+class TestSmearedRoute:
+    # 4 kappa from 10.4 to 28: columns with lanes kummer_m_vec sends to mpmath
+    BAND = np.array([2.6, 3.1, 3.7, 4.4, 5.2, 6.0, 7.0])
+
+    @pytest.mark.parametrize("v0", [0.0, 0.5])
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 2.0])
+    def test_euler_route_matches_closed_form_sum(self, omega0, v0, monkeypatch):
+        om, coeff = _packet(omega0, v0)
+        calls = _count_mp_calls(monkeypatch)
+        A_ref, B_ref = _closed_form_sum(om, coeff, self.BAND)
+        assert calls
+        calls.clear()
+        A, B = smeared_ab(om, coeff, self.BAND)
+        assert calls == []  # every band column went through the Euler integral
+        assert np.all(np.abs(A - A_ref) <= 1e-10 * np.abs(A_ref))
+        assert np.all(np.abs(B - B_ref) <= 1e-10 * np.abs(B_ref))
+
+    def test_occupation_makes_no_mpmath_calls(self, monkeypatch):
+        calls = _count_mp_calls(monkeypatch)
+        thermal_occupation(1.0, 0.02)
+        assert calls == []
+
+    def test_uncertified_lanes_fall_back_to_closed_form_sum(self, monkeypatch):
+        # B_G ~ e^{-pi Omega0} cancels below the rounding scale of the integral
+        om, coeff = _packet(4.0)
+        kappa = np.array([3.0, 4.0, 5.0])
+        A_ref, B_ref = _closed_form_sum(om, coeff, kappa)
+        calls = _count_mp_calls(monkeypatch)
+        A, B = smeared_ab(om, coeff, kappa)
+        assert calls  # the per-node sum ran, with mpmath in the band
+        assert np.all(np.abs(A - A_ref) <= 1e-14 * np.abs(A_ref))
+        assert np.all(np.abs(B - B_ref) <= 1e-14 * np.abs(B_ref))
+
+
+class TestNarrowPackets:
+    def test_too_narrow_fails_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="sigma"):
+            thermal_occupation(1.0, sigma=0.005)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_narrowest_supported_packet(self):
+        res = thermal_occupation(1.0, sigma=0.01)
+        ref = planck_occupation(1.0, sigma=0.01)
+        assert abs(res.value - ref) <= res.est_error

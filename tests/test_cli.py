@@ -35,6 +35,12 @@ class TestSpectrum:
             main(["spectrum", "--grid", ""])
         assert exc.value.code == 2
 
+    def test_too_narrow_packet_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--grid", "1.0", "--sigma", "0.005"])
+        assert exc.value.code == 2
+        assert "sigma" in capsys.readouterr().err
+
 
 class TestCorrelations:
     def test_methods_column(self, tmp_path):
