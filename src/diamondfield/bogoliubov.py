@@ -34,14 +34,7 @@ from ._quad import integrate_adaptive, panel_nodes
 from .errors import DomainError
 from .geometry import DiamondScale
 from .modes import Profile
-from .specfun import (
-    _ASYM_TRY,
-    _kummer_asymptotic,
-    _kummer_taylor,
-    _taylor_ok,
-    kummer_asymptotic_sectors,
-    kummer_m_vec,
-)
+from .specfun import kummer_asymptotic_sectors, kummer_m_vec
 
 
 def _prefactor(Omega, kappa):
@@ -102,39 +95,23 @@ def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
 # ---------------------------------------------------------------------------
 # smeared spectra
 
-# Euler-integral band route: trapezoid rule in s on |s| <= _EULER_S with step
+# Euler-integral route: trapezoid rule in s on |s| <= _EULER_S with step
 # _EULER_H, certified per kappa lane against _EULER_TOL relative, evaluated
 # _EULER_CHUNK lanes at a time
-_EULER_H = 0.025
+_EULER_H = 0.02
 _EULER_S = 20.0
 _EULER_TOL = 1e-10
 _EULER_CHUNK = 32
 
 
-def _kummer_double(a, b, z):
-    """kummer_m_vec without its mpmath fallback: NaN on band lanes and on
-    asymptotic lanes whose series did not bottom out."""
-    r = np.abs(z)
-    out = np.full(z.shape, np.nan, dtype=complex)
-    small = _taylor_ok(a, r)
-    large = ~small & (r >= _ASYM_TRY)
-    if np.any(small):
-        out[small] = _kummer_taylor(a, b, z[small])
-    if np.any(large):
-        val, ok = _kummer_asymptotic(a, b, z[large])
-        out[large] = np.where(ok, val, np.nan)
-    return out
-
-
-def _per_node_sum(om, coeff, kappa, kummer):
-    """A_G, B_G as the sum over frequency nodes of the closed forms, with M
-    from kummer(a, b, z)."""
+def _per_node_sum(om, coeff, kappa):
+    """A_G, B_G as the sum over frequency nodes of the closed forms."""
     A = np.zeros(kappa.shape, dtype=complex)
     B = np.zeros(kappa.shape, dtype=complex)
     for Om, c in zip(om, coeff):
         pref = c * _prefactor(Om, kappa)
-        A += pref * np.exp(2j * kappa) * kummer(1.0 + 1j * Om, 2.0, -4j * kappa)
-        B += pref * np.exp(-2j * kappa) * kummer(1.0 + 1j * Om, 2.0, 4j * kappa)
+        A += pref * np.exp(2j * kappa) * kummer_m_vec(1.0 + 1j * Om, 2.0, -4j * kappa)
+        B += pref * np.exp(-2j * kappa) * kummer_m_vec(1.0 + 1j * Om, 2.0, 4j * kappa)
     return A, B
 
 
@@ -184,18 +161,13 @@ def smeared_ab(om, coeff, kappa):
     """A_G, B_G at the kappa grid for a packet with frequency nodes om and
     combined weights coeff (quadrature weight times profile).
 
-    Columns where every node's M is a Taylor or certified asymptotic lane
-    are summed per node; the rest go through the Euler integral, and lanes
-    it cannot certify fall back to the per-node kummer_m_vec sum.
+    Every column goes through the Euler integral; lanes it cannot certify
+    fall back to the per-node kummer_m_vec sum.
     """
     kappa = np.asarray(kappa, dtype=float)
-    A, B = _per_node_sum(om, coeff, kappa, _kummer_double)
-    hard = np.flatnonzero(np.isnan(A) | np.isnan(B))
-    if hard.size:
-        A[hard], B[hard], ok = _smeared_ab_euler(om, coeff, kappa[hard])
-        bad = hard[~ok]
-        if bad.size:
-            A[bad], B[bad] = _per_node_sum(om, coeff, kappa[bad], kummer_m_vec)
+    A, B, ok = _smeared_ab_euler(om, coeff, kappa)
+    if not ok.all():
+        A[~ok], B[~ok] = _per_node_sum(om, coeff, kappa[~ok])
     return A, B
 
 
@@ -266,10 +238,7 @@ def _smeared_integral(profile, which, kappa_split, tol):
         """(tail integral, scale of the neglected cross term) on n_panels."""
         Ls, Lw = panel_nodes(L_lo, L_hi, n_panels)
         ka_t = np.exp(Ls)
-        # near the top of the range the sector series' divisor (s + 1) 4 ka
-        # may round to inf; the term it divides is then exactly 0 in doubles
-        with np.errstate(over="ignore"):
-            QA1, QA2, QB1, QB2 = _sector_amplitudes(om, coeff, ka_t)
+        QA1, QA2, QB1, QB2 = _sector_amplitudes(om, coeff, ka_t)
         if which == "occupation":
             dens = np.abs(QB1) ** 2 + np.abs(QB2) ** 2
             cross_scale = np.abs(QB1 * QB2)

@@ -327,8 +327,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.a <= 0.0 or getattr(args, "tol", 1.0) <= 0.0:
-        parser.error("scales and tolerances must be positive")
+    if not all(0.0 < x < math.inf for x in (args.a, getattr(args, "tol", 1.0))):
+        parser.error("scales and tolerances must be finite and positive")
     try:
         return args.func(args)
     except (ValueError, DomainError) as exc:

@@ -138,8 +138,9 @@ class Profile(NamedTuple):
     def nodes(self, n=96):
         """(om, wt, G): n Gauss-Legendre nodes over omega0 +- 8 sigma, their
         weights and the profile on them."""
-        if not (self.omega0 > 0.0 and self.sigma > 0.0):
-            raise DomainError("packet needs omega0 > 0 and sigma > 0")
+        if not (0.0 < self.omega0 < math.inf and 0.0 < self.sigma < math.inf
+                and math.isfinite(self.v0)):
+            raise DomainError("packet needs finite omega0 > 0, sigma > 0 and v0")
         x, w = gauss_legendre(n)
         lo = max(self.omega0 - 8.0 * self.sigma, 1e-12)
         hi = self.omega0 + 8.0 * self.sigma

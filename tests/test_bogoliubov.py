@@ -141,6 +141,19 @@ class TestSmearedRoute:
         assert np.all(np.abs(A - A_ref) <= 1e-10 * np.abs(A_ref))
         assert np.all(np.abs(B - B_ref) <= 1e-10 * np.abs(B_ref))
 
+    @pytest.mark.parametrize("v0", [0.0, 0.5])
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 2.0])
+    def test_every_route_column_matches_closed_form_sum(self, omega0, v0, monkeypatch):
+        # kummer_m_vec's Taylor, band and asymptotic columns up to kappa_split
+        kappa = np.array([1e-6, 0.01, 0.5, 2.0, 8.0, 15.0, 25.0, 33.0, 39.5])
+        om, coeff = _packet(omega0, v0)
+        A_ref, B_ref = _closed_form_sum(om, coeff, kappa)
+        calls = _count_mp_calls(monkeypatch)
+        A, B = smeared_ab(om, coeff, kappa)
+        assert calls == []
+        assert np.all(np.abs(A - A_ref) <= 1e-10 * np.abs(A_ref))
+        assert np.all(np.abs(B - B_ref) <= 1e-10 * np.abs(B_ref))
+
     def test_occupation_makes_no_mpmath_calls(self, monkeypatch):
         calls = _count_mp_calls(monkeypatch)
         thermal_occupation(1.0, 0.02)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -98,6 +99,23 @@ class TestDetector:
         assert code == 0
         meta = dict(ln[2:].split("=", 1) for ln in text.splitlines() if ln.startswith("# "))
         assert abs(float(meta["fitted_T"]) - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["--a", "nan", "fig2"],
+        ["--a", "inf", "spectrum"],
+        ["spectrum", "--tol", "nan"],
+        ["correlations", "--tol", "inf"],
+        ["spectrum", "--grid", "1.0", "--sigma", "nan"],
+        ["correlations", "--n", "1", "--grid", "1.0", "--sigma", "inf"],
+    ])
+    def test_usage_error(self, argv):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestValidate:

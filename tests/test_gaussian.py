@@ -155,6 +155,24 @@ class TestWitness:
         assert abs(w01["V_minus_0"] - w34["V_minus_0"]) < 1e-9
 
 
+def _min_pt_symplectic_eig(cov):
+    """Smallest symplectic eigenvalue of the partial transpose (p2 -> -p2) of a
+    two-mode covariance; below 1 iff the pair is entangled (Simon, PRL 84, 2726)."""
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    return float(np.min(np.abs(np.linalg.eigvals(1j * omega @ flip @ cov.matrix @ flip))))
+
+
+class TestPartialTranspose:
+    def test_witness_implies_ppt_violation(self):
+        covs = [pair(om1=om1) for om1 in np.arange(0.9, 1.1001, 0.02)]
+        covs += [pair(0, 2), pair(0, 20)]
+        flagged = [cov for cov in covs if squeezing_witness(cov, 0, 1)["entangled"]]
+        assert flagged
+        for cov in flagged:
+            assert _min_pt_symplectic_eig(cov) < 1.0
+
+
 class TestSweep:
     def test_rows_and_phenomenology(self):
         tab = fig2_sweep(omega1_grid=np.arange(0.9, 1.1001, 0.02), **FIG2)

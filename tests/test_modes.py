@@ -147,3 +147,11 @@ class TestProfile:
     def test_bad_profile_rejected(self):
         with pytest.raises(DomainError):
             Profile(1.0, 0.0).nodes(16)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0.02), (math.inf, 0.02), (1.0, math.nan), (1.0, math.inf),
+        (1.0, 0.02, math.nan), (1.0, 0.02, -math.inf),
+    ])
+    def test_non_finite_profile_rejected(self, args):
+        with pytest.raises(DomainError):
+            Profile(*args).nodes()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from diamondfield.errors import PoleError
 from diamondfield.specfun import (
     gamma_complex,
+    kummer_asymptotic_sectors,
     kummer_m,
     kummer_m_vec,
     log_gamma,
@@ -99,3 +100,9 @@ class TestKummer:
         lhs = a * kummer_m(a + 1.0, b, z)
         rhs = (z + 2.0 * a - b) * kummer_m(a, b, z) + (b - a) * kummer_m(a - 1.0, b, z)
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
+
+    def test_asymptotic_sectors_near_largest_double(self):
+        # no (s + 1) * z is formed, so |z| near the double range cannot overflow
+        t1, t2, ok = kummer_asymptotic_sectors(1 + 1.2j, 2.0, np.array([160j, 1.7e308j]))
+        assert ok.all()
+        assert np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))
