@@ -18,9 +18,10 @@ The occupation and completeness integrals have a peculiar structure: the
 integrand's mass is distributed log-uniformly in kappa under a Gaussian
 envelope in ln(kappa) of width 1/(2 sigma), so for narrow packets a large
 fraction of the integral lives at astronomically large kappa.  Direct
-quadrature handles kappa <= kappa_split; beyond that the two slowly-varying
-sector amplitudes of the Kummer asymptotics are integrated in ln(kappa),
-with the rapidly oscillating cross term bounded into est_error.
+quadrature handles kappa <= kappa_split.  Beyond it each Kummer sector is a
+short series in 1/kappa times kappa^{-+i Om}, so the tail, e^{+-4 i kappa}
+cross term included, is a Hermitian form in the series terms, integrated in
+closed form term by term.
 """
 
 from __future__ import annotations
@@ -30,21 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_adaptive, panel_nodes
+from ._quad import integrate_adaptive
 from .errors import DomainError
 from .geometry import DiamondScale
 from .modes import Profile
-from .specfun import kummer_asymptotic_sectors, kummer_m_vec
-
-
-def _prefactor(Omega, kappa):
-    # 2 sqrt(Om ka)/sinh(pi Om), overflow-safe in Omega
-    return (
-        np.sqrt(Omega * kappa)
-        * 4.0
-        * math.exp(-math.pi * Omega)
-        / (-math.expm1(-2.0 * math.pi * Omega))
-    )
+from .specfun import kummer_m_vec, log_gamma
 
 
 def ab_coefficients(omega, k, n=0, scale=DiamondScale()):
@@ -56,7 +47,8 @@ def ab_coefficients(omega, k, n=0, scale=DiamondScale()):
         raise DomainError("omega must be positive")
     if np.any(ka <= 0.0):
         raise DomainError("k must be positive")
-    pref = _prefactor(Om, ka)
+    # 2 sqrt(Om ka)/sinh(pi Om), overflow-safe in Om
+    pref = np.sqrt(Om * ka) * 4.0 * math.exp(-math.pi * Om) / (-math.expm1(-2.0 * math.pi * Om))
     A = pref * np.exp(2j * ka) * kummer_m_vec(1.0 + 1j * Om, 2.0, -4j * ka)
     B = pref * np.exp(-2j * ka) * kummer_m_vec(1.0 + 1j * Om, 2.0, 4j * ka)
     if n:
@@ -106,12 +98,7 @@ _EULER_CHUNK = 32
 
 def _per_node_sum(om, coeff, kappa):
     """A_G, B_G as the sum over frequency nodes of the closed forms."""
-    A = np.zeros(kappa.shape, dtype=complex)
-    B = np.zeros(kappa.shape, dtype=complex)
-    for Om, c in zip(om, coeff):
-        pref = c * _prefactor(Om, kappa)
-        A += pref * np.exp(2j * kappa) * kummer_m_vec(1.0 + 1j * Om, 2.0, -4j * kappa)
-        B += pref * np.exp(-2j * kappa) * kummer_m_vec(1.0 + 1j * Om, 2.0, 4j * kappa)
+    A, B = sum(c * np.array(ab_coefficients(Om, kappa)) for Om, c in zip(om, coeff))
     return A, B
 
 
@@ -171,29 +158,68 @@ def smeared_ab(om, coeff, kappa):
     return A, B
 
 
-def _sector_amplitudes(om, coeff, kappa):
-    """Slow sector amplitudes at large kappa:
-    A_G = e^{+2 i ka} QA1 + e^{-2 i ka} QA2,  B_G = e^{-2 i ka} QB1 + e^{+2 i ka} QB2.
+# log-kappa tail: series terms per Kummer sector, by-parts terms per beat integral
+_SERIES_TERMS = 10
+_PARTS_TERMS = 10
+
+
+def _sector_terms(om, coeff, kappa_split, sign):
+    """(T, r, w): the terms of the packet's Kummer sectors i beyond kappa_split,
+
+        sqrt(ka) X_G = sum_{i,j,s} T[i, j, s] e^{i w_i ka} (ka/kappa_split)^{-(s + i r[i, j])},
+
+    for X = B (sign = 1) or A (sign = -1); (r, w) = (Om_j, -2 sign) in sector 0,
+    M's (-z)^{-a} part, and (-Om_j, 2 sign) in sector 1, its e^z z^{a-2} part.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    QA1 = np.zeros(kappa.shape, dtype=complex)
-    QA2 = np.zeros_like(QA1)
-    QB1 = np.zeros_like(QA1)
-    QB2 = np.zeros_like(QA1)
-    for Om, c in zip(om, coeff):
-        a_par = 1.0 + 1j * Om
-        pref = c * _prefactor(Om, kappa)
-        t1, t2, ok = kummer_asymptotic_sectors(a_par, 2.0, -4j * kappa)
-        if not ok.all():
-            raise DomainError("sector series not certified; raise kappa_split")
-        QA1 += pref * t1
-        QA2 += pref * t2
-        t1, t2, ok = kummer_asymptotic_sectors(a_par, 2.0, 4j * kappa)
-        if not ok.all():
-            raise DomainError("sector series not certified; raise kappa_split")
-        QB1 += pref * t1
-        QB2 += pref * t2
-    return QA1, QA2, QB1, QB2
+    z = 4j * sign * kappa_split
+    a = 1.0 + 1j * om
+    # ln(kappa_split 2 sqrt(Om)/sinh(pi Om)), overflow-safe in Om
+    log_pref = (np.log(4.0 * kappa_split * np.sqrt(om)) - math.pi * om
+                - np.log(-np.expm1(-2.0 * math.pi * om)))
+    T = np.empty((2, om.size, _SERIES_TERMS), dtype=complex)
+    T[0, :, 0] = coeff * np.exp(log_pref - a * np.log(-z) - log_gamma(1.0 - 1j * om))
+    T[1, :, 0] = coeff * np.exp(log_pref + (a - 2.0) * np.log(z) - log_gamma(a))
+    # inverse-power series in v: T_s = T_{s-1} (p + s - 1)(q + s - 1)/(s v)
+    p, q, v = np.stack([a, 1.0 - 1j * om]), np.stack([1j * om, -1j * om]), np.array([[-z], [z]])
+    for s in range(1, _SERIES_TERMS):
+        T[..., s] = T[..., s - 1] * ((p + s - 1) * (q + s - 1) / (s * v))
+    return T, np.stack([om, -om]), np.array([-2.0, 2.0]) * sign
+
+
+def _tail_integral(T, r, w, kappa_split, dL):
+    """(value, est_error) of Int dL |sqrt(ka) X_G|^2 on ln(kappa_split) + [0, dL],
+    exactly, as the Hermitian form sum T K conj(T) in the terms of _sector_terms.
+
+    K depends on s, t only through m = s + t in mu = m + i(r_j - r_k): same-sector
+    pairs give K = Int_0^dL e^{-mu L} dL, beat pairs K = Int_1^inf t^{-mu-1} e^{-y t} dt
+    with y = -i(w_i - w_k) kappa_split, integrated by parts.
+    """
+    S = T.shape[-1]
+    absT = np.abs(T)
+    value = rounding = parts = 0.0
+    for i, k, m in np.ndindex(2, 2, 2 * S - 1):
+        mu = m + 1j * np.subtract.outer(r[i], r[k])
+        if i == k:
+            zero = mu == 0.0
+            K = np.where(zero, dL, -np.expm1(-mu * dL) / np.where(zero, 1.0, mu))
+            remainder = 0.0
+        else:
+            y = -1j * (w[i] - w[k]) * kappa_split
+            K, term = 0.0, np.exp(-y) / y
+            for n in range(1, _PARTS_TERMS + 1):
+                K, term = K + term, term * (-mu - n) / y
+            # |Int_1^inf t^{-mu-1-R} e^{-y t} dt| <= 1/(R + m)
+            remainder = np.abs(term) * abs(y) / (_PARTS_TERMS + m)
+        s = np.arange(max(0, m - S + 1), min(m, S - 1) + 1)
+        value += np.sum(K * (T[i][:, s] @ T[k][:, m - s].conj().T))
+        scale = absT[i][:, s] @ absT[k][:, m - s].T
+        rounding += np.sum(np.abs(K) * scale)
+        parts += np.sum(remainder * scale)
+    # |f| <= sum |T| as every term decays in L; the omitted terms are below the last kept
+    truncation = 2.0 * float(np.sum(absT[..., -1]) * np.sum(absT))
+    if truncation > 1e-10 * value.real:
+        raise DomainError("sector series not converged at kappa_split; raise kappa_split")
+    return float(value.real), 1e-14 * rounding + parts + truncation
 
 
 # largest ln(kappa) whose Kummer argument 4 kappa is a finite double
@@ -216,11 +242,11 @@ def _smeared_integral(profile, which, kappa_split, tol):
         raise DomainError("kappa_split below the certified sector regime")
     # tail in L = ln(kappa) up to where the envelope is below 1e-21 of its peak
     L_lo = math.log(kappa_split)
-    L_hi = L_lo + 2.0 + 7.0 / profile.sigma
-    if L_hi > _L_MAX:
+    dL = 2.0 + 7.0 / profile.sigma
+    if L_lo + dL > _L_MAX:
         raise DomainError(
             f"sigma = {profile.sigma:g} (in units of a) is too narrow: the log-kappa "
-            f"tail would reach kappa = e^{L_hi:.0f}, beyond double precision"
+            f"tail would reach kappa = e^{L_lo + dL:.0f}, beyond double precision"
         )
     coeff = wt * G
 
@@ -233,32 +259,11 @@ def _smeared_integral(profile, which, kappa_split, tol):
     # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms
     finite, err_f = integrate_adaptive(f, 1e-9, kappa_split, tol=tol, est_freq=4.0)
 
-    # tail: smooth sector moduli under the log-normal envelope
-    def tail(n_panels):
-        """(tail integral, scale of the neglected cross term) on n_panels."""
-        Ls, Lw = panel_nodes(L_lo, L_hi, n_panels)
-        ka_t = np.exp(Ls)
-        QA1, QA2, QB1, QB2 = _sector_amplitudes(om, coeff, ka_t)
-        if which == "occupation":
-            dens = np.abs(QB1) ** 2 + np.abs(QB2) ** 2
-            cross_scale = np.abs(QB1 * QB2)
-        else:
-            dens = np.abs(QA1) ** 2 + np.abs(QA2) ** 2 - np.abs(QB1) ** 2 - np.abs(QB2) ** 2
-            cross_scale = np.abs(QA1 * QA2) + np.abs(QB1 * QB2)
-        return float(np.sum(dens * ka_t * Lw)), cross_scale
-
-    n_panels = max(64, int(0.8 * (om[-1] * (L_hi - L_lo)) / (2.0 * math.pi) * 3.0) + 16)
-    tail1, cross_scale = tail(n_panels)
-    tail2, _ = tail(2 * n_panels)  # doubled-panel check of the L quadrature
-    err_t = abs(tail2 - tail1)
-    # neglected oscillatory cross term: boundary-dominated, ~ |Q Q'|(split)/2
-    err_cross = float(np.max(cross_scale[:16])) / 2.0
-    return SpectrumResult(
-        value=finite + tail2,
-        est_error=err_f + err_t + err_cross,
-        finite_part=finite,
-        tail_part=tail2,
-    )
+    tail, err_t = _tail_integral(*_sector_terms(om, coeff, kappa_split, 1), kappa_split, dL)
+    if which == "completeness":
+        tail_A, err_A = _tail_integral(*_sector_terms(om, coeff, kappa_split, -1), kappa_split, dL)
+        tail, err_t = tail_A - tail, err_A + err_t
+    return SpectrumResult(finite + tail, err_f + err_t, finite, tail)
 
 
 def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), kappa_split=40.0,

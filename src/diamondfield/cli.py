@@ -29,7 +29,7 @@ def _parse_grid(spec):
         raise ValueError("empty grid")
     if ":" in spec:
         lo, hi, step = (float(x) for x in spec.split(":"))
-        if step <= 0 or hi < lo:
+        if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
             raise ValueError("bad range spec")
         n = int(round((hi - lo) / step))
         return [lo + i * step for i in range(n + 1)]
@@ -37,16 +37,25 @@ def _parse_grid(spec):
 
 
 def _parse_phi_list(spec):
-    out = []
-    for tok in spec.split(","):
-        tok = tok.strip().lower()
-        if tok.endswith("pi"):
-            out.append(float(tok[:-2] or 1.0) * math.pi)
-        else:
-            out.append(float(tok))
-    if not out:
-        raise ValueError("empty phi list")
-    return out
+    """Comma list of phases; a 'pi' suffix multiplies by pi."""
+    toks = [tok.strip().lower() for tok in spec.split(",")]
+    return [float(t[:-2] or 1.0) * math.pi if t.endswith("pi") else float(t) for t in toks]
+
+
+def _checked(parse, ok=math.isfinite, need="finite"):
+    """argparse type: parse, then ok on every value; argparse's error names the flag."""
+    def convert(text):
+        try:
+            values = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        if not all(map(ok, np.atleast_1d(values))):
+            raise argparse.ArgumentTypeError(f"{text!r}: must be {need}")
+        return values
+    return convert
+
+
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 
 
 def _fmt(x):
@@ -89,12 +98,11 @@ def _base_meta(args, command):
 def cmd_spectrum(args):
     from .bogoliubov import planck_occupation, thermal_occupation
 
-    grid = _parse_grid("0.5,1.0,2.0" if args.grid is None else args.grid)
     meta = _base_meta(args, "spectrum")
     meta.update(sigma=args.sigma, tol=args.tol)
     rows = []
     worst = 0.0
-    for om in grid:
+    for om in args.grid:
         res = thermal_occupation(om, args.sigma)
         ref = planck_occupation(om, args.sigma)
         rel = abs(res.value - ref) / ref
@@ -112,20 +120,17 @@ def cmd_correlations(args):
         smeared_asymptotic_moment,
     )
 
-    ns = _parse_grid("1,20" if args.n is None else args.n)
-    if not all(x.is_integer() for x in ns):
+    if not all(x.is_integer() for x in args.n):
         raise ValueError("diamond separations must be integers")
-    ns = [int(x) for x in ns]
-    freqs = _parse_grid("1.0,1.3" if args.grid is None else args.grid)
     meta = _base_meta(args, "correlations")
     meta.update(sigma=args.sigma, tol=args.tol)
     header = ("n", "Omega", "Omega_p", "re_bb", "im_bb", "re_bdag_b", "im_bdag_b", "method")
     rows = []
-    for n in ns:
+    for n in map(int, args.n):
         if n < 1:
             raise DomainError("diamond separation must be >= 1")
-        for om0 in freqs:
-            for om1 in freqs:
+        for om0 in args.grid:
+            for om1 in args.grid:
                 s0 = (om0, args.sigma)
                 s1 = (om1, args.sigma)
                 if n == 1:
@@ -146,8 +151,6 @@ def cmd_correlations(args):
 def cmd_fig2(args):
     from .gaussian import fig2_sweep
 
-    phis = _parse_phi_list("0,0.2pi" if args.phi is None else args.phi)
-    grid = _parse_grid("0.5:1.5:0.01" if args.grid is None else args.grid)
     meta = _base_meta(args, "fig2")
     meta.update(
         omega0=1.0,
@@ -156,7 +159,7 @@ def cmd_fig2(args):
                "axes reconstructed from the described phenomenology",
     )
     header = ("phi", "omega1", "v_minus", "v_plus", "entangled")
-    tab = fig2_sweep(phis, grid, omega0=1.0, sigma=args.sigma)
+    tab = fig2_sweep(args.phi, args.grid, omega0=1.0, sigma=args.sigma)
     rows = list(zip(*(tab[key].tolist() for key in header)))
     _emit(args.out, args.format, meta, header, rows)
     return EXIT_OK
@@ -165,21 +168,20 @@ def cmd_fig2(args):
 def cmd_detector(args):
     from .detector import expected_rate, fit_temperature, identity_residual, response_rate
 
-    grid = _parse_grid("0.5,1.0,2.0" if args.grid is None else args.grid)
     meta = _base_meta(args, "detector")
     meta.update(eps=args.eps, window=args.window)
     residual = identity_residual(np.linspace(-3.0, 3.0, 20))
     meta["identity_residual"] = residual
     rows = []
     pairs = []
-    for E in grid:
+    for E in args.grid:
         up = response_rate(E, args.window, args.eps)
         dn = response_rate(-E, args.window, args.eps)
         up_half = response_rate(E, args.window, args.eps / 2.0)
         consistent = abs(up.value - up_half.value) <= 0.02 * abs(up.value)
         pairs.append((up.value, dn.value))
         rows.append((E, up.value, up.value / dn.value, expected_rate(E), consistent))
-    T_fit = fit_temperature(grid, pairs)
+    T_fit = fit_temperature(args.grid, pairs)
     meta["fitted_T"] = T_fit
     rowsT = [row + (T_fit,) for row in rows]
     _emit(args.out, args.format, meta,
@@ -287,36 +289,40 @@ def build_parser():
         prog="diamondfield",
         description="Thermal spectra, correlations and detector response for diamond modes",
     )
-    p.add_argument("--a", type=float, default=1.0, help="diamond scale for display units")
+    p.add_argument("--a", type=_POSITIVE, default=1.0, help="diamond scale for display units")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol=True, sigma=True):
+    def common(sp, grid, tol=True, sigma=True):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if tol:
-            sp.add_argument("--tol", type=float, default=0.02)
-        sp.add_argument("--grid", default=None, help="comma list or lo:hi:step")
+            sp.add_argument("--tol", type=_POSITIVE, default=0.02)
+        sp.add_argument("--grid", type=_checked(_parse_grid), default=grid,
+                        help="comma list or lo:hi:step")
         if sigma:
-            sp.add_argument("--sigma", type=float, default=0.02)
+            sp.add_argument("--sigma", type=_POSITIVE, default=0.02)
 
     sp = sub.add_parser("spectrum", help="smeared vacuum occupation vs Planck")
-    common(sp)
+    common(sp, "0.5,1.0,2.0")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("correlations", help="cross-diamond second moments")
-    common(sp)
-    sp.add_argument("--n", default=None, help="comma list of diamond separations")
+    common(sp, "1.0,1.3")
+    sp.add_argument("--n", type=_checked(_parse_grid), default="1,20",
+                    help="comma list of diamond separations")
     sp.set_defaults(func=cmd_correlations)
 
     sp = sub.add_parser("fig2", help="joint-quadrature variance sweep")
-    common(sp, tol=False)
-    sp.add_argument("--phi", default=None, help="comma list, 'pi' suffix allowed")
+    common(sp, "0.5:1.5:0.01", tol=False)
+    sp.add_argument("--phi", type=_checked(_parse_phi_list), default="0,0.2pi",
+                    help="comma list, 'pi' suffix allowed")
     sp.set_defaults(func=cmd_fig2)
 
     sp = sub.add_parser("detector", help="energy-scaled detector response")
-    common(sp, tol=False, sigma=False)
-    sp.add_argument("--eps", type=float, default=1e-8)
-    sp.add_argument("--window", type=float, default=80.0)
+    common(sp, "0.5,1.0,2.0", tol=False, sigma=False)
+    sp.add_argument("--eps", default=1e-8,
+                    type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"))
+    sp.add_argument("--window", type=_POSITIVE, default=80.0)
     sp.set_defaults(func=cmd_detector)
 
     sp = sub.add_parser("validate", help="run the invariant suite")
@@ -326,9 +332,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not all(0.0 < x < math.inf for x in (args.a, getattr(args, "tol", 1.0))):
-        parser.error("scales and tolerances must be finite and positive")
+    args = parser.parse_args(argv)  # every numeric flag is checked here
     try:
         return args.func(args)
     except (ValueError, DomainError) as exc:

@@ -65,12 +65,28 @@ class TestThermalSpectrum:
             ref = planck_occupation(om, SIGMA)
             assert abs(occupations[om].value - ref) <= occupations[om].est_error
 
+    def test_est_error_is_tight(self, occupations):
+        for om in FREQS:
+            res = occupations[om]
+            gap = abs(res.value - planck_occupation(om, SIGMA))
+            assert gap <= res.est_error <= 1e-6 * res.value
+
+
+@pytest.fixture(scope="module")
+def completeness():
+    return {om: completeness_check(om, SIGMA) for om in FREQS}
+
 
 class TestCompleteness:
     @pytest.mark.parametrize("om", FREQS)
-    def test_unit_norm(self, om):
-        res = completeness_check(om, SIGMA)
+    def test_unit_norm(self, om, completeness):
+        res = completeness[om]
         assert abs(res.value - 1.0) <= 0.01
+
+    @pytest.mark.parametrize("om", FREQS)
+    def test_est_error_bounds_unit_gap(self, om, completeness):
+        res = completeness[om]
+        assert abs(res.value - 1.0) <= res.est_error <= 1e-6
 
 
 class TestCoefficientOracle:

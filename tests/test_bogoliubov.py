@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from diamondfield import bogoliubov
 from diamondfield.bogoliubov import (
     ab_coefficients,
     ab_numeric,
@@ -16,7 +17,7 @@ from diamondfield.bogoliubov import (
 from diamondfield.errors import DomainError
 from diamondfield.geometry import DiamondScale
 from diamondfield.modes import Profile
-from diamondfield.specfun import kummer_m_vec
+from diamondfield.specfun import kummer_asymptotic_sectors, kummer_m_vec
 
 
 class TestCoefficients:
@@ -182,3 +183,41 @@ class TestNarrowPackets:
         res = thermal_occupation(1.0, sigma=0.01)
         ref = planck_occupation(1.0, sigma=0.01)
         assert abs(res.value - ref) <= res.est_error
+        assert res.est_error <= 1e-6 * res.value
+
+
+class TestTailSeries:
+    KAPPA = np.array([40.0, 1e3, 1e30, 1e150])
+
+    @pytest.mark.parametrize("sign", [-1, 1])  # A_G, B_G
+    @pytest.mark.parametrize("v0", [0.0, 0.5])
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 2.0])
+    def test_terms_match_kummer_sectors(self, omega0, v0, sign):
+        om, coeff = _packet(omega0, v0)
+        T, r, _ = bogoliubov._sector_terms(om, coeff, 40.0, sign)
+        s = np.arange(T.shape[-1])
+        # per node j, sector i: c_j pref_j t_i at every kappa
+        nodes = np.empty((2, om.size, self.KAPPA.size), dtype=complex)
+        for j, Om in enumerate(om):
+            t1, t2, ok = kummer_asymptotic_sectors(1.0 + 1j * Om, 2.0, 4j * sign * self.KAPPA)
+            assert ok.all()
+            pref = coeff[j] * 2.0 * np.sqrt(Om * self.KAPPA) / math.sinh(math.pi * Om)
+            nodes[:, j] = pref * t1, pref * t2
+        for col, kappa in enumerate(self.KAPPA):
+            x = math.log(kappa / 40.0)
+            series = np.sum(T * np.exp(-(s + 1j * r[..., None]) * x), axis=(1, 2))
+            ref = math.sqrt(kappa) * nodes[..., col].sum(axis=1)
+            scale = math.sqrt(kappa) * np.abs(nodes[..., col]).sum(axis=1)
+            # against the node scale: far out the node sum cancels under the envelope
+            assert np.all(np.abs(series - ref) <= 1e-12 * scale)
+
+    def test_unconverged_series_names_kappa_split(self):
+        om, coeff = _packet(1.0)
+        terms = bogoliubov._sector_terms(om, coeff, 5.0, 1)
+        with pytest.raises(DomainError, match="kappa_split"):
+            bogoliubov._tail_integral(*terms, 5.0, 10.0)
+
+    def test_est_error_bounds_planck_gap_off_center(self):
+        res = thermal_occupation(1.0, 0.05, v0=0.5)
+        gap = abs(res.value - planck_occupation(1.0, 0.05))
+        assert gap <= res.est_error <= 1e-6 * res.value

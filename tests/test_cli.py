@@ -31,6 +31,13 @@ class TestSpectrum:
         assert doc["meta"]["command"] == "spectrum"
         assert doc["rows"][0]["rel_err"] <= 0.02
 
+    def test_default_rows_agree_with_planck(self, tmp_path):
+        code, text = run(tmp_path, "spectrum")
+        assert code == 0
+        rows = [ln.split(",") for ln in text.strip().splitlines() if not ln.startswith("#")][1:]
+        assert len(rows) == 3
+        assert all(float(row[3]) < 1e-7 for row in rows)
+
     def test_empty_grid_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--grid", ""])
@@ -109,13 +116,26 @@ class TestNonFiniteInputs:
         ["correlations", "--tol", "inf"],
         ["spectrum", "--grid", "1.0", "--sigma", "nan"],
         ["correlations", "--n", "1", "--grid", "1.0", "--sigma", "inf"],
+        ["fig2", "--phi", "nan"],
+        ["detector", "--window", "inf"],
+        ["detector", "--eps", "nan"],
+        ["detector", "--grid", "nan"],
+        ["detector", "--eps", "-1"],
+        ["detector", "--grid", "1:inf:1"],
+        ["detector", "--window", "0"],
     ])
-    def test_usage_error(self, argv):
+    def test_usage_error(self, argv, capsys):
         t0 = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert time.perf_counter() - t0 < 1.0
+        flag = [tok for tok in argv if tok.startswith("--")][-1]
+        assert f"argument {flag}:" in capsys.readouterr().err  # the message names the flag
+
+    def test_zero_eps_still_runs(self, tmp_path):
+        code, _ = run(tmp_path, "detector", "--eps", "0", "--grid", "1.0")
+        assert code == 0
 
 
 class TestValidate:
