@@ -21,6 +21,8 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 
+_MAX_RANGE_POINTS = 100_000  # a 'lo:hi:step' range is counted before it is built
+
 
 def _parse_grid(spec):
     """Grid spec: comma list '0.5,1,2' or range 'lo:hi:step' (inclusive)."""
@@ -31,8 +33,10 @@ def _parse_grid(spec):
         lo, hi, step = (float(x) for x in spec.split(":"))
         if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
             raise ValueError("bad range spec")
-        n = int(round((hi - lo) / step))
-        return [lo + i * step for i in range(n + 1)]
+        n = (hi - lo) / step
+        if not n < _MAX_RANGE_POINTS - 0.5:  # also catches an overflow to inf
+            raise ValueError(f"range has {n + 1:.6g} points, more than {_MAX_RANGE_POINTS}")
+        return [lo + i * step for i in range(round(n) + 1)]
     return [float(x) for x in spec.split(",")]
 
 

@@ -8,7 +8,10 @@ exterior mode: with the package Klein-Gordon conventions,
 
 where P_n carries weights G1(w') on diamond-n modes, E_minus is the exterior
 mode weighted by conj(G0(w)) / (2 sinh pi Omega), and E_plus the conjugated
-exterior mode weighted accordingly.  For adjacent diamonds (n = 1) there is
+exterior mode weighted accordingly.  Each such product is one absolutely
+convergent integral over the diamond rapidity (_overlap), which serves the
+sharp coefficients (alpha_beta_numeric) and, with the packets summed inside,
+the smeared moments (cross_moments).  For adjacent diamonds (n = 1) there is
 a closed form in Gamma functions; for large n the moments fall off as 1/n^2.
 
 All sharp-mode formulas use Omega = omega/a and return values in units of
@@ -26,10 +29,11 @@ import numpy as np
 from ._quad import integrate_adaptive
 from .errors import DomainError, PoleError
 from .geometry import DiamondScale
-from .modes import Packet, Profile, kg_product
+from .modes import _TAIL, Profile
 from .specfun import log_gamma
 
 _POLE_GUARD = 1e-12
+_V_CUT = 40.0  # rapidity cut: sech^2(v/2) ~ 1e-17 beyond it
 
 
 def _adjacent_kernels(W, Wp):
@@ -62,53 +66,72 @@ def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
     return complex(alpha) / scale.a, complex(beta) / scale.a
 
 
-def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10):
-    """(alpha, beta, est_error) for diamond n >= 1 by regularized quadrature.
+def _kernel(n, v):
+    """(base, L) of the diamond-n / exterior overlap at diamond rapidity v:
+    base = sech^2(v/2) / (V^2 - 4) and L = ln((V + 2)/(V - 2)), where
+    V = 4n + 2 tanh(v/2).  V -+ 2 are formed without cancellation at the tip
+    the first diamond shares with the exterior boundary (v -> -inf)."""
+    s = np.logaddexp(0.0, -v)  # -ln((1 + tanh(v/2)) / 2)
+    Vp2 = 4.0 * n + 4.0 * np.exp(-s)  # V + 2
+    if n == 1:
+        # sech^2(v/2)/(V^2-4) with the 1/(V-2) tip cancellation done exactly
+        return 1.0 / (1.0 + np.exp(v)) / Vp2, np.log(Vp2 / 4.0) + s
+    Vm2 = 4.0 * (n - 1) + 4.0 * np.exp(-s)  # V - 2
+    return np.cosh(v / 2.0) ** -2 / (Vm2 * Vp2), np.log(Vp2) - np.log(Vm2)
 
-    The KG integral over the nth diamond is written in the diamond rapidity;
-    for n = 1 the integrand does not decay toward the tip shared with the
-    exterior boundary, where it approaches a pure oscillation whose Abel mean
-    is added in closed form.
+
+def _overlap(n, om_d, p, om_x, e, lo, hi, tol):
+    """(<P, E>, <P, E*>, est_error) for the diamond-n packet
+    P = sum_j p_j g_{n,om_d[j]} and the exterior packet E = sum_k e_k g_{ex,om_x[k]}.
+
+    Integrating the KG product by parts leaves one term in the diamond
+    rapidity, alpha(W, W') = (2/pi) sqrt(W/W') Int dv base e^{-i(W' v + W L)},
+    and beta the same with -base and W -> -W; both packets are summed inside
+    the integrand, over v in [lo, hi].
+    """
+    c_d = p / np.sqrt(om_d)
+    c_x = np.conj(e) * np.sqrt(om_x)
+
+    def integrand(twin):
+        def f(v):
+            base, L = _kernel(n, v)
+            P = np.exp(-1j * np.multiply.outer(v, om_d)) @ c_d
+            X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
+            return base * P * (np.conj(X) if twin else X)
+        return f
+
+    freq = float(np.max(om_d) + np.max(om_x))
+    ia, ea = integrate_adaptive(integrand(False), lo, hi, tol=tol, est_freq=freq)
+    ib, eb = integrate_adaptive(integrand(True), lo, hi, tol=tol, est_freq=freq)
+    k = 2.0 / math.pi
+    return k * ia, -k * ib, k * max(ea, eb)
+
+
+def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10):
+    """(alpha, beta, est_error) for diamond n >= 1 by rapidity quadrature.
+
+    The integral of _overlap runs over |v| <= 40.  For n = 1 the integrand
+    does not decay toward the tip shared with the exterior boundary, where it
+    approaches a pure oscillation whose Abel mean is added in closed form, and
+    alpha has a pole at Omega = Omega_p.  For n >= 2 the integrand is ~1e-17
+    at the cut and alpha is finite on the diagonal.
     """
     if n < 1:
         raise DomainError("alpha_beta_numeric requires diamond index n >= 1")
     if not (Omega > 0.0 and Omega_p > 0.0):
         raise DomainError("frequencies must be positive")
-    if abs(Omega - Omega_p) < _POLE_GUARD:
+    if n == 1 and abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
 
-    def parts(v):
-        Vm2 = 4.0 * (n - 1) + 4.0 / (1.0 + np.exp(-v))  # V - 2
-        Vp2 = 4.0 * n + 4.0 / (1.0 + np.exp(-v))  # V + 2
-        L = np.log(Vp2) - np.log(Vm2)
-        if n == 1:
-            # sech^2(v/2)/(V^2-4) with the 1/(V-2) tip cancellation done exactly
-            base = 1.0 / (1.0 + np.exp(v)) / Vp2
-        else:
-            base = np.cosh(v / 2.0) ** -2 / (Vm2 * Vp2)
-        return base, L
-
-    def f_alpha(v):
-        base, L = parts(v)
-        return base * np.exp(-1j * (Omega_p * v + Omega * L))
-
-    def f_beta(v):
-        base, L = parts(v)
-        return -base * np.exp(-1j * (Omega_p * v - Omega * L))
-
-    pref = (2.0 / math.pi) * math.sqrt(Omega / Omega_p)
-    v_cut = 40.0  # rapidity cut of the quadrature
-    va, ea = integrate_adaptive(f_alpha, -v_cut, v_cut, tol=tol, est_freq=Omega + Omega_p)
-    vb, eb = integrate_adaptive(f_beta, -v_cut, v_cut, tol=tol, est_freq=Omega + Omega_p)
-    # Abel means of the residual oscillations beyond the lower cut
-    ta = f_alpha(np.array([-v_cut]))[0] / (1j * (Omega - Omega_p))
-    tb = f_beta(np.array([-v_cut]))[0] / (-1j * (Omega + Omega_p))
+    al, be, err = _overlap(n, np.array([Omega_p]), 1.0, np.array([Omega]), 1.0, -_V_CUT, _V_CUT, tol)
+    if n == 1:
+        # Abel means of the residual oscillations beyond the lower cut
+        base, L = _kernel(1, -_V_CUT)
+        f = (2.0 / math.pi) * math.sqrt(Omega / Omega_p) * base * np.exp(1j * Omega_p * _V_CUT)
+        al += f * np.exp(-1j * Omega * L) / (1j * (Omega - Omega_p))
+        be += f * np.exp(1j * Omega * L) / (1j * (Omega + Omega_p))
     a = scale.a
-    return (
-        pref * (va + ta) / a,
-        pref * (vb + tb) / a,
-        pref * max(ea, eb) / a,
-    )
+    return complex(al) / a, complex(be) / a, err / a
 
 
 # ---------------------------------------------------------------------------
@@ -126,28 +149,23 @@ class CrossMoments:
 
 def cross_moments(spec0, spec_n, n, scale=DiamondScale(), tol=1e-9):
     """Smeared <b0 bn> and <b0+ bn> for Gaussian packets spec = (omega0, sigma)
-    or (omega0, sigma, v0), the nth packet living in diamond n >= 1."""
+    or (omega0, sigma, v0), the nth packet living in diamond n >= 1.
+
+    One _overlap integral with both profiles summed inside.  For n >= 2 it
+    runs over |v| <= 40, where sech^2(v/2) has decayed to ~1e-17; for n = 1
+    the integrand keeps the packets' size toward the shared tip, so it runs
+    down to the diamond packet's envelope edge -|v0| - _TAIL/sigma.
+    """
     if n < 1:
         raise DomainError("cross_moments requires diamond separation n >= 1")
     p0 = Profile(*spec0).natural(scale.a)
     p1 = Profile(*spec_n).natural(scale.a)
     o0, w0, G0 = p0.nodes()
     o1, w1, G1 = p1.nodes()
-
-    Pn = Packet(kind="diamond", n=n, omegas=o1, weights=w1 * G1,
-                center=p1.v0, sigma_env=p1.sigma)
-    th = 2.0 * np.sinh(math.pi * o0)
-    E_minus = Packet(kind="exterior", n=0, omegas=o0, weights=w0 * np.conj(G0) / th,
-                     center=-p0.v0, sigma_env=p0.sigma)
-    E_plus = E_minus.conjugate()
-
-    rm = kg_product(Pn, E_minus, tol=tol)
-    rp = kg_product(Pn, E_plus, tol=tol)
-    return CrossMoments(
-        m_minus=np.conj(rm.value),
-        m_plus=np.conj(rp.value),
-        est_error=rm.est_error + rp.est_error,
-    )
+    lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -_V_CUT
+    e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))  # E_minus; E_plus = conj
+    mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, _V_CUT, tol)
+    return CrossMoments(m_minus=np.conj(mm), m_plus=np.conj(mp), est_error=err)
 
 
 def asymptotic_moment(n, Omega, Omega_p, scale=DiamondScale()):
@@ -207,7 +225,7 @@ def adjacent_moments_analytic(spec0, spec1, scale=DiamondScale()):
     Gamma(i(W'-W)) = [entire part] + 1/(i(W'-W)), and the simple-pole piece
     is integrated as the boundary value from Im W' < 0, i.e. principal value
     plus pi times the residue line.  Cross-validated against the pole-free
-    KG-quadrature route, which fixes that choice of side.
+    rapidity integral of cross_moments(n=1), which fixes that choice of side.
     """
     p0 = Profile(*spec0).natural(scale.a)
     p1 = Profile(*spec1).natural(scale.a)

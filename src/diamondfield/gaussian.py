@@ -111,7 +111,8 @@ def build_covariance(specs, tol=1e-8, diagonal="planck", adjacent="analytic"):
 
     diagonal selects the occupation route: 'planck' uses the closed-form
     thermal value, 'integral' the plane-wave-coefficient integral.  adjacent
-    selects the nearest-neighbour moment route ('analytic' or 'kg').
+    selects the nearest-neighbour moment route: 'analytic' the closed forms,
+    'kg' the KG-product rapidity integral of cross_moments.
     """
     specs = tuple(specs)
     m = len(specs)

@@ -17,8 +17,10 @@ in narrow packets (bandwidth DEFAULT_SIGMA).  The KG product
 
     <f, g> = -i Int dV (f dV(g*) - g* dV(f))
 
-is evaluated by adaptive panel quadrature in the best-suited rapidity
-variable, with analytic mode derivatives throughout.
+is evaluated by adaptive panel quadrature in the rapidity of one packet's
+family, with analytic mode derivatives throughout.  The engine covers pairs
+of one family and plane packets with diamond packets; the diamond-exterior
+overlap is the one-term rapidity integral in diamondfield.correlations.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import DomainError
 DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
 
 _TAIL = 5.5  # packet envelopes are truncated at exp(-_TAIL^2) ~ 7e-14
+_ROWS = 4096  # nodes per phase-matrix block in Packet.eval_natural
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +189,12 @@ class Packet:
         """(value, d value/du) at the packet's own natural coordinate."""
         u = np.asarray(u, dtype=float)
         amp = self.weights / np.sqrt(4.0 * math.pi * self.omegas)
-        phase = np.exp((-1j * self.sign) * np.multiply.outer(u, self.omegas))
-        val = phase @ amp
-        dval = phase @ ((-1j * self.sign) * self.omegas * amp)
+        damp = (-1j * self.sign) * self.omegas * amp
+        parts, flat = [], u.ravel()
+        for i in range(0, flat.size, _ROWS):  # bounds the phase matrix's memory
+            phase = np.exp((-1j * self.sign) * np.multiply.outer(flat[i:i + _ROWS], self.omegas))
+            parts.append((phase @ amp, phase @ damp))
+        val, dval = (np.concatenate(x).reshape(u.shape) for x in zip(*parts))
         if self.conj:
             return np.conj(val), np.conj(dval)
         return val, dval
@@ -229,55 +235,27 @@ def _chart_V(kind, n, u):
 
 
 def _natural_in_chart(packet, chart_kind, chart_n, u):
-    """Packet's natural coordinate, d(natural)/dV and validity on chart nodes.
+    """Packet's natural coordinate and d(natural)/dV on chart nodes u.
 
-    Uses cancellation-free expressions near the diamond tips, where V - edge
-    underflows long before the rapidities stop mattering.
+    A chart holds packets of its own family, and a diamond chart also plane
+    packets; kg_product sends no other pair here.
     """
     u = np.asarray(u, dtype=float)
-    pk, pn = packet.kind, packet.n
-
-    if pk == chart_kind and (pk != "diamond" or pn == chart_n):
-        if pk == "diamond":
-            dnat_dV = np.cosh(u / 2.0) ** 2
-        elif pk == "exterior":
-            dnat_dV = -np.sinh(u / 2.0) ** 2
-        else:
-            dnat_dV = np.ones(u.shape)
-        return u, dnat_dV, np.ones(u.shape, dtype=bool)
-
-    # a diamond chart: plane and exterior charts hold only same-kind packets
-    if pk == "plane":
-        V, _ = _chart_V("diamond", chart_n, u)
-        return V, np.ones(u.shape), np.ones(u.shape, dtype=bool)
-    if pk == "exterior":
-        # V -+ 2 without cancellation at the adjacent-diamond tips
-        Vm2 = 4.0 * (chart_n - 1) + 4.0 / (1.0 + np.exp(-u))
-        Vp2 = 4.0 * chart_n + 4.0 / (1.0 + np.exp(-u))
-        valid = (Vm2 > 0) == (Vp2 > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L = np.where(valid, np.log(np.abs(Vp2)) - np.log(np.abs(Vm2)), 0.0)
-            dL_dV = np.where(valid, -4.0 / (Vp2 * Vm2), 0.0)
-        return L, dL_dV, valid
-    if pk == "diamond":
-        s_lo = 4.0 * (chart_n - pn - 1) + 4.0 / (1.0 + np.exp(-u))  # V-(4 pn-2)
-        s_hi = 4.0 * (pn - chart_n - 1) + 4.0 / (1.0 + np.exp(u))  # (4 pn+2)-V
-        valid = (s_lo > 0) & (s_hi > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(valid, np.log(s_lo) - np.log(s_hi), 0.0)
-            dv_dV = np.where(valid, 1.0 / s_lo + 1.0 / s_hi, 0.0)
-        return v, dv_dV, valid
-
-    raise DomainError(f"no chart path for packet {pk} in chart {chart_kind}")
+    if packet.kind == chart_kind:
+        if chart_kind == "diamond":
+            return u, np.cosh(u / 2.0) ** 2
+        if chart_kind == "exterior":
+            return u, -np.sinh(u / 2.0) ** 2
+        return u, np.ones(u.shape)
+    V, _ = _chart_V("diamond", chart_n, u)  # a plane packet in a diamond chart
+    return V, np.ones(u.shape)
 
 
 def _eval_in_chart(packet, chart_kind, chart_n, u):
     """(value, d value/dV) of packet on the chart nodes u."""
-    nat, dnat_dV, valid = _natural_in_chart(packet, chart_kind, chart_n, u)
+    nat, dnat_dV = _natural_in_chart(packet, chart_kind, chart_n, u)
     val, dval_dnat = packet.eval_natural(nat)
-    val = np.where(valid, val, 0.0)
-    dval_dV = np.where(valid, dval_dnat * dnat_dV, 0.0)  # dnat_dV is real
-    return val, dval_dV
+    return val, dval_dnat * dnat_dV  # dnat_dV is real
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +287,19 @@ class KGProduct:
     est_error: float
 
 
-def _pick_chart(p1, p2):
-    for p in (p1, p2):
-        if p.kind == "diamond":
-            return "diamond", p.n, p
-    for p in (p1, p2):
-        if p.kind == "exterior":
-            return "exterior", 0, p
-    return "plane", 0, p1
-
-
 def kg_product(m1, m2, tol=1e-8):
     """Klein-Gordon product <m1, m2> = -i Int dV (m1 dV m2* - m2* dV m1).
 
     Accepts Packet objects or sharp mode labels; sharp labels are wrapped in
     narrow Gaussian packets (DEFAULT_SIGMA), except that two sharp modes of
-    the same family with overlapping support are rejected as distributional,
-    and plane with exterior packets are rejected before any quadrature.
+    the same family with overlapping support are rejected as distributional.
+    Disjoint supports give an exact 0.  An exterior packet with an
+    overlapping packet of another family is rejected before any quadrature:
+    diamond-exterior overlaps are the rapidity integral of correlations.
+    The quadrature runs over the envelope of the diamond packet, else p1.
     """
     p1, sharp1 = _wrap_sharp(m1)
     p2, sharp2 = _wrap_sharp(m2)
-    if {p1.kind, p2.kind} == {"plane", "exterior"}:
-        # the exterior-chart quadrature of this pair never meets its tolerance
-        raise DomainError("no KG product between plane and exterior packets")
     if sharp1 and sharp2 and p1.kind == p2.kind and not _disjoint(p1, p2):
         raise DomainError(
             "product of two sharp same-family modes is distributional; "
@@ -339,15 +307,20 @@ def kg_product(m1, m2, tol=1e-8):
         )
     if _disjoint(p1, p2):
         return KGProduct(0.0 + 0.0j, 0.0)
+    if "exterior" in (p1.kind, p2.kind) and p1.kind != p2.kind:
+        raise DomainError(
+            f"no KG product between {p1.kind} and {p2.kind} packets; "
+            "diamond-exterior overlaps are in diamondfield.correlations"
+        )
 
-    chart_kind, chart_n, owner = _pick_chart(p1, p2)
+    owner = p2 if p1.kind != "diamond" and p2.kind == "diamond" else p1
     lo, hi = owner.envelope_interval()
     freq = p1.max_freq() + p2.max_freq()
 
     def integrand(u):
-        _, jac = _chart_V(chart_kind, chart_n, u)
-        f, df = _eval_in_chart(p1, chart_kind, chart_n, u)
-        g, dg = _eval_in_chart(p2, chart_kind, chart_n, u)
+        _, jac = _chart_V(owner.kind, owner.n, u)
+        f, df = _eval_in_chart(p1, owner.kind, owner.n, u)
+        g, dg = _eval_in_chart(p2, owner.kind, owner.n, u)
         return -1j * jac * (f * np.conj(dg) - np.conj(g) * df)
 
     val, err = integrate_adaptive(integrand, lo, hi, tol=tol, est_freq=freq)

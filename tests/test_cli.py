@@ -123,6 +123,9 @@ class TestNonFiniteInputs:
         ["detector", "--eps", "-1"],
         ["detector", "--grid", "1:inf:1"],
         ["detector", "--window", "0"],
+        ["spectrum", "--grid", "0:1e9:1e-9"],
+        ["correlations", "--n", "1:1e12:1"],
+        ["detector", "--grid", "0:1e300:1e-300"],
     ])
     def test_usage_error(self, argv, capsys):
         t0 = time.perf_counter()

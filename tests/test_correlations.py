@@ -2,10 +2,13 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from diamondfield.correlations import (
+    _kernel,
     adjacent_moments_analytic,
     alpha_beta_adjacent,
     alpha_beta_numeric,
@@ -14,6 +17,30 @@ from diamondfield.correlations import (
     smeared_asymptotic_moment,
 )
 from diamondfield.errors import DomainError, PoleError
+from diamondfield.modes import Profile
+
+
+def chebyshev_oracle(spec0, spec_n, n, deg=(10, 11)):
+    """(m_minus, m_plus) from a deg[0] x deg[1] tensor Chebyshev interpolant of
+    the sharp alpha_beta_numeric values over the two profiles' frequency
+    ranges (omega0 +- 8 sigma), summed over the profiles' nodes."""
+    grids = []
+    for spec, m in zip((spec0, spec_n), deg):
+        prof = Profile(*spec)
+        lo, hi = prof.omega0 - 8.0 * prof.sigma, prof.omega0 + 8.0 * prof.sigma
+        om, wt, G = prof.nodes()
+        pts = chebyshev.chebpts1(m)
+        # E maps values at the Chebyshev points to the interpolant on the nodes
+        E = (chebyshev.chebvander((2.0 * om - lo - hi) / (hi - lo), m - 1)
+             @ np.linalg.inv(chebyshev.chebvander(pts, m - 1)))
+        grids.append((0.5 * (lo + hi) + 0.5 * (hi - lo) * pts, E, om, wt, G))
+    (x0, E0, o0, w0, G0), (x1, E1, _, w1, G1) = grids
+    ab = np.array([[alpha_beta_numeric(W, Wp, n=n, tol=1e-14)[:2] for Wp in x1] for W in x0])
+    # interpolated sharp values, indexed [exterior node, diamond node]
+    al, be = (E0 @ ab[:, :, i] @ E1.T for i in (0, 1))
+    e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))
+    p = w1 * G1
+    return np.conj(np.conj(e) @ al @ p), np.conj(e @ be @ p)
 
 
 class TestAdjacentSharp:
@@ -53,6 +80,28 @@ class TestAdjacentSharp:
         al, be, est = alpha_beta_numeric(1.0, 1.0 + 1e-6, n=2)
         assert np.isfinite(al) and np.isfinite(be)
 
+    def test_second_diamond_diagonal_is_not_a_pole(self):
+        # alpha and beta move by ~2.6e-6 relative per 1e-6 in Omega_p here, so
+        # the diagonal value is checked against the mean of its two neighbours
+        al, be, _ = alpha_beta_numeric(1.0, 1.0, n=2)
+        lo, hi = (alpha_beta_numeric(1.0, 1.0 + h, n=2) for h in (-1e-6, 1e-6))
+        assert np.isfinite(al) and np.isfinite(be)
+        assert abs(al - (lo[0] + hi[0]) / 2.0) <= 1e-9 * abs(al)
+        assert abs(be - (lo[1] + hi[1]) / 2.0) <= 1e-9 * abs(be)
+
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    def test_kernel_matches_definition(self, n):
+        # the one formula both the sharp and the smeared routes integrate
+        v = np.linspace(-10.0, 10.0, 41)
+        base, L = _kernel(n, v)
+        with mpmath.workdps(40):
+            for vi, b, l in zip(v, base, L):
+                V = 4 * n + 2 * mpmath.tanh(mpmath.mpf(vi) / 2)
+                ref_b = mpmath.sech(mpmath.mpf(vi) / 2) ** 2 / (V**2 - 4)
+                ref_l = mpmath.log((V + 2) / (V - 2))
+                assert abs(b - ref_b) <= 1e-13 * abs(ref_b)
+                assert abs(l - ref_l) <= 1e-13 * abs(ref_l)
+
     def test_numeric_requires_n_ge_1(self):
         with pytest.raises(DomainError):
             alpha_beta_numeric(1.0, 1.3, n=0)
@@ -77,6 +126,30 @@ class TestCrossMoments:
         kg = cross_moments(s0, s1, 1)
         an = adjacent_moments_analytic(s0, s1)
         assert abs(kg.m_minus - an.m_minus) <= 1e-5 * abs(kg.m_minus)
+
+    def test_adjacent_beta_matches_closed_form(self):
+        # m_plus has no pole, so the closed form's tensor quadrature is exact
+        spec = (1.0, 0.05)
+        kg = cross_moments(spec, spec, 1)
+        an = adjacent_moments_analytic(spec, spec)
+        assert abs(kg.m_plus - an.m_plus) <= 1e-10 * abs(an.m_plus)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    @pytest.mark.parametrize("s0,s1", [
+        ((1.0, 0.02), (1.0, 0.02)),
+        ((1.0, 0.05), (1.2, 0.05)),
+        ((1.0, 0.05, 0.3), (1.0, 0.05, -0.2)),
+    ], ids=["equal", "offset-omega", "offset-v0"])
+    def test_matches_chebyshev_oracle(self, s0, s1, n):
+        cm = cross_moments(s0, s1, n)
+        mm, mp = chebyshev_oracle(s0, s1, n)
+        assert abs(cm.m_minus - mm) <= 1e-8 * abs(mm)
+        assert abs(cm.m_plus - mp) <= 1e-8 * abs(mp)
+
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    def test_equal_centred_profiles_give_real_m_minus(self, n):
+        cm = cross_moments((1.0, 0.05), (1.0, 0.05), n)
+        assert abs(cm.m_minus.imag) <= 1e-12 * abs(cm.m_minus)
 
     def test_moments_fall_off(self):
         m1 = abs(cross_moments((1.0, 0.05), (1.0, 0.05), 1).m_minus)

@@ -135,6 +135,18 @@ class TestOverlaps:
                 kg_product(m1, m2)
             assert time.perf_counter() - t0 < 1.0
 
+    def test_diamond_exterior_fails_fast(self):
+        # the diamond-exterior overlap lives in correlations, not in the KG engine
+        diamond = gaussian_packet("diamond", 1.0, n=1)
+        ext = gaussian_packet("exterior", 1.0)
+        for d in (diamond, diamond.conjugate()):
+            for x in (ext, ext.conjugate()):
+                for m1, m2 in ((d, x), (x, d)):
+                    t0 = time.perf_counter()
+                    with pytest.raises(DomainError):
+                        kg_product(m1, m2)
+                    assert time.perf_counter() - t0 < 1.0
+
 
 class TestProfile:
     def test_unit_norm_on_nodes(self):
