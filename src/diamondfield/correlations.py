@@ -36,18 +36,11 @@ _POLE_GUARD = 1e-12
 _V_CUT = 40.0  # rapidity cut: sech^2(v/2) ~ 1e-17 beyond it
 
 
-def _adjacent_kernels(W, Wp):
-    """(alpha / Gamma(-i(Wp - W)), beta) of alpha_beta_adjacent, elementwise
-    over broadcast arrays of exterior (W) and first-diamond (Wp) frequencies."""
-    c = np.sqrt(W / Wp) / (2.0 * math.pi)
-    lg1 = log_gamma(1.0 + 1j * Wp)
-    alpha_reg = c * 2.0 ** (-1j * (W - Wp)) * np.exp(lg1 - log_gamma(1.0 + 1j * W))
-    beta = (
-        -c
-        * 2.0 ** (1j * (W + Wp))
-        * np.exp(lg1 + log_gamma(-1j * (Wp + W)) - log_gamma(1.0 - 1j * W))
-    )
-    return alpha_reg, beta
+def _log_a(W):
+    """log A(W), A = sqrt(W) 2^{iW} / Gamma(1 - iW): the adjacent closed forms
+    split as conj(alpha(W, W')) = A(W) Gamma(i(W' - W)) / (2 pi A(W')) and
+    conj(beta(W, W')) = -conj(A(W)) Gamma(i(W + W')) / (2 pi A(W'))."""
+    return 0.5 * np.log(W) + 1j * W * math.log(2.0) - log_gamma(1.0 - 1j * W)
 
 
 def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
@@ -61,8 +54,9 @@ def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
         raise DomainError("frequencies must be positive")
     if abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
-    alpha_reg, beta = _adjacent_kernels(Omega, Omega_p)
-    alpha = alpha_reg * np.exp(log_gamma(-1j * (Omega_p - Omega)))
+    la, lp = _log_a(Omega), _log_a(Omega_p)
+    alpha = np.exp(np.conj(la - lp) + log_gamma(-1j * (Omega_p - Omega))) / (2.0 * math.pi)
+    beta = -np.exp(la - np.conj(lp) + log_gamma(-1j * (Omega_p + Omega))) / (2.0 * math.pi)
     return complex(alpha) / scale.a, complex(beta) / scale.a
 
 
@@ -203,66 +197,72 @@ def smeared_asymptotic_moment(spec0, spec_n, n, scale=DiamondScale()):
     return mm * norm, mp * norm
 
 
-def _gamma_minus_pole(z):
-    """Gamma(z) - 1/z, entire near z = 0 (value -EulerGamma at 0)."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-3
-    zs = np.where(small, 1.0, z)
-    out = np.exp(log_gamma(zs)) - 1.0 / zs
-    if np.any(small):
-        # Taylor of Gamma(z) - 1/z around 0
-        g = 0.5772156649015329
-        z2 = np.where(small, z, 0.0)
-        series = -g + (g * g / 2.0 + math.pi**2 / 12.0) * z2
-        out = np.where(small, series, out)
-    return out
+# half-widths in sigma of the adjacent lattices and of Profile.nodes; log_gamma accuracy
+_SPAN, _CUT, _LG_REL = 12.0, 8.0, 1e-13
+
+
+def _lattice(p0, p1, h):
+    """(m_minus, error bound) on the exterior nodes W = o + j h and the diamond
+    nodes W' = o + (k + 1/2) h, o = p0.omega0, over each packet's omega0 +- 12 sigma.
+
+    With a = conj(G0) A / (2 sinh pi W), b = conj(G1) / A and K(z) = Gamma(iz)
+    from Im W' < 0, m_minus = (1/2pi) Int Int a(W) b(W') K(W' - W).  As
+    W' - W = (k - j + 1/2) h is never 0, the trapezoid sum over the pole is its
+    principal value, and the residue adds b(W)/2 to F = (1/2pi) Int b K (H is
+    the same in W').  K(W' - W) is Toeplitz: one log_gamma call.  The bound
+    covers log_gamma and the 8-12 sigma bands, where the other routes stop.
+    """
+    j = np.arange(math.ceil(-_SPAN * p0.sigma / h), math.floor(_SPAN * p0.sigma / h) + 1)
+    k = np.arange(math.ceil((p1.omega0 - p0.omega0 - _SPAN * p1.sigma) / h - 0.5),
+                  math.floor((p1.omega0 - p0.omega0 + _SPAN * p1.sigma) / h - 0.5) + 1)
+    W, Wp, lag = p0.omega0 + j * h, p0.omega0 + (k + 0.5) * h, k[None, :] - j[:, None]
+    K = np.exp(log_gamma(1j * h * (np.arange(lag.min(), lag.max() + 1) + 0.5)))[lag - lag.min()]
+    la, lp = _log_a(W), _log_a(Wp)
+    sh, shp = (np.log(2.0 * np.sinh(math.pi * w)) for w in (W, Wp))
+    x = h * np.conj(p0.amplitude(W)) * np.exp(la - sh)
+    y = h * np.conj(p1.amplitude(Wp)) * np.exp(-lp)
+    res = 0.5 * np.conj(p1.amplitude(W)) * np.exp(-la)
+    F = K @ y / (2.0 * math.pi) + res
+    H = x @ K / (2.0 * math.pi) + 0.5 * np.conj(p0.amplitude(Wp)) * np.exp(lp - shp)
+    floor = _LG_REL * np.abs(x) @ (np.abs(K) @ np.abs(y) / (2.0 * math.pi) + np.abs(res))
+    return complex(x @ F), floor + _band(p0, W, F, h, 1.0) + _band(p1, Wp, H, h, 2.0 * math.pi)
+
+
+def _band(p, om, f, h, c):
+    """Bound on |Int f a| over 8 sigma < |W - omega0|, |a| = |G| c / (2 sqrt(pi sinh pi W)):
+    per side, sup |f| on the nodes om from 8 sigma - h out, times the largest weight
+    out to 12 sigma (beyond, G < e^{-36} G(omega0)), times an erfc bound on G's tail."""
+    tail = (2.0 * math.pi) ** -0.25 * math.sqrt(math.pi * p.sigma) * math.erfc(_CUT / 2)
+    return sum(np.max(np.abs(f[s * (om - p.omega0) >= _CUT * p.sigma - h])) * tail * c
+               / (2.0 * math.sqrt(math.pi * math.sinh(math.pi * (p.omega0 + s * width * p.sigma))))
+               for s, width in ((-1.0, _SPAN), (1.0, _CUT)))
+
+
+def _plus(p0, p1, n):
+    """(m_plus, log_gamma floor) on n Gauss-Legendre nodes per packet:
+    -(1/2pi) Sum conj(a) b K(W + W') with the weights of _lattice."""
+    (W, w0, G0), (Wp, w1, G1) = p0.nodes(n), p1.nodes(n)
+    x = w0 * G0 * np.exp(np.conj(_log_a(W)) - np.log(2.0 * np.sinh(math.pi * W)))
+    y = w1 * np.conj(G1) * np.exp(-_log_a(Wp))
+    terms = np.multiply.outer(x, y) * np.exp(log_gamma(1j * np.add.outer(W, Wp))) / (2.0 * math.pi)
+    return -complex(np.sum(terms)), _LG_REL * np.sum(np.abs(terms))
 
 
 def adjacent_moments_analytic(spec0, spec1, scale=DiamondScale()):
     """<b0 b1> and <b0+ b1> from the adjacent-diamond closed forms.
 
-    The alpha pole on the frequency diagonal is split off exactly:
-    Gamma(i(W'-W)) = [entire part] + 1/(i(W'-W)), and the simple-pole piece
-    is integrated as the boundary value from Im W' < 0, i.e. principal value
-    plus pi times the residue line.  Cross-validated against the pole-free
-    rapidity integral of cross_moments(n=1), which fixes that choice of side.
+    m_minus is the lattice sum of _lattice at h = min(sigma)/2; its error adds
+    |m(h) - m(2h)|, from a second pair of offset lattices, to the bound of
+    _lattice.  m_plus has no pole: it is the tensor Gauss-Legendre sum on
+    Profile.nodes(32), estimated against 24 nodes.  A packet with
+    omega0 < 12 sigma reaches omega = 0, where the kernels have a W^{-1/2}
+    endpoint that the lattice does not resolve: such pairs go to
+    cross_moments(..., 1).
     """
-    p0 = Profile(*spec0).natural(scale.a)
-    p1 = Profile(*spec1).natural(scale.a)
-    mm, mp = _adjacent_moments_eval(p0, p1, 128)
-    mm2, mp2 = _adjacent_moments_eval(p0, p1, 96)
-    return CrossMoments(m_minus=mm, m_plus=mp,
-                        est_error=max(abs(mm - mm2), abs(mp - mp2)))
-
-
-def _adjacent_moments_eval(p0, p1, n_nodes):
-    # deliberately different node counts so the two grids never coincide
-    o0, w0, G0 = p0.nodes(n_nodes)
-    o1, w1, G1 = p1.nodes(n_nodes + 17)
-    th = 2.0 * np.sinh(math.pi * o0)
-
-    Om = o0[:, None]
-    Omp = o1[None, :]
-    alpha_reg, beta = _adjacent_kernels(Om, Omp)
-    P = np.conj(alpha_reg)  # alpha-bar / Gamma(i(W' - W)), regular on W = W'
-    wa0 = w0 * np.conj(G0) / th
-    wa1 = w1 * np.conj(G1)
-
-    # entire part: plain tensor quadrature
-    mm = complex(np.sum(wa0[:, None] * wa1[None, :] * P * _gamma_minus_pole(1j * (Omp - Om))))
-
-    # pole part: Int dW' q(W, W') / (i(W' - W)) with q(W, W') = conj(G1(W')) P(W, W'),
-    # as PV by smooth subtraction of q(W) = q(W, W) = conj(G1(W)) / 2 pi plus pi q(W);
-    # W nodes outside the o1 range have no pole (q = 0, no log term)
-    lo, hi = o1[0], o1[-1]
-    inside = (lo < o0) & (o0 < hi)
-    q = np.where(inside, np.conj(p1.amplitude(o0)) * (1.0 / (2.0 * math.pi)), 0.0)
-    log_ends = np.zeros(o0.shape)
-    log_ends[inside] = np.log((hi - o0[inside]) / (o0[inside] - lo))
-    Q = np.conj(G1)[None, :] * P
-    pv = np.sum(w1 * (Q - q[:, None]) / (Omp - Om), axis=1) + q * log_ends
-    for term in wa0 * (-1j * pv + math.pi * q):
-        mm += term  # node order, as a scalar running sum
-
-    mp = complex(np.sum((w0 * G0 / th)[:, None] * wa1[None, :] * np.conj(beta)))
-    return mm, mp
+    p0, p1 = (Profile(*s).natural(scale.a) for s in (spec0, spec1))
+    (mp, floor), (mp2, _) = (_plus(p0, p1, n) for n in (32, 24))  # validates both
+    if min(p0.omega0 / p0.sigma, p1.omega0 / p1.sigma) < _SPAN:
+        return cross_moments(spec0, spec1, 1, scale)
+    h = min(p0.sigma, p1.sigma) / 2.0
+    (mm, err), (mm2, _) = _lattice(p0, p1, h), _lattice(p0, p1, 2.0 * h)
+    return CrossMoments(mm, mp, max(abs(mm - mm2) + err, abs(mp - mp2) + floor))

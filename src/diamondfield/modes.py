@@ -202,10 +202,12 @@ class Packet:
 
 def gaussian_packet(kind, omega0, sigma=DEFAULT_SIGMA, v0=0.0, n=0):
     """Packet with the Gaussian Profile(omega0, sigma, v0) on mode family kind."""
-    # resolve the phase e^{-i w u} across omega0 +- 8 sigma and |u - v0| <= _TAIL / sigma
+    # resolve the phase e^{-i w u} across omega0 +- 8 sigma and |u -+ v0| <= _TAIL / sigma
     n_nodes = max(128, int(12.8 * (_TAIL + sigma * abs(v0))) + 16)
     om, wt, G = Profile(omega0, sigma, v0).nodes(n_nodes)
-    return Packet(kind=kind, n=n, omegas=om, weights=wt * G, center=v0, sigma_env=sigma)
+    # G e^{-i sign w u} peaks at u = -sign v0: -v0 for diamond and plane packets
+    center = v0 if kind == "exterior" else -v0
+    return Packet(kind=kind, n=n, omegas=om, weights=wt * G, center=center, sigma_env=sigma)
 
 
 def _wrap_sharp(mode):

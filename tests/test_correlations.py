@@ -161,6 +161,41 @@ class TestCrossMoments:
             cross_moments((1.0, 0.05), (1.0, 0.05), 0)
 
 
+class TestAdjacentLattice:
+    @pytest.mark.parametrize("s0,s1", [
+        ((1.0, 0.05), (1.0, 0.05)),
+        ((1.0, 0.05), (1.2, 0.05)),
+        ((1.0, 0.05), (2.0, 0.05)),
+        ((1.0, 0.05, 0.3), (1.0, 0.05, -0.2)),
+        ((1.0, 0.02), (0.93, 0.02)),
+        ((1.0, 0.02), (1.5, 0.02)),
+    ])
+    def test_est_error_bounds_gap_to_rapidity_route(self, s0, s1):
+        # the lattice runs to 12 sigma, cross_moments stops at 8 sigma; the
+        # estimate must cover that band as well as the lattice's own error
+        an = adjacent_moments_analytic(s0, s1)
+        kg = cross_moments(s0, s1, 1, tol=1e-13)
+        bound = an.est_error + kg.est_error
+        assert abs(an.m_minus - kg.m_minus) <= bound
+        assert abs(an.m_plus - kg.m_plus) <= bound
+
+    @pytest.mark.parametrize("om1", [0.93, 1.0, 1.5])
+    def test_est_error_small_for_narrow_packets(self, om1):
+        assert adjacent_moments_analytic((1.0, 0.02), (om1, 0.02)).est_error <= 1e-9
+
+    @pytest.mark.parametrize("s0,s1,gap_minus,gap_plus", [
+        ((1.0, 0.1), (0.5, 0.1), 9.33e-8, 7.47e-8),
+        ((1.0, 0.2), (1.0, 0.2), 2.93e-6, 2.82e-6),
+    ])
+    def test_wide_packets_no_worse(self, s0, s1, gap_minus, gap_plus):
+        # packets with omega0 < 12 sigma reach omega = 0; the gaps are those of
+        # the Gauss-Legendre route that the lattice replaced
+        an = adjacent_moments_analytic(s0, s1)
+        kg = cross_moments(s0, s1, 1)
+        assert abs(an.m_minus - kg.m_minus) <= gap_minus
+        assert abs(an.m_plus - kg.m_plus) <= gap_plus
+
+
 class TestAsymptotics:
     def test_smeared_ratio_near_one(self):
         cm = cross_moments((1.0, 0.05), (1.0, 0.05), 20)

@@ -71,6 +71,14 @@ class TestPacketNorms:
         res = kg_product(p, p.conjugate())
         assert abs(res.value) < 1e-7
 
+    @pytest.mark.parametrize("v0", [100.0, 200.0, 300.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unit_norm_far_from_center(self, kind, v0):
+        # the envelope peaks at u = -v0 for diamond and plane packets and at
+        # u = +v0 for exterior ones; the product must integrate over it
+        p = gaussian_packet(kind, 1.0, 0.02, v0=v0)
+        assert abs(kg_product(p, p).value - 1.0) <= 1e-10
+
 
 class TestOverlaps:
     def test_same_family_frequency_space_oracle(self):
