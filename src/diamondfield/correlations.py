@@ -29,18 +29,23 @@ import numpy as np
 from ._quad import integrate_adaptive
 from .errors import DomainError, PoleError
 from .geometry import DiamondScale
-from .modes import _TAIL, Profile
+from .modes import _CUT, _TAIL, Profile
 from .specfun import log_gamma
 
 _POLE_GUARD = 1e-12
 _V_CUT = 40.0  # rapidity cut: sech^2(v/2) ~ 1e-17 beyond it
 
 
+def _log_e(W):
+    """log e(W), e = 2^{iW} / Gamma(1 - iW)."""
+    return 1j * W * math.log(2.0) - log_gamma(1.0 - 1j * W)
+
+
 def _log_a(W):
-    """log A(W), A = sqrt(W) 2^{iW} / Gamma(1 - iW): the adjacent closed forms
-    split as conj(alpha(W, W')) = A(W) Gamma(i(W' - W)) / (2 pi A(W')) and
+    """log A(W), A = sqrt(W) e(W): the adjacent closed forms split as
+    conj(alpha(W, W')) = A(W) Gamma(i(W' - W)) / (2 pi A(W')) and
     conj(beta(W, W')) = -conj(A(W)) Gamma(i(W + W')) / (2 pi A(W'))."""
-    return 0.5 * np.log(W) + 1j * W * math.log(2.0) - log_gamma(1.0 - 1j * W)
+    return 0.5 * np.log(W) + _log_e(W)
 
 
 def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
@@ -197,72 +202,112 @@ def smeared_asymptotic_moment(spec0, spec_n, n, scale=DiamondScale()):
     return mm * norm, mp * norm
 
 
-# half-widths in sigma of the adjacent lattices and of Profile.nodes; log_gamma accuracy
-_SPAN, _CUT, _LG_REL = 12.0, 8.0, 1e-13
+# half-width in sigma of the adjacent lattices; relative accuracy of log_gamma
+_SPAN, _LG_REL = 12.0, 1e-13
+
+
+def _gamma_i(z):
+    """Gamma(iz) for real z != 0, as Gamma(1 + iz) / (iz)."""
+    return np.exp(log_gamma(1.0 + 1j * z) - np.log(1j * z))
+
+
+def _lattice_nodes(p, h, offset):
+    """(u, weight): the nodes u = (k + offset) h >= 0 whose W = u^2 lies
+    within omega0 +- 12 sigma, and their trapezoid weights (h/2 at u = 0)."""
+    lo = math.sqrt(max(p.omega0 - _SPAN * p.sigma, 0.0))
+    hi = math.sqrt(p.omega0 + _SPAN * p.sigma)
+    k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
+    u = (k + offset) * h
+    return u, np.where(u == 0.0, 0.5 * h, h)
+
+
+def _band_nodes(p, u, h):
+    """Mask of the nodes u > 0 from one step inside W = omega0 -+ 8 sigma
+    outward, where the other routes stop."""
+    near = np.zeros(u.shape, dtype=bool)
+    for s in (-1.0, 1.0):
+        edge = p.omega0 + s * _CUT * p.sigma
+        if edge > 0.0:
+            near |= s * (u - math.sqrt(edge)) >= -h
+    return near & (u > 0.0)
+
+
+def _band(p, W, f, c):
+    """Bound on |Int f a dW| over 8 sigma < |W - omega0|, given f on the band
+    nodes W: |a| = |G| c / (2 sqrt(pi sinh pi W)), so it is the largest
+    |f a / G| on the nodes times an erfc bound on Int |G| over the two bands."""
+    if W.size == 0:
+        return 0.0
+    tail = (2.0 * math.pi) ** -0.25 * math.sqrt(math.pi * p.sigma) * math.erfc(_CUT / 2.0)
+    peak = np.max(np.abs(f) / np.sqrt(np.sinh(math.pi * W))) * c / (2.0 * math.sqrt(math.pi))
+    return 2.0 * tail * peak  # one tail per side
 
 
 def _lattice(p0, p1, h):
-    """(m_minus, error bound) on the exterior nodes W = o + j h and the diamond
-    nodes W' = o + (k + 1/2) h, o = p0.omega0, over each packet's omega0 +- 12 sigma.
+    """(m_minus, error bound) on two lattices in u = sqrt(W): exterior nodes
+    u = (j + 1/2) h and diamond nodes u' = k h over each packet's 12 sigma.
 
     With a = conj(G0) A / (2 sinh pi W), b = conj(G1) / A and K(z) = Gamma(iz)
-    from Im W' < 0, m_minus = (1/2pi) Int Int a(W) b(W') K(W' - W).  As
-    W' - W = (k - j + 1/2) h is never 0, the trapezoid sum over the pole is its
-    principal value, and the residue adds b(W)/2 to F = (1/2pi) Int b K (H is
-    the same in W').  K(W' - W) is Toeplitz: one log_gamma call.  The bound
-    covers log_gamma and the 8-12 sigma bands, where the other routes stop.
+    from Im W' < 0, m_minus = (1/2pi) Int Int a(W) b(W') K(W' - W).  In u the
+    integrands a dW = 2u a du and b dW' = 2u' b du' are even and smooth, with
+    no W^{-1/2} endpoint at W = 0, so the trapezoid sum over u >= 0 is half
+    the one over the whole line.  The pole at u' = +-u falls halfway between
+    two nodes, so the sum over it is its principal value, and the residue adds
+    b(W)/2 to F = (1/2pi) Int b K dW' (H is the same over W).  The bound covers
+    log_gamma and the 8-12 sigma bands.
     """
-    j = np.arange(math.ceil(-_SPAN * p0.sigma / h), math.floor(_SPAN * p0.sigma / h) + 1)
-    k = np.arange(math.ceil((p1.omega0 - p0.omega0 - _SPAN * p1.sigma) / h - 0.5),
-                  math.floor((p1.omega0 - p0.omega0 + _SPAN * p1.sigma) / h - 0.5) + 1)
-    W, Wp, lag = p0.omega0 + j * h, p0.omega0 + (k + 0.5) * h, k[None, :] - j[:, None]
-    K = np.exp(log_gamma(1j * h * (np.arange(lag.min(), lag.max() + 1) + 0.5)))[lag - lag.min()]
-    la, lp = _log_a(W), _log_a(Wp)
-    sh, shp = (np.log(2.0 * np.sinh(math.pi * w)) for w in (W, Wp))
-    x = h * np.conj(p0.amplitude(W)) * np.exp(la - sh)
-    y = h * np.conj(p1.amplitude(Wp)) * np.exp(-lp)
-    res = 0.5 * np.conj(p1.amplitude(W)) * np.exp(-la)
+    u, wu = _lattice_nodes(p0, h, 0.5)
+    up, wp = _lattice_nodes(p1, h, 0.0)
+    W = u * u
+    Wp = up * up
+    le = _log_e(W)
+    lep = _log_e(Wp)
+    x = wu * np.conj(p0.amplitude(W)) * np.exp(le) * W / np.sinh(math.pi * W)
+    y = wp * 2.0 * np.conj(p1.amplitude(Wp)) / np.exp(lep)
+    K = _gamma_i(Wp[None, :] - W[:, None])
+    res = np.conj(p1.amplitude(W)) / (2.0 * u * np.exp(le))
     F = K @ y / (2.0 * math.pi) + res
-    H = x @ K / (2.0 * math.pi) + 0.5 * np.conj(p0.amplitude(Wp)) * np.exp(lp - shp)
+    mm = complex(x @ F)
     floor = _LG_REL * np.abs(x) @ (np.abs(K) @ np.abs(y) / (2.0 * math.pi) + np.abs(res))
-    return complex(x @ F), floor + _band(p0, W, F, h, 1.0) + _band(p1, Wp, H, h, 2.0 * math.pi)
-
-
-def _band(p, om, f, h, c):
-    """Bound on |Int f a| over 8 sigma < |W - omega0|, |a| = |G| c / (2 sqrt(pi sinh pi W)):
-    per side, sup |f| on the nodes om from 8 sigma - h out, times the largest weight
-    out to 12 sigma (beyond, G < e^{-36} G(omega0)), times an erfc bound on G's tail."""
-    tail = (2.0 * math.pi) ** -0.25 * math.sqrt(math.pi * p.sigma) * math.erfc(_CUT / 2)
-    return sum(np.max(np.abs(f[s * (om - p.omega0) >= _CUT * p.sigma - h])) * tail * c
-               / (2.0 * math.sqrt(math.pi * math.sinh(math.pi * (p.omega0 + s * width * p.sigma))))
-               for s, width in ((-1.0, _SPAN), (1.0, _CUT)))
+    near0 = _band_nodes(p0, u, h)
+    near1 = _band_nodes(p1, up, h)
+    a1 = np.conj(p0.amplitude(Wp[near1])) * up[near1] * np.exp(lep[near1])
+    H = x @ K[:, near1] / (2.0 * math.pi) + a1 / (4.0 * np.sinh(math.pi * Wp[near1]))
+    band0 = _band(p0, W[near0], F[near0], 1.0)
+    band1 = _band(p1, Wp[near1], H, 2.0 * math.pi)
+    return mm, floor + band0 + band1
 
 
 def _plus(p0, p1, n):
-    """(m_plus, log_gamma floor) on n Gauss-Legendre nodes per packet:
-    -(1/2pi) Sum conj(a) b K(W + W') with the weights of _lattice."""
-    (W, w0, G0), (Wp, w1, G1) = p0.nodes(n), p1.nodes(n)
-    x = w0 * G0 * np.exp(np.conj(_log_a(W)) - np.log(2.0 * np.sinh(math.pi * W)))
+    """(m_plus, log_gamma floor): -(1/2pi) Int Int conj(a) b K(W + W') with
+    the a, b, K of _lattice, on n Gauss-Legendre nodes per packet in sqrt(W)."""
+    W, w0, G0 = p0.nodes(n, root=True)
+    Wp, w1, G1 = p1.nodes(n, root=True)
+    x = w0 * G0 * np.exp(np.conj(_log_a(W))) / (2.0 * np.sinh(math.pi * W))
     y = w1 * np.conj(G1) * np.exp(-_log_a(Wp))
-    terms = np.multiply.outer(x, y) * np.exp(log_gamma(1j * np.add.outer(W, Wp))) / (2.0 * math.pi)
+    terms = np.multiply.outer(x, y) * _gamma_i(np.add.outer(W, Wp)) / (2.0 * math.pi)
     return -complex(np.sum(terms)), _LG_REL * np.sum(np.abs(terms))
 
 
 def adjacent_moments_analytic(spec0, spec1, scale=DiamondScale()):
     """<b0 b1> and <b0+ b1> from the adjacent-diamond closed forms.
 
-    m_minus is the lattice sum of _lattice at h = min(sigma)/2; its error adds
-    |m(h) - m(2h)|, from a second pair of offset lattices, to the bound of
-    _lattice.  m_plus has no pole: it is the tensor Gauss-Legendre sum on
-    Profile.nodes(32), estimated against 24 nodes.  A packet with
-    omega0 < 12 sigma reaches omega = 0, where the kernels have a W^{-1/2}
-    endpoint that the lattice does not resolve: such pairs go to
-    cross_moments(..., 1).
+    m_minus is the sum of _lattice at the step h that keeps the W spacing 2uh
+    below sigma/2 on both packets, shrunk further as the centres v0 move off
+    0 and the phases e^{-i W v0} turn faster; its error adds |m(h) - m(2h)| to
+    the bound of _lattice.  m_plus has no pole: it is the tensor
+    Gauss-Legendre sum on n nodes per packet in sqrt(W) over omega0 +- 8
+    sigma, the functional that cross_moments integrates, estimated against
+    n - 4 nodes.
     """
-    p0, p1 = (Profile(*s).natural(scale.a) for s in (spec0, spec1))
-    (mp, floor), (mp2, _) = (_plus(p0, p1, n) for n in (32, 24))  # validates both
-    if min(p0.omega0 / p0.sigma, p1.omega0 / p1.sigma) < _SPAN:
-        return cross_moments(spec0, spec1, 1, scale)
-    h = min(p0.sigma, p1.sigma) / 2.0
-    (mm, err), (mm2, _) = _lattice(p0, p1, h), _lattice(p0, p1, 2.0 * h)
+    p0 = Profile(*spec0).natural(scale.a).checked()
+    p1 = Profile(*spec1).natural(scale.a).checked()
+    n = 24 + math.ceil(8.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
+    mp, floor = _plus(p0, p1, n)
+    mp2, _ = _plus(p0, p1, n - 4)
+    V = abs(p0.v0) + abs(p1.v0)
+    h = min(p.sigma / (4.0 * math.sqrt(p.omega0 + _SPAN * p.sigma) * (1.0 + V * p.sigma / (2.0 * math.pi)))
+            for p in (p0, p1))
+    mm, err = _lattice(p0, p1, h)
+    mm2, _ = _lattice(p0, p1, 2.0 * h)
     return CrossMoments(mm, mp, max(abs(mm - mm2) + err, abs(mp - mp2) + floor))

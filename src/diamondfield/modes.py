@@ -37,6 +37,7 @@ from .errors import DomainError
 DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
 
 _TAIL = 5.5  # packet envelopes are truncated at exp(-_TAIL^2) ~ 7e-14
+_CUT = 8.0  # frequency profiles are truncated at omega0 +- _CUT sigma
 _ROWS = 4096  # nodes per phase-matrix block in Packet.eval_natural
 
 
@@ -138,15 +139,28 @@ class Profile(NamedTuple):
             * np.exp(-1j * om * self.v0)
         )
 
-    def nodes(self, n=96):
-        """(om, wt, G): n Gauss-Legendre nodes over omega0 +- 8 sigma, their
-        weights and the profile on them."""
+    def checked(self):
+        """The profile itself; DomainError unless omega0 > 0, sigma > 0 and v0
+        are finite."""
         if not (0.0 < self.omega0 < math.inf and 0.0 < self.sigma < math.inf
                 and math.isfinite(self.v0)):
             raise DomainError("packet needs finite omega0 > 0, sigma > 0 and v0")
+        return self
+
+    def nodes(self, n=96, root=False):
+        """(om, wt, G): n Gauss-Legendre nodes over omega0 +- _CUT sigma, their
+        weights and the profile on them.  With root the nodes are Gauss-Legendre
+        in sqrt(omega) from omega = 0 up, so that integrands with an
+        omega^{-1/2} endpoint there become smooth."""
+        self.checked()
         x, w = gauss_legendre(n)
-        lo = max(self.omega0 - 8.0 * self.sigma, 1e-12)
-        hi = self.omega0 + 8.0 * self.sigma
+        if root:
+            lo = math.sqrt(max(self.omega0 - _CUT * self.sigma, 0.0))
+            hi = math.sqrt(self.omega0 + _CUT * self.sigma)
+            u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+            return u * u, (hi - lo) * w * u, self.amplitude(u * u)
+        lo = max(self.omega0 - _CUT * self.sigma, 1e-12)
+        hi = self.omega0 + _CUT * self.sigma
         om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         wt = 0.5 * (hi - lo) * w
         return om, wt, self.amplitude(om)

@@ -9,6 +9,7 @@ from numpy.polynomial import chebyshev
 
 from diamondfield.correlations import (
     _kernel,
+    _overlap,
     adjacent_moments_analytic,
     alpha_beta_adjacent,
     alpha_beta_numeric,
@@ -17,7 +18,7 @@ from diamondfield.correlations import (
     smeared_asymptotic_moment,
 )
 from diamondfield.errors import DomainError, PoleError
-from diamondfield.modes import Profile
+from diamondfield.modes import _TAIL, Profile
 
 
 def chebyshev_oracle(spec0, spec_n, n, deg=(10, 11)):
@@ -41,6 +42,20 @@ def chebyshev_oracle(spec0, spec_n, n, deg=(10, 11)):
     e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))
     p = w1 * G1
     return np.conj(np.conj(e) @ al @ p), np.conj(e @ be @ p)
+
+
+def root_node_oracle(spec0, spec1, n=128):
+    """(m_minus, m_plus, est_error) of adjacent packets from the rapidity
+    integral of cross_moments, with both profiles on Gauss-Legendre nodes in
+    sqrt(omega): those integrate the omega^{-1/2} endpoint of a packet that
+    reaches omega = 0 to full accuracy, where nodes in omega do not."""
+    p0, p1 = Profile(*spec0), Profile(*spec1)
+    o0, w0, G0 = p0.nodes(n, root=True)
+    o1, w1, G1 = p1.nodes(n, root=True)
+    e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))
+    lo = -abs(p1.v0) - _TAIL / p1.sigma
+    mm, mp, err = _overlap(1, o1, w1 * G1, o0, e, lo, 40.0, 1e-13)
+    return np.conj(mm), np.conj(mp), err
 
 
 class TestAdjacentSharp:
@@ -169,6 +184,8 @@ class TestAdjacentLattice:
         ((1.0, 0.05, 0.3), (1.0, 0.05, -0.2)),
         ((1.0, 0.02), (0.93, 0.02)),
         ((1.0, 0.02), (1.5, 0.02)),
+        ((1.0, 0.05), (1.0, 0.05, 100.0)),
+        ((1.0, 0.05, -30.0), (1.2, 0.05, 30.0)),
     ])
     def test_est_error_bounds_gap_to_rapidity_route(self, s0, s1):
         # the lattice runs to 12 sigma, cross_moments stops at 8 sigma; the
@@ -179,21 +196,54 @@ class TestAdjacentLattice:
         assert abs(an.m_minus - kg.m_minus) <= bound
         assert abs(an.m_plus - kg.m_plus) <= bound
 
-    @pytest.mark.parametrize("om1", [0.93, 1.0, 1.5])
-    def test_est_error_small_for_narrow_packets(self, om1):
-        assert adjacent_moments_analytic((1.0, 0.02), (om1, 0.02)).est_error <= 1e-9
-
-    @pytest.mark.parametrize("s0,s1,gap_minus,gap_plus", [
-        ((1.0, 0.1), (0.5, 0.1), 9.33e-8, 7.47e-8),
-        ((1.0, 0.2), (1.0, 0.2), 2.93e-6, 2.82e-6),
+    @pytest.mark.parametrize("s0,s1", [
+        ((1.0, 0.02), (0.93, 0.02)),
+        ((1.0, 0.02), (1.0, 0.02)),
+        ((1.0, 0.02), (1.5, 0.02)),
+        ((1.0, 0.05), (1.0, 0.05, 100.0)),
+        ((1.0, 0.05, -30.0), (1.2, 0.05, 30.0)),
     ])
-    def test_wide_packets_no_worse(self, s0, s1, gap_minus, gap_plus):
-        # packets with omega0 < 12 sigma reach omega = 0; the gaps are those of
-        # the Gauss-Legendre route that the lattice replaced
+    def test_est_error_small_for_narrow_packets(self, s0, s1):
+        # the lattice step and the node count follow |v0|, which sets how fast
+        # the phases e^{-i W v0} turn
+        assert adjacent_moments_analytic(s0, s1).est_error <= 1e-9
+
+    @pytest.mark.parametrize("s0,s1,old_minus,old_plus", [
+        ((1.0, 0.1), (0.5, 0.1), 1.30e-7, 1.47e-7),
+        ((1.0, 0.1), (0.3, 0.1), 7.40e-6, 7.40e-6),
+        ((0.3, 0.1), (1.0, 0.1), 8.37e-6, 8.38e-6),
+        ((1.0, 0.1, 0.4), (0.5, 0.1, -0.3), 1.34e-7, 1.46e-7),
+    ])
+    def test_wide_packets_match_root_node_oracle(self, s0, s1, old_minus, old_plus):
+        # these packets reach omega = 0; old_* are the gaps to the oracle of the
+        # closed-form route on Gauss-Legendre nodes in omega that this one replaced
         an = adjacent_moments_analytic(s0, s1)
-        kg = cross_moments(s0, s1, 1)
-        assert abs(an.m_minus - kg.m_minus) <= gap_minus
-        assert abs(an.m_plus - kg.m_plus) <= gap_plus
+        mm, mp, err = root_node_oracle(s0, s1)
+        assert abs(an.m_minus - mm) <= min(an.est_error + err, old_minus)
+        assert abs(an.m_plus - mp) <= min(an.est_error + err, old_plus)
+
+    @pytest.mark.parametrize("spec", [(3.0, 0.25), (1.2, 0.1)])
+    def test_lattice_from_zero_is_finite(self, spec):
+        # omega0 = 12 sigma puts the lower end of the lattice at omega = 0
+        an = adjacent_moments_analytic(spec, spec)
+        kg = cross_moments(spec, spec, 1, tol=1e-13)
+        assert math.isfinite(an.est_error)
+        assert abs(an.m_minus - kg.m_minus) <= an.est_error + kg.est_error
+        assert abs(an.m_plus - kg.m_plus) <= an.est_error + kg.est_error
+
+    @pytest.mark.parametrize("bad", [(1.0, math.inf), (1.0, 0.02, math.nan), (1.0, 0.02, math.inf)])
+    def test_non_finite_packets_raise_domain_error(self, bad):
+        # the node count and the lattice step read sigma |v0|: check first
+        with pytest.raises(DomainError):
+            adjacent_moments_analytic((1.0, 0.05), bad)
+
+    @pytest.mark.parametrize("s0,s1", [((1.0, 0.2), (1.0, 0.2)), ((1.0, 0.15), (0.7, 0.15))])
+    def test_est_error_shows_infrared_log(self, s0, s1):
+        # where G0(0) G1(0) != 0 the residue term conj(G0 G1) / (4 sinh pi W) of
+        # m_minus grows like c / W toward W = 0, so the moment depends on the
+        # lowest node like c ln(1 / W_min); the lattice at 2h moves it by c ln 4
+        c = abs(Profile(*s0).amplitude(0.0) * Profile(*s1).amplitude(0.0)) / (4.0 * math.pi)
+        assert adjacent_moments_analytic(s0, s1).est_error >= c
 
 
 class TestAsymptotics:

@@ -161,6 +161,16 @@ class TestProfile:
         _, wt, G = Profile(2.0, 0.1, 0.5).nodes(96)
         assert abs(np.sum(wt * np.abs(G) ** 2) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("omega0", [2.0, 0.5, 0.2])
+    def test_root_nodes_integrate_to_omega_zero(self, omega0):
+        # nodes in sqrt(omega) over max(omega0 - 8 sigma, 0)..omega0 + 8 sigma:
+        # the norm misses the Gaussian mass below omega = 0 and beyond 8 sigma
+        p = Profile(omega0, 0.1)
+        _, wt, G = p.nodes(64, root=True)
+        r = min(omega0 / 0.1, 8.0)
+        mass = 0.5 * math.erfc(-8.0 / math.sqrt(2.0)) - 0.5 * math.erfc(r / math.sqrt(2.0))
+        assert abs(np.sum(wt * np.abs(G) ** 2) - mass) <= 1e-12
+
     def test_natural_units(self):
         assert Profile(2.0, 0.1, 0.5).natural(2.0) == Profile(1.0, 0.05, 1.0)
 
