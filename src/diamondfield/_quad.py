@@ -33,9 +33,9 @@ def panel_nodes(lo: float, hi: float, n_panels: int, order: int = 16):
 
 def integrate(f, lo: float, hi: float, n_panels: int, order: int = 16):
     u, w = panel_nodes(lo, hi, n_panels, order)
-    vals = f(u)
+    vals = f(u) * w
     # panel-ordered summation keeps the result independent of evaluation order
-    return np.sum((vals * w).reshape(n_panels, order).sum(axis=1))
+    return vals.reshape(vals.shape[:-1] + (n_panels, order)).sum(axis=-1).sum(axis=-1)
 
 
 def integrate_adaptive(
@@ -50,16 +50,21 @@ def integrate_adaptive(
     """Integrate f over [lo, hi] doubling the panel count until two successive
     refinements agree within tol (absolute).  Returns (value, est_error);
     raises ConvergenceError when the budget runs out or the estimate is not
-    finite."""
-    if hi <= lo:
-        return 0.0 + 0.0j, 0.0
+    finite.
+
+    f may return an array whose last axis runs over the nodes: each component
+    is summed as a scalar integrand would be, value has the leading shape, and
+    est_error is the largest component difference, so every component keeps
+    doubling until the slowest has converged.  hi <= lo gives the oriented
+    integral, 0 for an empty interval.
+    """
     # start with ~3 panels per oscillation of the fastest expected phase
     n0 = max(4, int(np.ceil((hi - lo) * max(est_freq, 1e-12) / (2.0 * np.pi) * 3.0)))
     prev = integrate(f, lo, hi, n0, order)
     for _ in range(max_doublings):
         n0 *= 2
         cur = integrate(f, lo, hi, n0, order)
-        err = abs(cur - prev)
+        err = np.max(np.abs(cur - prev))
         if err <= tol:
             return cur, err
         if not np.isfinite(err):  # NaN never satisfies err <= tol

@@ -69,19 +69,17 @@ def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
     if not (Om > 0.0 and ka > 0.0):
         raise DomainError("omega and k must be positive")
 
-    def f_A(v):
+    def f(v):
         V = 4.0 * n + 2.0 * np.tanh(v / 2.0)
-        return np.cosh(v / 2.0) ** -2 * np.exp(1j * (ka * V - Om * v))
-
-    def f_B(v):
-        V = 4.0 * n + 2.0 * np.tanh(v / 2.0)
-        return np.cosh(v / 2.0) ** -2 * np.exp(-1j * (ka * V + Om * v))
+        w = np.cosh(v / 2.0) ** -2
+        A = w * np.exp(1j * (ka * V - Om * v))
+        B = w * np.exp(-1j * (ka * V + Om * v))
+        return np.stack([A, B])
 
     # sech^2 cuts the integrand below 1e-16 by |v| = 40
-    vA, eA = integrate_adaptive(f_A, -40.0, 40.0, tol=tol, est_freq=Om + ka)
-    vB, eB = integrate_adaptive(f_B, -40.0, 40.0, tol=tol, est_freq=Om + ka)
+    (vA, vB), err = integrate_adaptive(f, -40.0, 40.0, tol=tol, est_freq=Om + ka)
     c = math.sqrt(ka / Om) / (2.0 * math.pi)
-    return (c * vA / a, c * vB / a, c * max(eA, eB) / a)
+    return (c * vA / a, c * vB / a, c * err / a)
 
 
 # ---------------------------------------------------------------------------

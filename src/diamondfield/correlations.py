@@ -86,24 +86,22 @@ def _overlap(n, om_d, p, om_x, e, lo, hi, tol):
     Integrating the KG product by parts leaves one term in the diamond
     rapidity, alpha(W, W') = (2/pi) sqrt(W/W') Int dv base e^{-i(W' v + W L)},
     and beta the same with -base and W -> -W; both packets are summed inside
-    the integrand, over v in [lo, hi].
+    one integrand over v in [lo, hi], whose two components share base and the
+    phase sums.
     """
     c_d = p / np.sqrt(om_d)
     c_x = np.conj(e) * np.sqrt(om_x)
 
-    def integrand(twin):
-        def f(v):
-            base, L = _kernel(n, v)
-            P = np.exp(-1j * np.multiply.outer(v, om_d)) @ c_d
-            X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
-            return base * P * (np.conj(X) if twin else X)
-        return f
+    def f(v):
+        base, L = _kernel(n, v)
+        P = base * (np.exp(-1j * np.multiply.outer(v, om_d)) @ c_d)
+        X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
+        return np.stack([P * X, -P * np.conj(X)])
 
     freq = float(np.max(om_d) + np.max(om_x))
-    ia, ea = integrate_adaptive(integrand(False), lo, hi, tol=tol, est_freq=freq)
-    ib, eb = integrate_adaptive(integrand(True), lo, hi, tol=tol, est_freq=freq)
+    val, err = integrate_adaptive(f, lo, hi, tol=tol, est_freq=freq)
     k = 2.0 / math.pi
-    return k * ia, -k * ib, k * max(ea, eb)
+    return k * val[0], k * val[1], k * err
 
 
 def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10):
@@ -167,8 +165,9 @@ def cross_moments(spec0, spec_n, n, scale=DiamondScale(), tol=1e-9):
     return CrossMoments(m_minus=np.conj(mm), m_plus=np.conj(mp), est_error=err)
 
 
-def asymptotic_moment(n, Omega, Omega_p, scale=DiamondScale()):
-    """Large-separation moments (m_minus, m_plus): a 1/(4 n^2) falloff.
+def asymptotic_moment(n, Omega, Omega_p):
+    """Large-separation moments (m_minus, m_plus): a 1/(4 n^2) falloff, for
+    frequencies Omega, Omega_p in units of a.
 
     Certified for n >= 10; between 5 and 10 a warning is issued; below 5 the
     expansion is unreliable and a DomainError is raised.

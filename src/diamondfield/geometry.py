@@ -89,22 +89,6 @@ def to_diamond(e: MinkowskiEvent, scale: DiamondScale = DiamondScale()) -> Diamo
     return DiamondEvent(eta / a, xi / a, zeta / a, rho / a)
 
 
-def _to_minkowski_residual(u, d_scaled):
-    ev = MinkowskiEvent(*u)
-    try:
-        dd = to_diamond(ev, DiamondScale(1.0))
-    except ValueError:  # outside the diamond, singular map or non-finite image
-        return np.full(4, 1e6)
-    return np.array(
-        [
-            dd.eta - d_scaled[0],
-            dd.xi - d_scaled[1],
-            dd.zeta - d_scaled[2],
-            dd.rho - d_scaled[3],
-        ]
-    )
-
-
 def to_minkowski(d: DiamondEvent, scale: DiamondScale = DiamondScale()) -> MinkowskiEvent:
     """Closed-form inverse of to_diamond.
 
@@ -131,8 +115,12 @@ def to_minkowski(d: DiamondEvent, scale: DiamondScale = DiamondScale()) -> Minko
     f = 4.0 / (1.0 + 2.0 * q_f + e_xi * e_xi + (zeta * zeta + rho * rho) / 4.0)
     out = np.array([f * t_f, 2.0 - f * (1.0 + q_f), 0.5 * zeta * f, 0.5 * rho * f])
 
-    res = _to_minkowski_residual(out, [eta, xi, zeta, rho])
-    if np.max(np.abs(res)) > 1e-10:
+    try:
+        dd = to_diamond(MinkowskiEvent(*out))
+    except ValueError:  # outside the diamond, singular map or non-finite image
+        raise ConvergenceError("to_minkowski: image is not inside the diamond") from None
+    res = (dd.eta - eta, dd.xi - xi, dd.zeta - zeta, dd.rho - rho)
+    if max(abs(r) for r in res) > 1e-10:
         raise ConvergenceError("to_minkowski inversion residual above 1e-10")
     return MinkowskiEvent(*(out / a))
 

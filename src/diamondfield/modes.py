@@ -17,10 +17,12 @@ in narrow packets (bandwidth DEFAULT_SIGMA).  The KG product
 
     <f, g> = -i Int dV (f dV(g*) - g* dV(f))
 
-is evaluated by adaptive panel quadrature in the rapidity of one packet's
-family, with analytic mode derivatives throughout.  The engine covers pairs
-of one family and plane packets with diamond packets; the diamond-exterior
-overlap is the one-term rapidity integral in diamondfield.correlations.
+is evaluated by adaptive panel quadrature in the rapidity u of one packet's
+family as -i s Int du (f du(g*) - g* du(f)), with s the sign of dV/du (-1 on
+the exterior chart) and analytic mode derivatives throughout.  The engine
+covers pairs of one family and plane packets with diamond packets; the
+diamond-exterior overlap is the one-term rapidity integral in
+diamondfield.correlations.
 """
 
 from __future__ import annotations
@@ -237,64 +239,26 @@ def _wrap_sharp(mode):
 
 
 # ---------------------------------------------------------------------------
-# chart transforms
+# chart evaluation and support logic
 
-def _chart_V(kind, n, u):
-    """Minkowski V and |dV/du| for the chart's natural coordinate u."""
-    u = np.asarray(u, dtype=float)
-    if kind == "diamond":
-        return 4.0 * n + 2.0 * np.tanh(u / 2.0), 1.0 / np.cosh(u / 2.0) ** 2
-    if kind == "exterior":
-        V = 2.0 / np.tanh(u / 2.0)
-        return V, 1.0 / np.sinh(u / 2.0) ** 2
-    return u, np.ones(u.shape)
-
-
-def _natural_in_chart(packet, chart_kind, chart_n, u):
-    """Packet's natural coordinate and d(natural)/dV on chart nodes u.
-
-    A chart holds packets of its own family, and a diamond chart also plane
-    packets; kg_product sends no other pair here.
-    """
-    u = np.asarray(u, dtype=float)
-    if packet.kind == chart_kind:
-        if chart_kind == "diamond":
-            return u, np.cosh(u / 2.0) ** 2
-        if chart_kind == "exterior":
-            return u, -np.sinh(u / 2.0) ** 2
-        return u, np.ones(u.shape)
-    V, _ = _chart_V("diamond", chart_n, u)  # a plane packet in a diamond chart
-    return V, np.ones(u.shape)
-
-
-def _eval_in_chart(packet, chart_kind, chart_n, u):
-    """(value, d value/dV) of packet on the chart nodes u."""
-    nat, dnat_dV = _natural_in_chart(packet, chart_kind, chart_n, u)
-    val, dval_dnat = packet.eval_natural(nat)
-    return val, dval_dnat * dnat_dV  # dnat_dV is real
-
-
-# ---------------------------------------------------------------------------
-# support logic
-
-def _support(obj):
-    """('interval', lo, hi) in V, or ('exterior',), or ('line',)."""
-    if obj.kind == "diamond":
-        return ("interval", 4.0 * obj.n - 2.0, 4.0 * obj.n + 2.0)
-    if obj.kind == "exterior":
-        return ("exterior",)
-    return ("line",)
+def _in_chart(packet, chart, u):
+    """(value, d value/du) of packet on the nodes u of chart's natural
+    coordinate.  A chart holds packets of its own family, and a diamond chart
+    also plane packets, evaluated at V = 4n + 2 tanh(u/2); kg_product sends no
+    other pair here."""
+    if packet.kind == chart.kind:
+        return packet.eval_natural(u)
+    val, dval = packet.eval_natural(4.0 * chart.n + 2.0 * np.tanh(u / 2.0))
+    return val, dval / np.cosh(u / 2.0) ** 2
 
 
 def _disjoint(p1, p2):
-    s1, s2 = _support(p1), _support(p2)
-    if s1[0] == "interval" and s2[0] == "interval":
-        return s1[2] <= s2[1] or s2[2] <= s1[1]
-    for a, b in ((s1, s2), (s2, s1)):
-        if a[0] == "interval" and b[0] == "exterior":
-            if a[1] >= -2.0 and a[2] <= 2.0:
-                return True
-    return False
+    """Diamonds n and n' touch at most at a tip when n != n'; the exterior
+    meets diamond 0 only on its boundary.  Plane packets meet every support."""
+    if p1.kind == p2.kind == "diamond":
+        return p1.n != p2.n
+    diamond = p1 if p1.kind == "diamond" else p2
+    return {p1.kind, p2.kind} == {"diamond", "exterior"} and diamond.n == 0
 
 
 @dataclass(frozen=True)
@@ -332,12 +296,12 @@ def kg_product(m1, m2, tol=1e-8):
     owner = p2 if p1.kind != "diamond" and p2.kind == "diamond" else p1
     lo, hi = owner.envelope_interval()
     freq = p1.max_freq() + p2.max_freq()
+    s = -1.0 if owner.kind == "exterior" else 1.0  # sign of dV/du on the chart
 
     def integrand(u):
-        _, jac = _chart_V(owner.kind, owner.n, u)
-        f, df = _eval_in_chart(p1, owner.kind, owner.n, u)
-        g, dg = _eval_in_chart(p2, owner.kind, owner.n, u)
-        return -1j * jac * (f * np.conj(dg) - np.conj(g) * df)
+        f, df = _in_chart(p1, owner, u)
+        g, dg = _in_chart(p2, owner, u)
+        return -1j * s * (f * np.conj(dg) - np.conj(g) * df)
 
     val, err = integrate_adaptive(integrand, lo, hi, tol=tol, est_freq=freq)
     return KGProduct(complex(val), float(err))

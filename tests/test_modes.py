@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from diamondfield.bogoliubov import ab_coefficients
 from diamondfield.errors import DomainError
 from diamondfield.modes import (
     DiamondMode,
@@ -105,6 +106,24 @@ class TestOverlaps:
         res = kg_product(p1, p2)
         assert res.value == 0.0
         assert res.est_error == 0.0
+
+    @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 0), (1, 2)])
+    def test_touching_diamonds_exact_zero(self, n1, n2):
+        p1 = gaussian_packet("diamond", 1.0, n=n1)
+        res = kg_product(p1, gaussian_packet("diamond", 1.0, n=n2))
+        assert res.value == 0.0
+        assert res.est_error == 0.0
+
+    @pytest.mark.parametrize("omega, k, n", [(1.0, 1.5, 0), (2.0, 0.7, 1)])
+    def test_plane_diamond_matches_closed_form_node_sum(self, omega, k, n):
+        # <P, Q> = sum_jk a_j conj(b_k) A(omega_j, k_k) for P = sum a_j g_{n, omega_j}
+        # and Q = sum b_k u_{k_k}, with A = <g, u_k> in closed form
+        d = gaussian_packet("diamond", omega, 0.05, n=n)
+        p = gaussian_packet("plane", k, 0.05)
+        ref = sum(a * np.sum(np.conj(p.weights) * ab_coefficients(w, p.omegas, n=n)[0])
+                  for w, a in zip(d.omegas, d.weights))
+        assert abs(kg_product(d, p).value - ref) <= 1e-9
+        assert abs(kg_product(p, d).value - np.conj(ref)) <= 1e-9
 
     def test_diamond_exterior_orthogonal_supports(self):
         p1 = gaussian_packet("diamond", 1.0, n=0)

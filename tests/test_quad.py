@@ -70,3 +70,41 @@ class TestIntegrate:
                 lambda u: np.abs(u - 1.0 / 3.0) ** 0.1,
                 0.0, 1.0, tol=1e-15, est_freq=1.0, max_doublings=3,
             )
+
+
+class TestArrayIntegrand:
+    @staticmethod
+    def _counted(f, sizes):
+        def g(u):
+            sizes.append(u.size)
+            return f(u)
+        return g
+
+    def test_components_match_scalar_calls(self):
+        # cos and sin of one frequency converge at the same doubling
+        cos, sin = (lambda u: np.cos(20.0 * u)), (lambda u: np.sin(20.0 * u))
+        calls = [[], [], []]
+        va, ea = integrate_adaptive(self._counted(cos, calls[0]), 0.0, 1.0, tol=1e-12, est_freq=20.0)
+        vb, eb = integrate_adaptive(self._counted(sin, calls[1]), 0.0, 1.0, tol=1e-12, est_freq=20.0)
+        both = self._counted(lambda u: np.stack([cos(u), sin(u)]), calls[2])
+        val, err = integrate_adaptive(both, 0.0, 1.0, tol=1e-12, est_freq=20.0)
+        assert calls[0] == calls[1] == calls[2]
+        assert val[0] == va and val[1] == vb
+        assert err == max(ea, eb)
+
+    def test_slowest_component_drives_the_doubling(self):
+        # default est_freq: 64 nodes first, far too few for cos(300 u)
+        smooth, fast = (lambda u: np.exp(-u)), (lambda u: np.cos(300.0 * u))
+        calls = [[], [], []]
+        integrate_adaptive(self._counted(smooth, calls[0]), 0.0, 1.0, tol=1e-12)
+        vf, ef = integrate_adaptive(self._counted(fast, calls[1]), 0.0, 1.0, tol=1e-12)
+        both = self._counted(lambda u: np.stack([smooth(u), fast(u)]), calls[2])
+        val, err = integrate_adaptive(both, 0.0, 1.0, tol=1e-12)
+        assert len(calls[0]) < len(calls[1])
+        assert calls[2] == calls[1]
+        assert val[1] == vf and err == ef
+        assert abs(val[0] - (1.0 - math.exp(-1.0))) < 1e-13
+
+    def test_empty_interval_keeps_the_component_shape(self):
+        val, err = integrate_adaptive(lambda u: np.stack([u, u * u]), 1.0, 1.0, tol=1e-12)
+        assert val.shape == (2,) and not val.any() and err == 0.0
