@@ -56,7 +56,9 @@ def integrate_adaptive(
     is summed as a scalar integrand would be, value has the leading shape, and
     est_error is the largest component difference, so every component keeps
     doubling until the slowest has converged.  hi <= lo gives the oriented
-    integral, 0 for an empty interval.
+    integral, 0 for an empty interval.  est_freq is the fastest oscillation
+    of the integrand itself (the first panels take ~3 per period), not a sum
+    of the frequencies of the functions multiplied into it.
     """
     # start with ~3 panels per oscillation of the fastest expected phase
     n0 = max(4, int(np.ceil((hi - lo) * max(est_freq, 1e-12) / (2.0 * np.pi) * 3.0)))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import gauss_legendre, integrate_adaptive
+from ._quad import gauss_legendre, integrate_adaptive, panel_nodes
 from .errors import DomainError
 
 DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
@@ -277,6 +277,14 @@ def kg_product(m1, m2, tol=1e-8):
     overlapping packet of another family is rejected before any quadrature:
     diamond-exterior overlaps are the rapidity integral of correlations.
     The quadrature runs over the envelope of the diamond packet, else p1.
+
+    Two packets of one family with the same conj make an integrand that only
+    beats at w_j - w'_k, so its first panels are sized for the largest such
+    difference; conjugate pairs (p with p*) and plane with diamond keep the
+    sum of the top frequencies.  When p2 is p1 or p1.conjugate() the packet
+    is evaluated once and its values reused.  est_error is the doubling
+    difference plus a rounding floor eps Sum|integrand w| (1 + max w max|u|)
+    for the phases w u.
     """
     p1, sharp1 = _wrap_sharp(m1)
     p2, sharp2 = _wrap_sharp(m2)
@@ -295,13 +303,28 @@ def kg_product(m1, m2, tol=1e-8):
 
     owner = p2 if p1.kind != "diamond" and p2.kind == "diamond" else p1
     lo, hi = owner.envelope_interval()
-    freq = p1.max_freq() + p2.max_freq()
+    if p1.kind == p2.kind and p1.conj == p2.conj:
+        freq = max(p1.max_freq() - np.min(p2.omegas), p2.max_freq() - np.min(p1.omegas))
+    else:
+        freq = p1.max_freq() + p2.max_freq()
+    shared = p1.kind == p2.kind and p1.omegas is p2.omegas and p1.weights is p2.weights
     s = -1.0 if owner.kind == "exterior" else 1.0  # sign of dV/du on the chart
+    last = []  # the integrand on the final nodes, for the rounding floor
 
     def integrand(u):
         f, df = _in_chart(p1, owner, u)
-        g, dg = _in_chart(p2, owner, u)
-        return -1j * s * (f * np.conj(dg) - np.conj(g) * df)
+        if not shared:
+            g, dg = _in_chart(p2, owner, u)
+        elif p1.conj == p2.conj:
+            g, dg = f, df
+        else:
+            g, dg = np.conj(f), np.conj(df)
+        vals = -1j * s * (f * np.conj(dg) - np.conj(g) * df)
+        last[:] = [vals]
+        return vals
 
     val, err = integrate_adaptive(integrand, lo, hi, tol=tol, est_freq=freq)
-    return KGProduct(complex(val), float(err))
+    _, w = panel_nodes(lo, hi, last[0].size // 16)  # integrate_adaptive's 16-node panels
+    reach = 1.0 + max(p1.max_freq(), p2.max_freq()) * max(abs(lo), abs(hi))
+    floor = np.finfo(float).eps * float(np.sum(np.abs(last[0]) * w)) * reach
+    return KGProduct(complex(val), float(err) + floor)

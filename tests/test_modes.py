@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -9,6 +10,7 @@ from diamondfield.errors import DomainError
 from diamondfield.modes import (
     DiamondMode,
     ExteriorMode,
+    Packet,
     PlaneWave,
     Profile,
     boundary_mask,
@@ -79,6 +81,55 @@ class TestPacketNorms:
         # u = +v0 for exterior ones; the product must integrate over it
         p = gaussian_packet(kind, 1.0, 0.02, v0=v0)
         assert abs(kg_product(p, p).value - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("v0", [0.0, 100.0, 300.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_est_error_bounds_unit_gap(self, kind, v0):
+        # the doubling difference alone reads 0 here; the rounding floor of
+        # the phases w u must cover the ~1e-14 gap
+        p = gaussian_packet(kind, 1.0, 0.02, v0=v0)
+        res = kg_product(p, p)
+        assert abs(res.value - 1.0) <= res.est_error <= 1e-12
+
+
+def _count_nodes(monkeypatch):
+    """Count the u nodes handed to Packet.eval_natural."""
+    nodes = [0]
+    eval_natural = Packet.eval_natural
+
+    def counting(self, u):
+        nodes[0] += np.size(u)
+        return eval_natural(self, u)
+
+    monkeypatch.setattr(Packet, "eval_natural", counting)
+    return nodes
+
+
+class TestProductCost:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_norm_at_beat_bandwidth(self, kind, monkeypatch):
+        # f dg* of one family beats at w_j - w_k <= 16 sigma, and a shared
+        # packet is evaluated once per node
+        p = gaussian_packet(kind, 1.0, 0.02)
+        nodes = _count_nodes(monkeypatch)
+        kg_product(p, p)
+        assert nodes[0] <= 5000
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_conjugate_pair_keeps_sum_rule(self, kind, monkeypatch):
+        # f df phases add to w_j + w_k, so the panels start at that frequency
+        p = gaussian_packet(kind, 1.0, 0.02)
+        nodes = _count_nodes(monkeypatch)
+        assert abs(kg_product(p, p.conjugate()).value) <= 1e-7
+        assert nodes[0] > 5000
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shared_evaluation_is_bit_identical(self, kind):
+        p = gaussian_packet(kind, 1.0, 0.02, v0=3.0)
+        q = dataclasses.replace(p, omegas=p.omegas.copy(), weights=p.weights.copy())
+        assert kg_product(p, p) == kg_product(p, q)
+        assert kg_product(p, p.conjugate()) == kg_product(p, q.conjugate())
+        assert kg_product(p.conjugate(), p.conjugate()) == kg_product(p.conjugate(), q.conjugate())
 
 
 class TestOverlaps:
