@@ -34,7 +34,7 @@ import numpy as np
 from ._quad import integrate_adaptive
 from .errors import DomainError
 from .geometry import DiamondScale
-from .modes import Profile
+from .modes import _V_CUT, Profile, _plane_kernel, _rapidity_integral
 from .specfun import kummer_m_vec, log_gamma
 
 
@@ -58,28 +58,21 @@ def ab_coefficients(omega, k, n=0, scale=DiamondScale()):
 
 
 def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
-    """(A, B) by regularized Klein-Gordon quadrature (independent oracle).
+    """(A, B, est_error) by regularized Klein-Gordon quadrature (independent oracle).
 
     A = <g_{n,omega}, u_k> reduced to the single absolutely convergent term
     -2i Int dV g dV(u_k*); the discarded boundary term has Abel mean zero.
+    It is the rapidity integral of modes on |v| <= 40, one node per side.
     """
     a = scale.a
     Om = omega / a
     ka = float(k) / a
     if not (Om > 0.0 and ka > 0.0):
         raise DomainError("omega and k must be positive")
-
-    def f(v):
-        V = 4.0 * n + 2.0 * np.tanh(v / 2.0)
-        w = np.cosh(v / 2.0) ** -2
-        A = w * np.exp(1j * (ka * V - Om * v))
-        B = w * np.exp(-1j * (ka * V + Om * v))
-        return np.stack([A, B])
-
-    # sech^2 cuts the integrand below 1e-16 by |v| = 40
-    (vA, vB), err = integrate_adaptive(f, -40.0, 40.0, tol=tol, est_freq=Om + ka)
+    vA, vB, err = _rapidity_integral(lambda v: _plane_kernel(n, v), np.array([Om]), np.ones(1),
+                                     np.array([ka]), np.ones(1), -_V_CUT, _V_CUT, tol)
     c = math.sqrt(ka / Om) / (2.0 * math.pi)
-    return (c * vA / a, c * vB / a, c * err / a)
+    return (c * vA / a, -c * vB / a, c * err / a)
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +240,18 @@ def _smeared_integral(profile, which, kappa_split, tol):
             f"tail would reach kappa = e^{L_lo + dL:.0f}, beyond double precision"
         )
     coeff = wt * G
-
-    def f(kappa):
-        A, B = smeared_ab(om, coeff, kappa)
-        if which == "occupation":
-            return np.abs(B) ** 2
-        return np.abs(A) ** 2 - np.abs(B) ** 2
-
-    # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms
-    finite, err_f = integrate_adaptive(f, 1e-9, kappa_split, tol=tol, est_freq=4.0)
-
+    # the tail first: an unconverged sector series fails before the quadrature
     tail, err_t = _tail_integral(*_sector_terms(om, coeff, kappa_split, 1), kappa_split, dL)
     if which == "completeness":
         tail_A, err_A = _tail_integral(*_sector_terms(om, coeff, kappa_split, -1), kappa_split, dL)
         tail, err_t = tail_A - tail, err_A + err_t
+
+    def f(kappa):
+        A, B = smeared_ab(om, coeff, kappa)
+        return np.abs(B) ** 2 if which == "occupation" else np.abs(A) ** 2 - np.abs(B) ** 2
+
+    # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms
+    finite, err_f = integrate_adaptive(f, 1e-9, kappa_split, tol=tol, est_freq=4.0)
     return SpectrumResult(finite + tail, err_f + err_t, finite, tail)
 
 

@@ -124,15 +124,11 @@ def cmd_correlations(args):
         smeared_asymptotic_moment,
     )
 
-    if not all(x.is_integer() for x in args.n):
-        raise ValueError("diamond separations must be integers")
     meta = _base_meta(args, "correlations")
     meta.update(sigma=args.sigma, tol=args.tol)
     header = ("n", "Omega", "Omega_p", "re_bb", "im_bb", "re_bdag_b", "im_bdag_b", "method")
     rows = []
     for n in map(int, args.n):
-        if n < 1:
-            raise DomainError("diamond separation must be >= 1")
         for om0 in args.grid:
             for om1 in args.grid:
                 s0 = (om0, args.sigma)
@@ -196,8 +192,6 @@ def cmd_detector(args):
 
 def _validate_checks():
     """(name, callable) pairs; each returns (ok, detail)."""
-    import numpy as _np
-
     def specfun_identities():
         from .specfun import gamma_complex, kummer_m
 
@@ -210,7 +204,7 @@ def _validate_checks():
         for om in (0.5, 2.0):
             z = 3.0j
             lhs = kummer_m(1 + 1j * om, 2.0, z)
-            rhs = _np.exp(z) * kummer_m(1.0 - 1j * om, 2.0, -z)
+            rhs = np.exp(z) * kummer_m(1.0 - 1j * om, 2.0, -z)
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         return worst < 1e-11, f"max identity residual {worst:.2e}"
 
@@ -251,7 +245,7 @@ def _validate_checks():
     def wightman_identity():
         from .detector import identity_residual
 
-        r = identity_residual(_np.linspace(-3.0, 3.0, 20))
+        r = identity_residual(np.linspace(-3.0, 3.0, 20))
         return r < 1e-10, f"max residual {r:.2e}"
 
     def covariance_physical():
@@ -312,7 +306,8 @@ def build_parser():
 
     sp = sub.add_parser("correlations", help="cross-diamond second moments")
     common(sp, "1.0,1.3")
-    sp.add_argument("--n", type=_checked(_parse_grid), default="1,20",
+    sp.add_argument("--n", type=_checked(_parse_grid, lambda x: x >= 1 and x.is_integer(),
+                                         "integers >= 1"), default="1,20",
                     help="comma list of diamond separations")
     sp.set_defaults(func=cmd_correlations)
 

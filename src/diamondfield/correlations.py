@@ -26,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_adaptive
 from .errors import DomainError, PoleError
 from .geometry import DiamondScale
-from .modes import _CUT, _TAIL, Profile
+from .modes import _CUT, _TAIL, _V_CUT, Profile, _rapidity_integral
 from .specfun import log_gamma
 
 _POLE_GUARD = 1e-12
-_V_CUT = 40.0  # rapidity cut: sech^2(v/2) ~ 1e-17 beyond it
 
 
 def _log_e(W):
@@ -80,38 +78,24 @@ def _kernel(n, v):
 
 
 def _overlap(n, om_d, p, om_x, e, lo, hi, tol):
-    """(<P, E>, <P, E*>, est_error) for the diamond-n packet
-    P = sum_j p_j g_{n,om_d[j]} and the exterior packet E = sum_k e_k g_{ex,om_x[k]}.
-
-    Integrating the KG product by parts leaves one term in the diamond
-    rapidity, alpha(W, W') = (2/pi) sqrt(W/W') Int dv base e^{-i(W' v + W L)},
-    and beta the same with -base and W -> -W; both packets are summed inside
-    one integrand over v in [lo, hi], whose two components share base and the
-    phase sums.
-    """
-    c_d = p / np.sqrt(om_d)
-    c_x = np.conj(e) * np.sqrt(om_x)
-
-    def f(v):
-        base, L = _kernel(n, v)
-        P = base * (np.exp(-1j * np.multiply.outer(v, om_d)) @ c_d)
-        X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
-        return np.stack([P * X, -P * np.conj(X)])
-
-    freq = float(np.max(om_d) + np.max(om_x))
-    val, err = integrate_adaptive(f, lo, hi, tol=tol, est_freq=freq)
+    """(<P, E>, <P, E*>, est_error) for the diamond-n packet P = sum_j p_j g_{n,om_d[j]}
+    and the exterior packet E = sum_k e_k g_{ex,om_x[k]}: by parts, alpha(W, W') =
+    (2/pi) sqrt(W/W') Int dv base e^{-i(W' v + W L)} with the (base, L) of _kernel,
+    and beta the same with -base and W -> -W, on v in [lo, hi]."""
+    I, J, err = _rapidity_integral(lambda v: _kernel(n, v), om_d, p / np.sqrt(om_d),
+                                   om_x, np.conj(e) * np.sqrt(om_x), lo, hi, tol)
     k = 2.0 / math.pi
-    return k * val[0], k * val[1], k * err
+    return k * I, k * J, k * err
 
 
 def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10):
     """(alpha, beta, est_error) for diamond n >= 1 by rapidity quadrature.
 
-    The integral of _overlap runs over |v| <= 40.  For n = 1 the integrand
-    does not decay toward the tip shared with the exterior boundary, where it
-    approaches a pure oscillation whose Abel mean is added in closed form, and
-    alpha has a pole at Omega = Omega_p.  For n >= 2 the integrand is ~1e-17
-    at the cut and alpha is finite on the diagonal.
+    _overlap, the rapidity integral of modes, runs over |v| <= 40.  For n = 1
+    the integrand does not decay toward the tip shared with the exterior
+    boundary, where it approaches a pure oscillation whose Abel mean is added
+    in closed form, and alpha has a pole at Omega = Omega_p.  For n >= 2 the
+    integrand is ~1e-17 at the cut and alpha is finite on the diagonal.
     """
     if n < 1:
         raise DomainError("alpha_beta_numeric requires diamond index n >= 1")
@@ -148,17 +132,20 @@ def cross_moments(spec0, spec_n, n, scale=DiamondScale(), tol=1e-9):
     """Smeared <b0 bn> and <b0+ bn> for Gaussian packets spec = (omega0, sigma)
     or (omega0, sigma, v0), the nth packet living in diamond n >= 1.
 
-    One _overlap integral with both profiles summed inside.  For n >= 2 it
+    One _overlap integral with both profiles summed inside, on m nodes in
+    sqrt(omega) (Profile.nodes(m, root=True), exact at an omega = 0 endpoint),
+    m = 96 + ceil(12.8 max sigma |v0|) as in gaussian_packet.  For n >= 2 it
     runs over |v| <= 40, where sech^2(v/2) has decayed to ~1e-17; for n = 1
     the integrand keeps the packets' size toward the shared tip, so it runs
     down to the diamond packet's envelope edge -|v0| - _TAIL/sigma.
     """
     if n < 1:
         raise DomainError("cross_moments requires diamond separation n >= 1")
-    p0 = Profile(*spec0).natural(scale.a)
-    p1 = Profile(*spec_n).natural(scale.a)
-    o0, w0, G0 = p0.nodes()
-    o1, w1, G1 = p1.nodes()
+    p0 = Profile(*spec0).natural(scale.a).checked()
+    p1 = Profile(*spec_n).natural(scale.a).checked()
+    m = 96 + math.ceil(12.8 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
+    o0, w0, G0 = p0.nodes(m, root=True)
+    o1, w1, G1 = p1.nodes(m, root=True)
     lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -_V_CUT
     e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))  # E_minus; E_plus = conj
     mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, _V_CUT, tol)

@@ -17,12 +17,12 @@ in narrow packets (bandwidth DEFAULT_SIGMA).  The KG product
 
     <f, g> = -i Int dV (f dV(g*) - g* dV(f))
 
-is evaluated by adaptive panel quadrature in the rapidity u of one packet's
-family as -i s Int du (f du(g*) - g* du(f)), with s the sign of dV/du (-1 on
-the exterior chart) and analytic mode derivatives throughout.  The engine
-covers pairs of one family and plane packets with diamond packets; the
-diamond-exterior overlap is the one-term rapidity integral in
-diamondfield.correlations.
+of two packets of one family is adaptive panel quadrature in their rapidity
+u, -i s Int du (f du(g*) - g* du(f)) with s the sign of dV/du.  A diamond
+packet P meets another family Q in the one term -2i Int dv P dv Q*(V(v))
+left by parts: _rapidity_integral, with both packets summed inside, serves
+plane waves (kg_product, bogoliubov.ab_numeric) and the exterior mode
+(diamondfield.correlations).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
 _TAIL = 5.5  # packet envelopes are truncated at exp(-_TAIL^2) ~ 7e-14
 _CUT = 8.0  # frequency profiles are truncated at omega0 +- _CUT sigma
 _ROWS = 4096  # nodes per phase-matrix block in Packet.eval_natural
+_V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +199,6 @@ class Packet:
         half = _TAIL / self.sigma_env
         return self.center - half, self.center + half
 
-    def max_freq(self) -> float:
-        return float(np.max(self.omegas))
-
     def eval_natural(self, u):
         """(value, d value/du) at the packet's own natural coordinate."""
         u = np.asarray(u, dtype=float)
@@ -239,17 +237,39 @@ def _wrap_sharp(mode):
 
 
 # ---------------------------------------------------------------------------
-# chart evaluation and support logic
+# quadrature of products
 
-def _in_chart(packet, chart, u):
-    """(value, d value/du) of packet on the nodes u of chart's natural
-    coordinate.  A chart holds packets of its own family, and a diamond chart
-    also plane packets, evaluated at V = 4n + 2 tanh(u/2); kg_product sends no
-    other pair here."""
-    if packet.kind == chart.kind:
-        return packet.eval_natural(u)
-    val, dval = packet.eval_natural(4.0 * chart.n + 2.0 * np.tanh(u / 2.0))
-    return val, dval / np.cosh(u / 2.0) ** 2
+def _rounding_floor(vals, lo, hi, phase):
+    """eps Sum|vals w| (1 + phase): rounding of an integrate_adaptive sum over
+    [lo, hi] with final values vals (per component) and phases up to `phase`."""
+    _, w = panel_nodes(lo, hi, vals.shape[-1] // 16)  # integrate_adaptive's 16-node panels
+    return np.finfo(float).eps * float(np.max(np.sum(np.abs(vals) * w, axis=-1))) * (1.0 + phase)
+
+
+def _plane_kernel(n, v):
+    """(base, L) = (dV/dv, -V) of the diamond-n / plane overlap, V = 4n + 2 tanh(v/2)."""
+    return np.cosh(v / 2.0) ** -2, -(4.0 * n + 2.0 * np.tanh(v / 2.0))
+
+
+def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
+    """(I, J, est_error): I = Int dv base P X and J = -Int dv base P conj(X)
+    over the diamond rapidity v in [lo, hi], with (base, L) = kernel(v),
+    P = sum_j c_p[j] e^{-i om_p[j] v} and X = sum_k c_x[k] e^{-i om_x[k] L}:
+    up to a constant, the KG products of a diamond packet with a plane
+    (_plane_kernel) or exterior (correlations._kernel) packet Q and with Q*.
+    """
+    last = []
+
+    def f(v):
+        base, L = kernel(v)
+        P = base * (np.exp(-1j * np.multiply.outer(v, om_p)) @ c_p)
+        X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
+        last[:] = [np.stack([P * X, -P * np.conj(X)]), L]
+        return last[0]
+
+    val, err = integrate_adaptive(f, lo, hi, tol=tol, est_freq=float(np.max(om_p) + np.max(om_x)))
+    phase = np.max(om_p) * max(abs(lo), abs(hi)) + np.max(om_x) * np.max(np.abs(last[1]))
+    return val[0], val[1], float(err) + _rounding_floor(last[0], lo, hi, phase)
 
 
 def _disjoint(p1, p2):
@@ -276,15 +296,12 @@ def kg_product(m1, m2, tol=1e-8):
     Disjoint supports give an exact 0.  An exterior packet with an
     overlapping packet of another family is rejected before any quadrature:
     diamond-exterior overlaps are the rapidity integral of correlations.
-    The quadrature runs over the envelope of the diamond packet, else p1.
 
-    Two packets of one family with the same conj make an integrand that only
-    beats at w_j - w'_k, so its first panels are sized for the largest such
-    difference; conjugate pairs (p with p*) and plane with diamond keep the
-    sum of the top frequencies.  When p2 is p1 or p1.conjugate() the packet
-    is evaluated once and its values reused.  est_error is the doubling
-    difference plus a rounding floor eps Sum|integrand w| (1 + max w max|u|)
-    for the phases w u.
+    A plane and a diamond packet meet in _rapidity_integral over |v| <= 40;
+    two packets of one family are integrated in their rapidity over p1's
+    envelope, with first panels at the beat frequency max|w_j - w'_k| (the
+    top-frequency sum for p with p*), and p2 = p1 or p1* evaluated once.
+    est_error is the doubling difference plus the rounding floor.
     """
     p1, sharp1 = _wrap_sharp(m1)
     p2, sharp2 = _wrap_sharp(m2)
@@ -300,21 +317,31 @@ def kg_product(m1, m2, tol=1e-8):
             f"no KG product between {p1.kind} and {p2.kind} packets; "
             "diamond-exterior overlaps are in diamondfield.correlations"
         )
+    if p1.kind != p2.kind:
+        # with D = sum a_j g_{n,w_j} and Q = sum b_k u_{k_k} unconjugated, <D, Q> and
+        # <D, Q*> are I / 2pi and J / 2pi; <f*, g*> = -conj<f, g>, <g, f> = conj<f, g>
+        d, q = (p1, p2) if p1.kind == "diamond" else (p2, p1)
+        I, J, err = _rapidity_integral(
+            lambda v: _plane_kernel(d.n, v), d.omegas, d.weights / np.sqrt(d.omegas),
+            q.omegas, np.conj(q.weights) * np.sqrt(q.omegas), -_V_CUT, _V_CUT, tol)
+        val = (J if d.conj != q.conj else I) / (2.0 * math.pi)
+        val = -np.conj(val) if d.conj else val
+        return KGProduct(complex(np.conj(val) if p1 is q else val), err / (2.0 * math.pi))
 
-    owner = p2 if p1.kind != "diamond" and p2.kind == "diamond" else p1
-    lo, hi = owner.envelope_interval()
-    if p1.kind == p2.kind and p1.conj == p2.conj:
-        freq = max(p1.max_freq() - np.min(p2.omegas), p2.max_freq() - np.min(p1.omegas))
+    lo, hi = p1.envelope_interval()
+    top1, top2 = np.max(p1.omegas), np.max(p2.omegas)
+    if p1.conj == p2.conj:
+        freq = max(top1 - np.min(p2.omegas), top2 - np.min(p1.omegas))
     else:
-        freq = p1.max_freq() + p2.max_freq()
-    shared = p1.kind == p2.kind and p1.omegas is p2.omegas and p1.weights is p2.weights
-    s = -1.0 if owner.kind == "exterior" else 1.0  # sign of dV/du on the chart
+        freq = top1 + top2
+    shared = p1.omegas is p2.omegas and p1.weights is p2.weights
+    s = -1.0 if p1.kind == "exterior" else 1.0  # sign of dV/du on the chart
     last = []  # the integrand on the final nodes, for the rounding floor
 
     def integrand(u):
-        f, df = _in_chart(p1, owner, u)
+        f, df = p1.eval_natural(u)
         if not shared:
-            g, dg = _in_chart(p2, owner, u)
+            g, dg = p2.eval_natural(u)
         elif p1.conj == p2.conj:
             g, dg = f, df
         else:
@@ -324,7 +351,5 @@ def kg_product(m1, m2, tol=1e-8):
         return vals
 
     val, err = integrate_adaptive(integrand, lo, hi, tol=tol, est_freq=freq)
-    _, w = panel_nodes(lo, hi, last[0].size // 16)  # integrate_adaptive's 16-node panels
-    reach = 1.0 + max(p1.max_freq(), p2.max_freq()) * max(abs(lo), abs(hi))
-    floor = np.finfo(float).eps * float(np.sum(np.abs(last[0]) * w)) * reach
-    return KGProduct(complex(val), float(err) + floor)
+    phase = max(top1, top2) * max(abs(lo), abs(hi))
+    return KGProduct(complex(val), float(err) + _rounding_floor(last[0], lo, hi, phase))

@@ -217,6 +217,14 @@ class TestTailSeries:
         with pytest.raises(DomainError, match="kappa_split"):
             bogoliubov._tail_integral(*terms, 5.0, 10.0)
 
+    @pytest.mark.parametrize("integral", [thermal_occupation, completeness_check])
+    def test_unconverged_tail_fails_before_quadrature(self, integral):
+        # at omega0 = 8 the finite part alone took 105 s before this raise
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="kappa_split"):
+            integral(8.0)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_est_error_bounds_planck_gap_off_center(self):
         res = thermal_occupation(1.0, 0.05, v0=0.5)
         gap = abs(res.value - planck_occupation(1.0, 0.05))

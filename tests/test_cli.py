@@ -126,6 +126,7 @@ class TestNonFiniteInputs:
         ["spectrum", "--grid", "0:1e9:1e-9"],
         ["correlations", "--n", "1:1e12:1"],
         ["detector", "--grid", "0:1e300:1e-300"],
+        ["correlations", "--grid", "0.8:1.2:0.05", "--n", "20,0"],
     ])
     def test_usage_error(self, argv, capsys):
         t0 = time.perf_counter()

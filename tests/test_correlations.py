@@ -175,6 +175,22 @@ class TestCrossMoments:
         with pytest.raises(DomainError):
             cross_moments((1.0, 0.05), (1.0, 0.05), 0)
 
+    def test_packet_reaching_zero_on_root_nodes(self):
+        # (0.5, 0.1) reaches omega = 0; on nodes in omega m_plus was 1.1e-4 off
+        s0, s1 = (1.0, 0.1), (0.5, 0.1)
+        _, mp, _ = root_node_oracle(s0, s1, n=256)
+        assert abs(cross_moments(s0, s1, 1).m_plus - mp) <= 1e-13 * abs(mp)
+
+    def test_far_off_centre_packet_resolved(self):
+        # 96 nodes no longer resolved e^{-i w v} at v0 = 400 and gave
+        # 6.3e-6 + 5.7e-5i; the node count now grows with sigma |v0|
+        s0, s1 = (1.0, 0.05), (1.0, 0.05, 400.0)
+        m = 96 + math.ceil(12.8 * 0.05 * 400.0)
+        mm, mp, _ = root_node_oracle(s0, s1, n=2 * m)
+        cm = cross_moments(s0, s1, 1)
+        assert abs(cm.m_minus - mm) <= 1e-15
+        assert abs(cm.m_plus - mp) <= 1e-15
+
 
 class TestAdjacentLattice:
     @pytest.mark.parametrize("s0,s1", [

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import time
 
@@ -224,6 +225,56 @@ class TestOverlaps:
                     with pytest.raises(DomainError):
                         kg_product(m1, m2)
                     assert time.perf_counter() - t0 < 1.0
+
+
+# (omega, k, n, sigma) of a diamond and a plane packet
+PLANE_DIAMOND = [
+    (1.0, 1.0, 0, 0.05), (1.0, 1.5, 0, 0.05), (2.0, 0.7, 1, 0.05), (2.0, 1.0, 1, 0.05),
+    (1.0, 1.0, 0, 0.02), (1.0, 1.5, 0, 0.02), (3.0, 3.0, 0, 0.3),
+]
+
+
+def _plane_diamond_pair(omega, k, n, sigma):
+    return gaussian_packet("diamond", omega, sigma, n=n), gaussian_packet("plane", k, sigma)
+
+
+@functools.lru_cache(maxsize=None)
+def _node_sums(omega, k, n, sigma):
+    """<D, Q> and <D, Q*> of the packets of _plane_diamond_pair as closed-form
+    node sums sum_jk a_j conj(b_k) A and -sum_jk a_j b_k B, with A = <g, u_k>
+    and B = -<g, u_k*>; cached, since the Kummer band lanes run in mpmath."""
+    d, p = _plane_diamond_pair(omega, k, n, sigma)
+    A, B = (np.array(x) for x in zip(*(ab_coefficients(w, p.omegas, n=n) for w in d.omegas)))
+    return d.weights @ A @ np.conj(p.weights), -(d.weights @ B @ p.weights)
+
+
+class TestPlaneDiamond:
+    @pytest.mark.parametrize("omega, k, n, sigma", PLANE_DIAMOND)
+    def test_est_error_bounds_gap_to_node_sum(self, omega, k, n, sigma):
+        # the rapidity integral has no envelope cut; the chart quadrature it
+        # replaced was 2e-11 to 5e-10 off with est_error 2e-14 to 7e-14
+        d, p = _plane_diamond_pair(omega, k, n, sigma)
+        ref, _ = _node_sums(omega, k, n, sigma)
+        res = kg_product(d, p)
+        assert abs(res.value - ref) <= res.est_error <= 1e-12
+
+    @pytest.mark.parametrize("omega, k, n, sigma", PLANE_DIAMOND)
+    def test_conjugate_pairs_match_node_sums(self, omega, k, n, sigma):
+        d, p = _plane_diamond_pair(omega, k, n, sigma)
+        ref_a, ref_b = _node_sums(omega, k, n, sigma)
+        for m1, m2, ref in ((p, d, np.conj(ref_a)), (d, p.conjugate(), ref_b),
+                            (d.conjugate(), p, -np.conj(ref_b))):
+            res = kg_product(m1, m2)
+            assert abs(res.value - ref) <= res.est_error <= 1e-12
+
+    def test_no_chart_evaluation(self, monkeypatch):
+        # both packets are summed inside the rapidity integrand
+        d = gaussian_packet("diamond", 1.0, 0.05)
+        p = gaussian_packet("plane", 1.5, 0.05)
+        nodes = _count_nodes(monkeypatch)
+        for m1, m2 in ((d, p), (p.conjugate(), d), (d.conjugate(), p)):
+            kg_product(m1, m2)
+        assert nodes[0] == 0
 
 
 class TestProfile:
