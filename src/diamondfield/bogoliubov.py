@@ -18,8 +18,10 @@ The occupation and completeness integrals have a peculiar structure: the
 integrand's mass is distributed log-uniformly in kappa under a Gaussian
 envelope in ln(kappa) of width 1/(2 sigma), so for narrow packets a large
 fraction of the integral lives at astronomically large kappa.  Direct
-quadrature handles kappa <= kappa_split.  Beyond it each Kummer sector is a
-short series in 1/kappa times kappa^{-+i Om}, so the tail, e^{+-4 i kappa}
+quadrature handles kappa <= kappa_split, with A_G, B_G from trapezoid sums
+of the Euler integral (B_G off the real line where it cancels there), whose
+lane errors are part of est_error.  Beyond kappa_split each Kummer sector is
+a short series in 1/kappa times kappa^{-+i Om}, so the tail, e^{+-4 i kappa}
 cross term included, is a Hermitian form in the series terms, integrated in
 closed form term by term.
 """
@@ -79,74 +81,68 @@ def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
 # smeared spectra
 
 # Euler-integral route: trapezoid rule in s on |s| <= _EULER_S with step
-# _EULER_H, certified per kappa lane against _EULER_TOL relative, evaluated
-# _EULER_CHUNK lanes at a time
+# _EULER_H, evaluated _EULER_CHUNK lanes at a time.  A B_G lane the real-line
+# sum cannot hold to _EULER_TOL relative is summed again on the line
+# Im s = _EULER_THETA, short of the pole of sech^2 at pi/2
 _EULER_H = 0.02
 _EULER_S = 20.0
 _EULER_TOL = 1e-10
 _EULER_CHUNK = 32
+_EULER_THETA = 1.2
 
 
-def _per_node_sum(om, coeff, kappa):
-    """A_G, B_G as the sum over frequency nodes of the closed forms."""
-    A, B = sum(c * np.array(ab_coefficients(Om, kappa)) for Om, c in zip(om, coeff))
-    return A, B
-
-
-def _smeared_ab_euler(om, coeff, kappa):
-    """A_G, B_G from the Euler integral (DLMF 13.4.1) with the packet summed
-    inside, and a per-lane certificate.
-
-    With t = (1 + tanh s)/2, pref M(1 + i Om, 2, -+4 i ka) e^{+-2 i ka} =
-    sqrt(ka) Int ds e^{-+2 i ka tanh s} (2/(pi sqrt(Om))) e^{2 i Om s}/(2 cosh^2 s),
-    so A_G, B_G = sqrt(ka) Int ds e^{-+2 i ka tanh s} K(s) with the packet kernel
-    K(s) = sum_j c_j (2/(pi sqrt(Om_j))) e^{2 i Om_j s}/(2 cosh^2 s).  The
-    integrand is analytic in a strip, so the trapezoid rule converges
-    exponentially; |T_h - T_2h| plus the rounding scale of the sum must stay
-    below _EULER_TOL |T_h| on both A and B for a lane to be ok.
-    """
-    n = round(_EULER_S / _EULER_H)
-    s = _EULER_H * np.arange(-n, n + 1)  # node spacing exactly the weight h
+def _euler_kernel(om, coeff, s):
+    """K(s) = sum_j c_j (2/(pi sqrt(Om_j))) e^{2 i Om_j s}/(2 cosh^2 s) on nodes s."""
     K = np.zeros(s.shape, dtype=complex)
     for Om, c in zip(om, coeff):
         K += (c * 2.0 / (math.pi * math.sqrt(Om))) * np.exp(2j * Om * s)
-    K *= 0.5 / np.cosh(s) ** 2
-    # trapezoid weights for A and conj(B): step h, then step 2h on every second node
-    W = _EULER_H * np.stack([K, K.conj()], axis=1)
+    return K * (0.5 / np.cosh(s) ** 2)
+
+
+def _trapezoid(kappa, phase, K):
+    """(T_h, err) per kappa lane and row of K: T_h = h sum_s e^{ka phase(s)} K(s),
+    err = |T_h - T_2h| plus the rounding scale 1e-15 h sum|K| of the sum."""
+    W = _EULER_H * K.T
     W2 = 2.0 * W
-    W2[1::2] = 0.0
+    W2[1::2] = 0.0  # step 2h on every second node
     W = np.concatenate([W, W2], axis=1)
-    rounding = 1e-15 * _EULER_H * float(np.sum(np.abs(K)))
-    th = np.tanh(s)
-    A = np.empty(kappa.shape, dtype=complex)
-    B = np.empty(kappa.shape, dtype=complex)
-    ok = np.empty(kappa.shape, dtype=bool)
+    T = np.empty((kappa.size, W.shape[1]), dtype=complex)
     for lo in range(0, kappa.size, _EULER_CHUNK):
         sl = slice(lo, lo + _EULER_CHUNK)
-        P = np.outer(kappa[sl], -2j * th)
+        P = np.outer(kappa[sl], phase)
         np.exp(P, out=P)
-        T = P @ W
-        T_h = T[:, :2]
-        err = np.abs(T_h - T[:, 2:]) + rounding
-        ok[sl] = np.all(err <= _EULER_TOL * np.abs(T_h), axis=1)
-        root = np.sqrt(kappa[sl])
-        A[sl] = root * T_h[:, 0]
-        B[sl] = root * T_h[:, 1].conj()
-    return A, B, ok
+        T[sl] = P @ W
+    m = len(K)
+    rounding = 1e-15 * _EULER_H * np.sum(np.abs(K), axis=1)
+    return T[:, :m], np.abs(T[:, :m] - T[:, m:]) + rounding
 
 
 def smeared_ab(om, coeff, kappa):
-    """A_G, B_G at the kappa grid for a packet with frequency nodes om and
-    combined weights coeff (quadrature weight times profile).
+    """(A_G, B_G, err) at the kappa grid for a packet with frequency nodes om
+    and combined weights coeff (quadrature weight times profile); err bounds
+    the absolute error of each lane of A_G (row 0) and B_G (row 1).
 
-    Every column goes through the Euler integral; lanes it cannot certify
-    fall back to the per-node kummer_m_vec sum.
+    With t = (1 + tanh s)/2 the Euler integral (DLMF 13.4.1) gives
+    A_G, B_G = sqrt(ka) Int ds e^{-+2 i ka tanh s} K(s) with K of _euler_kernel,
+    analytic for |Im s| < pi/2, so the trapezoid rule converges exponentially.
+    Both come from one real-line sum.  There B_G ~ e^{-pi Om0} cancels in
+    doubles, so a B_G lane with err above _EULER_TOL |B_G| is summed again on
+    s + i theta, where K gains e^{-2 Om theta}, |e^{2 i ka tanh s}| <= 1 and
+    nothing cancels.  A_G is O(1) and keeps its real-line value and error.
     """
     kappa = np.asarray(kappa, dtype=float)
-    A, B, ok = _smeared_ab_euler(om, coeff, kappa)
-    if not ok.all():
-        A[~ok], B[~ok] = _per_node_sum(om, coeff, kappa[~ok])
-    return A, B
+    n = round(_EULER_S / _EULER_H)
+    s = _EULER_H * np.arange(-n, n + 1)  # node spacing exactly the weight h
+    K = _euler_kernel(om, coeff, s)
+    T, err = _trapezoid(kappa, -2j * np.tanh(s), np.stack([K, K.conj()]))
+    T[:, 1] = T[:, 1].conj()
+    shift = err[:, 1] > _EULER_TOL * np.abs(T[:, 1])
+    if shift.any():
+        s = s + 1j * _EULER_THETA
+        T[shift, 1:], err[shift, 1:] = _trapezoid(kappa[shift], 2j * np.tanh(s),
+                                                   _euler_kernel(om, coeff, s)[None])
+    root = np.sqrt(kappa)
+    return root * T[:, 0], root * T[:, 1], root * err.T
 
 
 # log-kappa tail: series terms per Kummer sector, by-parts terms per beat integral
@@ -247,12 +243,16 @@ def _smeared_integral(profile, which, kappa_split, tol):
         tail, err_t = tail_A - tail, err_A + err_t
 
     def f(kappa):
-        A, B = smeared_ab(om, coeff, kappa)
-        return np.abs(B) ** 2 if which == "occupation" else np.abs(A) ** 2 - np.abs(B) ** 2
+        A, B, err = smeared_ab(om, coeff, kappa)
+        # ||X + d|^2 - |X|^2| <= (2|X| + e) e for a lane error |d| <= e
+        lane = (2.0 * np.abs(np.stack([A, B])) + err) * err
+        if which == "occupation":
+            return np.stack([np.abs(B) ** 2, lane[1]])
+        return np.stack([np.abs(A) ** 2 - np.abs(B) ** 2, lane[0] + lane[1]])
 
-    # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms
-    finite, err_f = integrate_adaptive(f, 1e-9, kappa_split, tol=tol, est_freq=4.0)
-    return SpectrumResult(finite + tail, err_f + err_t, finite, tail)
+    # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms; lane errors are a 2nd component
+    (finite, lanes), err_f = integrate_adaptive(f, 1e-9, kappa_split, tol=tol, est_freq=4.0)
+    return SpectrumResult(finite + tail, err_f + lanes + err_t, finite, tail)
 
 
 def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), kappa_split=40.0,

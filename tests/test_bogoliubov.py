@@ -137,7 +137,7 @@ class TestSmearedRoute:
         A_ref, B_ref = _closed_form_sum(om, coeff, self.BAND)
         assert calls
         calls.clear()
-        A, B = smeared_ab(om, coeff, self.BAND)
+        A, B, _ = smeared_ab(om, coeff, self.BAND)
         assert calls == []  # every band column went through the Euler integral
         assert np.all(np.abs(A - A_ref) <= 1e-10 * np.abs(A_ref))
         assert np.all(np.abs(B - B_ref) <= 1e-10 * np.abs(B_ref))
@@ -150,7 +150,7 @@ class TestSmearedRoute:
         om, coeff = _packet(omega0, v0)
         A_ref, B_ref = _closed_form_sum(om, coeff, kappa)
         calls = _count_mp_calls(monkeypatch)
-        A, B = smeared_ab(om, coeff, kappa)
+        A, B, _ = smeared_ab(om, coeff, kappa)
         assert calls == []
         assert np.all(np.abs(A - A_ref) <= 1e-10 * np.abs(A_ref))
         assert np.all(np.abs(B - B_ref) <= 1e-10 * np.abs(B_ref))
@@ -160,16 +160,62 @@ class TestSmearedRoute:
         thermal_occupation(1.0, 0.02)
         assert calls == []
 
-    def test_uncertified_lanes_fall_back_to_closed_form_sum(self, monkeypatch):
-        # B_G ~ e^{-pi Omega0} cancels below the rounding scale of the integral
-        om, coeff = _packet(4.0)
+    @pytest.mark.parametrize("omega0", [3.0, 4.0, 6.0])
+    def test_cancelling_lanes_match_closed_form_sum(self, omega0, monkeypatch):
+        # B_G ~ e^{-pi Omega0} cancels below the rounding scale of the real-line sum
+        om, coeff = _packet(omega0)
         kappa = np.array([3.0, 4.0, 5.0])
         A_ref, B_ref = _closed_form_sum(om, coeff, kappa)
         calls = _count_mp_calls(monkeypatch)
-        A, B = smeared_ab(om, coeff, kappa)
-        assert calls  # the per-node sum ran, with mpmath in the band
-        assert np.all(np.abs(A - A_ref) <= 1e-14 * np.abs(A_ref))
-        assert np.all(np.abs(B - B_ref) <= 1e-14 * np.abs(B_ref))
+        A, B, _ = smeared_ab(om, coeff, kappa)
+        assert calls == []
+        assert np.all(np.abs(A - A_ref) <= 1e-10 * np.abs(A_ref))
+        assert np.all(np.abs(B - B_ref) <= 1e-10 * np.abs(B_ref))
+
+    @pytest.mark.parametrize("omega0", [2.0, 6.0])
+    def test_lane_errors_bound_gap_to_30_digit_sum(self, omega0):
+        import mpmath
+
+        om, coeff = _packet(omega0)
+        kappa = np.array([0.3, 4.0, 12.0, 27.0, 39.9])
+        A, B, err = smeared_ab(om, coeff, kappa)
+        with mpmath.workdps(30):
+            for i, k in enumerate(kappa):
+                ref = [mpmath.mpc(0), mpmath.mpc(0)]
+                for Om, c in zip(om, coeff):
+                    pref = c * 2 * mpmath.sqrt(Om * k) / mpmath.sinh(mpmath.pi * Om)
+                    for j, sign in enumerate((-1, 1)):
+                        ref[j] += (pref * mpmath.expj(-2 * sign * k)
+                                   * mpmath.hyp1f1(1 + 1j * Om, 2, 4j * sign * k))
+                assert abs(complex(ref[0]) - A[i]) <= err[0, i]
+                assert abs(complex(ref[1]) - B[i]) <= err[1, i]
+
+    @pytest.mark.parametrize("omega0", [3.0, 4.0, 6.0])
+    def test_est_error_bounds_planck_gap_without_closed_forms(self, omega0, monkeypatch):
+        calls = _count_mp_calls(monkeypatch)
+        closed_forms = []
+        monkeypatch.setattr(bogoliubov, "ab_coefficients",
+                            lambda *a, **k: closed_forms.append(a) or ab_coefficients(*a, **k))
+        monkeypatch.setattr(bogoliubov, "kummer_m_vec",
+                            lambda *a, **k: closed_forms.append(a) or kummer_m_vec(*a, **k))
+        res = thermal_occupation(omega0, 0.02)
+        assert calls == [] and closed_forms == []
+        gap = abs(res.value - planck_occupation(omega0, 0.02))
+        assert gap <= res.est_error <= 1e-6 * res.value
+
+    @pytest.mark.parametrize("omega0", [4.0, 6.0])
+    def test_est_error_covers_lanes_left_on_the_real_line(self, omega0, monkeypatch):
+        # theta = 0 sums the cancelling B_G lanes on the real line again: their
+        # errors, 2e-9 of the value at omega0 = 6, must show up in est_error
+        monkeypatch.setattr(bogoliubov, "_EULER_THETA", 0.0)
+        res = thermal_occupation(omega0, 0.02)
+        assert abs(res.value - planck_occupation(omega0, 0.02)) <= res.est_error
+
+    @pytest.mark.parametrize("omega0", [3.0, 4.0])
+    def test_est_error_bounds_unit_completeness_gap(self, omega0):
+        # covers A_G lanes near zeros of A_G, kept on the real line under the error budget
+        res = completeness_check(omega0, 0.02)
+        assert abs(res.value - 1.0) <= res.est_error <= 1e-6
 
 
 class TestNarrowPackets:
