@@ -20,15 +20,24 @@ def gauss_legendre(order: int):
     return _GL_CACHE[order]
 
 
-def panel_nodes(lo: float, hi: float, n_panels: int, order: int = 16):
-    """Nodes and weights for n_panels equal panels of fixed-order GL."""
+def panel_grid(lo: float, hi: float, n_panels: int, order: int = 16):
+    """(mid, off, wt) of n_panels equal panels of fixed-order GL: the panel
+    midpoints, the node offsets half * x and the weights half * w.  Equal
+    panels are translates of one another, so every panel shares off and wt."""
     x, w = gauss_legendre(order)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    u = (mid[:, None] + half * x[None, :]).ravel()
-    wts = np.broadcast_to(half * w[None, :], (n_panels, order)).ravel()
-    return u, wts
+    return mid, half * x, half * w
+
+
+def panel_nodes(lo: float, hi: float, n_panels: int, order: int = 16):
+    """Nodes and weights for n_panels equal panels of fixed-order GL, panel by
+    panel: node i of panel p is mid[p] + off[i] with the numbers of panel_grid,
+    so an integrand can factor over them (modes._panel_sum)."""
+    mid, off, wt = panel_grid(lo, hi, n_panels, order)
+    u = (mid[:, None] + off[None, :]).ravel()
+    return u, np.broadcast_to(wt, (n_panels, order)).ravel()
 
 
 def integrate(f, lo: float, hi: float, n_panels: int, order: int = 16):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import gauss_legendre, integrate_adaptive, panel_nodes
+from ._quad import gauss_legendre, integrate_adaptive, panel_grid, panel_nodes
 from .errors import DomainError
 
 DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
@@ -42,6 +42,16 @@ _TAIL = 5.5  # packet envelopes are truncated at exp(-_TAIL^2) ~ 7e-14
 _CUT = 8.0  # frequency profiles are truncated at omega0 +- _CUT sigma
 _ROWS = 4096  # nodes per phase-matrix block in Packet.eval_natural
 _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
+
+
+def _phase(x):
+    """e^{-ix} for real x, bit for bit np.exp(-1j * x), written as cos and
+    sin into one complex array without forming -1j * x."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +214,9 @@ class Packet:
         u = np.asarray(u, dtype=float)
         amp = self.weights / np.sqrt(4.0 * math.pi * self.omegas)
         damp = (-1j * self.sign) * self.omegas * amp
-        parts, flat = [], u.ravel()
+        parts, flat, om = [], u.ravel(), self.sign * self.omegas
         for i in range(0, flat.size, _ROWS):  # bounds the phase matrix's memory
-            phase = np.exp((-1j * self.sign) * np.multiply.outer(flat[i:i + _ROWS], self.omegas))
+            phase = _phase(np.multiply.outer(flat[i:i + _ROWS], om))
             parts.append((phase @ amp, phase @ damp))
         val, dval = (np.concatenate(x).reshape(u.shape) for x in zip(*parts))
         if self.conj:
@@ -251,19 +261,31 @@ def _plane_kernel(n, v):
     return np.cosh(v / 2.0) ** -2, -(4.0 * n + 2.0 * np.tanh(v / 2.0))
 
 
+def _panel_sum(om, c, lo, hi, n_panels):
+    """sum_j c[j] e^{-i om[j] v} on the nodes v = mid[p] + off[i] of
+    panel_nodes(lo, hi, n_panels).  Equal panels are translates of one panel,
+    so the phase factors as e^{-i w mid[p]} e^{-i w off[i]}: one (panels x m)
+    by (m x 16) product of (panels + 16) m phases instead of 16 panels m.
+    Splitting w v rounds within the floor eps (1 + max w max|v|)."""
+    mid, off, _ = panel_grid(lo, hi, n_panels)
+    return ((_phase(np.multiply.outer(mid, om)) * c) @ _phase(np.multiply.outer(om, off))).ravel()
+
+
 def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
     """(I, J, est_error): I = Int dv base P X and J = -Int dv base P conj(X)
     over the diamond rapidity v in [lo, hi], with (base, L) = kernel(v),
     P = sum_j c_p[j] e^{-i om_p[j] v} and X = sum_k c_x[k] e^{-i om_x[k] L}:
     up to a constant, the KG products of a diamond packet with a plane
     (_plane_kernel) or exterior (correlations._kernel) packet Q and with Q*.
+    P factors over the equal quadrature panels (_panel_sum); X is one phase
+    matrix on the nodes, since L is not linear in v.
     """
     last = []
 
     def f(v):
         base, L = kernel(v)
-        P = base * (np.exp(-1j * np.multiply.outer(v, om_p)) @ c_p)
-        X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
+        P = base * _panel_sum(om_p, c_p, lo, hi, v.size // 16)  # integrate_adaptive's panels
+        X = _phase(np.multiply.outer(L, om_x)) @ c_x
         last[:] = [np.stack([P * X, -P * np.conj(X)]), L]
         return last[0]
 

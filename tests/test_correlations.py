@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
+from diamondfield import correlations, modes
+from diamondfield._quad import integrate_adaptive
 from diamondfield.correlations import (
     _kernel,
     _overlap,
@@ -122,7 +124,62 @@ class TestAdjacentSharp:
             alpha_beta_numeric(1.0, 1.3, n=0)
 
 
+def unfactored_rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
+    """modes._rapidity_integral with one np.exp per node and frequency on both
+    sides, on the same panels; returns (I, J, doubling difference)."""
+    def f(v):
+        base, L = kernel(v)
+        P = base * (np.exp(-1j * np.multiply.outer(v, om_p)) @ c_p)
+        X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
+        return np.stack([P * X, -P * np.conj(X)])
+
+    val, err = integrate_adaptive(f, lo, hi, tol=tol, est_freq=float(np.max(om_p) + np.max(om_x)))
+    return val[0], val[1], err
+
+
+def _count_kernel_nodes(monkeypatch):
+    """Node count of each rapidity-integrand evaluation in correlations."""
+    sizes = []
+
+    def counting(n, v):
+        sizes.append(np.size(v))
+        return _kernel(n, v)
+
+    monkeypatch.setattr(correlations, "_kernel", counting)
+    return sizes
+
+
 class TestCrossMoments:
+    def test_diamond_phases_factor_over_panels(self, monkeypatch):
+        # the exterior side is one (nodes x 96) phase matrix; the diamond side
+        # takes (panels + 16) x 96 phases per evaluation, where one phase per
+        # node and frequency would be 4,272 x 96 = 410,112
+        sizes = _count_kernel_nodes(monkeypatch)
+        phases, phase = [0], modes._phase
+
+        def counting(x):
+            phases[0] += np.size(x)
+            return phase(x)
+
+        monkeypatch.setattr(modes, "_phase", counting)
+        cross_moments((1.0, 0.02), (1.0, 0.02), 20)
+        assert 0 < phases[0] - 96 * sum(sizes) <= 50_000
+
+    @pytest.mark.parametrize("s0,s1,n", [
+        *(pytest.param((1.0, 0.02), (1.0, 0.02), n, id=f"equal-{n}") for n in (1, 2, 3, 10, 20, 40)),
+        *(pytest.param((1.0, 0.02, 100.0), (1.0, 0.02, -100.0), n, id=f"offset-v0-{n}") for n in (1, 2)),
+        *(pytest.param((1.0, 0.1), (0.5, 0.1), n, id=f"wide-{n}") for n in (1, 2)),
+    ])
+    def test_est_error_bounds_gap_to_unfactored_phases(self, s0, s1, n, monkeypatch):
+        sizes = _count_kernel_nodes(monkeypatch)
+        cm = cross_moments(s0, s1, n)
+        factored, sizes[:] = list(sizes), []
+        monkeypatch.setattr(correlations, "_rapidity_integral", unfactored_rapidity_integral)
+        ref = cross_moments(s0, s1, n)
+        assert sizes == factored  # the same panels, doubled as often
+        assert abs(cm.m_minus - ref.m_minus) <= cm.est_error
+        assert abs(cm.m_plus - ref.m_plus) <= cm.est_error
+
     def test_adjacent_routes_agree(self):
         spec = (1.0, 0.05)
         kg = cross_moments(spec, spec, 1)

@@ -6,14 +6,19 @@ import time
 import numpy as np
 import pytest
 
+from diamondfield._quad import panel_nodes
 from diamondfield.bogoliubov import ab_coefficients
 from diamondfield.errors import DomainError
 from diamondfield.modes import (
+    _TAIL,
+    _V_CUT,
     DiamondMode,
     ExteriorMode,
     Packet,
     PlaneWave,
     Profile,
+    _panel_sum,
+    _phase,
     boundary_mask,
     eval_mode,
     gaussian_packet,
@@ -275,6 +280,34 @@ class TestPlaneDiamond:
         for m1, m2 in ((d, p), (p.conjugate(), d), (d.conjugate(), p)):
             kg_product(m1, m2)
         assert nodes[0] == 0
+
+
+class TestPhaseSums:
+    def test_phase_kernel_is_complex_exp_bit_for_bit(self):
+        x = np.random.default_rng(7).uniform(-1e4, 1e4, 20000)
+        x = np.concatenate([x, np.linspace(-3.0, 3.0, 1001), [0.0, -0.0, 1e4, -1e4]])
+        for arg in (x, x.reshape(-1, 5)):
+            got, want = _phase(arg), np.exp(-1j * arg)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.1])
+    @pytest.mark.parametrize("v0", [0.0, 100.0])
+    @pytest.mark.parametrize("adjacent", [False, True], ids=["cut", "n=1"])
+    def test_factored_sum_matches_direct_sum(self, sigma, v0, adjacent):
+        # cross_moments' diamond side on the panels integrate_adaptive starts
+        # with and on their first doubling; the gap stays within the rounding
+        # floor est_error already adds for the phases w v
+        m = 96 + math.ceil(12.8 * sigma * v0)
+        om, wt, G = Profile(1.0, sigma, v0).nodes(m, root=True)
+        c = wt * G / np.sqrt(om)
+        lo, hi = (-v0 - _TAIL / sigma if adjacent else -_V_CUT), _V_CUT
+        n0 = math.ceil((hi - lo) * 2.0 * np.max(om) / (2.0 * math.pi) * 3.0)
+        for n_panels in (n0, 2 * n0):
+            v, _ = panel_nodes(lo, hi, n_panels)
+            direct = np.exp(-1j * np.multiply.outer(v, om)) @ c
+            floor = np.finfo(float).eps * np.sum(np.abs(c)) * (1.0 + np.max(om) * np.max(np.abs(v)))
+            assert np.max(np.abs(_panel_sum(om, c, lo, hi, n_panels) - direct)) <= floor
 
 
 class TestProfile:

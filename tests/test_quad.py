@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diamondfield._quad import gauss_legendre, integrate, integrate_adaptive, panel_nodes
+from diamondfield._quad import gauss_legendre, integrate, integrate_adaptive, panel_grid, panel_nodes
 from diamondfield.errors import ConvergenceError
 
 
@@ -17,6 +17,13 @@ class TestNodes:
         x, w = panel_nodes(-1.0, 3.0, 8)
         assert abs(np.sum(w) - 4.0) < 1e-13
         assert np.all(np.diff(x) > 0)
+
+    def test_nodes_are_translates_of_one_panel(self):
+        # the exact numbers an integrand factors over (modes._panel_sum)
+        mid, off, wt = panel_grid(-275.0, 40.0, 37)
+        u, w = panel_nodes(-275.0, 40.0, 37)
+        assert np.array_equal(u, (mid[:, None] + off).ravel())
+        assert np.array_equal(w, np.tile(wt, 37))
 
 
 class TestIntegrate:
