@@ -11,6 +11,7 @@ from numpy.polynomial import legendre
 from .errors import ConvergenceError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+PANEL_ORDER = 16  # Gauss-Legendre nodes per panel
 
 
 def gauss_legendre(order: int):
@@ -20,31 +21,31 @@ def gauss_legendre(order: int):
     return _GL_CACHE[order]
 
 
-def panel_grid(lo: float, hi: float, n_panels: int, order: int = 16):
-    """(mid, off, wt) of n_panels equal panels of fixed-order GL: the panel
+def panel_grid(lo: float, hi: float, n_panels: int):
+    """(mid, off, wt) of n_panels equal panels of PANEL_ORDER-node GL: the panel
     midpoints, the node offsets half * x and the weights half * w.  Equal
     panels are translates of one another, so every panel shares off and wt."""
-    x, w = gauss_legendre(order)
+    x, w = gauss_legendre(PANEL_ORDER)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     return mid, half * x, half * w
 
 
-def panel_nodes(lo: float, hi: float, n_panels: int, order: int = 16):
-    """Nodes and weights for n_panels equal panels of fixed-order GL, panel by
+def panel_nodes(lo: float, hi: float, n_panels: int):
+    """Nodes and weights for n_panels equal panels of PANEL_ORDER-node GL, panel by
     panel: node i of panel p is mid[p] + off[i] with the numbers of panel_grid,
     so an integrand can factor over them (modes._panel_sum)."""
-    mid, off, wt = panel_grid(lo, hi, n_panels, order)
+    mid, off, wt = panel_grid(lo, hi, n_panels)
     u = (mid[:, None] + off[None, :]).ravel()
-    return u, np.broadcast_to(wt, (n_panels, order)).ravel()
+    return u, np.broadcast_to(wt, (n_panels, PANEL_ORDER)).ravel()
 
 
-def integrate(f, lo: float, hi: float, n_panels: int, order: int = 16):
-    u, w = panel_nodes(lo, hi, n_panels, order)
+def integrate(f, lo: float, hi: float, n_panels: int):
+    u, w = panel_nodes(lo, hi, n_panels)
     vals = f(u) * w
     # panel-ordered summation keeps the result independent of evaluation order
-    return vals.reshape(vals.shape[:-1] + (n_panels, order)).sum(axis=-1).sum(axis=-1)
+    return vals.reshape(vals.shape[:-1] + (n_panels, PANEL_ORDER)).sum(axis=-1).sum(axis=-1)
 
 
 def integrate_adaptive(
@@ -53,7 +54,6 @@ def integrate_adaptive(
     hi: float,
     tol: float,
     est_freq: float = 1.0,
-    order: int = 16,
     max_doublings: int = 12,
 ):
     """Integrate f over [lo, hi] doubling the panel count until two successive
@@ -71,10 +71,10 @@ def integrate_adaptive(
     """
     # start with ~3 panels per oscillation of the fastest expected phase
     n0 = max(4, int(np.ceil((hi - lo) * max(est_freq, 1e-12) / (2.0 * np.pi) * 3.0)))
-    prev = integrate(f, lo, hi, n0, order)
+    prev = integrate(f, lo, hi, n0)
     for _ in range(max_doublings):
         n0 *= 2
-        cur = integrate(f, lo, hi, n0, order)
+        cur = integrate(f, lo, hi, n0)
         err = np.max(np.abs(cur - prev))
         if err <= tol:
             return cur, err

@@ -18,7 +18,7 @@ The occupation and completeness integrals have a peculiar structure: the
 integrand's mass is distributed log-uniformly in kappa under a Gaussian
 envelope in ln(kappa) of width 1/(2 sigma), so for narrow packets a large
 fraction of the integral lives at astronomically large kappa.  Direct
-quadrature handles kappa <= kappa_split, with A_G, B_G from trapezoid sums
+quadrature handles kappa <= kappa_split = 40, with A_G, B_G from trapezoid sums
 of the Euler integral (B_G off the real line where it cancels there), whose
 lane errors are part of est_error.  Beyond kappa_split each Kummer sector is
 a short series in 1/kappa times kappa^{-+i Om}, so the tail, e^{+-4 i kappa}
@@ -145,7 +145,9 @@ def smeared_ab(om, coeff, kappa):
     return root * T[:, 0], root * T[:, 1], root * err.T
 
 
-# log-kappa tail: series terms per Kummer sector, by-parts terms per beat integral
+# log-kappa tail: where it starts, series terms per Kummer sector, by-parts
+# terms per beat integral
+_KAPPA_SPLIT = 40.0
 _SERIES_TERMS = 10
 _PARTS_TERMS = 10
 
@@ -205,7 +207,8 @@ def _tail_integral(T, r, w, kappa_split, dL):
     # |f| <= sum |T| as every term decays in L; the omitted terms are below the last kept
     truncation = 2.0 * float(np.sum(absT[..., -1]) * np.sum(absT))
     if truncation > 1e-10 * value.real:
-        raise DomainError("sector series not converged at kappa_split; raise kappa_split")
+        raise DomainError(f"sector series not converged at kappa_split = {kappa_split:g}: "
+                          "the packet's frequencies are too high for the log-kappa tail")
     return float(value.real), 1e-14 * rounding + parts + truncation
 
 
@@ -221,14 +224,13 @@ class SpectrumResult:
     tail_part: float
 
 
-def _smeared_integral(profile, which, kappa_split, tol):
+def _smeared_integral(profile, which, tol):
     """Int dka of |B_G|^2 ('occupation') or |A_G|^2 - |B_G|^2 ('completeness')
-    for a Profile in units of a = 1."""
+    for a Profile in units of a = 1: quadrature up to _KAPPA_SPLIT, the
+    log-kappa tail in closed form beyond it."""
     om, wt, G = profile.nodes()
-    if kappa_split < 30.0:
-        raise DomainError("kappa_split below the certified sector regime")
     # tail in L = ln(kappa) up to where the envelope is below 1e-21 of its peak
-    L_lo = math.log(kappa_split)
+    L_lo = math.log(_KAPPA_SPLIT)
     dL = 2.0 + 7.0 / profile.sigma
     if L_lo + dL > _L_MAX:
         raise DomainError(
@@ -237,9 +239,9 @@ def _smeared_integral(profile, which, kappa_split, tol):
         )
     coeff = wt * G
     # the tail first: an unconverged sector series fails before the quadrature
-    tail, err_t = _tail_integral(*_sector_terms(om, coeff, kappa_split, 1), kappa_split, dL)
+    tail, err_t = _tail_integral(*_sector_terms(om, coeff, _KAPPA_SPLIT, 1), _KAPPA_SPLIT, dL)
     if which == "completeness":
-        tail_A, err_A = _tail_integral(*_sector_terms(om, coeff, kappa_split, -1), kappa_split, dL)
+        tail_A, err_A = _tail_integral(*_sector_terms(om, coeff, _KAPPA_SPLIT, -1), _KAPPA_SPLIT, dL)
         tail, err_t = tail_A - tail, err_A + err_t
 
     def f(kappa):
@@ -251,12 +253,11 @@ def _smeared_integral(profile, which, kappa_split, tol):
         return np.stack([np.abs(A) ** 2 - np.abs(B) ** 2, lane[0] + lane[1]])
 
     # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms; lane errors are a 2nd component
-    (finite, lanes), err_f = integrate_adaptive(f, 1e-9, kappa_split, tol=tol, est_freq=4.0)
+    (finite, lanes), err_f = integrate_adaptive(f, 1e-9, _KAPPA_SPLIT, tol=tol, est_freq=4.0)
     return SpectrumResult(finite + tail, err_f + lanes + err_t, finite, tail)
 
 
-def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), kappa_split=40.0,
-                       tol=1e-7, v0=0.0):
+def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), tol=1e-7, v0=0.0):
     """Smeared diamond-mode occupation Int dka |B_G(ka)|^2 in the vacuum.
 
     omega0, sigma are in absolute units, v0 is the packet center in the
@@ -264,13 +265,13 @@ def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), kappa_split=40.
     Int dw |G(w)|^2 / (e^{2 pi w / a} - 1) independently of v0.
     """
     profile = Profile(omega0, sigma, v0).natural(scale.a)
-    return _smeared_integral(profile, "occupation", kappa_split, tol)
+    return _smeared_integral(profile, "occupation", tol)
 
 
-def completeness_check(omega0, sigma=0.02, scale=DiamondScale(), kappa_split=40.0, tol=1e-7):
+def completeness_check(omega0, sigma=0.02, scale=DiamondScale(), tol=1e-7):
     """Smeared Bogoliubov completeness Int dka (|A_G|^2 - |B_G|^2); exactly 1."""
     profile = Profile(omega0, sigma).natural(scale.a)
-    return _smeared_integral(profile, "completeness", kappa_split, tol)
+    return _smeared_integral(profile, "completeness", tol)
 
 
 def planck_occupation(omega0, sigma=0.02, scale=DiamondScale()):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .geometry import DiamondScale
-from .modes import _CUT, _TAIL, _V_CUT, Profile, _rapidity_integral
+from .modes import _SPAN, _TAIL, _V_CUT, Profile, _rapidity_integral
 from .specfun import log_gamma
 
 _POLE_GUARD = 1e-12
@@ -133,11 +133,12 @@ def cross_moments(spec0, spec_n, n, scale=DiamondScale(), tol=1e-9):
     or (omega0, sigma, v0), the nth packet living in diamond n >= 1.
 
     One _overlap integral with both profiles summed inside, on m nodes in
-    sqrt(omega) (Profile.nodes(m, root=True), exact at an omega = 0 endpoint),
-    m = 96 + ceil(12.8 max sigma |v0|) as in gaussian_packet.  For n >= 2 it
-    runs over |v| <= 40, where sech^2(v/2) has decayed to ~1e-17; for n = 1
-    the integrand keeps the packets' size toward the shared tip, so it runs
-    down to the diamond packet's envelope edge -|v0| - _TAIL/sigma.
+    sqrt(omega) over omega0 +- _SPAN sigma (Profile.nodes(m, root=True),
+    exact at an omega = 0 endpoint), m = 96 + ceil(12.8 max sigma |v0|).
+    For n >= 2 it runs over |v| <= 40, where sech^2(v/2) has decayed to
+    ~1e-17; for n = 1 the integrand keeps the packets' size toward the
+    shared tip, so it runs down to the diamond packet's envelope edge
+    -|v0| - _TAIL/sigma.
     """
     if n < 1:
         raise DomainError("cross_moments requires diamond separation n >= 1")
@@ -188,8 +189,7 @@ def smeared_asymptotic_moment(spec0, spec_n, n, scale=DiamondScale()):
     return mm * norm, mp * norm
 
 
-# half-width in sigma of the adjacent lattices; relative accuracy of log_gamma
-_SPAN, _LG_REL = 12.0, 1e-13
+_LG_REL = 1e-13  # relative accuracy of log_gamma
 
 
 def _gamma_i(z):
@@ -199,7 +199,7 @@ def _gamma_i(z):
 
 def _lattice_nodes(p, h, offset):
     """(u, weight): the nodes u = (k + offset) h >= 0 whose W = u^2 lies
-    within omega0 +- 12 sigma, and their trapezoid weights (h/2 at u = 0)."""
+    within omega0 +- _SPAN sigma, and their trapezoid weights (h/2 at u = 0)."""
     lo = math.sqrt(max(p.omega0 - _SPAN * p.sigma, 0.0))
     hi = math.sqrt(p.omega0 + _SPAN * p.sigma)
     k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
@@ -207,31 +207,10 @@ def _lattice_nodes(p, h, offset):
     return u, np.where(u == 0.0, 0.5 * h, h)
 
 
-def _band_nodes(p, u, h):
-    """Mask of the nodes u > 0 from one step inside W = omega0 -+ 8 sigma
-    outward, where the other routes stop."""
-    near = np.zeros(u.shape, dtype=bool)
-    for s in (-1.0, 1.0):
-        edge = p.omega0 + s * _CUT * p.sigma
-        if edge > 0.0:
-            near |= s * (u - math.sqrt(edge)) >= -h
-    return near & (u > 0.0)
-
-
-def _band(p, W, f, c):
-    """Bound on |Int f a dW| over 8 sigma < |W - omega0|, given f on the band
-    nodes W: |a| = |G| c / (2 sqrt(pi sinh pi W)), so it is the largest
-    |f a / G| on the nodes times an erfc bound on Int |G| over the two bands."""
-    if W.size == 0:
-        return 0.0
-    tail = (2.0 * math.pi) ** -0.25 * math.sqrt(math.pi * p.sigma) * math.erfc(_CUT / 2.0)
-    peak = np.max(np.abs(f) / np.sqrt(np.sinh(math.pi * W))) * c / (2.0 * math.sqrt(math.pi))
-    return 2.0 * tail * peak  # one tail per side
-
-
 def _lattice(p0, p1, h):
-    """(m_minus, error bound) on two lattices in u = sqrt(W): exterior nodes
-    u = (j + 1/2) h and diamond nodes u' = k h over each packet's 12 sigma.
+    """(m_minus, log_gamma floor) on two lattices in u = sqrt(W): exterior
+    nodes u = (j + 1/2) h and diamond nodes u' = k h over each packet's
+    omega0 +- _SPAN sigma.
 
     With a = conj(G0) A / (2 sinh pi W), b = conj(G1) / A and K(z) = Gamma(iz)
     from Im W' < 0, m_minus = (1/2pi) Int Int a(W) b(W') K(W' - W).  In u the
@@ -239,29 +218,20 @@ def _lattice(p0, p1, h):
     no W^{-1/2} endpoint at W = 0, so the trapezoid sum over u >= 0 is half
     the one over the whole line.  The pole at u' = +-u falls halfway between
     two nodes, so the sum over it is its principal value, and the residue adds
-    b(W)/2 to F = (1/2pi) Int b K dW' (H is the same over W).  The bound covers
-    log_gamma and the 8-12 sigma bands.
+    b(W)/2 to F = (1/2pi) Int b K dW'.
     """
     u, wu = _lattice_nodes(p0, h, 0.5)
     up, wp = _lattice_nodes(p1, h, 0.0)
     W = u * u
     Wp = up * up
     le = _log_e(W)
-    lep = _log_e(Wp)
     x = wu * np.conj(p0.amplitude(W)) * np.exp(le) * W / np.sinh(math.pi * W)
-    y = wp * 2.0 * np.conj(p1.amplitude(Wp)) / np.exp(lep)
+    y = wp * 2.0 * np.conj(p1.amplitude(Wp)) / np.exp(_log_e(Wp))
     K = _gamma_i(Wp[None, :] - W[:, None])
     res = np.conj(p1.amplitude(W)) / (2.0 * u * np.exp(le))
     F = K @ y / (2.0 * math.pi) + res
-    mm = complex(x @ F)
     floor = _LG_REL * np.abs(x) @ (np.abs(K) @ np.abs(y) / (2.0 * math.pi) + np.abs(res))
-    near0 = _band_nodes(p0, u, h)
-    near1 = _band_nodes(p1, up, h)
-    a1 = np.conj(p0.amplitude(Wp[near1])) * up[near1] * np.exp(lep[near1])
-    H = x @ K[:, near1] / (2.0 * math.pi) + a1 / (4.0 * np.sinh(math.pi * Wp[near1]))
-    band0 = _band(p0, W[near0], F[near0], 1.0)
-    band1 = _band(p1, Wp[near1], H, 2.0 * math.pi)
-    return mm, floor + band0 + band1
+    return complex(x @ F), floor
 
 
 def _plus(p0, p1, n):
@@ -281,14 +251,15 @@ def adjacent_moments_analytic(spec0, spec1, scale=DiamondScale()):
     m_minus is the sum of _lattice at the step h that keeps the W spacing 2uh
     below sigma/2 on both packets, shrunk further as the centres v0 move off
     0 and the phases e^{-i W v0} turn faster; its error adds |m(h) - m(2h)| to
-    the bound of _lattice.  m_plus has no pole: it is the tensor
-    Gauss-Legendre sum on n nodes per packet in sqrt(W) over omega0 +- 8
-    sigma, the functional that cross_moments integrates, estimated against
-    n - 4 nodes.
+    the log_gamma floor of _lattice.  m_plus has no pole: it is the tensor
+    Gauss-Legendre sum on n nodes per packet in sqrt(W) (Profile.nodes(n,
+    root=True)), the functional that cross_moments integrates, estimated
+    against n - 4 nodes.  Both cover each packet's omega0 +- _SPAN sigma,
+    where G falls below e^{-36} of its peak.
     """
     p0 = Profile(*spec0).natural(scale.a).checked()
     p1 = Profile(*spec1).natural(scale.a).checked()
-    n = 24 + math.ceil(8.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
+    n = 36 + math.ceil(12.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
     mp, floor = _plus(p0, p1, n)
     mp2, _ = _plus(p0, p1, n - 4)
     V = abs(p0.v0) + abs(p1.v0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import panel_nodes
-from .bogoliubov import planck_occupation, thermal_occupation
+from .bogoliubov import planck_occupation
 from .correlations import adjacent_moments_analytic, cross_moments
 from .errors import ConvergenceError, DomainError
 from .modes import Profile
@@ -64,7 +64,7 @@ def _same_diamond_occupation(s1, s2):
     return complex(np.sum(wt * prof / np.expm1(2.0 * math.pi * om)))
 
 
-def _mode_moments(specs, tol, diagonal, adjacent):
+def _mode_moments(specs, tol, adjacent):
     """(N, M, err) with N[i, j] = <bi+ bj> and M[i, j] = <bi bj>."""
     m = len(specs)
     N = np.zeros((m, m), dtype=complex)
@@ -77,12 +77,7 @@ def _mode_moments(specs, tol, diagonal, adjacent):
         raise DomainError("cannot mix plane and diamond packets in one set")
 
     for i, si in enumerate(specs):
-        if diagonal == "integral":
-            occ = thermal_occupation(si.omega0, si.sigma, tol=tol)
-            N[i, i] = occ.value
-            err += occ.est_error
-        else:
-            N[i, i] = planck_occupation(si.omega0, si.sigma)
+        N[i, i] = planck_occupation(si.omega0, si.sigma)
         for j in range(i + 1, m):
             sj = specs[j]
             dn = sj.n - si.n
@@ -106,19 +101,19 @@ def _mode_moments(specs, tol, diagonal, adjacent):
     return N, M, err
 
 
-def build_covariance(specs, tol=1e-8, diagonal="planck", adjacent="analytic"):
+def build_covariance(specs, tol=1e-8, adjacent="analytic"):
     """Vacuum covariance matrix of the quadratures of the given modes.
 
-    diagonal selects the occupation route: 'planck' uses the closed-form
-    thermal value, 'integral' the plane-wave-coefficient integral.  adjacent
-    selects the nearest-neighbour moment route: 'analytic' the closed forms,
-    'kg' the KG-product rapidity integral of cross_moments.
+    The occupations on the diagonal are the closed-form thermal values
+    (planck_occupation).  adjacent selects the nearest-neighbour moment
+    route: 'analytic' the closed forms, 'kg' the KG-product rapidity
+    integral of cross_moments.
     """
     specs = tuple(specs)
     m = len(specs)
     if m == 0:
         raise DomainError("need at least one mode")
-    N, M, err = _mode_moments(specs, tol, diagonal, adjacent)
+    N, M, err = _mode_moments(specs, tol, adjacent)
     # X(0) = b + b+ and X(pi/2) = -i b + i b+, interleaved per mode
     eye = np.eye(m)
     cov = np.empty((2 * m, 2 * m))

@@ -33,13 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import gauss_legendre, integrate_adaptive, panel_grid, panel_nodes
+from ._quad import PANEL_ORDER, gauss_legendre, integrate_adaptive, panel_grid, panel_nodes
 from .errors import DomainError
 
 DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
 
 _TAIL = 5.5  # packet envelopes are truncated at exp(-_TAIL^2) ~ 7e-14
-_CUT = 8.0  # frequency profiles are truncated at omega0 +- _CUT sigma
+_CUT = 8.0  # nodes in omega span omega0 +- _CUT sigma, where |G|^2 < e^{-32} of its peak
+_SPAN = 12.0  # nodes in sqrt(omega) span omega0 +- _SPAN sigma, where G < e^{-36} of its peak
 _ROWS = 4096  # nodes per phase-matrix block in Packet.eval_natural
 _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
 
@@ -162,14 +163,16 @@ class Profile(NamedTuple):
 
     def nodes(self, n=96, root=False):
         """(om, wt, G): n Gauss-Legendre nodes over omega0 +- _CUT sigma, their
-        weights and the profile on them.  With root the nodes are Gauss-Legendre
-        in sqrt(omega) from omega = 0 up, so that integrands with an
-        omega^{-1/2} endpoint there become smooth."""
+        weights and the profile on them, for integrands quadratic in G.  With
+        root the nodes are Gauss-Legendre in sqrt(omega) over omega0 +- _SPAN
+        sigma, from omega = 0 up where that range reaches it, so that an
+        omega^{-1/2} endpoint there becomes smooth and integrands linear in G
+        are cut where G is below the double resolution of its peak."""
         self.checked()
         x, w = gauss_legendre(n)
         if root:
-            lo = math.sqrt(max(self.omega0 - _CUT * self.sigma, 0.0))
-            hi = math.sqrt(self.omega0 + _CUT * self.sigma)
+            lo = math.sqrt(max(self.omega0 - _SPAN * self.sigma, 0.0))
+            hi = math.sqrt(self.omega0 + _SPAN * self.sigma)
             u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
             return u * u, (hi - lo) * w * u, self.amplitude(u * u)
         lo = max(self.omega0 - _CUT * self.sigma, 1e-12)
@@ -252,7 +255,7 @@ def _wrap_sharp(mode):
 def _rounding_floor(vals, lo, hi, phase):
     """eps Sum|vals w| (1 + phase): rounding of an integrate_adaptive sum over
     [lo, hi] with final values vals (per component) and phases up to `phase`."""
-    _, w = panel_nodes(lo, hi, vals.shape[-1] // 16)  # integrate_adaptive's 16-node panels
+    _, w = panel_nodes(lo, hi, vals.shape[-1] // PANEL_ORDER)  # integrate_adaptive's panels
     return np.finfo(float).eps * float(np.max(np.sum(np.abs(vals) * w, axis=-1))) * (1.0 + phase)
 
 
@@ -284,7 +287,7 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
 
     def f(v):
         base, L = kernel(v)
-        P = base * _panel_sum(om_p, c_p, lo, hi, v.size // 16)  # integrate_adaptive's panels
+        P = base * _panel_sum(om_p, c_p, lo, hi, v.size // PANEL_ORDER)
         X = _phase(np.multiply.outer(L, om_x)) @ c_x
         last[:] = [np.stack([P * X, -P * np.conj(X)]), L]
         return last[0]

@@ -80,10 +80,6 @@ class TestSpectrum:
         res = completeness_check(1.0, 0.02)
         assert abs(res.value - 1.0) <= 0.01
 
-    def test_kappa_split_guard(self):
-        with pytest.raises(DomainError):
-            thermal_occupation(1.0, 0.02, kappa_split=10.0)
-
     def test_fit_temperature_exact_planck(self):
         om = np.array([0.5, 1.0, 2.0])
         occ = 1.0 / np.expm1(2.0 * math.pi * om)

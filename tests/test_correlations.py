@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev
+from numpy.polynomial import chebyshev, legendre
 
 from diamondfield import correlations, modes
 from diamondfield._quad import integrate_adaptive
@@ -23,19 +23,21 @@ from diamondfield.errors import DomainError, PoleError
 from diamondfield.modes import _TAIL, Profile
 
 
-def chebyshev_oracle(spec0, spec_n, n, deg=(10, 11)):
+def chebyshev_oracle(spec0, spec_n, n, deg=(14, 15)):
     """(m_minus, m_plus) from a deg[0] x deg[1] tensor Chebyshev interpolant of
     the sharp alpha_beta_numeric values over the two profiles' frequency
-    ranges (omega0 +- 8 sigma), summed over the profiles' nodes."""
+    ranges (omega0 +- 12 sigma, where G falls below e^{-36} of its peak),
+    summed over 144 Gauss-Legendre nodes of each range."""
     grids = []
+    x, w = legendre.leggauss(144)
     for spec, m in zip((spec0, spec_n), deg):
         prof = Profile(*spec)
-        lo, hi = prof.omega0 - 8.0 * prof.sigma, prof.omega0 + 8.0 * prof.sigma
-        om, wt, G = prof.nodes()
+        lo, hi = prof.omega0 - 12.0 * prof.sigma, prof.omega0 + 12.0 * prof.sigma
+        om, wt = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
+        G = prof.amplitude(om)
         pts = chebyshev.chebpts1(m)
         # E maps values at the Chebyshev points to the interpolant on the nodes
-        E = (chebyshev.chebvander((2.0 * om - lo - hi) / (hi - lo), m - 1)
-             @ np.linalg.inv(chebyshev.chebvander(pts, m - 1)))
+        E = chebyshev.chebvander(x, m - 1) @ np.linalg.inv(chebyshev.chebvander(pts, m - 1))
         grids.append((0.5 * (lo + hi) + 0.5 * (hi - lo) * pts, E, om, wt, G))
     (x0, E0, o0, w0, G0), (x1, E1, _, w1, G1) = grids
     ab = np.array([[alpha_beta_numeric(W, Wp, n=n, tol=1e-14)[:2] for Wp in x1] for W in x0])
@@ -46,17 +48,24 @@ def chebyshev_oracle(spec0, spec_n, n, deg=(10, 11)):
     return np.conj(np.conj(e) @ al @ p), np.conj(e @ be @ p)
 
 
-def root_node_oracle(spec0, spec1, n=128):
-    """(m_minus, m_plus, est_error) of adjacent packets from the rapidity
-    integral of cross_moments, with both profiles on Gauss-Legendre nodes in
-    sqrt(omega): those integrate the omega^{-1/2} endpoint of a packet that
-    reaches omega = 0 to full accuracy, where nodes in omega do not."""
+def root_node_oracle(spec0, spec1, n=1, nodes=128):
+    """(m_minus, m_plus, est_error) of packets in diamonds 0 and n from the
+    rapidity integral of cross_moments, with both profiles on their own
+    Gauss-Legendre nodes in sqrt(omega) over omega0 +- 12 sigma: those
+    integrate the omega^{-1/2} endpoint of a packet that reaches omega = 0 to
+    full accuracy, where nodes in omega do not."""
     p0, p1 = Profile(*spec0), Profile(*spec1)
-    o0, w0, G0 = p0.nodes(n, root=True)
-    o1, w1, G1 = p1.nodes(n, root=True)
+    x, w = legendre.leggauss(nodes)
+    grids = []
+    for prof in (p0, p1):
+        lo = math.sqrt(max(prof.omega0 - 12.0 * prof.sigma, 0.0))
+        hi = math.sqrt(prof.omega0 + 12.0 * prof.sigma)
+        u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        grids.append((u * u, (hi - lo) * w * u, prof.amplitude(u * u)))
+    (o0, w0, G0), (o1, w1, G1) = grids
     e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))
-    lo = -abs(p1.v0) - _TAIL / p1.sigma
-    mm, mp, err = _overlap(1, o1, w1 * G1, o0, e, lo, 40.0, 1e-13)
+    lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -40.0
+    mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, 40.0, 1e-13)
     return np.conj(mm), np.conj(mp), err
 
 
@@ -180,6 +189,18 @@ class TestCrossMoments:
         assert abs(cm.m_minus - ref.m_minus) <= cm.est_error
         assert abs(cm.m_plus - ref.m_plus) <= cm.est_error
 
+    @pytest.mark.parametrize("s0,s1,n", [
+        *(pytest.param((1.0, 0.02), (1.0, 0.02), n, id=f"equal-{n}") for n in (1, 2, 20)),
+        pytest.param((1.0, 0.05), (1.2, 0.05), 1, id="offset-omega-1"),
+    ])
+    def test_est_error_bounds_gap_to_wide_span_reference(self, s0, s1, n):
+        # a profile cut at 8 sigma, where G is still e^{-16} of its peak, left
+        # m_minus 1.6e-14 off at equal-20 against an estimate of 2.3e-20
+        cm = cross_moments(s0, s1, n)
+        mm, mp, _ = root_node_oracle(s0, s1, n, nodes=256)
+        assert abs(cm.m_minus - mm) <= cm.est_error
+        assert abs(cm.m_plus - mp) <= cm.est_error
+
     def test_adjacent_routes_agree(self):
         spec = (1.0, 0.05)
         kg = cross_moments(spec, spec, 1)
@@ -235,7 +256,7 @@ class TestCrossMoments:
     def test_packet_reaching_zero_on_root_nodes(self):
         # (0.5, 0.1) reaches omega = 0; on nodes in omega m_plus was 1.1e-4 off
         s0, s1 = (1.0, 0.1), (0.5, 0.1)
-        _, mp, _ = root_node_oracle(s0, s1, n=256)
+        _, mp, _ = root_node_oracle(s0, s1, nodes=256)
         assert abs(cross_moments(s0, s1, 1).m_plus - mp) <= 1e-13 * abs(mp)
 
     def test_far_off_centre_packet_resolved(self):
@@ -243,7 +264,7 @@ class TestCrossMoments:
         # 6.3e-6 + 5.7e-5i; the node count now grows with sigma |v0|
         s0, s1 = (1.0, 0.05), (1.0, 0.05, 400.0)
         m = 96 + math.ceil(12.8 * 0.05 * 400.0)
-        mm, mp, _ = root_node_oracle(s0, s1, n=2 * m)
+        mm, mp, _ = root_node_oracle(s0, s1, nodes=2 * m)
         cm = cross_moments(s0, s1, 1)
         assert abs(cm.m_minus - mm) <= 1e-15
         assert abs(cm.m_plus - mp) <= 1e-15
@@ -261,8 +282,8 @@ class TestAdjacentLattice:
         ((1.0, 0.05, -30.0), (1.2, 0.05, 30.0)),
     ])
     def test_est_error_bounds_gap_to_rapidity_route(self, s0, s1):
-        # the lattice runs to 12 sigma, cross_moments stops at 8 sigma; the
-        # estimate must cover that band as well as the lattice's own error
+        # both routes integrate each profile over omega0 +- 12 sigma; the
+        # estimates must cover the lattice's and the quadrature's own errors
         an = adjacent_moments_analytic(s0, s1)
         kg = cross_moments(s0, s1, 1, tol=1e-13)
         bound = an.est_error + kg.est_error
@@ -294,6 +315,8 @@ class TestAdjacentLattice:
         mm, mp, err = root_node_oracle(s0, s1)
         assert abs(an.m_minus - mm) <= min(an.est_error + err, old_minus)
         assert abs(an.m_plus - mp) <= min(an.est_error + err, old_plus)
+        # a bound on an 8-12 sigma band once made this 6.7e-8 to 2.6e-6
+        assert an.est_error <= 1e-9
 
     @pytest.mark.parametrize("spec", [(3.0, 0.25), (1.2, 0.1)])
     def test_lattice_from_zero_is_finite(self, spec):

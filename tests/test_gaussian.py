@@ -65,11 +65,6 @@ class TestCovariance:
         v0 = mode_variance(cov, 0, 0.0)
         assert abs(mode_variance(cov, 0, phi) - v0) <= 0.01 * v0
 
-    def test_integral_diagonal_option(self):
-        c1 = build_covariance([WavepacketSpec(0, 1.0, 0.02)], diagonal="integral")
-        c2 = build_covariance([WavepacketSpec(0, 1.0, 0.02)])
-        assert abs(c1.matrix[0, 0] - c2.matrix[0, 0]) < 1e-3 * c2.matrix[0, 0]
-
     def test_adjacent_pair_off_diagonal_nonzero(self):
         cov = pair()
         assert np.max(np.abs(cov.matrix[:2, 2:])) > 1e-3
