@@ -22,7 +22,9 @@ u, -i s Int du (f du(g*) - g* du(f)) with s the sign of dV/du.  A diamond
 packet P meets another family Q in the one term -2i Int dv P dv Q*(V(v))
 left by parts: _rapidity_integral, with both packets summed inside, serves
 plane waves (kg_product, bogoliubov.ab_numeric) and the exterior mode
-(diamondfield.correlations).
+(diamondfield.correlations).  Neither side forms a phase per node and
+frequency: P factors over the equal quadrature panels, and Q(V(v)) is a
+short Taylor series in its own rapidity about each panel's mid-range.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ _CUT = 8.0  # nodes in omega span omega0 +- _CUT sigma, where |G|^2 < e^{-32} of
 _SPAN = 12.0  # nodes in sqrt(omega) span omega0 +- _SPAN sigma, where G < e^{-36} of its peak
 _ROWS = 4096  # nodes per phase-matrix block in Packet.eval_natural
 _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
+_TAYLOR_TOL = np.finfo(float).eps  # Taylor remainder of _taylor_sum, relative to sum|c|
 
 
 def _phase(x):
@@ -274,27 +277,62 @@ def _panel_sum(om, c, lo, hi, n_panels):
     return ((_phase(np.multiply.outer(mid, om)) * c) @ _phase(np.multiply.outer(om, off))).ravel()
 
 
+def _taylor_sum(om, c, L):
+    """(X, bound): X = sum_k c[k] e^{-i om[k] L} on the nodes L of equal
+    panels (PANEL_ORDER per panel, panel by panel), with |X - exact| <= bound.
+    L need not be linear in the panel's variable, so the phase does not factor
+    as in _panel_sum; instead X is its Taylor series in d = L - L0 about each
+    panel's mid-range L0,
+
+        X = sum_{q < Q} M[p, q] d^q,  M[p, q] = sum_k c_k e^{-i w_k L0[p]} (-i w_k)^q / q!,
+
+    one (panels x m) phase matrix and one (panels x m) by (m x Q) product,
+    then Horner on the nodes.  Q is the least order with x^Q / Q! <= _TAYLOR_TOL
+    for x = max w max|d| on these nodes, and bound = sum|c| x^Q / Q! is the
+    Lagrange remainder."""
+    L = L.reshape(-1, PANEL_ORDER)
+    L0 = 0.5 * (np.max(L, axis=1) + np.min(L, axis=1))
+    d = L - L0[:, None]
+    x = float(np.max(np.abs(om)) * np.max(np.abs(d)))
+    Q, rem = 1, x
+    while rem > _TAYLOR_TOL:
+        Q += 1
+        rem *= x / Q
+    steps = np.multiply.outer(-1j * om, 1.0 / np.arange(1, Q))  # (-i w) / q
+    M = _phase(np.multiply.outer(L0, om)) @ np.cumprod(
+        np.hstack([c[:, None], steps]), axis=1)
+    X = np.zeros(d.shape, dtype=complex) + M[:, -1:]
+    for q in range(Q - 2, -1, -1):
+        X *= d
+        X += M[:, q:q + 1]
+    return X.ravel(), float(np.sum(np.abs(c))) * rem
+
+
 def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
     """(I, J, est_error): I = Int dv base P X and J = -Int dv base P conj(X)
     over the diamond rapidity v in [lo, hi], with (base, L) = kernel(v),
     P = sum_j c_p[j] e^{-i om_p[j] v} and X = sum_k c_x[k] e^{-i om_x[k] L}:
     up to a constant, the KG products of a diamond packet with a plane
     (_plane_kernel) or exterior (correlations._kernel) packet Q and with Q*.
-    P factors over the equal quadrature panels (_panel_sum); X is one phase
-    matrix on the nodes, since L is not linear in v.
+    P factors over the equal quadrature panels (_panel_sum).  L is not linear
+    in v, so X is a short Taylor series in L about each panel's mid-range
+    (_taylor_sum); est_error adds its remainder integrated against |base P|
+    to the doubling difference and the rounding floor.
     """
     last = []
 
     def f(v):
         base, L = kernel(v)
         P = base * _panel_sum(om_p, c_p, lo, hi, v.size // PANEL_ORDER)
-        X = _phase(np.multiply.outer(L, om_x)) @ c_x
-        last[:] = [np.stack([P * X, -P * np.conj(X)]), L]
+        X, bound = _taylor_sum(om_x, c_x, L)
+        last[:] = [np.stack([P * X, -P * np.conj(X)]), L, P, bound]
         return last[0]
 
     val, err = integrate_adaptive(f, lo, hi, tol=tol, est_freq=float(np.max(om_p) + np.max(om_x)))
-    phase = np.max(om_p) * max(abs(lo), abs(hi)) + np.max(om_x) * np.max(np.abs(last[1]))
-    return val[0], val[1], float(err) + _rounding_floor(last[0], lo, hi, phase)
+    vals, L, P, bound = last
+    phase = np.max(om_p) * max(abs(lo), abs(hi)) + np.max(om_x) * np.max(np.abs(L))
+    _, w = panel_nodes(lo, hi, L.size // PANEL_ORDER)
+    return val[0], val[1], float(err) + _rounding_floor(vals, lo, hi, phase) + bound * float(np.abs(P) @ w)
 
 
 def _disjoint(p1, p2):

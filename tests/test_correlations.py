@@ -159,11 +159,12 @@ def _count_kernel_nodes(monkeypatch):
 
 
 class TestCrossMoments:
-    def test_diamond_phases_factor_over_panels(self, monkeypatch):
-        # the exterior side is one (nodes x 96) phase matrix; the diamond side
-        # takes (panels + 16) x 96 phases per evaluation, where one phase per
-        # node and frequency would be 4,272 x 96 = 410,112
-        sizes = _count_kernel_nodes(monkeypatch)
+    @pytest.mark.parametrize("n,limit", [(20, 60_000), (1, 250_000)])
+    def test_phases_factor_over_panels(self, n, limit, monkeypatch):
+        # both sides take m = 96 phases per panel and evaluation (the diamond
+        # side 16 more per evaluation): 57,792 at n = 20 and 217,920 at n = 1,
+        # where one exterior phase per node and frequency made them 468,192
+        # (4,560 nodes) and 1,829,280
         phases, phase = [0], modes._phase
 
         def counting(x):
@@ -171,8 +172,8 @@ class TestCrossMoments:
             return phase(x)
 
         monkeypatch.setattr(modes, "_phase", counting)
-        cross_moments((1.0, 0.02), (1.0, 0.02), 20)
-        assert 0 < phases[0] - 96 * sum(sizes) <= 50_000
+        cross_moments((1.0, 0.02), (1.0, 0.02), n)
+        assert phases[0] <= limit
 
     @pytest.mark.parametrize("s0,s1,n", [
         *(pytest.param((1.0, 0.02), (1.0, 0.02), n, id=f"equal-{n}") for n in (1, 2, 3, 10, 20, 40)),
@@ -186,6 +187,20 @@ class TestCrossMoments:
         monkeypatch.setattr(correlations, "_rapidity_integral", unfactored_rapidity_integral)
         ref = cross_moments(s0, s1, n)
         assert sizes == factored  # the same panels, doubled as often
+        assert abs(cm.m_minus - ref.m_minus) <= cm.est_error
+        assert abs(cm.m_plus - ref.m_plus) <= cm.est_error
+
+    @pytest.mark.parametrize("s0,s1", [
+        pytest.param((1.0, 0.02), (1.0, 0.02), id="equal"),
+        pytest.param((1.0, 0.02, 100.0), (1.0, 0.02, -100.0), id="offset-v0"),
+    ])
+    def test_est_error_covers_taylor_remainder(self, s0, s1, monkeypatch):
+        # a Taylor order cut at 3e-6 leaves m_minus 3.4e-10 / 1.4e-14 off,
+        # 10x / 11x the doubling difference and rounding floor alone
+        monkeypatch.setattr(modes, "_TAYLOR_TOL", 3e-6)
+        cm = cross_moments(s0, s1, 1)
+        monkeypatch.setattr(correlations, "_rapidity_integral", unfactored_rapidity_integral)
+        ref = cross_moments(s0, s1, 1)
         assert abs(cm.m_minus - ref.m_minus) <= cm.est_error
         assert abs(cm.m_plus - ref.m_plus) <= cm.est_error
 

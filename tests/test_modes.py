@@ -6,8 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from diamondfield import modes
 from diamondfield._quad import panel_nodes
 from diamondfield.bogoliubov import ab_coefficients
+from diamondfield.correlations import _kernel
 from diamondfield.errors import DomainError
 from diamondfield.modes import (
     _TAIL,
@@ -19,6 +21,8 @@ from diamondfield.modes import (
     Profile,
     _panel_sum,
     _phase,
+    _plane_kernel,
+    _taylor_sum,
     boundary_mask,
     eval_mode,
     gaussian_packet,
@@ -282,6 +286,26 @@ class TestPlaneDiamond:
         assert nodes[0] == 0
 
 
+def _exterior_side(n):
+    """(kernel, om, c, lo, hi, est_freq) of the exterior side of
+    cross_moments((1.0, 0.02), (1.0, 0.02), n)."""
+    om, wt, G = Profile(1.0, 0.02).nodes(96, root=True)
+    c = wt * G / (2.0 * np.sinh(math.pi * om)) * np.sqrt(om)
+    lo = -_TAIL / 0.02 if n == 1 else -_V_CUT
+    return lambda v: _kernel(n, v), om, c, lo, _V_CUT, 2.0 * np.max(om)
+
+
+def _plane_side(omega, k, sigma):
+    """The same for the plane side of kg_product(diamond (omega, sigma), plane
+    (k, sigma)), or of ab_numeric(omega, k) without sigma."""
+    if sigma is None:
+        om, c, top = np.array([k]), np.ones(1), omega
+    else:
+        d, q = _plane_diamond_pair(omega, k, 0, sigma)
+        om, c, top = q.omegas, np.conj(q.weights) * np.sqrt(q.omegas), np.max(d.omegas)
+    return lambda v: _plane_kernel(0, v), om, c, -_V_CUT, _V_CUT, top + np.max(om)
+
+
 class TestPhaseSums:
     def test_phase_kernel_is_complex_exp_bit_for_bit(self):
         x = np.random.default_rng(7).uniform(-1e4, 1e4, 20000)
@@ -308,6 +332,32 @@ class TestPhaseSums:
             direct = np.exp(-1j * np.multiply.outer(v, om)) @ c
             floor = np.finfo(float).eps * np.sum(np.abs(c)) * (1.0 + np.max(om) * np.max(np.abs(v)))
             assert np.max(np.abs(_panel_sum(om, c, lo, hi, n_panels) - direct)) <= floor
+
+    @pytest.mark.parametrize("side", [
+        *(pytest.param(_exterior_side(n), id=f"exterior-{n}") for n in (1, 2, 20)),
+        pytest.param(_plane_side(3.0, 3.0, 0.3), id="plane-packet"),
+        pytest.param(_plane_side(1.0, 20.0, None), id="plane-node"),
+    ])
+    @pytest.mark.parametrize("tol", [modes._TAYLOR_TOL, 1e-6], ids=["eps", "1e-6"])
+    def test_taylor_sum_matches_direct_sum(self, side, tol, monkeypatch):
+        # the exterior side of cross_moments (at n = 1, L reaches ~275 toward
+        # the shared tip) and the plane side of kg_product and ab_numeric, on
+        # the panels integrate_adaptive starts with and on their first
+        # doubling.  Beyond the stated remainder the gap may hold the rounding
+        # of the phases w L and of the m-term sums on both sides: the direct
+        # sum alone is 1.9 eps sum|c| off a long-double sum at n = 2.  At an
+        # order cut at 1e-6 the remainder is the gap (0.997 of it at one node)
+        monkeypatch.setattr(modes, "_TAYLOR_TOL", tol)
+        kernel, om, c, lo, hi, est_freq = side
+        n0 = max(4, math.ceil((hi - lo) * est_freq / (2.0 * math.pi) * 3.0))
+        for n_panels in (n0, 2 * n0):
+            v, _ = panel_nodes(lo, hi, n_panels)
+            _, L = kernel(v)
+            X, bound = _taylor_sum(om, c, L)
+            direct = np.exp(-1j * np.multiply.outer(L, om)) @ c
+            floor = np.finfo(float).eps * np.sum(np.abs(c)) * (
+                1.0 + np.max(om) * np.max(np.abs(L)) + math.log2(om.size))
+            assert np.max(np.abs(X - direct)) <= bound + floor
 
 
 class TestProfile:
