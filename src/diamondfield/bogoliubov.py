@@ -280,7 +280,7 @@ def planck_occupation(omega0, sigma=0.02, scale=DiamondScale()):
     return float(np.sum(wt * np.abs(G) ** 2 / np.expm1(2.0 * math.pi * om)))
 
 
-def fit_temperature(omega, occupation, scale=DiamondScale()):
+def fit_temperature(omega, occupation):
     """Temperature from occupations via 1/n = e^{omega/T} - 1, least squares
     through the origin of log(1 + 1/n) against omega."""
     omega = np.asarray(omega, dtype=float)

@@ -8,6 +8,7 @@ flags produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -282,6 +283,7 @@ def cmd_validate(args):
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
+@functools.cache  # one parser per process; each parse_args fills a fresh namespace
 def build_parser():
     p = argparse.ArgumentParser(
         prog="diamondfield",

@@ -98,9 +98,7 @@ class RateResult:
 def _vacuum_window_rate(E, T):
     """Closed-form windowed vacuum response
     (1/4 pi^{3/2} T) e^{-T^2 E^2} - (E/4 pi) erfc(T E)."""
-    from scipy.special import erfc
-
-    return math.exp(-(T * E) ** 2) / (4.0 * math.pi**1.5 * T) - (E / (4.0 * math.pi)) * erfc(T * E)
+    return math.exp(-(T * E) ** 2) / (4.0 * math.pi**1.5 * T) - (E / (4.0 * math.pi)) * math.erfc(T * E)
 
 
 def response_rate(E, window_time=80.0, eps=1e-8, scale=DiamondScale(), tol=1e-12):

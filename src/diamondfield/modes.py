@@ -17,9 +17,9 @@ in narrow packets (bandwidth DEFAULT_SIGMA).  The KG product
 
     <f, g> = -i Int dV (f dV(g*) - g* dV(f))
 
-of two packets of one family is adaptive panel quadrature in their rapidity
-u, -i s Int du (f du(g*) - g* du(f)) with s the sign of dV/du.  A diamond
-packet P meets another family Q in the one term -2i Int dv P dv Q*(V(v))
+of two packets of one family is -i s Int du (f du(g*) - g* du(f)) in their
+rapidity u, s the sign of dV/du: a double sum of pure phases, integrated exactly.
+A diamond packet P meets another family Q in the one term -2i Int dv P dv Q*(V(v))
 left by parts: _rapidity_integral, with both packets summed inside, serves
 plane waves (kg_product, bogoliubov.ab_numeric) and the exterior mode
 (diamondfield.correlations).  Neither side forms a phase per node and
@@ -43,7 +43,7 @@ DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
 _TAIL = 5.5  # packet envelopes are truncated at exp(-_TAIL^2) ~ 7e-14
 _CUT = 8.0  # nodes in omega span omega0 +- _CUT sigma, where |G|^2 < e^{-32} of its peak
 _SPAN = 12.0  # nodes in sqrt(omega) span omega0 +- _SPAN sigma, where G < e^{-36} of its peak
-_ROWS = 4096  # nodes per phase-matrix block in Packet.eval_natural
+_ROWS = 4096  # rows per phase or term matrix block (Packet.eval_natural, kg_product)
 _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
 _TAYLOR_TOL = np.finfo(float).eps  # Taylor remainder of _taylor_sum, relative to sum|c|
 
@@ -255,13 +255,6 @@ def _wrap_sharp(mode):
 # ---------------------------------------------------------------------------
 # quadrature of products
 
-def _rounding_floor(vals, lo, hi, phase):
-    """eps Sum|vals w| (1 + phase): rounding of an integrate_adaptive sum over
-    [lo, hi] with final values vals (per component) and phases up to `phase`."""
-    _, w = panel_nodes(lo, hi, vals.shape[-1] // PANEL_ORDER)  # integrate_adaptive's panels
-    return np.finfo(float).eps * float(np.max(np.sum(np.abs(vals) * w, axis=-1))) * (1.0 + phase)
-
-
 def _plane_kernel(n, v):
     """(base, L) = (dV/dv, -V) of the diamond-n / plane overlap, V = 4n + 2 tanh(v/2)."""
     return np.cosh(v / 2.0) ** -2, -(4.0 * n + 2.0 * np.tanh(v / 2.0))
@@ -331,8 +324,15 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
     val, err = integrate_adaptive(f, lo, hi, tol=tol, est_freq=float(np.max(om_p) + np.max(om_x)))
     vals, L, P, bound = last
     phase = np.max(om_p) * max(abs(lo), abs(hi)) + np.max(om_x) * np.max(np.abs(L))
-    _, w = panel_nodes(lo, hi, L.size // PANEL_ORDER)
-    return val[0], val[1], float(err) + _rounding_floor(vals, lo, hi, phase) + bound * float(np.abs(P) @ w)
+    _, w = panel_nodes(lo, hi, L.size // PANEL_ORDER)  # integrate_adaptive's final panels
+    floor = np.finfo(float).eps * float(np.max(np.sum(np.abs(vals) * w, axis=-1))) * (1.0 + phase)
+    return val[0], val[1], float(err) + floor + bound * float(np.abs(P) @ w)
+
+
+def _phase_terms(p):
+    """(a, s) with p = sum_j a[j] e^{-i s[j] u} in its natural coordinate u."""
+    a, s = p.weights / np.sqrt(4.0 * math.pi * p.omegas), p.sign * p.omegas
+    return (np.conj(a), -s) if p.conj else (a, s)
 
 
 def _disjoint(p1, p2):
@@ -360,11 +360,15 @@ def kg_product(m1, m2, tol=1e-8):
     overlapping packet of another family is rejected before any quadrature:
     diamond-exterior overlaps are the rapidity integral of correlations.
 
-    A plane and a diamond packet meet in _rapidity_integral over |v| <= 40;
-    two packets of one family are integrated in their rapidity over p1's
-    envelope, with first panels at the beat frequency max|w_j - w'_k| (the
-    top-frequency sum for p with p*), and p2 = p1 or p1* evaluated once.
-    est_error is the doubling difference plus the rounding floor.
+    A plane and a diamond packet meet in _rapidity_integral over |v| <= 40,
+    to tol.  Two packets of one family, f = sum_j a_j e^{-i s_j u} and
+    g = sum_k b_k e^{-i t_k u} in their rapidity u (_phase_terms), give the
+    exact double sum over p1's envelope [lo, hi], with d = s_j - t_k,
+
+        <f, g> = S sum_jk a_j conj(b_k) (s_j + t_k) (hi - lo) e^{-i d c} sinc(d (hi - lo) / 2 pi),
+
+    c the midpoint and S the sign of dV/du; est_error is its rounding
+    eps sum|terms| (1 + max|d| max(|lo|, |hi|)) for the phases d u.
     """
     p1, sharp1 = _wrap_sharp(m1)
     p2, sharp2 = _wrap_sharp(m2)
@@ -392,27 +396,17 @@ def kg_product(m1, m2, tol=1e-8):
         return KGProduct(complex(np.conj(val) if p1 is q else val), err / (2.0 * math.pi))
 
     lo, hi = p1.envelope_interval()
-    top1, top2 = np.max(p1.omegas), np.max(p2.omegas)
-    if p1.conj == p2.conj:
-        freq = max(top1 - np.min(p2.omegas), top2 - np.min(p1.omegas))
-    else:
-        freq = top1 + top2
-    shared = p1.omegas is p2.omegas and p1.weights is p2.weights
     s = -1.0 if p1.kind == "exterior" else 1.0  # sign of dV/du on the chart
-    last = []  # the integrand on the final nodes, for the rounding floor
-
-    def integrand(u):
-        f, df = p1.eval_natural(u)
-        if not shared:
-            g, dg = p2.eval_natural(u)
-        elif p1.conj == p2.conj:
-            g, dg = f, df
-        else:
-            g, dg = np.conj(f), np.conj(df)
-        vals = -1j * s * (f * np.conj(dg) - np.conj(g) * df)
-        last[:] = [vals]
-        return vals
-
-    val, err = integrate_adaptive(integrand, lo, hi, tol=tol, est_freq=freq)
-    phase = max(top1, top2) * max(abs(lo), abs(hi))
-    return KGProduct(complex(val), float(err) + _rounding_floor(last[0], lo, hi, phase))
+    (a, sa), (b, tb) = _phase_terms(p1), _phase_terms(p2)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    val, size, beat = 0.0j, 0.0, 0.0
+    for i in range(0, a.size, _ROWS):  # bounds the term matrix's memory
+        rows = slice(i, i + _ROWS)
+        delta = np.subtract.outer(sa[rows], tb)
+        # (s_j + t_k) Int_lo^hi e^{-i delta u} du without its phase e^{-i delta mid}
+        R = np.add.outer(sa[rows], tb) * (2.0 * half * np.sinc(delta * (half / math.pi)))
+        val += a[rows] @ ((_phase(delta * mid) * R) @ np.conj(b))
+        size += float(np.abs(a[rows]) @ np.abs(R) @ np.abs(b))
+        beat = max(beat, float(np.max(np.abs(delta))))
+    err = np.finfo(float).eps * size * (1.0 + beat * max(abs(lo), abs(hi)))
+    return KGProduct(complex(s * val), err)

@@ -34,7 +34,8 @@ _LANCZOS_C = np.array(
 
 _LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2*pi))
 
-_ASYM_REL_TOL = 1e-11  # smallest asymptotic term, relative to the sum, that certifies a lane
+_ASYM_REL_TOL = 1e-11  # error of an asymptotic lane, relative to |M|, that certifies it
+_PREF_ULPS = 64.0  # rounding of a sector prefactor, in eps |a|: 5 to 30 measured for |Omega| <= 50
 
 
 def _lanczos_loggamma(z):
@@ -109,42 +110,43 @@ def _kummer_taylor(a, b, z):
 def kummer_asymptotic_sectors(a, b, z):
     """Large-|z| expansion of M(a, b, z), the two sectors kept separate.
 
-    M(a,b,z) ~ Gamma(b) [ (-z)^(-a)/Gamma(b-a) * S1  +  e^z z^(a-b)/Gamma(a) * S2 ]
-    with S1, S2 the standard inverse-power series.  Returns (t1, t2, ok) with
-    M ~ t1 + exp(z) * t2; t1 and t2 vary slowly along rays |z| -> inf, which
-    lets callers integrate the rapid exp(z) phase analytically.  ok flags the
-    lanes where both series bottom out below _ASYM_REL_TOL.
+        M(a,b,z) ~ Gamma(b) [ (-z)^(-a)/Gamma(b-a) * S1  +  e^z z^(a-b)/Gamma(a) * S2 ]
+
+    with S1, S2 the inverse-power series, each summed until its terms fall
+    below the double resolution of its sum or grow.  Returns (t1, t2, e1, e2),
+    M ~ t1 + exp(z) t2, where e1, e2 bound the errors of t1, exp(z) t2: the
+    smallest term times the prefactor, plus _PREF_ULPS eps |a| of the sector
+    for the prefactor's rounding.
     """
     z = np.asarray(z, dtype=complex)
+    eps = np.finfo(float).eps
 
-    def inv_series(p, q, w):
+    def inv_series(p, q, w):  # (sum, size of its last term)
         term = np.ones(w.shape, dtype=complex)
         total = np.ones(w.shape, dtype=complex)
         best = np.full(w.shape, np.inf)
-        ok = np.zeros(w.shape, dtype=bool)
-        frozen = np.zeros(w.shape, dtype=bool)
+        done = np.zeros(w.shape, dtype=bool)
         for s in range(80):
             # dividing by w last keeps (s + 1) * w from overflowing at huge |w|
             term = term * ((p + s) * (q + s) / (s + 1.0)) / w
             mag = np.abs(term)
-            grew = mag > best
-            # freeze lanes whose terms started growing (divergent tail)
-            frozen |= grew
-            upd = ~frozen
-            total = np.where(upd, total + term, total)
-            best = np.where(upd, np.minimum(best, mag), best)
-            ok |= best <= _ASYM_REL_TOL * np.maximum(np.abs(total), 1e-300)
-            if np.all(ok | frozen):
+            done |= mag > best  # a divergent tail from here on
+            total = np.where(done, total, total + term)
+            best = np.where(done, best, mag)
+            done |= best <= eps * np.abs(total)
+            if np.all(done):
                 break
-        good = best <= _ASYM_REL_TOL * np.maximum(np.abs(total), 1e-300)
-        return total, good
+        return total, best
 
-    s1, ok1 = inv_series(a, a - b + 1.0, -z)
-    s2, ok2 = inv_series(b - a, 1.0 - a, z)
+    s1, b1 = inv_series(a, a - b + 1.0, -z)
+    s2, b2 = inv_series(b - a, 1.0 - a, z)
     pref = gamma_complex(b)
-    t1 = pref * np.exp(-a * np.log(-z) - log_gamma(b - a)) * s1
-    t2 = pref * np.exp((a - b) * np.log(z) - log_gamma(a)) * s2
-    return t1, t2, (ok1 & ok2)
+    p1 = pref * np.exp(-a * np.log(-z) - log_gamma(b - a))
+    p2 = pref * np.exp((a - b) * np.log(z) - log_gamma(a))
+    rel = _PREF_ULPS * eps * abs(a)
+    e1 = np.abs(p1) * (b1 + rel * np.abs(s1))
+    e2 = np.abs(np.exp(z) * p2) * (b2 + rel * np.abs(s2))
+    return p1 * s1, p2 * s2, e1, e2
 
 
 def _kummer_mp(a, b, z):
@@ -170,7 +172,7 @@ def kummer_m_vec(a, b, z):
     Taylor sum for small |z|, two-sector asymptotic series for large |z|,
     arbitrary-precision evaluation in the band between (where double
     precision cannot certify the 1e-10 contract) and for asymptotic lanes
-    whose series did not bottom out.
+    whose error exceeds _ASYM_REL_TOL |M|, as where the sectors cancel.
     """
     a = complex(a)
     b = complex(b)
@@ -193,8 +195,9 @@ def kummer_m_vec(a, b, z):
         out[small] = _kummer_taylor(a, b, z[small])  # M(a, b, 0) = 1 exactly
     if np.any(large):
         idx = np.where(large)[0]
-        t1, t2, ok = kummer_asymptotic_sectors(a, b, z[large])
+        t1, t2, e1, e2 = kummer_asymptotic_sectors(a, b, z[large])
         val = t1 + np.exp(z[large]) * t2
+        ok = e1 + e2 <= _ASYM_REL_TOL * np.abs(val)
         for j in np.where(~ok)[0]:
             val[j] = _kummer_mp(a, b, z.flat[idx[j]])
         out[large] = val

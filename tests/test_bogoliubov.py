@@ -61,6 +61,44 @@ class TestCoefficients:
             ab_coefficients(1.0, 0.0)
 
 
+def _ab_mpmath(Omega, kappa):
+    """(A, B) at 40 digits from mpmath.hyp1f1 itself, not through kummer_m_vec."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        Om, ka = mpmath.mpf(Omega), mpmath.mpf(kappa)
+        pref = 2 * mpmath.sqrt(Om * ka) / mpmath.sinh(mpmath.pi * Om)
+        A = pref * mpmath.expj(2 * ka) * mpmath.hyp1f1(1 + 1j * Om, 2, -4j * ka)
+        B = pref * mpmath.expj(-2 * ka) * mpmath.hyp1f1(1 + 1j * Om, 2, 4j * ka)
+        return complex(A), complex(B)
+
+
+class TestContract:
+    # lanes where the two asymptotic Kummer sectors cancel (|M| is 1/200 of
+    # either sector at (2.85, 12.95)).  Certified per sector, A missed 1e-10
+    # by 3x there, B by 4x at (4.27, 9.14), and the rest, from a scan of
+    # Omega = 0.5..8 by 0.5 and kappa = 5..25 by 0.02, by 1.3-2.2x.  At
+    # (7.5, 15.1) the bound needs the rounding of the sector prefactors too
+    @pytest.mark.parametrize("Omega, kappa", [
+        (2.85, 12.95), (4.27, 9.14), (1.5, 7.28), (2.0, 7.58), (3.5, 8.6),
+        (4.0, 8.86), (4.0, 8.88), (5.0, 9.74), (7.5, 11.34), (7.5, 15.1),
+    ])
+    def test_cancelling_sectors_within_contract(self, Omega, kappa):
+        A, B = ab_coefficients(Omega, kappa)
+        rA, rB = _ab_mpmath(Omega, kappa)
+        assert abs(A - rA) <= 1e-10 * abs(rA)
+        assert abs(B - rB) <= 1e-10 * abs(rB)
+
+    @pytest.mark.parametrize("Omega", [0.5, 1.5, 3.0, 5.0, 8.0])
+    def test_grid_within_contract(self, Omega):
+        kappa = np.arange(5.0, 60.0, 0.5)
+        A, B = ab_coefficients(Omega, kappa)
+        for a, b, ka in zip(A, B, kappa):
+            rA, rB = _ab_mpmath(Omega, ka)
+            assert abs(a - rA) <= 1e-10 * abs(rA)
+            assert abs(b - rB) <= 1e-10 * abs(rB)
+
+
 class TestSpectrum:
     def test_occupation_matches_planck(self):
         res = thermal_occupation(1.0, 0.02)
@@ -241,8 +279,9 @@ class TestTailSeries:
         # per node j, sector i: c_j pref_j t_i at every kappa
         nodes = np.empty((2, om.size, self.KAPPA.size), dtype=complex)
         for j, Om in enumerate(om):
-            t1, t2, ok = kummer_asymptotic_sectors(1.0 + 1j * Om, 2.0, 4j * sign * self.KAPPA)
-            assert ok.all()
+            z = 4j * sign * self.KAPPA
+            t1, t2, e1, e2 = kummer_asymptotic_sectors(1.0 + 1j * Om, 2.0, z)
+            assert np.all(e1 <= 1e-11 * np.abs(t1)) and np.all(e2 <= 1e-11 * np.abs(np.exp(z) * t2))
             pref = coeff[j] * 2.0 * np.sqrt(Om * self.KAPPA) / math.sinh(math.pi * Om)
             nodes[:, j] = pref * t1, pref * t2
         for col, kappa in enumerate(self.KAPPA):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from diamondfield import cli
 from diamondfield.cli import main
 
 
@@ -148,3 +149,19 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "specfun identities" in out
         assert "FAIL" not in out
+
+
+class TestParser:
+    def test_built_once_and_flags_do_not_leak(self, capsys):
+        grid = ["--grid", "0.98:1.02:0.02"]
+        main(["fig2", *grid])
+        fresh = capsys.readouterr().out
+        cli.build_parser.cache_clear()
+        outs = []
+        for argv in (["fig2", "--phi", "0", *grid], ["fig2", *grid]) * 3:
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert cli.build_parser.cache_info().misses == 1
+        # --phi 0 gives one block; the default call after it gives both again
+        assert outs[1::2] == [fresh] * 3
+        assert all(len(out.splitlines()) < len(fresh.splitlines()) for out in outs[::2])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from diamondfield.detector import (
     accelerated_wightman,
@@ -88,3 +89,12 @@ class TestResponse:
     def test_fit_temperature_shape_contract(self):
         with pytest.raises(DomainError):
             fit_temperature([1.0], [1.0, 2.0, 3.0])
+
+
+class TestVacuumWindowRate:
+    def test_math_erfc_matches_scipy(self):
+        # the closed-form vacuum part uses math.erfc; scipy is a test dependency
+        x = np.linspace(-30.0, 26.0, 5601)
+        got = np.array([math.erfc(v) for v in x])
+        ref = special.erfc(x)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diamondfield import modes
-from diamondfield._quad import panel_nodes
+from diamondfield._quad import integrate_adaptive, panel_nodes
 from diamondfield.bogoliubov import ab_coefficients
 from diamondfield.correlations import _kernel
 from diamondfield.errors import DomainError
@@ -118,20 +118,15 @@ def _count_nodes(monkeypatch):
 class TestProductCost:
     @pytest.mark.parametrize("kind", KINDS)
     def test_norm_at_beat_bandwidth(self, kind, monkeypatch):
-        # f dg* of one family beats at w_j - w_k <= 16 sigma, and a shared
-        # packet is evaluated once per node
+        # a norm sums the beats e^{-i (w_j - w_k) u} of the packet in closed
+        # form: no packet evaluation and no quadrature
         p = gaussian_packet(kind, 1.0, 0.02)
         nodes = _count_nodes(monkeypatch)
-        kg_product(p, p)
-        assert nodes[0] <= 5000
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_conjugate_pair_keeps_sum_rule(self, kind, monkeypatch):
-        # f df phases add to w_j + w_k, so the panels start at that frequency
-        p = gaussian_packet(kind, 1.0, 0.02)
-        nodes = _count_nodes(monkeypatch)
-        assert abs(kg_product(p, p.conjugate()).value) <= 1e-7
-        assert nodes[0] > 5000
+        calls = []
+        monkeypatch.setattr(modes, "integrate_adaptive", lambda *a, **k: calls.append(a))
+        for m1, m2 in ((p, p), (p, p.conjugate()), (p.conjugate(), p.conjugate())):
+            kg_product(m1, m2)
+        assert nodes[0] == 0 and calls == []
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_shared_evaluation_is_bit_identical(self, kind):
@@ -140,6 +135,43 @@ class TestProductCost:
         assert kg_product(p, p) == kg_product(p, q)
         assert kg_product(p, p.conjugate()) == kg_product(p, q.conjugate())
         assert kg_product(p.conjugate(), p.conjugate()) == kg_product(p.conjugate(), q.conjugate())
+
+
+def _quadrature_reference(p1, p2):
+    """<p1, p2> of one family by adaptive panel quadrature of the integrand
+    -i s (f du(g*) - g* du(f)) in their rapidity u over p1's envelope, s the
+    sign of dV/du.  The first panels span one period of the integrand's
+    fastest beat (|w_j - w'_k|, or w_j + w'_k for p with q*), which 16-node
+    panels already resolve to rounding."""
+    lo, hi = p1.envelope_interval()
+    s = -1.0 if p1.kind == "exterior" else 1.0
+
+    def integrand(u):
+        f, df = p1.eval_natural(u)
+        g, dg = p2.eval_natural(u)
+        return -1j * s * (f * np.conj(dg) - np.conj(g) * df)
+
+    if p1.conj == p2.conj:
+        beat = max(np.max(p1.omegas) - np.min(p2.omegas), np.max(p2.omegas) - np.min(p1.omegas))
+    else:
+        beat = np.max(p1.omegas) + np.max(p2.omegas)
+    return integrate_adaptive(integrand, lo, hi, tol=1e-12, est_freq=beat / 3.0)[0]
+
+
+class TestSameFamilySum:
+    @pytest.mark.parametrize("sigma", [0.02, 0.05, 0.3])
+    @pytest.mark.parametrize("v0", [0.0, 3.0, 100.0, 300.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_est_error_bounds_gap_to_quadrature(self, kind, v0, sigma):
+        # the closed-form double sum against the quadrature it replaced, for
+        # a packet p, its conjugate and a packet q at omega0 = 1.08, v0 / 2
+        p = gaussian_packet(kind, 1.0, sigma, v0=v0)
+        q = gaussian_packet(kind, 1.08, sigma, v0=v0 / 2.0)
+        pairs = ((p, p), (p, p.conjugate()), (p.conjugate(), p.conjugate()),
+                 (p, q), (q.conjugate(), p))
+        for m1, m2 in pairs:
+            res = kg_product(m1, m2)
+            assert abs(res.value - _quadrature_reference(m1, m2)) <= res.est_error
 
 
 class TestOverlaps:
