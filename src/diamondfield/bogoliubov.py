@@ -20,10 +20,12 @@ envelope in ln(kappa) of width 1/(2 sigma), so for narrow packets a large
 fraction of the integral lives at astronomically large kappa.  Direct
 quadrature handles kappa <= kappa_split = 40, with A_G, B_G from trapezoid sums
 of the Euler integral (B_G off the real line where it cancels there), whose
-lane errors are part of est_error.  Beyond kappa_split each Kummer sector is
-a short series in 1/kappa times kappa^{-+i Om}, so the tail, e^{+-4 i kappa}
-cross term included, is a Hermitian form in the series terms, integrated in
-closed form term by term.
+lane errors are part of est_error.  The quadrature's kappa lanes are equal
+Gauss-Legendre panels, so the sums' phases e^{kappa phi(s)} factor into one
+row per panel midpoint and one per node offset.  Beyond kappa_split each
+Kummer sector is a short series in 1/kappa times kappa^{-+i Om}, so the tail,
+e^{+-4 i kappa} cross term included, is a Hermitian form in the series terms,
+integrated in closed form term by term.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_adaptive
+from ._quad import PANEL_ORDER, integrate_adaptive, panel_grid
 from .errors import DomainError
 from .geometry import DiamondScale
 from .modes import _V_CUT, Profile, _plane_kernel, _rapidity_integral
@@ -81,40 +83,79 @@ def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
 # smeared spectra
 
 # Euler-integral route: trapezoid rule in s on |s| <= _EULER_S with step
-# _EULER_H, evaluated _EULER_CHUNK lanes at a time.  A B_G lane the real-line
+# _EULER_H, evaluated _EULER_CHUNK panels at a time.  A B_G lane the real-line
 # sum cannot hold to _EULER_TOL relative is summed again on the line
 # Im s = _EULER_THETA, short of the pole of sech^2 at pi/2
 _EULER_H = 0.02
 _EULER_S = 20.0
 _EULER_TOL = 1e-10
-_EULER_CHUNK = 32
+_EULER_CHUNK = 8
 _EULER_THETA = 1.2
+_EULER_N = round(_EULER_S / _EULER_H)
+_EULER_NODES = _EULER_H * np.arange(-_EULER_N, _EULER_N + 1)  # spacing exactly the weight h
 
 
-def _euler_kernel(om, coeff, s):
-    """K(s) = sum_j c_j (2/(pi sqrt(Om_j))) e^{2 i Om_j s}/(2 cosh^2 s) on nodes s."""
-    K = np.zeros(s.shape, dtype=complex)
+def _euler_kernels(om, coeff):
+    """K(s) = sum_j c_j (2/(pi sqrt(Om_j))) e^{2 i Om_j s}/(2 cosh^2 s) on the
+    nodes s = _EULER_NODES (row 0) and s + i _EULER_THETA (row 1), where each
+    e^{2 i Om_j s} of the real line gains e^{-2 Om_j theta}."""
+    s, theta = _EULER_NODES, _EULER_THETA
+    K = np.zeros((2, s.size), dtype=complex)
     for Om, c in zip(om, coeff):
-        K += (c * 2.0 / (math.pi * math.sqrt(Om))) * np.exp(2j * Om * s)
-    return K * (0.5 / np.cosh(s) ** 2)
+        e = (c * 2.0 / (math.pi * math.sqrt(Om))) * np.exp(2j * Om * s)
+        K[0] += e
+        K[1] += math.exp(-2.0 * Om * theta) * e
+    return K * (0.5 / np.cosh(np.stack([s, s + 1j * theta])) ** 2)
 
 
-def _trapezoid(kappa, phase, K):
-    """(T_h, err) per kappa lane and row of K: T_h = h sum_s e^{ka phase(s)} K(s),
-    err = |T_h - T_2h| plus the rounding scale 1e-15 h sum|K| of the sum."""
+def _exp_outer(x, phase):
+    """e^{x phase} for every pair of x and phase: the factors of a trapezoid sum."""
+    return np.exp(np.multiply.outer(x, phase))
+
+
+def _trapezoid(mid, off, phase, K):
+    """(T_h, err) per lane ka = mid[p] + off[i], panel by panel, and row of K:
+    T_h = h sum_s e^{ka phase(s)} K(s), err = |T_h - T_2h| plus the rounding
+    scale 1e-15 h sum|K| of the sum.
+
+    e^{ka phase} = e^{mid phase} e^{off phase}: the sums take one phase row
+    per panel and one per offset instead of one per lane.  Per chunk of
+    _EULER_CHUNK panels and weight column w (T_h and T_2h per row of K), one
+    product (e^{mid phase} w) @ e^{off phase} gives the chunk's lanes.
+    """
     W = _EULER_H * K.T
     W2 = 2.0 * W
     W2[1::2] = 0.0  # step 2h on every second node
     W = np.concatenate([W, W2], axis=1)
-    T = np.empty((kappa.size, W.shape[1]), dtype=complex)
-    for lo in range(0, kappa.size, _EULER_CHUNK):
-        sl = slice(lo, lo + _EULER_CHUNK)
-        P = np.outer(kappa[sl], phase)
-        np.exp(P, out=P)
-        T[sl] = P @ W
+    E_off = _exp_outer(phase, off)
+    T = np.empty((mid.size, off.size, W.shape[1]), dtype=complex)
+    for lo in range(0, mid.size, _EULER_CHUNK):
+        E_mid = _exp_outer(mid[lo:lo + _EULER_CHUNK], phase)
+        for c in range(W.shape[1]):
+            T[lo:lo + _EULER_CHUNK, :, c] = (E_mid * W[:, c]) @ E_off
+    T = T.reshape(-1, W.shape[1])
     m = len(K)
     rounding = 1e-15 * _EULER_H * np.sum(np.abs(K), axis=1)
     return T[:, :m], np.abs(T[:, :m] - T[:, m:]) + rounding
+
+
+def _euler_lanes(mid, off, K):
+    """(A_G, B_G, err) on the lanes ka = mid[p] + off[i], panel by panel, with
+    K of _euler_kernels; err as in smeared_ab.  B_G is summed again on
+    Im s = _EULER_THETA on the panels holding a lane it flags, and only those
+    lanes keep the shifted sum."""
+    s = _EULER_NODES
+    T, err = _trapezoid(mid, off, -2j * np.tanh(s), np.stack([K[0], K[0].conj()]))
+    T[:, 1] = T[:, 1].conj()
+    shift = (err[:, 1] > _EULER_TOL * np.abs(T[:, 1])).reshape(mid.size, off.size)
+    panels = shift.any(axis=1)
+    if panels.any():
+        Ts, es = _trapezoid(mid[panels], off, 2j * np.tanh(s + 1j * _EULER_THETA), K[1:])
+        keep = shift[panels].ravel()
+        shift = shift.ravel()
+        T[shift, 1], err[shift, 1] = Ts[keep, 0], es[keep, 0]
+    root = np.sqrt(np.add.outer(mid, off).ravel())
+    return root * T[:, 0], root * T[:, 1], root * err.T
 
 
 def smeared_ab(om, coeff, kappa):
@@ -123,26 +164,17 @@ def smeared_ab(om, coeff, kappa):
     the absolute error of each lane of A_G (row 0) and B_G (row 1).
 
     With t = (1 + tanh s)/2 the Euler integral (DLMF 13.4.1) gives
-    A_G, B_G = sqrt(ka) Int ds e^{-+2 i ka tanh s} K(s) with K of _euler_kernel,
+    A_G, B_G = sqrt(ka) Int ds e^{-+2 i ka tanh s} K(s) with K of _euler_kernels,
     analytic for |Im s| < pi/2, so the trapezoid rule converges exponentially.
     Both come from one real-line sum.  There B_G ~ e^{-pi Om0} cancels in
     doubles, so a B_G lane with err above _EULER_TOL |B_G| is summed again on
     s + i theta, where K gains e^{-2 Om theta}, |e^{2 i ka tanh s}| <= 1 and
     nothing cancels.  A_G is O(1) and keeps its real-line value and error.
+    Each kappa is a lane of its own here; the spectrum integrals hand the
+    same sums their quadrature panels, whose phases factor (_trapezoid).
     """
     kappa = np.asarray(kappa, dtype=float)
-    n = round(_EULER_S / _EULER_H)
-    s = _EULER_H * np.arange(-n, n + 1)  # node spacing exactly the weight h
-    K = _euler_kernel(om, coeff, s)
-    T, err = _trapezoid(kappa, -2j * np.tanh(s), np.stack([K, K.conj()]))
-    T[:, 1] = T[:, 1].conj()
-    shift = err[:, 1] > _EULER_TOL * np.abs(T[:, 1])
-    if shift.any():
-        s = s + 1j * _EULER_THETA
-        T[shift, 1:], err[shift, 1:] = _trapezoid(kappa[shift], 2j * np.tanh(s),
-                                                   _euler_kernel(om, coeff, s)[None])
-    root = np.sqrt(kappa)
-    return root * T[:, 0], root * T[:, 1], root * err.T
+    return _euler_lanes(kappa, np.zeros(1), _euler_kernels(om, coeff))
 
 
 # log-kappa tail: where it starts, series terms per Kummer sector, by-parts
@@ -180,17 +212,24 @@ def _tail_integral(T, r, w, kappa_split, dL):
     exactly, as the Hermitian form sum T K conj(T) in the terms of _sector_terms.
 
     K depends on s, t only through m = s + t in mu = m + i(r_j - r_k): same-sector
-    pairs give K = Int_0^dL e^{-mu L} dL, beat pairs K = Int_1^inf t^{-mu-1} e^{-y t} dt
-    with y = -i(w_i - w_k) kappa_split, integrated by parts.
+    pairs give K = Int_0^dL e^{-mu L} dL = (1 - e^{-m dL} E)/mu, with the phase
+    E = e^{-i(r_j - r_k) dL} formed once per sector (expm1 at m = 0, dL where
+    mu = 0); beat pairs give K = Int_1^inf t^{-mu-1} e^{-y t} dt with
+    y = -i(w_i - w_k) kappa_split, integrated by parts.
     """
     S = T.shape[-1]
     absT = np.abs(T)
     value = rounding = parts = 0.0
     for i, k, m in np.ndindex(2, 2, 2 * S - 1):
-        mu = m + 1j * np.subtract.outer(r[i], r[k])
+        dr = np.subtract.outer(r[i], r[k])
+        mu = m + 1j * dr
         if i == k:
-            zero = mu == 0.0
-            K = np.where(zero, dL, -np.expm1(-mu * dL) / np.where(zero, 1.0, mu))
+            if m == 0:
+                zero = mu == 0.0
+                K = np.where(zero, dL, -np.expm1(-mu * dL) / np.where(zero, 1.0, mu))
+                E = np.exp(-1j * dr * dL)  # e^{-mu dL} = e^{-m dL} E for every m
+            else:
+                K = (1.0 - math.exp(-m * dL) * E) / mu
             remainder = 0.0
         else:
             y = -1j * (w[i] - w[k]) * kappa_split
@@ -244,8 +283,12 @@ def _smeared_integral(profile, which, tol):
         tail_A, err_A = _tail_integral(*_sector_terms(om, coeff, _KAPPA_SPLIT, -1), _KAPPA_SPLIT, dL)
         tail, err_t = tail_A - tail, err_A + err_t
 
+    lo, K = 1e-9, _euler_kernels(om, coeff)
+
     def f(kappa):
-        A, B, err = smeared_ab(om, coeff, kappa)
+        # the lanes are integrate_adaptive's equal panels, so their phases factor
+        mid, off, _ = panel_grid(lo, _KAPPA_SPLIT, kappa.size // PANEL_ORDER)
+        A, B, err = _euler_lanes(mid, off, K)
         # ||X + d|^2 - |X|^2| <= (2|X| + e) e for a lane error |d| <= e
         lane = (2.0 * np.abs(np.stack([A, B])) + err) * err
         if which == "occupation":
@@ -253,7 +296,7 @@ def _smeared_integral(profile, which, tol):
         return np.stack([np.abs(A) ** 2 - np.abs(B) ** 2, lane[0] + lane[1]])
 
     # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms; lane errors are a 2nd component
-    (finite, lanes), err_f = integrate_adaptive(f, 1e-9, _KAPPA_SPLIT, tol=tol, est_freq=4.0)
+    (finite, lanes), err_f = integrate_adaptive(f, lo, _KAPPA_SPLIT, tol=tol, est_freq=4.0)
     return SpectrumResult(finite + tail, err_f + lanes + err_t, finite, tail)
 
 

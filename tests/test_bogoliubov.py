@@ -252,6 +252,75 @@ class TestSmearedRoute:
         assert abs(res.value - 1.0) <= res.est_error <= 1e-6
 
 
+def _unfactored_trapezoid(kappa, phase, K):
+    """The Euler-route trapezoid sums with one phase e^{ka phase(s)} per lane
+    and node, 32 lanes at a time: the reference for the panel-factored sums."""
+    W = bogoliubov._EULER_H * K.T
+    W2 = 2.0 * W
+    W2[1::2] = 0.0
+    W = np.concatenate([W, W2], axis=1)
+    T = np.empty((kappa.size, W.shape[1]), dtype=complex)
+    for lo in range(0, kappa.size, 32):
+        P = np.exp(np.outer(kappa[lo:lo + 32], phase))
+        T[lo:lo + 32] = P @ W
+    m = len(K)
+    rounding = 1e-15 * bogoliubov._EULER_H * np.sum(np.abs(K), axis=1)
+    return T[:, :m], np.abs(T[:, :m] - T[:, m:]) + rounding
+
+
+def _unfactored(mid, off, phase, K):
+    return _unfactored_trapezoid(np.add.outer(mid, off).ravel(), phase, K)
+
+
+class TestPanelFactoring:
+    @pytest.mark.parametrize("integral,omega0", [
+        *(pytest.param(thermal_occupation, w, id=f"occupation-{w}") for w in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0)),
+        *(pytest.param(completeness_check, w, id=f"completeness-{w}") for w in (0.5, 1.0, 3.0)),
+    ])
+    def test_est_error_bounds_gap_to_unfactored_phases(self, integral, omega0, monkeypatch):
+        res = integral(omega0)
+        monkeypatch.setattr(bogoliubov, "_trapezoid", _unfactored)
+        ref = integral(omega0)
+        assert abs(res.value - ref.value) <= res.est_error
+
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 3.0, 6.0])
+    def test_lanes_within_both_lane_errors(self, omega0, monkeypatch):
+        # both panel levels of the occupation's finite part; the shifted line
+        # runs at every level from omega0 = 1 on
+        grids, grid = [], bogoliubov.panel_grid
+        monkeypatch.setattr(bogoliubov, "panel_grid", lambda *a: grids.append(a) or grid(*a))
+        thermal_occupation(omega0)
+        assert len(grids) == 2
+        K = bogoliubov._euler_kernels(*_packet(omega0))
+        lanes = [bogoliubov._euler_lanes(*grid(*a)[:2], K) for a in grids]
+        monkeypatch.setattr(bogoliubov, "_trapezoid", _unfactored)
+        for a, (A, B, err) in zip(grids, lanes):
+            A_ref, B_ref, err_ref = bogoliubov._euler_lanes(*grid(*a)[:2], K)
+            assert np.all(np.abs(A - A_ref) <= err[0] + err_ref[0])
+            assert np.all(np.abs(B - B_ref) <= err[1] + err_ref[1])
+
+    @pytest.mark.parametrize("omega0,shifted_panels", [(1.0, 16), (4.0, 77 + 154)])
+    def test_phases_factor_over_panels(self, omega0, shifted_panels, monkeypatch):
+        # one row of 2,001 phases per panel and one per node offset: 77 + 16
+        # and 154 + 16 on the real line, 2 x 16 plus one per panel holding a
+        # shifted lane on the other (13 lanes at omega0 = 1, all at 4), so
+        # 1,052,526 at most; one phase per lane and node made 7,419,708 at
+        # omega0 = 1 and 14,737,365 at omega0 = 4
+        phases, kernels = [0], []
+        exp_outer, euler_kernels = bogoliubov._exp_outer, bogoliubov._euler_kernels
+
+        def counting(x, phase):
+            phases[0] += np.size(x) * np.size(phase)
+            return exp_outer(x, phase)
+
+        monkeypatch.setattr(bogoliubov, "_exp_outer", counting)
+        monkeypatch.setattr(bogoliubov, "_euler_kernels",
+                            lambda *a: kernels.append(a) or euler_kernels(*a))
+        thermal_occupation(omega0)
+        assert phases[0] <= 2001 * (77 + 16 + 154 + 16 + 2 * 16 + shifted_panels)
+        assert len(kernels) == 1  # K on both lines, once per integral
+
+
 class TestNarrowPackets:
     def test_too_narrow_fails_fast(self):
         t0 = time.perf_counter()
@@ -264,6 +333,33 @@ class TestNarrowPackets:
         ref = planck_occupation(1.0, sigma=0.01)
         assert abs(res.value - ref) <= res.est_error
         assert res.est_error <= 1e-6 * res.value
+
+
+def _tail_per_order(T, r, w, kappa_split, dL):
+    """_tail_integral with one complex expm1 per series order m of the
+    same-sector pairs: the reference for the phase E formed once per sector."""
+    S = T.shape[-1]
+    absT = np.abs(T)
+    value = rounding = parts = 0.0
+    for i, k, m in np.ndindex(2, 2, 2 * S - 1):
+        mu = m + 1j * np.subtract.outer(r[i], r[k])
+        if i == k:
+            zero = mu == 0.0
+            K = np.where(zero, dL, -np.expm1(-mu * dL) / np.where(zero, 1.0, mu))
+            remainder = 0.0
+        else:
+            y = -1j * (w[i] - w[k]) * kappa_split
+            K, term = 0.0, np.exp(-y) / y
+            for n in range(1, bogoliubov._PARTS_TERMS + 1):
+                K, term = K + term, term * (-mu - n) / y
+            remainder = np.abs(term) * abs(y) / (bogoliubov._PARTS_TERMS + m)
+        s = np.arange(max(0, m - S + 1), min(m, S - 1) + 1)
+        value += np.sum(K * (T[i][:, s] @ T[k][:, m - s].conj().T))
+        scale = absT[i][:, s] @ absT[k][:, m - s].T
+        rounding += np.sum(np.abs(K) * scale)
+        parts += np.sum(remainder * scale)
+    truncation = 2.0 * float(np.sum(absT[..., -1]) * np.sum(absT))
+    return float(value.real), 1e-14 * rounding + parts + truncation
 
 
 class TestTailSeries:
@@ -291,6 +387,16 @@ class TestTailSeries:
             scale = math.sqrt(kappa) * np.abs(nodes[..., col]).sum(axis=1)
             # against the node scale: far out the node sum cancels under the envelope
             assert np.all(np.abs(series - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("dL", [0.5, 2.0, 352.0])
+    def test_closed_form_matches_expm1_per_order(self, dL, sign):
+        # at short spans e^{-m dL} E is far from 0 and enters every order m
+        T, r, w = bogoliubov._sector_terms(*_packet(1.0), 40.0, sign)
+        value, err = bogoliubov._tail_integral(T, r, w, 40.0, dL)
+        ref, ref_err = _tail_per_order(T, r, w, 40.0, dL)
+        assert abs(value - ref) <= 1e-14 * abs(ref)
+        assert abs(err - ref_err) <= 1e-12 * ref_err
 
     def test_unconverged_series_names_kappa_split(self):
         om, coeff = _packet(1.0)

@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondfield import specfun
+from diamondfield.bogoliubov import ab_coefficients
 from diamondfield.errors import PoleError
 from diamondfield.specfun import (
     gamma_complex,
@@ -107,3 +110,84 @@ class TestKummer:
         t1, t2, e1, e2 = kummer_asymptotic_sectors(1 + 1.2j, 2.0, z)
         assert np.all(e1 <= 1e-11 * np.abs(t1)) and np.all(e2 <= 1e-11 * np.abs(np.exp(z) * t2))
         assert np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))
+
+
+def _masked_sectors(a, b, z):
+    """kummer_asymptotic_sectors with every lane updated under a mask until
+    the slowest lane finishes: the reference for the compacted loop."""
+    z = np.asarray(z, dtype=complex)
+    eps = np.finfo(float).eps
+
+    def inv_series(p, q, w):
+        term = np.ones(w.shape, dtype=complex)
+        total = np.ones(w.shape, dtype=complex)
+        best = np.full(w.shape, np.inf)
+        done = np.zeros(w.shape, dtype=bool)
+        for s in range(80):
+            term = term * ((p + s) * (q + s) / (s + 1.0)) / w
+            mag = np.abs(term)
+            done |= mag > best
+            total = np.where(done, total, total + term)
+            best = np.where(done, best, mag)
+            done |= best <= eps * np.abs(total)
+            if np.all(done):
+                break
+        return total, best
+
+    s1, b1 = inv_series(a, a - b + 1.0, -z)
+    s2, b2 = inv_series(b - a, 1.0 - a, z)
+    pref = gamma_complex(b)
+    p1 = pref * np.exp(-a * np.log(-z) - log_gamma(b - a))
+    p2 = pref * np.exp((a - b) * np.log(z) - log_gamma(a))
+    rel = specfun._PREF_ULPS * eps * abs(a)
+    e1 = np.abs(p1) * (b1 + rel * np.abs(s1))
+    e2 = np.abs(np.exp(z) * p2) * (b2 + rel * np.abs(s2))
+    return p1 * s1, p2 * s2, e1, e2
+
+
+class TestAsymptoticSectors:
+    def test_compacted_loop_bit_identical_to_masked_loop(self, monkeypatch):
+        calls, sectors = [], specfun.kummer_asymptotic_sectors
+
+        def recording(a, b, z):
+            calls.append((a, b, z))
+            return sectors(a, b, z)
+
+        monkeypatch.setattr(specfun, "kummer_asymptotic_sectors", recording)
+        ab_coefficients(1.0, np.geomspace(20.0, 1e4, 400))
+        assert sum(np.size(z) for _, _, z in calls) == 800  # every lane, both signs of z
+        for a, b, z in calls:
+            for new, ref in zip(sectors(a, b, z), _masked_sectors(a, b, z)):
+                assert np.array_equal(new, ref)
+
+    def test_scalar_argument_keeps_its_shape(self):
+        t1, t2, e1, e2 = kummer_asymptotic_sectors(1 + 1.2j, 2.0, 160j)
+        assert all(np.shape(x) == () for x in (t1, t2, e1, e2))
+        assert t1 == _masked_sectors(1 + 1.2j, 2.0, 160j)[0]
+
+
+class TestArbitraryPrecision:
+    @pytest.mark.parametrize("Omega", [0.3, 1.0, 2.85, 4.0, 10.0, 50.0])
+    def test_capped_digits_match_high_precision(self, Omega):
+        # 80 digits agreed with 60 + 0.5|z| digits on every lane checked
+        # (|z| up to 4000); the latter takes seconds a lane at kappa = 1000
+        a = 1.0 + 1j * Omega
+        for kappa in (12.95, 40.0, 154.15, 500.0, 1000.0):
+            for z in (4j * kappa, -4j * kappa):
+                with mpmath.workdps(80):
+                    ref = complex(mpmath.hyp1f1(a, 2, z))
+                assert abs(specfun._kummer_mp(a, 2.0, z) - ref) <= 4e-16 * abs(ref)
+
+    def test_digits_capped_at_40(self, monkeypatch):
+        digits, workdps = [], mpmath.workdps
+
+        def recording(dps):
+            digits.append(dps)
+            return workdps(dps)
+
+        monkeypatch.setattr(mpmath, "workdps", recording)
+        r = np.array([1.0, 12.0, 30.0, 31.0, 616.6, 4000.0])
+        for z in 1j * r:
+            specfun._kummer_mp(1.0 + 1j, 2.0, z)
+        # lanes with |z| <= 30 keep 25 + 0.5|z| digits
+        assert digits == [25, 31, 40, 40, 40, 40]
