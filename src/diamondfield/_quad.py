@@ -12,6 +12,7 @@ from .errors import ConvergenceError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 PANEL_ORDER = 16  # Gauss-Legendre nodes per panel
+_MAX_DOUBLINGS = 12  # panel doublings before integrate_adaptive gives up
 
 
 def gauss_legendre(order: int):
@@ -48,18 +49,10 @@ def integrate(f, lo: float, hi: float, n_panels: int):
     return vals.reshape(vals.shape[:-1] + (n_panels, PANEL_ORDER)).sum(axis=-1).sum(axis=-1)
 
 
-def integrate_adaptive(
-    f,
-    lo: float,
-    hi: float,
-    tol: float,
-    est_freq: float = 1.0,
-    max_doublings: int = 12,
-):
+def integrate_adaptive(f, lo: float, hi: float, tol: float, est_freq: float = 1.0):
     """Integrate f over [lo, hi] doubling the panel count until two successive
     refinements agree within tol (absolute).  Returns (value, est_error);
-    raises ConvergenceError when the budget runs out or the estimate is not
-    finite.
+    raises ConvergenceError after _MAX_DOUBLINGS or on a non-finite estimate.
 
     f may return an array whose last axis runs over the nodes: each component
     is summed as a scalar integrand would be, value has the leading shape, and
@@ -72,7 +65,7 @@ def integrate_adaptive(
     # start with ~3 panels per oscillation of the fastest expected phase
     n0 = max(4, int(np.ceil((hi - lo) * max(est_freq, 1e-12) / (2.0 * np.pi) * 3.0)))
     prev = integrate(f, lo, hi, n0)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n0 *= 2
         cur = integrate(f, lo, hi, n0)
         err = np.max(np.abs(cur - prev))
@@ -81,6 +74,5 @@ def integrate_adaptive(
         if not np.isfinite(err):  # NaN never satisfies err <= tol
             raise ConvergenceError(f"quadrature error estimate is {err} (non-finite integrand)")
         prev = cur
-    raise ConvergenceError(
-        f"quadrature did not reach tol={tol:g} within budget (last err={err:g})"
-    )
+    raise ConvergenceError(f"quadrature did not reach tol={tol:g} in {_MAX_DOUBLINGS} doublings "
+                           f"(last err={err:g})")

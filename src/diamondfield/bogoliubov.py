@@ -61,7 +61,7 @@ def ab_coefficients(omega, k, n=0, scale=DiamondScale()):
     return A / a, B / a
 
 
-def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
+def ab_numeric(omega, k, n=0, scale=DiamondScale()):
     """(A, B, est_error) by regularized Klein-Gordon quadrature (independent oracle).
 
     A = <g_{n,omega}, u_k> reduced to the single absolutely convergent term
@@ -74,7 +74,7 @@ def ab_numeric(omega, k, n=0, scale=DiamondScale(), tol=1e-10):
     if not (Om > 0.0 and ka > 0.0):
         raise DomainError("omega and k must be positive")
     vA, vB, err = _rapidity_integral(lambda v: _plane_kernel(n, v), np.array([Om]), np.ones(1),
-                                     np.array([ka]), np.ones(1), -_V_CUT, _V_CUT, tol)
+                                     np.array([ka]), np.ones(1), -_V_CUT, _V_CUT)
     c = math.sqrt(ka / Om) / (2.0 * math.pi)
     return (c * vA / a, -c * vB / a, c * err / a)
 
@@ -253,6 +253,7 @@ def _tail_integral(T, r, w, kappa_split, dL):
 
 # largest ln(kappa) whose Kummer argument 4 kappa is a finite double
 _L_MAX = math.log(np.finfo(float).max / 4.0)
+_SPECTRUM_TOL = 1e-7  # absolute doubling tolerance of the kappa <= _KAPPA_SPLIT quadrature
 
 
 @dataclass(frozen=True)
@@ -263,19 +264,19 @@ class SpectrumResult:
     tail_part: float
 
 
-def _smeared_integral(profile, which, tol):
+def _smeared_integral(profile, which):
     """Int dka of |B_G|^2 ('occupation') or |A_G|^2 - |B_G|^2 ('completeness')
     for a Profile in units of a = 1: quadrature up to _KAPPA_SPLIT, the
     log-kappa tail in closed form beyond it."""
-    om, wt, G = profile.nodes()
-    # tail in L = ln(kappa) up to where the envelope is below 1e-21 of its peak
+    # tail in L = ln(kappa) until the envelope, near L = |v0|, is below 1e-21 of its peak
     L_lo = math.log(_KAPPA_SPLIT)
-    dL = 2.0 + 7.0 / profile.sigma
+    dL = 2.0 + 7.0 / profile.checked().sigma + abs(profile.v0)
     if L_lo + dL > _L_MAX:
         raise DomainError(
-            f"sigma = {profile.sigma:g} (in units of a) is too narrow: the log-kappa "
-            f"tail would reach kappa = e^{L_lo + dL:.0f}, beyond double precision"
+            f"sigma = {profile.sigma:g}, v0 = {profile.v0:g} (in units of a): the log-kappa "
+            f"tail would reach kappa = e^{L_lo + dL:.4g}, beyond double precision"
         )
+    om, wt, G = profile.nodes()
     coeff = wt * G
     # the tail first: an unconverged sector series fails before the quadrature
     tail, err_t = _tail_integral(*_sector_terms(om, coeff, _KAPPA_SPLIT, 1), _KAPPA_SPLIT, dL)
@@ -296,25 +297,26 @@ def _smeared_integral(profile, which, tol):
         return np.stack([np.abs(A) ** 2 - np.abs(B) ** 2, lane[0] + lane[1]])
 
     # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms; lane errors are a 2nd component
-    (finite, lanes), err_f = integrate_adaptive(f, lo, _KAPPA_SPLIT, tol=tol, est_freq=4.0)
+    (finite, lanes), err_f = integrate_adaptive(f, lo, _KAPPA_SPLIT, _SPECTRUM_TOL, est_freq=4.0)
     return SpectrumResult(finite + tail, err_f + lanes + err_t, finite, tail)
 
 
-def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), tol=1e-7, v0=0.0):
+def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), v0=0.0):
     """Smeared diamond-mode occupation Int dka |B_G(ka)|^2 in the vacuum.
 
     omega0, sigma are in absolute units, v0 is the packet center in the
     diamond null coordinate; the result is dimensionless and should match
-    Int dw |G(w)|^2 / (e^{2 pi w / a} - 1) independently of v0.
+    Int dw |G(w)|^2 / (e^{2 pi w / a} - 1) independently of v0.  The log-kappa
+    tail must end below kappa = e^708: |v0| a + 7 a/sigma <= 702, else DomainError.
     """
     profile = Profile(omega0, sigma, v0).natural(scale.a)
-    return _smeared_integral(profile, "occupation", tol)
+    return _smeared_integral(profile, "occupation")
 
 
-def completeness_check(omega0, sigma=0.02, scale=DiamondScale(), tol=1e-7):
+def completeness_check(omega0, sigma=0.02, scale=DiamondScale()):
     """Smeared Bogoliubov completeness Int dka (|A_G|^2 - |B_G|^2); exactly 1."""
     profile = Profile(omega0, sigma).natural(scale.a)
-    return _smeared_integral(profile, "completeness", tol)
+    return _smeared_integral(profile, "completeness")
 
 
 def planck_occupation(omega0, sigma=0.02, scale=DiamondScale()):

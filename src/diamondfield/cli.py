@@ -126,7 +126,7 @@ def cmd_correlations(args):
     )
 
     meta = _base_meta(args, "correlations")
-    meta.update(sigma=args.sigma, tol=args.tol)
+    meta.update(sigma=args.sigma)
     header = ("n", "Omega", "Omega_p", "re_bb", "im_bb", "re_bdag_b", "im_bdag_b", "method")
     rows = []
     for n in map(int, args.n):
@@ -138,7 +138,7 @@ def cmd_correlations(args):
                     cm = adjacent_moments_analytic(s0, s1)
                     method = "analytic"
                 else:
-                    cm = cross_moments(s0, s1, n, tol=args.tol)
+                    cm = cross_moments(s0, s1, n)
                     method = "numeric"
                 rows.append((n, om0, om1, cm.m_minus.real, cm.m_minus.imag,
                              cm.m_plus.real, cm.m_plus.imag, method))
@@ -292,11 +292,9 @@ def build_parser():
     p.add_argument("--a", type=_POSITIVE, default=1.0, help="diamond scale for display units")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid, tol=True, sigma=True):
+    def common(sp, grid, sigma=True):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if tol:
-            sp.add_argument("--tol", type=_POSITIVE, default=0.02)
         sp.add_argument("--grid", type=_checked(_parse_grid), default=grid,
                         help="comma list or lo:hi:step")
         if sigma:
@@ -304,6 +302,7 @@ def build_parser():
 
     sp = sub.add_parser("spectrum", help="smeared vacuum occupation vs Planck")
     common(sp, "0.5,1.0,2.0")
+    sp.add_argument("--tol", type=_POSITIVE, default=0.02, help="rel_err gate on the exit code")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("correlations", help="cross-diamond second moments")
@@ -314,13 +313,13 @@ def build_parser():
     sp.set_defaults(func=cmd_correlations)
 
     sp = sub.add_parser("fig2", help="joint-quadrature variance sweep")
-    common(sp, "0.5:1.5:0.01", tol=False)
+    common(sp, "0.5:1.5:0.01")
     sp.add_argument("--phi", type=_checked(_parse_phi_list), default="0,0.2pi",
                     help="comma list, 'pi' suffix allowed")
     sp.set_defaults(func=cmd_fig2)
 
     sp = sub.add_parser("detector", help="energy-scaled detector response")
-    common(sp, "0.5,1.0,2.0", tol=False, sigma=False)
+    common(sp, "0.5,1.0,2.0", sigma=False)
     sp.add_argument("--eps", default=1e-8,
                     type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"))
     sp.add_argument("--window", type=_POSITIVE, default=80.0)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .geometry import DiamondScale
-from .modes import _SPAN, _TAIL, _V_CUT, Profile, _rapidity_integral
+from .modes import _SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral
 from .specfun import log_gamma
 
 _POLE_GUARD = 1e-12
@@ -77,18 +77,18 @@ def _kernel(n, v):
     return np.cosh(v / 2.0) ** -2 / (Vm2 * Vp2), np.log(Vp2) - np.log(Vm2)
 
 
-def _overlap(n, om_d, p, om_x, e, lo, hi, tol):
+def _overlap(n, om_d, p, om_x, e, lo, hi):
     """(<P, E>, <P, E*>, est_error) for the diamond-n packet P = sum_j p_j g_{n,om_d[j]}
     and the exterior packet E = sum_k e_k g_{ex,om_x[k]}: by parts, alpha(W, W') =
     (2/pi) sqrt(W/W') Int dv base e^{-i(W' v + W L)} with the (base, L) of _kernel,
     and beta the same with -base and W -> -W, on v in [lo, hi]."""
     I, J, err = _rapidity_integral(lambda v: _kernel(n, v), om_d, p / np.sqrt(om_d),
-                                   om_x, np.conj(e) * np.sqrt(om_x), lo, hi, tol)
+                                   om_x, np.conj(e) * np.sqrt(om_x), lo, hi)
     k = 2.0 / math.pi
     return k * I, k * J, k * err
 
 
-def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10):
+def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale()):
     """(alpha, beta, est_error) for diamond n >= 1 by rapidity quadrature.
 
     _overlap, the rapidity integral of modes, runs over |v| <= 40.  For n = 1
@@ -104,7 +104,7 @@ def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale(), tol=1e-10):
     if n == 1 and abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
 
-    al, be, err = _overlap(n, np.array([Omega_p]), 1.0, np.array([Omega]), 1.0, -_V_CUT, _V_CUT, tol)
+    al, be, err = _overlap(n, np.array([Omega_p]), 1.0, np.array([Omega]), 1.0, -_V_CUT, _V_CUT)
     if n == 1:
         # Abel means of the residual oscillations beyond the lower cut
         base, L = _kernel(1, -_V_CUT)
@@ -128,13 +128,13 @@ class CrossMoments:
     est_error: float
 
 
-def cross_moments(spec0, spec_n, n, scale=DiamondScale(), tol=1e-9):
+def cross_moments(spec0, spec_n, n, scale=DiamondScale()):
     """Smeared <b0 bn> and <b0+ bn> for Gaussian packets spec = (omega0, sigma)
     or (omega0, sigma, v0), the nth packet living in diamond n >= 1.
 
     One _overlap integral with both profiles summed inside, on m nodes in
     sqrt(omega) over omega0 +- _SPAN sigma (Profile.nodes(m, root=True),
-    exact at an omega = 0 endpoint), m = 96 + ceil(12.8 max sigma |v0|).
+    exact at an omega = 0 endpoint), m = _node_count(p0, p1).
     For n >= 2 it runs over |v| <= 40, where sech^2(v/2) has decayed to
     ~1e-17; for n = 1 the integrand keeps the packets' size toward the
     shared tip, so it runs down to the diamond packet's envelope edge
@@ -144,12 +144,12 @@ def cross_moments(spec0, spec_n, n, scale=DiamondScale(), tol=1e-9):
         raise DomainError("cross_moments requires diamond separation n >= 1")
     p0 = Profile(*spec0).natural(scale.a).checked()
     p1 = Profile(*spec_n).natural(scale.a).checked()
-    m = 96 + math.ceil(12.8 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
+    m = _node_count(p0, p1)
     o0, w0, G0 = p0.nodes(m, root=True)
     o1, w1, G1 = p1.nodes(m, root=True)
     lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -_V_CUT
     e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))  # E_minus; E_plus = conj
-    mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, _V_CUT, tol)
+    mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, _V_CUT)
     return CrossMoments(m_minus=np.conj(mm), m_plus=np.conj(mp), est_error=err)
 
 

@@ -26,7 +26,7 @@ from .bogoliubov import _temperature_fit
 from .errors import DomainError
 from .geometry import DiamondScale
 
-_SQRT_PI = math.sqrt(math.pi)
+_RATE_TOL = 1e-12  # absolute doubling tolerance of the response_rate integral
 
 
 def wightman_minkowski(dt, dr, eps=0.0):
@@ -101,7 +101,7 @@ def _vacuum_window_rate(E, T):
     return math.exp(-(T * E) ** 2) / (4.0 * math.pi**1.5 * T) - (E / (4.0 * math.pi)) * math.erfc(T * E)
 
 
-def response_rate(E, window_time=80.0, eps=1e-8, scale=DiamondScale(), tol=1e-12):
+def response_rate(E, window_time=80.0, eps=1e-8, scale=DiamondScale()):
     """Detector response rate per unit scaled time a*eta at energy gap E.
 
     window_time is the Gaussian switching width in units of 1/a; for an
@@ -130,7 +130,7 @@ def response_rate(E, window_time=80.0, eps=1e-8, scale=DiamondScale(), tol=1e-12
     # the subtracted kernel only falls like 1/d^2, so the cut is set by the
     # window envelope, not by the thermal decay
     d_max = 7.0 * T
-    val, err = integrate_adaptive(integrand, 1e-12, d_max, tol=tol, est_freq=abs(Eh) + 1.0)
+    val, err = integrate_adaptive(integrand, 1e-12, d_max, _RATE_TOL, est_freq=abs(Eh) + 1.0)
     g = _vacuum_window_rate(Eh, T)
     return RateResult(value=float(g + np.real(val)), est_error=float(err + abs(np.imag(val))))
 

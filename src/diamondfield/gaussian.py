@@ -35,8 +35,7 @@ class WavepacketSpec:
     def __post_init__(self):
         if self.kind not in ("diamond", "plane"):
             raise DomainError("kind must be 'diamond' or 'plane'")
-        if not (self.omega0 > 0.0 and self.sigma > 0.0):
-            raise DomainError("omega0 and sigma must be positive")
+        self.profile.checked()
         # narrow-band assumption behind the mode algebra
         if self.omega0 < 5.0 * self.sigma:
             raise DomainError("need omega0 >= 5 sigma")
@@ -64,7 +63,7 @@ def _same_diamond_occupation(s1, s2):
     return complex(np.sum(wt * prof / np.expm1(2.0 * math.pi * om)))
 
 
-def _mode_moments(specs, tol, adjacent):
+def _mode_moments(specs, adjacent):
     """(N, M, err) with N[i, j] = <bi+ bj> and M[i, j] = <bi bj>."""
     m = len(specs)
     N = np.zeros((m, m), dtype=complex)
@@ -89,7 +88,7 @@ def _mode_moments(specs, tol, adjacent):
             if abs(dn) == 1 and adjacent == "analytic":
                 cm = adjacent_moments_analytic(lo.profile, hi.profile)
             else:
-                cm = cross_moments(lo.profile, hi.profile, abs(dn), tol=tol)
+                cm = cross_moments(lo.profile, hi.profile, abs(dn))
             err += cm.est_error
             M[i, j] = M[j, i] = cm.m_minus
             if dn > 0:
@@ -101,7 +100,7 @@ def _mode_moments(specs, tol, adjacent):
     return N, M, err
 
 
-def build_covariance(specs, tol=1e-8, adjacent="analytic"):
+def build_covariance(specs, adjacent="analytic"):
     """Vacuum covariance matrix of the quadratures of the given modes.
 
     The occupations on the diagonal are the closed-form thermal values
@@ -113,7 +112,7 @@ def build_covariance(specs, tol=1e-8, adjacent="analytic"):
     m = len(specs)
     if m == 0:
         raise DomainError("need at least one mode")
-    N, M, err = _mode_moments(specs, tol, adjacent)
+    N, M, err = _mode_moments(specs, adjacent)
     # X(0) = b + b+ and X(pi/2) = -i b + i b+, interleaved per mode
     eye = np.eye(m)
     cov = np.empty((2 * m, 2 * m))

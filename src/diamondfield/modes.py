@@ -45,6 +45,7 @@ _CUT = 8.0  # nodes in omega span omega0 +- _CUT sigma, where |G|^2 < e^{-32} of
 _SPAN = 12.0  # nodes in sqrt(omega) span omega0 +- _SPAN sigma, where G < e^{-36} of its peak
 _ROWS = 4096  # rows per phase or term matrix block (Packet.eval_natural, kg_product)
 _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
+_RAPIDITY_TOL = 1e-10  # absolute doubling tolerance of _rapidity_integral
 _TAYLOR_TOL = np.finfo(float).eps  # Taylor remainder of _taylor_sum, relative to sum|c|
 
 
@@ -164,15 +165,16 @@ class Profile(NamedTuple):
             raise DomainError("packet needs finite omega0 > 0, sigma > 0 and v0")
         return self
 
-    def nodes(self, n=96, root=False):
-        """(om, wt, G): n Gauss-Legendre nodes over omega0 +- _CUT sigma, their
-        weights and the profile on them, for integrands quadratic in G.  With
-        root the nodes are Gauss-Legendre in sqrt(omega) over omega0 +- _SPAN
-        sigma, from omega = 0 up where that range reaches it, so that an
-        omega^{-1/2} endpoint there becomes smooth and integrands linear in G
-        are cut where G is below the double resolution of its peak."""
+    def nodes(self, n=None, root=False):
+        """(om, wt, G): n (by default _node_count(self)) Gauss-Legendre nodes over
+        omega0 +- _CUT sigma, their weights and the profile on them, for
+        integrands quadratic in G.  With root the nodes are Gauss-Legendre in
+        sqrt(omega) over omega0 +- _SPAN sigma, from omega = 0 up where that
+        range reaches it, so that an omega^{-1/2} endpoint there becomes smooth
+        and integrands linear in G are cut where G is below the double
+        resolution of its peak."""
         self.checked()
-        x, w = gauss_legendre(n)
+        x, w = gauss_legendre(n or _node_count(self))
         if root:
             lo = math.sqrt(max(self.omega0 - _SPAN * self.sigma, 0.0))
             hi = math.sqrt(self.omega0 + _SPAN * self.sigma)
@@ -183,6 +185,11 @@ class Profile(NamedTuple):
         om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         wt = 0.5 * (hi - lo) * w
         return om, wt, self.amplitude(om)
+
+
+def _node_count(*profiles):
+    """Gauss-Legendre nodes per profile that resolve every phase e^{-i w v0}."""
+    return 96 + math.ceil(12.8 * max(p.sigma * abs(p.v0) for p in profiles))
 
 
 @dataclass(frozen=True)
@@ -301,7 +308,7 @@ def _taylor_sum(om, c, L):
     return X.ravel(), float(np.sum(np.abs(c))) * rem
 
 
-def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
+def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
     """(I, J, est_error): I = Int dv base P X and J = -Int dv base P conj(X)
     over the diamond rapidity v in [lo, hi], with (base, L) = kernel(v),
     P = sum_j c_p[j] e^{-i om_p[j] v} and X = sum_k c_x[k] e^{-i om_x[k] L}:
@@ -310,7 +317,7 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
     P factors over the equal quadrature panels (_panel_sum).  L is not linear
     in v, so X is a short Taylor series in L about each panel's mid-range
     (_taylor_sum); est_error adds its remainder integrated against |base P|
-    to the doubling difference and the rounding floor.
+    to the doubling difference (to _RAPIDITY_TOL) and the rounding floor.
     """
     last = []
 
@@ -321,7 +328,7 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
         last[:] = [np.stack([P * X, -P * np.conj(X)]), L, P, bound]
         return last[0]
 
-    val, err = integrate_adaptive(f, lo, hi, tol=tol, est_freq=float(np.max(om_p) + np.max(om_x)))
+    val, err = integrate_adaptive(f, lo, hi, _RAPIDITY_TOL, est_freq=float(np.max(om_p) + np.max(om_x)))
     vals, L, P, bound = last
     phase = np.max(om_p) * max(abs(lo), abs(hi)) + np.max(om_x) * np.max(np.abs(L))
     _, w = panel_nodes(lo, hi, L.size // PANEL_ORDER)  # integrate_adaptive's final panels
@@ -350,7 +357,7 @@ class KGProduct:
     est_error: float
 
 
-def kg_product(m1, m2, tol=1e-8):
+def kg_product(m1, m2):
     """Klein-Gordon product <m1, m2> = -i Int dV (m1 dV m2* - m2* dV m1).
 
     Accepts Packet objects or sharp mode labels; sharp labels are wrapped in
@@ -360,8 +367,8 @@ def kg_product(m1, m2, tol=1e-8):
     overlapping packet of another family is rejected before any quadrature:
     diamond-exterior overlaps are the rapidity integral of correlations.
 
-    A plane and a diamond packet meet in _rapidity_integral over |v| <= 40,
-    to tol.  Two packets of one family, f = sum_j a_j e^{-i s_j u} and
+    A plane and a diamond packet meet in _rapidity_integral over |v| <= 40.
+    Two packets of one family, f = sum_j a_j e^{-i s_j u} and
     g = sum_k b_k e^{-i t_k u} in their rapidity u (_phase_terms), give the
     exact double sum over p1's envelope [lo, hi], with d = s_j - t_k,
 
@@ -390,7 +397,7 @@ def kg_product(m1, m2, tol=1e-8):
         d, q = (p1, p2) if p1.kind == "diamond" else (p2, p1)
         I, J, err = _rapidity_integral(
             lambda v: _plane_kernel(d.n, v), d.omegas, d.weights / np.sqrt(d.omegas),
-            q.omegas, np.conj(q.weights) * np.sqrt(q.omegas), -_V_CUT, _V_CUT, tol)
+            q.omegas, np.conj(q.weights) * np.sqrt(q.omegas), -_V_CUT, _V_CUT)
         val = (J if d.conj != q.conj else I) / (2.0 * math.pi)
         val = -np.conj(val) if d.conj else val
         return KGProduct(complex(np.conj(val) if p1 is q else val), err / (2.0 * math.pi))

@@ -335,6 +335,37 @@ class TestNarrowPackets:
         assert res.est_error <= 1e-6 * res.value
 
 
+class TestPacketCenter:
+    """e^{-i w v0} moves the packet's log-kappa envelope out to ln(kappa) ~ |v0|:
+    the tail window and the node count follow |v0|."""
+
+    @pytest.mark.parametrize("sigma,v0", [(0.02, 300.0), (0.02, -300.0), (0.1, 50.0), (0.1, -50.0)])
+    def test_far_center_matches_planck(self, sigma, v0):
+        # a window and node count blind to v0 left these 1.1e-2 and 3.3e-8 off
+        res = thermal_occupation(1.0, sigma, v0=v0)
+        ref = planck_occupation(1.0, sigma)
+        assert abs(res.value - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("v0", [300.0, -300.0])
+    def test_est_error_bounds_far_center(self, v0):
+        res = thermal_occupation(1.0, 0.02, v0=v0)
+        assert abs(res.value - planck_occupation(1.0, 0.02)) <= res.est_error
+
+    @pytest.mark.parametrize("v0", [360.0, 1e12, -1e300])
+    def test_unreachable_center_fails_fast(self, v0):
+        # the node count grows with sigma |v0|: the window check comes first
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="v0"):
+            thermal_occupation(1.0, 0.02, v0=v0)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("sigma,v0", [(0.0, 0.0), (0.02, math.nan), (0.02, math.inf)])
+    def test_bad_packet_raises(self, sigma, v0):
+        # the window reads sigma and v0 before the profile's nodes check them
+        with pytest.raises(DomainError):
+            thermal_occupation(1.0, sigma, v0=v0)
+
+
 def _tail_per_order(T, r, w, kappa_split, dL):
     """_tail_integral with one complex expm1 per series order m of the
     same-sector pairs: the reference for the phase E formed once per sector."""

@@ -1,9 +1,13 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import time
 
 import pytest
 
+import diamondfield
 from diamondfield import cli
 from diamondfield.cli import main
 
@@ -114,7 +118,7 @@ class TestNonFiniteInputs:
         ["--a", "nan", "fig2"],
         ["--a", "inf", "spectrum"],
         ["spectrum", "--tol", "nan"],
-        ["correlations", "--tol", "inf"],
+        ["fig2", "--sigma", "inf"],
         ["spectrum", "--grid", "1.0", "--sigma", "nan"],
         ["correlations", "--n", "1", "--grid", "1.0", "--sigma", "inf"],
         ["fig2", "--phi", "nan"],
@@ -165,3 +169,49 @@ class TestParser:
         # --phi 0 gives one block; the default call after it gives both again
         assert outs[1::2] == [fresh] * 3
         assert all(len(out.splitlines()) < len(fresh.splitlines()) for out in outs[::2])
+
+
+class TestOptions:
+    """Each quadrature reads one module constant for its tolerance, so no
+    caller can ask for an unreachable one; tol means one thing, the
+    spectrum's rel_err gate."""
+
+    @staticmethod
+    def _public_callables():
+        for info in pkgutil.iter_modules(diamondfield.__path__):
+            if info.name.startswith("_"):
+                continue
+            mod = importlib.import_module(f"diamondfield.{info.name}")
+            for name, obj in vars(mod).items():
+                if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    yield f"{mod.__name__}.{name}", obj
+                elif inspect.isclass(obj):
+                    for meth, fn in inspect.getmembers(obj, inspect.isfunction):
+                        if not meth.startswith("_") or meth == "__init__":
+                            yield f"{mod.__name__}.{name}.{meth}", fn
+
+    def test_no_public_tolerance_parameters(self):
+        names = dict(self._public_callables())
+        assert "diamondfield.bogoliubov.thermal_occupation" in names
+        assert "diamondfield.modes.Profile.nodes" in names
+        knobs = [f"{name}({p})" for name, fn in names.items()
+                 for p in inspect.signature(fn).parameters if p in ("tol", "max_doublings")]
+        assert knobs == []
+
+    @pytest.mark.parametrize("command", ["correlations", "fig2", "detector", "validate"])
+    def test_only_spectrum_takes_tol(self, command, capsys):
+        assert cli.build_parser().parse_args(["spectrum", "--tol", "0.5"]).tol == 0.5
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--tol", "0.5"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_unreachable_tolerance_is_a_usage_error(self, capsys):
+        # once a quadrature tolerance that ran every doubling into a MemoryError
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["correlations", "--n", "2", "--grid", "1.0", "--tol", "1e-30"])
+        assert exc.value.code == 2
+        assert time.perf_counter() - t0 < 1.0

@@ -40,7 +40,9 @@ def chebyshev_oracle(spec0, spec_n, n, deg=(14, 15)):
         E = chebyshev.chebvander(x, m - 1) @ np.linalg.inv(chebyshev.chebvander(pts, m - 1))
         grids.append((0.5 * (lo + hi) + 0.5 * (hi - lo) * pts, E, om, wt, G))
     (x0, E0, o0, w0, G0), (x1, E1, _, w1, G1) = grids
-    ab = np.array([[alpha_beta_numeric(W, Wp, n=n, tol=1e-14)[:2] for Wp in x1] for W in x0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modes, "_RAPIDITY_TOL", 1e-14)  # a reference tighter than the code's
+        ab = np.array([[alpha_beta_numeric(W, Wp, n=n)[:2] for Wp in x1] for W in x0])
     # interpolated sharp values, indexed [exterior node, diamond node]
     al, be = (E0 @ ab[:, :, i] @ E1.T for i in (0, 1))
     e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))
@@ -65,7 +67,9 @@ def root_node_oracle(spec0, spec1, n=1, nodes=128):
     (o0, w0, G0), (o1, w1, G1) = grids
     e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))
     lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -40.0
-    mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, 40.0, 1e-13)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes, "_RAPIDITY_TOL", 1e-13)
+        mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, 40.0)
     return np.conj(mm), np.conj(mp), err
 
 
@@ -133,7 +137,7 @@ class TestAdjacentSharp:
             alpha_beta_numeric(1.0, 1.3, n=0)
 
 
-def unfactored_rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
+def unfactored_rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
     """modes._rapidity_integral with one np.exp per node and frequency on both
     sides, on the same panels; returns (I, J, doubling difference)."""
     def f(v):
@@ -142,7 +146,8 @@ def unfactored_rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, tol):
         X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
         return np.stack([P * X, -P * np.conj(X)])
 
-    val, err = integrate_adaptive(f, lo, hi, tol=tol, est_freq=float(np.max(om_p) + np.max(om_x)))
+    est_freq = float(np.max(om_p) + np.max(om_x))
+    val, err = integrate_adaptive(f, lo, hi, modes._RAPIDITY_TOL, est_freq=est_freq)
     return val[0], val[1], err
 
 
@@ -296,11 +301,12 @@ class TestAdjacentLattice:
         ((1.0, 0.05), (1.0, 0.05, 100.0)),
         ((1.0, 0.05, -30.0), (1.2, 0.05, 30.0)),
     ])
-    def test_est_error_bounds_gap_to_rapidity_route(self, s0, s1):
+    def test_est_error_bounds_gap_to_rapidity_route(self, s0, s1, monkeypatch):
         # both routes integrate each profile over omega0 +- 12 sigma; the
         # estimates must cover the lattice's and the quadrature's own errors
         an = adjacent_moments_analytic(s0, s1)
-        kg = cross_moments(s0, s1, 1, tol=1e-13)
+        monkeypatch.setattr(modes, "_RAPIDITY_TOL", 1e-13)
+        kg = cross_moments(s0, s1, 1)
         bound = an.est_error + kg.est_error
         assert abs(an.m_minus - kg.m_minus) <= bound
         assert abs(an.m_plus - kg.m_plus) <= bound
@@ -334,10 +340,11 @@ class TestAdjacentLattice:
         assert an.est_error <= 1e-9
 
     @pytest.mark.parametrize("spec", [(3.0, 0.25), (1.2, 0.1)])
-    def test_lattice_from_zero_is_finite(self, spec):
+    def test_lattice_from_zero_is_finite(self, spec, monkeypatch):
         # omega0 = 12 sigma puts the lower end of the lattice at omega = 0
         an = adjacent_moments_analytic(spec, spec)
-        kg = cross_moments(spec, spec, 1, tol=1e-13)
+        monkeypatch.setattr(modes, "_RAPIDITY_TOL", 1e-13)
+        kg = cross_moments(spec, spec, 1)
         assert math.isfinite(an.est_error)
         assert abs(an.m_minus - kg.m_minus) <= an.est_error + kg.est_error
         assert abs(an.m_plus - kg.m_plus) <= an.est_error + kg.est_error

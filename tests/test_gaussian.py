@@ -35,6 +35,12 @@ class TestSpecs:
         with pytest.raises(DomainError):
             WavepacketSpec(0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("args", [(0, math.inf), (0, 1.0, math.inf), (0, math.nan),
+                                      (0, 1.0, 0.02, math.nan), (0, 1.0, 0.02, -math.inf)])
+    def test_finite_parameters(self, args):
+        with pytest.raises(DomainError):
+            WavepacketSpec(*args)
+
     def test_kind_contract(self):
         with pytest.raises(DomainError):
             WavepacketSpec(0, 1.0, kind="rindler")

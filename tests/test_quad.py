@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diamondfield import _quad
 from diamondfield._quad import gauss_legendre, integrate, integrate_adaptive, panel_grid, panel_nodes
 from diamondfield.errors import ConvergenceError
 
@@ -70,13 +71,11 @@ class TestIntegrate:
             integrate_adaptive(f, 0.0, 1.0, tol=1e-10)
         assert len(sizes) <= 2
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # a kink the panel doubling cannot resolve to 1e-15
+        monkeypatch.setattr(_quad, "_MAX_DOUBLINGS", 3)
         with pytest.raises(ConvergenceError):
-            integrate_adaptive(
-                lambda u: np.abs(u - 1.0 / 3.0) ** 0.1,
-                0.0, 1.0, tol=1e-15, est_freq=1.0, max_doublings=3,
-            )
+            integrate_adaptive(lambda u: np.abs(u - 1.0 / 3.0) ** 0.1, 0.0, 1.0, tol=1e-15, est_freq=1.0)
 
 
 class TestArrayIntegrand:
