@@ -25,7 +25,13 @@ Gauss-Legendre panels, so the sums' phases e^{kappa phi(s)} factor into one
 row per panel midpoint and one per node offset.  Beyond kappa_split each
 Kummer sector is a short series in 1/kappa times kappa^{-+i Om}, so the tail,
 e^{+-4 i kappa} cross term included, is a Hermitian form in the series terms,
-integrated in closed form term by term.
+integrated in closed form term by term.  The second sector is the first with
+its frequencies and beat negated, so per series order the form takes one
+same-sector block and one cross block, each used with its conjugate; the cross
+block's by-parts sum is a polynomial in the pair's frequency sum, with
+coefficients per order, evaluated by Horner.  The profile is cut at its end
+nodes, so past the tail window the integrand falls off like 1/ln(kappa)^2, not
+like a Gaussian; est_error bounds what the window leaves out.
 """
 
 from __future__ import annotations
@@ -207,42 +213,87 @@ def _sector_terms(om, coeff, kappa_split, sign):
     return T, np.stack([om, -om]), np.array([-2.0, 2.0]) * sign
 
 
+def _by_parts_coeffs(y, orders):
+    """(Kc, Rc): per order m < orders (column m), the coefficients in ascending
+    powers of d of the beat integral's by-parts sum
+
+        e^{-y}/y sum_{n < _PARTS_TERMS} (mu + 1)_n (-1/y)^n,   mu = m + i d,
+
+    and in powers of d^2 of the square of its remainder bound
+    |e^{-y}| prod_{l <= _PARTS_TERMS} |mu + l| / (|y|^_PARTS_TERMS (_PARTS_TERMS + m))."""
+    R, m = _PARTS_TERMS, np.arange(orders)
+    # nested from the inside, in x = i d: q <- 1 + (m + l + x) q / (-y)
+    q = np.zeros((R, orders), dtype=complex)
+    q[0] = 1.0
+    for l in range(R - 1, 0, -1):
+        shifted = (m + l) * q
+        shifted[1:] += q[:-1]
+        q = shifted / -y
+        q[0] += 1.0
+    Kc = q * (np.exp(-y) / y * 1j ** np.arange(R))[:, None]
+    # prod_l ((m + l)^2 + d^2), one factor at a time
+    Rc = np.zeros((R + 1, orders))
+    Rc[0] = 1.0
+    for l in range(1, R + 1):
+        shifted = (m + l) ** 2 * Rc
+        shifted[1:] += Rc[:-1]
+        Rc = shifted
+    return Kc, Rc * (abs(np.exp(-y)) / (abs(y) ** R * (R + m))) ** 2
+
+
+def _horner(c, x):
+    """sum_k c[k] x^k on the array x."""
+    acc = c[-1] * x
+    for ck in c[-2:0:-1]:
+        acc += ck
+        acc *= x
+    acc += c[0]
+    return acc
+
+
 def _tail_integral(T, r, w, kappa_split, dL):
     """(value, est_error) of Int dL |sqrt(ka) X_G|^2 on ln(kappa_split) + [0, dL],
     exactly, as the Hermitian form sum T K conj(T) in the terms of _sector_terms.
 
-    K depends on s, t only through m = s + t in mu = m + i(r_j - r_k): same-sector
-    pairs give K = Int_0^dL e^{-mu L} dL = (1 - e^{-m dL} E)/mu, with the phase
-    E = e^{-i(r_j - r_k) dL} formed once per sector (expm1 at m = 0, dL where
-    mu = 0); beat pairs give K = Int_1^inf t^{-mu-1} e^{-y t} dt with
-    y = -i(w_i - w_k) kappa_split, integrated by parts.
+    K depends on s, t only through m = s + t in mu = m + i(r_j - r_k).  Sector 1
+    has the r and w of sector 0 negated (_sector_terms), so its same-sector K is
+    the conjugate of sector 0's and the (1, 0) beat block is the conjugate of the
+    (0, 1) block: per m, one K for the same-sector pairs and one for the beat.
+    Same-sector pairs give K = Int_0^dL e^{-mu L} dL = (1 - e^{-m dL} E)/mu, with
+    the phase E = e^{-i(r_j - r_k) dL} formed once (expm1 at m = 0, dL where
+    mu = 0).  Beat pairs give K = Int_1^inf t^{-mu-1} e^{-y t} dt with
+    y = -i(w_0 - w_1) kappa_split, integrated by parts: a polynomial in
+    d = r_0j - r_1k per order m (_by_parts_coeffs), evaluated by Horner.
     """
     S = T.shape[-1]
     absT = np.abs(T)
+    dr = np.subtract.outer(r[0], r[0])
+    zero = dr == 0.0
+    E = np.exp(-1j * dr * dL)  # e^{-mu dL} = e^{-m dL} E for every m
+    d = np.subtract.outer(r[0], r[1])
+    d2 = d * d
+    Kc, Rc = _by_parts_coeffs(-1j * (w[0] - w[1]) * kappa_split, 2 * S - 1)
+    # Re sum K P_00 + conj(K) P_11 = Re sum K (P_00 + conj(P_11)): one product per m
+    U = np.concatenate([T[0], T[1].conj()], axis=1)
+    V = np.concatenate([T[0].conj(), T[1]], axis=1)
+    absU = np.concatenate([absT[0], absT[1]], axis=1)
     value = rounding = parts = 0.0
-    for i, k, m in np.ndindex(2, 2, 2 * S - 1):
-        dr = np.subtract.outer(r[i], r[k])
-        mu = m + 1j * dr
-        if i == k:
-            if m == 0:
-                zero = mu == 0.0
-                K = np.where(zero, dL, -np.expm1(-mu * dL) / np.where(zero, 1.0, mu))
-                E = np.exp(-1j * dr * dL)  # e^{-mu dL} = e^{-m dL} E for every m
-            else:
-                K = (1.0 - math.exp(-m * dL) * E) / mu
-            remainder = 0.0
-        else:
-            y = -1j * (w[i] - w[k]) * kappa_split
-            K, term = 0.0, np.exp(-y) / y
-            for n in range(1, _PARTS_TERMS + 1):
-                K, term = K + term, term * (-mu - n) / y
-            # |Int_1^inf t^{-mu-1-R} e^{-y t} dt| <= 1/(R + m)
-            remainder = np.abs(term) * abs(y) / (_PARTS_TERMS + m)
+    for m in range(2 * S - 1):
         s = np.arange(max(0, m - S + 1), min(m, S - 1) + 1)
-        value += np.sum(K * (T[i][:, s] @ T[k][:, m - s].conj().T))
-        scale = absT[i][:, s] @ absT[k][:, m - s].T
-        rounding += np.sum(np.abs(K) * scale)
-        parts += np.sum(remainder * scale)
+        left, right = np.concatenate([s, S + s]), np.concatenate([m - s, S + m - s])
+        if m == 0:
+            K = np.where(zero, dL, -np.expm1(-1j * dr * dL) / np.where(zero, 1.0, 1j * dr))
+        else:
+            K = (1.0 - math.exp(-m * dL) * E) / (m + 1j * dr)
+        value += np.dot(K.ravel(), (U[:, left] @ V[:, right].T).ravel())
+        rounding += np.dot(np.abs(K).ravel(), (absU[:, left] @ absU[:, right].T).ravel())
+        # the (0, 1) beat block, twice
+        K = _horner(Kc[:, m], d)
+        scale = (absT[0][:, s] @ absT[1][:, m - s].T).ravel()
+        value += 2.0 * np.dot(K.ravel(), (T[0][:, s] @ T[1][:, m - s].conj().T).ravel())
+        rounding += 2.0 * np.dot(np.abs(K).ravel(), scale)
+        # |Int_1^inf t^{-mu-1-R} e^{-y t} dt| <= 1/(R + m)
+        parts += 2.0 * np.dot(np.sqrt(_horner(Rc[:, m], d2)).ravel(), scale)
     # |f| <= sum |T| as every term decays in L; the omitted terms are below the last kept
     truncation = 2.0 * float(np.sum(absT[..., -1]) * np.sum(absT))
     if truncation > 1e-10 * value.real:
@@ -268,9 +319,11 @@ def _smeared_integral(profile, which):
     """Int dka of |B_G|^2 ('occupation') or |A_G|^2 - |B_G|^2 ('completeness')
     for a Profile in units of a = 1: quadrature up to _KAPPA_SPLIT, the
     log-kappa tail in closed form beyond it."""
-    # tail in L = ln(kappa) until the envelope, near L = |v0|, is below 1e-21 of its peak
+    # tail in L = ln(kappa) until the Gaussian envelope, centred at most |v0|
+    # past L_lo, is below 1e-21 of its peak: reach past that centre
     L_lo = math.log(_KAPPA_SPLIT)
-    dL = 2.0 + 7.0 / profile.checked().sigma + abs(profile.v0)
+    reach = 2.0 + 7.0 / profile.checked().sigma
+    dL = reach + abs(profile.v0)
     if L_lo + dL > _L_MAX:
         raise DomainError(
             f"sigma = {profile.sigma:g}, v0 = {profile.v0:g} (in units of a): the log-kappa "
@@ -278,10 +331,21 @@ def _smeared_integral(profile, which):
         )
     om, wt, G = profile.nodes()
     coeff = wt * G
+
+    def tail_of(sign):
+        T, r, w = _sector_terms(om, coeff, _KAPPA_SPLIT, sign)
+        value, err = _tail_integral(T, r, w, _KAPPA_SPLIT, dL)
+        # The profile is cut at its end nodes, so past the window a sector
+        # decays like g/(L - c), not like a Gaussian: g = |T/wt| is its density
+        # at an end node and c, the envelope centre, at most |v0| past L_lo.
+        # The window leaves out up to (sum g)^2 / reach.
+        g = np.sum(np.abs(T[:, [0, -1], 0]) / wt[[0, -1]])
+        return value, err + g * g / reach
+
     # the tail first: an unconverged sector series fails before the quadrature
-    tail, err_t = _tail_integral(*_sector_terms(om, coeff, _KAPPA_SPLIT, 1), _KAPPA_SPLIT, dL)
+    tail, err_t = tail_of(1)
     if which == "completeness":
-        tail_A, err_A = _tail_integral(*_sector_terms(om, coeff, _KAPPA_SPLIT, -1), _KAPPA_SPLIT, dL)
+        tail_A, err_A = tail_of(-1)
         tail, err_t = tail_A - tail, err_A + err_t
 
     lo, K = 1e-9, _euler_kernels(om, coeff)

@@ -447,3 +447,84 @@ class TestTailSeries:
         res = thermal_occupation(1.0, 0.05, v0=0.5)
         gap = abs(res.value - planck_occupation(1.0, 0.05))
         assert gap <= res.est_error <= 1e-6 * res.value
+
+
+class TestTailForm:
+    """The conjugate-sector, Horner-evaluated Hermitian form against the loop
+    over every (sector, sector, order) block."""
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 6.0])
+    def test_sectors_are_negated(self, omega0, sign):
+        # the conjugate sector and beat blocks hold only while this does
+        _, r, w = bogoliubov._sector_terms(*_packet(omega0, 25.0), 40.0, sign)
+        assert np.array_equal(r[1], -r[0]) and w[1] == -w[0]
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("omega0,v0,dL", [
+        *((omega0, v0, dL) for omega0 in (0.5, 3.0, 6.0) for v0 in (0.0, 25.0) for dL in (0.5, None)),
+        (1.0, 300.0, None),  # 173 frequency nodes
+    ])
+    def test_matches_per_order_loop(self, omega0, v0, dL, sign):
+        dL = dL or 2.0 + 7.0 / 0.02 + abs(v0)  # None: the spectrum's window
+        T, r, w = bogoliubov._sector_terms(*_packet(omega0, v0), 40.0, sign)
+        ref, ref_err = _tail_per_order(T, r, w, 40.0, dL)
+        if 2.0 * np.sum(np.abs(T[..., -1])) * np.sum(np.abs(T)) > 1e-10 * ref:
+            # at omega0 = 6 the short span holds too little to pass the truncation check
+            with pytest.raises(DomainError, match="kappa_split"):
+                bogoliubov._tail_integral(T, r, w, 40.0, dL)
+            return
+        value, err = bogoliubov._tail_integral(T, r, w, 40.0, dL)
+        assert abs(value - ref) <= 1e-14 * abs(ref)
+        assert abs(err - ref_err) <= 1e-12 * ref_err
+
+    @pytest.mark.parametrize("v0", [0.0, 300.0])
+    def test_temporaries_stay_n_by_n(self, v0):
+        # one complex n x n array is 16 n^2 bytes; one per order would be 19 of them
+        import tracemalloc
+
+        terms = bogoliubov._sector_terms(*_packet(1.0, v0), 40.0, 1)
+        n = terms[0].shape[1]
+        tracemalloc.start()
+        try:
+            bogoliubov._tail_integral(*terms, 40.0, 2.0 + 7.0 / 0.02 + abs(v0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n * n * 16
+
+
+def _planck_mp(omega0, sigma):
+    """Int dw |G|^2 / (e^{2 pi w} - 1) over the profile's node span, at 30 digits,
+    with break points at the decades of a span that reaches down to its clamp."""
+    import mpmath
+
+    lo, hi = max(omega0 - 8.0 * sigma, 1e-12), omega0 + 8.0 * sigma
+    with mpmath.workdps(30):
+        def f(w):
+            return (mpmath.exp(-(w - omega0) ** 2 / (2 * sigma**2))
+                    / (mpmath.sqrt(2 * mpmath.pi) * sigma * mpmath.expm1(2 * mpmath.pi * w)))
+        points = [lo] + [10.0**k for k in range(-11, 0) if lo < 10.0**k < hi]
+        return float(mpmath.quad(f, points + mpmath.linspace(points[-1], hi, 9)[1:]))
+
+
+class TestTailWindow:
+    """The window ends where the Gaussian envelope is below 1e-21 of its peak,
+    but the profile stops at its end nodes, and their transform decays only like
+    1/ln(kappa): est_error carries what the window leaves out."""
+
+    @pytest.mark.parametrize("v0", [-20.0, 25.0, 40.0, 100.0])
+    def test_est_error_bounds_30_digit_planck_gap(self, v0):
+        # without the window's term the gap was 1.2-1.8x est_error
+        res = thermal_occupation(1.0, 0.1, v0=v0)
+        gap = abs(res.value - _planck_mp(1.0, 0.1))
+        assert gap <= res.est_error <= 1e-12 * res.value
+
+    @pytest.mark.parametrize("omega0,sigma", [(0.5, 0.1), (1.0, 0.2), (1.0, 0.125), (2.0, 2.0 / 9.0)])
+    def test_est_error_bounds_infrared_gap(self, omega0, sigma):
+        # end nodes near omega = 0 (the first three at the clamp 1e-12), where the
+        # Planck factor grows like 1/(2 pi w): without the window's term est_error
+        # was 2x to 3e10x too small here
+        res = thermal_occupation(omega0, sigma)
+        gap = abs(res.value - _planck_mp(omega0, sigma))
+        assert gap <= res.est_error <= 0.1 * res.value
