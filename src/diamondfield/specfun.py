@@ -1,17 +1,20 @@
 """Complex special functions: Gamma and Kummer's confluent hypergeometric M.
 
 Only the slices actually needed by the analytic mode-overlap formulas are
-certified: Gamma on moderate arguments (|Im z| <= 50, 0.1 <= |z| <= 50) and
-M(a, b, z) for b = 2, a = 1 +- i*Omega, z purely imaginary.  Accuracy is
-enforced by identity self-tests (reflection, recurrence, Kummer transform)
-rather than by comparison with an external library.
+certified: Gamma on moderate arguments (|Im z| <= 50, 0.1 <= |z| <= 50),
+Gamma(1 + ix) for real |x| <= 50 through log_gamma_1pix (relative error at
+most 7.2e-16 (1 + x^2) against 30-digit mpmath, tested on [-50, 50] and on
+geometric grids down to |x| = 1e-8), and M(a, b, z) for b = 2,
+a = 1 +- i*Omega, z purely imaginary.  Accuracy is enforced by identity
+self-tests (reflection, recurrence, Kummer transform) rather than by
+comparison with an external library.  mpmath is imported only by the
+arbitrary-precision Kummer fallback, on its first call.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import ConvergenceError, PoleError
@@ -72,6 +75,32 @@ def log_gamma(z):
             math.log(math.pi) - np.log(np.sin(np.pi * zl)) - _lanczos_loggamma(1.0 - zl)
         )
     return out[0] if scalar else out
+
+
+def log_gamma_1pix(x):
+    """log Gamma(1 + ix) for real x, vectorized; the imaginary part is the
+    phase of the Lanczos series up to a multiple of 2 pi.
+
+    The real part is the closed form log |Gamma(1 + ix)| = (1/2) log(y / sinh y)
+    with y = pi |x| (DLMF 5.4.3), written so that it neither cancels near 0 nor
+    overflows at large y.  The phase sums the Lanczos partial fractions
+    c_k / (k + ix) = c_k (k - ix) / (k^2 + x^2) in real arithmetic.
+    """
+    x = np.asarray(x, dtype=float)
+    y = math.pi * np.abs(x)
+    ys = np.where(y > 0.0, y, 1.0)  # y = 0 is the limit 0 of the real part
+    re = np.where(y > 0.0, -0.5 * (ys + np.log(-np.expm1(-2.0 * ys) / (2.0 * ys))), 0.0)
+    xx = x * x
+    s_re = np.full(x.shape, _LANCZOS_C[0])
+    s_im = np.zeros(x.shape)
+    for k in range(1, len(_LANCZOS_C)):
+        q = _LANCZOS_C[k] / (k * k + xx)
+        s_re = s_re + k * q
+        s_im = s_im - x * q
+    # t = ix + g + 1/2: Im[(ix + 1/2) log t - t + log s]
+    g = _LANCZOS_G + 0.5
+    im = x * (0.5 * np.log(g * g + xx) - 1.0) + 0.5 * np.arctan2(x, g) + np.arctan2(s_im, s_re)
+    return re + 1j * im
 
 
 def gamma_complex(z):
@@ -156,6 +185,8 @@ def _kummer_mp(a, b, z):
     """Arbitrary-precision fallback (adaptive series, certified by mpmath).
     hyp1f1 raises its own precision where its series cancels, so the working
     precision is capped: 40 digits gave the same doubles as 80 up to |z| = 4e3."""
+    import mpmath
+
     dps = min(25 + int(0.5 * abs(z)), 40)
     with mpmath.workdps(dps):
         v = mpmath.hyp1f1(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(z))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev, legendre
 
-from diamondfield import correlations, modes
+from diamondfield import correlations, modes, specfun
 from diamondfield._quad import integrate_adaptive
 from diamondfield.correlations import (
     _kernel,
@@ -20,7 +20,8 @@ from diamondfield.correlations import (
     smeared_asymptotic_moment,
 )
 from diamondfield.errors import DomainError, PoleError
-from diamondfield.modes import _TAIL, Profile
+from diamondfield.modes import _SPAN, _TAIL, Profile
+from diamondfield.specfun import log_gamma
 
 
 def chebyshev_oracle(spec0, spec_n, n, deg=(14, 15)):
@@ -362,6 +363,91 @@ class TestAdjacentLattice:
         # lowest node like c ln(1 / W_min); the lattice at 2h moves it by c ln 4
         c = abs(Profile(*s0).amplitude(0.0) * Profile(*s1).amplitude(0.0)) / (4.0 * math.pi)
         assert adjacent_moments_analytic(s0, s1).est_error >= c
+
+
+def complex_route_moments(spec0, spec1):
+    """(m_minus, m_plus) of adjacent_moments_analytic at the same step and node
+    count, with log e and Gamma(iz) from the complex Lanczos log_gamma and one
+    evaluation per sum."""
+    def log_e(W):
+        return 1j * W * math.log(2.0) - log_gamma(1.0 - 1j * W)
+
+    def gamma_i(z):
+        return np.exp(log_gamma(1.0 + 1j * z) - np.log(1j * z))
+
+    def lattice_nodes(p, h, offset):
+        lo = math.sqrt(max(p.omega0 - _SPAN * p.sigma, 0.0))
+        hi = math.sqrt(p.omega0 + _SPAN * p.sigma)
+        k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
+        u = (k + offset) * h
+        return u, np.where(u == 0.0, 0.5 * h, h)
+
+    p0, p1 = Profile(*spec0), Profile(*spec1)
+    n = 36 + math.ceil(12.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
+    V = abs(p0.v0) + abs(p1.v0)
+    h = min(p.sigma / (4.0 * math.sqrt(p.omega0 + _SPAN * p.sigma) * (1.0 + V * p.sigma / (2.0 * math.pi)))
+            for p in (p0, p1))
+    # m_minus on the half-step-offset lattices
+    u, wu = lattice_nodes(p0, h, 0.5)
+    up, wp = lattice_nodes(p1, h, 0.0)
+    W, Wp = u * u, up * up
+    le = log_e(W)
+    x = wu * np.conj(p0.amplitude(W)) * np.exp(le) * W / np.sinh(math.pi * W)
+    y = wp * 2.0 * np.conj(p1.amplitude(Wp)) / np.exp(log_e(Wp))
+    F = gamma_i(Wp[None, :] - W[:, None]) @ y / (2.0 * math.pi)
+    mm = x @ (F + np.conj(p1.amplitude(W)) / (2.0 * u * np.exp(le)))
+    # m_plus on Gauss-Legendre nodes in sqrt(W)
+    W, w0, G0 = p0.nodes(n, root=True)
+    Wp, w1, G1 = p1.nodes(n, root=True)
+    x = w0 * G0 * np.exp(np.conj(0.5 * np.log(W) + log_e(W))) / (2.0 * np.sinh(math.pi * W))
+    y = w1 * np.conj(G1) * np.exp(-(0.5 * np.log(Wp) + log_e(Wp)))
+    mp = -np.sum(np.multiply.outer(x, y) * gamma_i(np.add.outer(W, Wp))) / (2.0 * math.pi)
+    return complex(mm), complex(mp)
+
+
+NARROW = [((1.0, 0.02), (0.93, 0.02)), ((1.0, 0.02), (1.0, 0.02)), ((1.0, 0.02), (1.5, 0.02))]
+
+
+class TestRealLineKernel:
+    @pytest.mark.parametrize("s0,s1", NARROW + [
+        ((1.0, 0.05, 0.3), (1.0, 0.05, -0.2)),
+        ((1.0, 0.05), (1.0, 0.05, 100.0)),
+        ((3.0, 0.25), (3.0, 0.25)),
+        ((1.2, 0.1), (1.2, 0.1)),
+        ((1.0, 0.2), (1.0, 0.2)),
+        ((10.0, 0.5), (12.0, 0.5)),
+        ((0.5, 0.1), (1.0, 0.1)),
+    ])
+    def test_est_error_bounds_gap_to_complex_route(self, s0, s1):
+        an = adjacent_moments_analytic(s0, s1)
+        mm, mp = complex_route_moments(s0, s1)
+        assert abs(an.m_minus - mm) <= an.est_error
+        assert abs(an.m_plus - mp) <= an.est_error
+
+    @pytest.mark.parametrize("s0,s1", NARROW)
+    def test_narrow_packets_agree_to_rounding(self, s0, s1):
+        an = adjacent_moments_analytic(s0, s1)
+        mm, mp = complex_route_moments(s0, s1)
+        assert abs(an.m_minus - mm) <= 1e-13 * abs(mm)
+        assert abs(an.m_plus - mp) <= 1e-13 * abs(mp)
+
+    def test_one_kernel_evaluation_per_call(self, monkeypatch):
+        # the four sums share one log e call and one Gamma(iz) call
+        calls = {"log_gamma_1pix": 0, "log_gamma": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(correlations, "log_gamma_1pix",
+                            counting("log_gamma_1pix", correlations.log_gamma_1pix))
+        monkeypatch.setattr(specfun, "log_gamma", counting("log_gamma", specfun.log_gamma))
+        adjacent_moments_analytic((1.0, 0.05, 0.3), (1.2, 0.05))
+        assert calls["log_gamma_1pix"] <= 2
+        assert calls["log_gamma"] == 0
+        assert not hasattr(correlations, "log_gamma")
 
 
 class TestAsymptotics:

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from diamondfield import specfun
 from diamondfield.bogoliubov import ab_coefficients
+from diamondfield.correlations import _lg_rel
 from diamondfield.errors import PoleError
 from diamondfield.specfun import (
     gamma_complex,
@@ -14,6 +20,7 @@ from diamondfield.specfun import (
     kummer_m,
     kummer_m_vec,
     log_gamma,
+    log_gamma_1pix,
 )
 
 
@@ -56,6 +63,38 @@ class TestGamma:
             log_gamma(0.0)
         with pytest.raises(PoleError):
             gamma_complex(-3.0)
+
+
+class TestGammaOnePlusIx:
+    def test_within_floor_of_mpmath(self):
+        # the floor of the adjacent moments grows with |x|: the g = 7 Lanczos
+        # phase is ~1e-15 off at |x| = 1, 4.3e-14 at 7.6 and 2e-13 at 50
+        g = np.geomspace(1e-8, 50.0, 200)
+        x = np.concatenate([np.linspace(-50.0, 50.0, 2001), g, -g, [0.0]])
+        got = log_gamma_1pix(x)
+        with mpmath.workdps(30):
+            ref = [mpmath.loggamma(mpmath.mpc(1, xi)) for xi in x]
+        for xi, v, r in zip(x, got, ref):
+            d = complex(mpmath.mpc(v) - r)
+            err = abs(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))
+            assert err <= _lg_rel(xi), xi
+
+    def test_conjugate_symmetry_is_exact(self):
+        x = np.geomspace(1e-3, 1e3, 61)
+        assert np.array_equal(log_gamma_1pix(-x), np.conj(log_gamma_1pix(x)))
+
+    @pytest.mark.parametrize("x", [0.0, 1e3, -1e3, 1e6, -1e6])
+    def test_extreme_arguments_finite_without_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = complex(log_gamma_1pix(x))
+            arr = log_gamma_1pix(np.array([x, 0.0]))
+        assert math.isfinite(v.real) and math.isfinite(v.imag)
+        assert np.all(np.isfinite(arr)) and arr[1] == 0.0
+        # log |Gamma(1 + ix)| -> log(sqrt(2 pi |x|)) - pi |x| / 2
+        if x:
+            y = math.pi * abs(x)
+            assert abs(v.real - 0.5 * math.log(2.0 * y) + 0.5 * y) <= 1e-15 * y
 
 
 class TestKummer:
@@ -191,3 +230,13 @@ class TestArbitraryPrecision:
             specfun._kummer_mp(1.0 + 1j, 2.0, z)
         # lanes with |z| <= 30 keep 25 + 0.5|z| digits
         assert digits == [25, 31, 40, 40, 40, 40]
+
+    def test_package_import_leaves_mpmath_unloaded(self):
+        # only the Kummer fallback imports mpmath, on its first call
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, diamondfield, diamondfield.cli; print('mpmath' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
