@@ -1,6 +1,7 @@
 """Bogoliubov coefficients between diamond modes and Minkowski plane waves.
 
-Closed forms (units of a = 1, Omega = omega/a, kappa = k/a):
+Closed forms, with omega and k in units of a (Om = omega/a, ka = k/a) and
+A, B in units of 1/a:
 
     A(0) =  2 sqrt(Om ka)/sinh(pi Om) e^{+2 i ka} M(1+i Om, 2, -4 i ka)
     B(0) = +2 sqrt(Om ka)/sinh(pi Om) e^{-2 i ka} M(1+i Om, 2, +4 i ka)
@@ -43,46 +44,41 @@ import numpy as np
 
 from ._quad import PANEL_ORDER, integrate_adaptive, panel_grid
 from .errors import DomainError
-from .geometry import DiamondScale
 from .modes import _V_CUT, Profile, _plane_kernel, _rapidity_integral
 from .specfun import kummer_m_vec, log_gamma
 
 
-def ab_coefficients(omega, k, n=0, scale=DiamondScale()):
+def ab_coefficients(omega, k, n=0):
     """(A, B) for diamond index n, vectorized over k at fixed omega."""
-    a = scale.a
-    Om = omega / a
-    ka = np.asarray(k, dtype=float) / a
-    if not Om > 0.0:
+    ka = np.asarray(k, dtype=float)
+    if not omega > 0.0:
         raise DomainError("omega must be positive")
     if np.any(ka <= 0.0):
         raise DomainError("k must be positive")
-    # 2 sqrt(Om ka)/sinh(pi Om), overflow-safe in Om
-    pref = np.sqrt(Om * ka) * 4.0 * math.exp(-math.pi * Om) / (-math.expm1(-2.0 * math.pi * Om))
-    A = pref * np.exp(2j * ka) * kummer_m_vec(1.0 + 1j * Om, 2.0, -4j * ka)
-    B = pref * np.exp(-2j * ka) * kummer_m_vec(1.0 + 1j * Om, 2.0, 4j * ka)
+    # 2 sqrt(omega ka)/sinh(pi omega), overflow-safe in omega
+    pref = np.sqrt(omega * ka) * 4.0 * math.exp(-math.pi * omega) / (-math.expm1(-2.0 * math.pi * omega))
+    A = pref * np.exp(2j * ka) * kummer_m_vec(1.0 + 1j * omega, 2.0, -4j * ka)
+    B = pref * np.exp(-2j * ka) * kummer_m_vec(1.0 + 1j * omega, 2.0, 4j * ka)
     if n:
         A = np.exp(4j * n * ka) * A
         B = np.exp(-4j * n * ka) * B
-    return A / a, B / a
+    return A, B
 
 
-def ab_numeric(omega, k, n=0, scale=DiamondScale()):
+def ab_numeric(omega, k, n=0):
     """(A, B, est_error) by regularized Klein-Gordon quadrature (independent oracle).
 
     A = <g_{n,omega}, u_k> reduced to the single absolutely convergent term
     -2i Int dV g dV(u_k*); the discarded boundary term has Abel mean zero.
     It is the rapidity integral of modes on |v| <= 40, one node per side.
     """
-    a = scale.a
-    Om = omega / a
-    ka = float(k) / a
+    Om, ka = float(omega), float(k)
     if not (Om > 0.0 and ka > 0.0):
         raise DomainError("omega and k must be positive")
     vA, vB, err = _rapidity_integral(lambda v: _plane_kernel(n, v), np.array([Om]), np.ones(1),
                                      np.array([ka]), np.ones(1), -_V_CUT, _V_CUT)
     c = math.sqrt(ka / Om) / (2.0 * math.pi)
-    return (c * vA / a, -c * vB / a, c * err / a)
+    return (c * vA, -c * vB, c * err)
 
 
 # ---------------------------------------------------------------------------
@@ -365,27 +361,25 @@ def _smeared_integral(profile, which):
     return SpectrumResult(finite + tail, err_f + lanes + err_t, finite, tail)
 
 
-def thermal_occupation(omega0, sigma=0.02, scale=DiamondScale(), v0=0.0):
+def thermal_occupation(omega0, sigma=0.02, v0=0.0):
     """Smeared diamond-mode occupation Int dka |B_G(ka)|^2 in the vacuum.
 
-    omega0, sigma are in absolute units, v0 is the packet center in the
-    diamond null coordinate; the result is dimensionless and should match
-    Int dw |G(w)|^2 / (e^{2 pi w / a} - 1) independently of v0.  The log-kappa
-    tail must end below kappa = e^708: |v0| a + 7 a/sigma <= 702, else DomainError.
+    omega0, sigma are in units of a, v0 is the packet center in the diamond
+    null coordinate, in units of 1/a; the result is dimensionless and should
+    match Int dw |G(w)|^2 / (e^{2 pi w} - 1) independently of v0.  The log-kappa
+    tail must end below kappa = e^708: |v0| + 7/sigma <= 702, else DomainError.
     """
-    profile = Profile(omega0, sigma, v0).natural(scale.a)
-    return _smeared_integral(profile, "occupation")
+    return _smeared_integral(Profile(omega0, sigma, v0), "occupation")
 
 
-def completeness_check(omega0, sigma=0.02, scale=DiamondScale()):
+def completeness_check(omega0, sigma=0.02):
     """Smeared Bogoliubov completeness Int dka (|A_G|^2 - |B_G|^2); exactly 1."""
-    profile = Profile(omega0, sigma).natural(scale.a)
-    return _smeared_integral(profile, "completeness")
+    return _smeared_integral(Profile(omega0, sigma), "completeness")
 
 
-def planck_occupation(omega0, sigma=0.02, scale=DiamondScale()):
-    """Reference value: packet-averaged Planck factor at T = a / 2 pi."""
-    om, wt, G = Profile(omega0, sigma).natural(scale.a).nodes()
+def planck_occupation(omega0, sigma=0.02):
+    """Reference value: packet-averaged Planck factor at T = 1/2 pi."""
+    om, wt, G = Profile(omega0, sigma).nodes()
     return float(np.sum(wt * np.abs(G) ** 2 / np.expm1(2.0 * math.pi * om)))
 
 

@@ -14,8 +14,8 @@ sharp coefficients (alpha_beta_numeric) and, with the packets summed inside,
 the smeared moments (cross_moments).  For adjacent diamonds (n = 1) there is
 a closed form in Gamma functions; for large n the moments fall off as 1/n^2.
 
-All sharp-mode formulas use Omega = omega/a and return values in units of
-1/a; smeared moments are dimensionless.
+Frequencies are in units of a and packet centres v0 in units of 1/a; the
+sharp alpha and beta are in units of 1/a, the smeared moments dimensionless.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .geometry import DiamondScale
 from .modes import _SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral
 from .specfun import log_gamma_1pix
 
@@ -51,11 +50,11 @@ def _log_a(W, le):
     return 0.5 * np.log(W) + le
 
 
-def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
+def alpha_beta_adjacent(Omega, Omega_p):
     """Sharp adjacent-diamond coefficients (alpha, beta) in closed form.
 
-    Omega is the exterior-mode frequency, Omega_p the first-diamond one (both
-    already divided by a).  alpha = <g1_{w'}, gex_w>, beta = <g1_{w'}, gex_w*>
+    Omega is the exterior-mode frequency, Omega_p the first-diamond one, both
+    in units of a.  alpha = <g1_{w'}, gex_w>, beta = <g1_{w'}, gex_w*>
     in the package KG convention; alpha has a simple pole at Omega = Omega_p.
     """
     if not (Omega > 0.0 and Omega_p > 0.0):
@@ -67,7 +66,7 @@ def alpha_beta_adjacent(Omega, Omega_p, scale=DiamondScale()):
     K = _gamma_i(np.array([Omega - Omega_p, -(Omega_p + Omega)]))
     alpha = np.exp(np.conj(la - lp)) * K[0] / (2.0 * math.pi)
     beta = -np.exp(la - np.conj(lp)) * K[1] / (2.0 * math.pi)
-    return complex(alpha) / scale.a, complex(beta) / scale.a
+    return complex(alpha), complex(beta)
 
 
 def _kernel(n, v):
@@ -95,7 +94,7 @@ def _overlap(n, om_d, p, om_x, e, lo, hi):
     return k * I, k * J, k * err
 
 
-def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale()):
+def alpha_beta_numeric(Omega, Omega_p, n=1):
     """(alpha, beta, est_error) for diamond n >= 1 by rapidity quadrature.
 
     _overlap, the rapidity integral of modes, runs over |v| <= 40.  For n = 1
@@ -118,8 +117,7 @@ def alpha_beta_numeric(Omega, Omega_p, n=1, scale=DiamondScale()):
         f = (2.0 / math.pi) * math.sqrt(Omega / Omega_p) * base * np.exp(1j * Omega_p * _V_CUT)
         al += f * np.exp(-1j * Omega * L) / (1j * (Omega - Omega_p))
         be += f * np.exp(1j * Omega * L) / (1j * (Omega + Omega_p))
-    a = scale.a
-    return complex(al) / a, complex(be) / a, err / a
+    return complex(al), complex(be), err
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +133,7 @@ class CrossMoments:
     est_error: float
 
 
-def cross_moments(spec0, spec_n, n, scale=DiamondScale()):
+def cross_moments(spec0, spec_n, n):
     """Smeared <b0 bn> and <b0+ bn> for Gaussian packets spec = (omega0, sigma)
     or (omega0, sigma, v0), the nth packet living in diamond n >= 1.
 
@@ -149,8 +147,8 @@ def cross_moments(spec0, spec_n, n, scale=DiamondScale()):
     """
     if n < 1:
         raise DomainError("cross_moments requires diamond separation n >= 1")
-    p0 = Profile(*spec0).natural(scale.a).checked()
-    p1 = Profile(*spec_n).natural(scale.a).checked()
+    p0 = Profile(*spec0).checked()
+    p1 = Profile(*spec_n).checked()
     m = _node_count(p0, p1)
     o0, w0, G0 = p0.nodes(m, root=True)
     o1, w1, G1 = p1.nodes(m, root=True)
@@ -178,19 +176,18 @@ def asymptotic_moment(n, Omega, Omega_p):
     return m, -m
 
 
-def smeared_asymptotic_moment(spec0, spec_n, n, scale=DiamondScale()):
+def smeared_asymptotic_moment(spec0, spec_n, n):
     """asymptotic_moment at the packet centers times the profile integrals
-    (Int dw G0)(Int dw G1), directly comparable with cross_moments.
+    (Int dw G0)(Int dw G1) on Profile.nodes(root=True), comparable with cross_moments.
 
     Only packets centered at v0 = 0 are covered: the center phases e^{-i w v0}
     are not part of the asymptotic form.
     """
-    p0 = Profile(*spec0).natural(scale.a)
-    p1 = Profile(*spec_n).natural(scale.a)
+    p0, p1 = Profile(*spec0), Profile(*spec_n)
     if p0.v0 or p1.v0:
         raise DomainError("smeared asymptotic moments need packets centered at v0 = 0")
-    _, w0, G0 = p0.nodes()
-    _, w1, G1 = p1.nodes()
+    _, w0, G0 = p0.nodes(root=True)
+    _, w1, G1 = p1.nodes(root=True)
     norm = float(np.sum(w0 * G0).real) * float(np.sum(w1 * G1).real)
     mm, mp = asymptotic_moment(n, p0.omega0, p1.omega0)
     return mm * norm, mp * norm
@@ -255,7 +252,7 @@ def _plus(ext, dia, le, lep, K):
     return -complex(np.sum(terms)), np.sum(np.abs(terms))
 
 
-def adjacent_moments_analytic(spec0, spec1, scale=DiamondScale()):
+def adjacent_moments_analytic(spec0, spec1):
     """<b0 b1> and <b0+ b1> from the adjacent-diamond closed forms.
 
     m_minus is the sum of _lattice at the step h that keeps the W spacing 2uh
@@ -269,8 +266,8 @@ def adjacent_moments_analytic(spec0, spec1, scale=DiamondScale()):
     sums take log e on all their nodes from one log_gamma_1pix call, and
     Gamma(iz) on all their kernel arguments from one more.
     """
-    p0 = Profile(*spec0).natural(scale.a).checked()
-    p1 = Profile(*spec1).natural(scale.a).checked()
+    p0 = Profile(*spec0).checked()
+    p1 = Profile(*spec1).checked()
     n = 36 + math.ceil(12.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
     V = abs(p0.v0) + abs(p1.v0)
     h = min(p.sigma / (4.0 * math.sqrt(p.omega0 + _SPAN * p.sigma) * (1.0 + V * p.sigma / (2.0 * math.pi)))

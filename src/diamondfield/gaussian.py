@@ -140,9 +140,9 @@ def joint_variance(cov, i, j, sign, phi=0.0):
     """V((X_i(phi) + sign * X_j(phi)) / sqrt 2), sign in {+1, -1}."""
     if i == j:
         raise IndexError("joint variance needs two distinct modes")
-    if sign not in (1, -1, "+", "-"):
+    if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    s = 1.0 if sign in (1, "+") else -1.0
+    s = float(sign)
     c, sn = math.cos(phi), math.sin(phi)
     u = np.zeros(cov.matrix.shape[0])
     u[2 * i], u[2 * i + 1] = c / math.sqrt(2.0), sn / math.sqrt(2.0)

@@ -145,10 +145,6 @@ class Profile(NamedTuple):
     sigma: float
     v0: float = 0.0
 
-    def natural(self, a):
-        """The same profile in units of a = 1."""
-        return Profile(self.omega0 / a, self.sigma / a, self.v0 * a)
-
     def amplitude(self, om):
         """G at the frequencies om (scalar or array)."""
         return (
@@ -209,6 +205,10 @@ class Packet:
     center: float
     sigma_env: float
     conj: bool = field(default=False)
+
+    def __post_init__(self):
+        if self.kind not in ("diamond", "exterior", "plane"):
+            raise DomainError("kind must be 'diamond', 'exterior' or 'plane'")
 
     @property
     def sign(self) -> int:

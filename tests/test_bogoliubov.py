@@ -15,7 +15,6 @@ from diamondfield.bogoliubov import (
     thermal_occupation,
 )
 from diamondfield.errors import DomainError
-from diamondfield.geometry import DiamondScale
 from diamondfield.modes import Profile
 from diamondfield.specfun import kummer_asymptotic_sectors, kummer_m_vec
 
@@ -47,12 +46,6 @@ class TestCoefficients:
         assert A.shape == (3,)
         A1, _ = ab_coefficients(1.0, 1.0)
         assert abs(A[1] - A1) < 1e-14
-
-    def test_scale_units(self):
-        # A, B carry units of 1/a; arguments are absolute
-        A1, _ = ab_coefficients(1.0, 1.5, scale=DiamondScale(1.0))
-        A2, _ = ab_coefficients(2.0, 3.0, scale=DiamondScale(2.0))
-        assert abs(A2 - A1 / 2.0) < 1e-14
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

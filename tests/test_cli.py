@@ -200,6 +200,16 @@ class TestOptions:
                  for p in inspect.signature(fn).parameters if p in ("tol", "max_doublings")]
         assert knobs == []
 
+    def test_results_in_units_of_a(self):
+        # the diamond's size lives in geometry.DiamondScale; every other
+        # function takes and returns quantities in units of a
+        names = dict(self._public_callables())
+        assert "diamondfield.geometry.to_diamond" in names
+        scaled = [name for name, fn in names.items()
+                  if not name.startswith("diamondfield.geometry.")
+                  and "scale" in inspect.signature(fn).parameters]
+        assert scaled == []
+
     @pytest.mark.parametrize("command", ["correlations", "fig2", "detector", "validate"])
     def test_only_spectrum_takes_tol(self, command, capsys):
         assert cli.build_parser().parse_args(["spectrum", "--tol", "0.5"]).tol == 0.5

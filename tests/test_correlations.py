@@ -456,6 +456,19 @@ class TestAsymptotics:
         mm, mp = smeared_asymptotic_moment((1.0, 0.05), (1.0, 0.05), 20)
         assert 0.9 <= cm.m_minus.real / mm <= 1.1
 
+    @pytest.mark.parametrize("spec0, spec1", [
+        ((1.0, 0.02), (1.0, 0.02)), ((1.0, 0.05), (1.0, 0.05)),
+        ((1.0, 0.02), (1.3, 0.02)), ((2.0, 0.1), (0.6, 0.05)),
+    ])
+    def test_smeared_is_asymptotic_times_profile_integrals(self, spec0, spec1):
+        # for omega0 >= 12 sigma, Int dw G = (2 pi sigma^2)^{-1/4} 2 sigma sqrt(pi)
+        norm = math.prod((2.0 * math.pi * s * s) ** -0.25 * 2.0 * s * math.sqrt(math.pi)
+                         for _, s in (spec0, spec1))
+        got = smeared_asymptotic_moment(spec0, spec1, 20)
+        ref = asymptotic_moment(20, spec0[0], spec1[0])
+        for x, r in zip(got, ref):
+            assert abs(x - r * norm) <= 1e-13 * abs(r * norm)
+
     def test_inverse_square_slope(self):
         ns = np.array([10, 20, 40])
         vals = [abs(cross_moments((1.0, 0.05), (1.0, 0.05), int(n)).m_minus) for n in ns]

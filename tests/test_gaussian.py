@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondfield.bogoliubov import planck_occupation
 from diamondfield.errors import ConvergenceError, DomainError
 from diamondfield.gaussian import (
     WavepacketSpec,
+    _same_diamond_occupation,
     build_covariance,
     fig2_sweep,
     joint_variance,
@@ -110,6 +113,42 @@ class TestCovariance:
             build_covariance([])
 
 
+def _planck_overlap_mpmath(s1, s2):
+    """Int dw conj(G1) G2 / (e^{2 pi w} - 1) at 30 digits, on pieces of one
+    narrower sigma over both packets' omega0 +- 14 sigma."""
+    with mpmath.workdps(30):
+        def G(s, w):
+            return ((2 * mpmath.pi * s.sigma**2) ** -0.25 * mpmath.expj(-w * s.v0)
+                    * mpmath.exp(-((w - s.omega0) ** 2) / (4 * s.sigma**2)))
+
+        def f(w):
+            return mpmath.conj(G(s1, w)) * G(s2, w) / mpmath.expm1(2 * mpmath.pi * w)
+
+        step = min(s1.sigma, s2.sigma)
+        lo = max(min(s1.omega0 - 14 * s1.sigma, s2.omega0 - 14 * s2.sigma), step)
+        hi = max(s1.omega0 + 14 * s1.sigma, s2.omega0 + 14 * s2.sigma)
+        pieces = mpmath.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
+        return complex(mpmath.quad(f, pieces))
+
+
+class TestSameDiamondOccupation:
+    """<b1+ b2> within one diamond, the Planck-weighted profile overlap."""
+
+    @pytest.mark.parametrize("s1, s2", [
+        (WavepacketSpec(0, 1.0), WavepacketSpec(0, 1.0)),
+        (WavepacketSpec(0, 1.0), WavepacketSpec(0, 1.03)),
+        (WavepacketSpec(0, 1.0, 0.05, 3.0), WavepacketSpec(0, 1.05, 0.05, -2.0)),
+        (WavepacketSpec(0, 1.0, 0.1), WavepacketSpec(0, 1.0, 0.1, 5.0)),
+        (WavepacketSpec(0, 1.0), WavepacketSpec(0, 1.3)),
+    ])
+    def test_matches_mpmath_quadrature(self, s1, s2):
+        assert abs(_same_diamond_occupation(s1, s2) - _planck_overlap_mpmath(s1, s2)) <= 1e-15
+
+    @pytest.mark.parametrize("s", [WavepacketSpec(0, 1.0), WavepacketSpec(0, 1.3, 0.05)])
+    def test_diagonal_is_planck_occupation(self, s):
+        assert abs(_same_diamond_occupation(s, s) - planck_occupation(s.omega0, s.sigma)) <= 1e-15
+
+
 class TestJointVariance:
     def test_vacuum_pair(self):
         cov = build_covariance([
@@ -133,6 +172,11 @@ class TestJointVariance:
         assert abs(
             joint_variance(cov, 0, 1, -1, 0.3) - joint_variance(cov, 1, 0, -1, 0.3)
         ) < 1e-13
+
+    @pytest.mark.parametrize("sign", ["+", "-", 0, 2])
+    def test_sign_is_plus_or_minus_one(self, sign):
+        with pytest.raises(DomainError):
+            joint_variance(pair(), 0, 1, sign)
 
     def test_same_index_rejected(self):
         with pytest.raises(IndexError):

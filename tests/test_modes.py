@@ -193,6 +193,14 @@ class TestOverlaps:
         ref = np.exp(1j * 0.3 - 0.02**2 * 0.3**2 / 2.0)
         assert abs(val - ref) < 1e-6
 
+    def test_unknown_kind_rejected(self):
+        # unchecked, a misspelt diamond meets diamond 2 with a nonzero product
+        # and an unknown kind goes through the diamond kernel against a plane
+        with pytest.raises(DomainError):
+            kg_product(gaussian_packet("Diamond", 1.0), gaussian_packet("diamond", 1.0, n=2))
+        with pytest.raises(DomainError):
+            kg_product(gaussian_packet("rindler", 1.0), gaussian_packet("plane", 1.0))
+
     def test_disjoint_diamonds_exact_zero(self):
         p1 = gaussian_packet("diamond", 1.0, n=0)
         p2 = gaussian_packet("diamond", 1.0, n=2)
@@ -406,9 +414,6 @@ class TestProfile:
         r = min(omega0 / 0.1, 8.0)
         mass = 0.5 * math.erfc(-8.0 / math.sqrt(2.0)) - 0.5 * math.erfc(r / math.sqrt(2.0))
         assert abs(np.sum(wt * np.abs(G) ** 2) - mass) <= 1e-12
-
-    def test_natural_units(self):
-        assert Profile(2.0, 0.1, 0.5).natural(2.0) == Profile(1.0, 0.05, 1.0)
 
     def test_bad_profile_rejected(self):
         with pytest.raises(DomainError):
