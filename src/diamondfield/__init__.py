@@ -32,7 +32,6 @@ from .modes import (
     PlaneWave,
     Profile,
     eval_mode,
-    gaussian_packet,
     kg_product,
 )
 from .bogoliubov import (
@@ -91,7 +90,6 @@ __all__ = [
     "PlaneWave",
     "Profile",
     "eval_mode",
-    "gaussian_packet",
     "kg_product",
     "ab_coefficients",
     "ab_numeric",

@@ -1,8 +1,7 @@
 """Command-line interface: reproducible CSV/JSON emitters for every result.
 
-Frequencies and energies are exchanged in units of a; `--a` rescales the
-dimensionful columns for display only.  Output is deterministic: identical
-flags produce byte-identical files.
+Frequencies and energies are exchanged in units of a.  Output is
+deterministic: identical flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ def _base_meta(args, command):
         "tool": "diamondfield",
         "version": __version__,
         "command": command,
-        "a": args.a,
         "format": args.format,
     }
 
@@ -112,7 +110,7 @@ def cmd_spectrum(args):
         ref = planck_occupation(om, args.sigma)
         rel = abs(res.value - ref) / ref
         worst = max(worst, rel)
-        rows.append((om * args.a, res.value, ref, rel))
+        rows.append((om, res.value, ref, rel))
     meta["max_rel_err"] = worst
     _emit(args.out, args.format, meta, ("omega0", "n_numeric", "n_planck", "rel_err"), rows)
     return EXIT_OK if worst <= args.tol else EXIT_NUMERIC
@@ -219,11 +217,11 @@ def _validate_checks():
         return err < 1e-9, f"roundtrip error {err:.2e}"
 
     def mode_norms():
-        from .modes import gaussian_packet, kg_product
+        from .modes import Packet, kg_product
 
         worst = 0.0
         for kind in ("plane", "diamond", "exterior"):
-            p = gaussian_packet(kind, 1.0)
+            p = Packet(0, 1.0, kind=kind)
             worst = max(worst, abs(kg_product(p, p).value - 1.0))
         return worst < 1e-7, f"max norm deviation {worst:.2e}"
 
@@ -289,7 +287,6 @@ def build_parser():
         prog="diamondfield",
         description="Thermal spectra, correlations and detector response for diamond modes",
     )
-    p.add_argument("--a", type=_POSITIVE, default=1.0, help="diamond scale for display units")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, grid, sigma=True):

@@ -143,19 +143,30 @@ def cross_moments(spec0, spec_n, n):
     For n >= 2 it runs over |v| <= 40, where sech^2(v/2) has decayed to
     ~1e-17; for n = 1 the integrand keeps the packets' size toward the
     shared tip, so it runs down to the diamond packet's envelope edge
-    -|v0| - _TAIL/sigma.
+    lo = -|v0| - _TAIL/sigma.  Resolving the exterior phases e^{-i w L} out to
+    |L| ~ |lo| takes m_x = 96 + 12.8 (sigma0 |lo| - _TAIL) nodes, more than m only
+    if p0 is the wider packet; then m_x is used and est_error adds |Q(m_x) - Q(m_x - 4)|.
     """
     if n < 1:
         raise DomainError("cross_moments requires diamond separation n >= 1")
     p0 = Profile(*spec0).checked()
     p1 = Profile(*spec_n).checked()
-    m = _node_count(p0, p1)
-    o0, w0, G0 = p0.nodes(m, root=True)
-    o1, w1, G1 = p1.nodes(m, root=True)
     lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -_V_CUT
-    e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))  # E_minus; E_plus = conj
-    mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, _V_CUT)
-    return CrossMoments(m_minus=np.conj(mm), m_plus=np.conj(mp), est_error=err)
+
+    def moments(m):
+        o0, w0, G0 = p0.nodes(m, root=True)
+        o1, w1, G1 = p1.nodes(m, root=True)
+        e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))  # E_minus; E_plus = conj
+        mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, _V_CUT)
+        return np.conj(mm), np.conj(mp), err
+
+    m = _node_count(p0, p1)
+    # m_x, with sigma0 |lo| - _TAIL written to be exactly sigma |v0| at equal widths
+    m_x = 96 + math.ceil(12.8 * (p0.sigma * abs(p1.v0) + _TAIL * (p0.sigma / p1.sigma - 1.0)))
+    if n >= 2 or m_x <= m:
+        return CrossMoments(*moments(m))
+    (mm, mp, err), (mm2, mp2, _) = moments(m_x), moments(m_x - 4)
+    return CrossMoments(mm, mp, err + max(abs(mm - mm2), abs(mp - mp2)))
 
 
 def asymptotic_moment(n, Omega, Omega_p):

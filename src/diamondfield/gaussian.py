@@ -17,32 +17,21 @@ from ._quad import panel_nodes
 from .bogoliubov import planck_occupation
 from .correlations import adjacent_moments_analytic, cross_moments
 from .errors import ConvergenceError, DomainError
-from .modes import Profile
+from .modes import Packet
 
 WITNESS_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
-class WavepacketSpec:
-    """Gaussian wavepacket mode in diamond n (or a free Minkowski packet)."""
-
-    n: int
-    omega0: float
-    sigma: float = 0.02
-    v0: float = 0.0
-    kind: str = "diamond"
+class WavepacketSpec(Packet):
+    """A Packet that build_covariance takes: an unconjugated diamond-n (or
+    free Minkowski) packet with omega0 >= 5 sigma, the narrow-band assumption
+    behind the mode algebra."""
 
     def __post_init__(self):
-        if self.kind not in ("diamond", "plane"):
-            raise DomainError("kind must be 'diamond' or 'plane'")
-        self.profile.checked()
-        # narrow-band assumption behind the mode algebra
-        if self.omega0 < 5.0 * self.sigma:
-            raise DomainError("need omega0 >= 5 sigma")
-
-    @property
-    def profile(self) -> Profile:
-        return Profile(self.omega0, self.sigma, self.v0)
+        super().__post_init__()
+        if self.kind not in ("diamond", "plane") or self.conj or self.omega0 < 5.0 * self.sigma:
+            raise DomainError("need an unconjugated diamond or plane packet with omega0 >= 5 sigma")
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,7 @@ def _mode_moments(specs, adjacent):
 
 
 def build_covariance(specs, adjacent="analytic"):
-    """Vacuum covariance matrix of the quadratures of the given modes.
+    """Vacuum covariance matrix of the quadratures of the given WavepacketSpec modes.
 
     The occupations on the diagonal are the closed-form thermal values
     (planck_occupation).  adjacent selects the nearest-neighbour moment
@@ -112,6 +101,8 @@ def build_covariance(specs, adjacent="analytic"):
     m = len(specs)
     if m == 0:
         raise DomainError("need at least one mode")
+    if not all(isinstance(s, WavepacketSpec) for s in specs):
+        raise DomainError("covariance modes must be WavepacketSpec packets")
     N, M, err = _mode_moments(specs, adjacent)
     # X(0) = b + b+ and X(pi/2) = -i b + i b+, interleaved per mode
     eye = np.eye(m)

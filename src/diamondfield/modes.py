@@ -30,7 +30,8 @@ short Taylor series in its own rapidity about each panel's mid-range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -190,25 +191,35 @@ def _node_count(*profiles):
 
 @dataclass(frozen=True)
 class Packet:
-    """A frequency-smeared mode: sum_j weights[j] * (family mode at omegas[j]).
+    """The Gaussian wavepacket Profile(omega0, sigma, v0) of mode family kind
+    ('diamond', 'exterior' or 'plane') in diamond n, conjugated when conj: the
+    sum_j weights[j] * (mode at omegas[j]) on Profile.nodes().  The nodes are
+    built on first use and are not fields: packets compare by their parameters."""
 
-    kind is 'diamond', 'exterior' or 'plane'; n is the diamond index (ignored
-    otherwise).  weights already include the frequency-quadrature weights, so
-    any smooth smearing profile can be represented.  center/sigma_env locate
-    the packet envelope in its natural rapidity for integration bookkeeping.
-    """
-
-    kind: str
     n: int
-    omegas: np.ndarray
-    weights: np.ndarray
-    center: float
-    sigma_env: float
-    conj: bool = field(default=False)
+    omega0: float
+    sigma: float = DEFAULT_SIGMA
+    v0: float = 0.0
+    kind: str = "diamond"
+    conj: bool = False
 
     def __post_init__(self):
         if self.kind not in ("diamond", "exterior", "plane"):
             raise DomainError("kind must be 'diamond', 'exterior' or 'plane'")
+        self.profile.checked()
+
+    @property
+    def profile(self) -> Profile:
+        return Profile(self.omega0, self.sigma, self.v0)
+
+    @cached_property
+    def _terms(self):
+        # 96 + 12.8 sigma |v0| nodes; e^{-i w u} on the envelope needs 70.4 + 12.8 sigma |v0|
+        om, wt, G = self.profile.nodes()
+        return om, wt * G
+
+    omegas = property(lambda self: self._terms[0])
+    weights = property(lambda self: self._terms[1])
 
     @property
     def sign(self) -> int:
@@ -219,8 +230,8 @@ class Packet:
         return replace(self, conj=not self.conj)
 
     def envelope_interval(self):
-        half = _TAIL / self.sigma_env
-        return self.center - half, self.center + half
+        c, half = -self.sign * self.v0, _TAIL / self.sigma  # G e^{-i sign w u} peaks at c
+        return c - half, c + half
 
     def eval_natural(self, u):
         """(value, d value/du) at the packet's own natural coordinate."""
@@ -237,25 +248,15 @@ class Packet:
         return val, dval
 
 
-def gaussian_packet(kind, omega0, sigma=DEFAULT_SIGMA, v0=0.0, n=0):
-    """Packet with the Gaussian Profile(omega0, sigma, v0) on mode family kind."""
-    # resolve the phase e^{-i w u} across omega0 +- 8 sigma and |u -+ v0| <= _TAIL / sigma
-    n_nodes = max(128, int(12.8 * (_TAIL + sigma * abs(v0))) + 16)
-    om, wt, G = Profile(omega0, sigma, v0).nodes(n_nodes)
-    # G e^{-i sign w u} peaks at u = -sign v0: -v0 for diamond and plane packets
-    center = v0 if kind == "exterior" else -v0
-    return Packet(kind=kind, n=n, omegas=om, weights=wt * G, center=center, sigma_env=sigma)
-
-
 def _wrap_sharp(mode):
     if isinstance(mode, Packet):
         return mode, False
     if isinstance(mode, PlaneWave):
-        return gaussian_packet("plane", mode.k), True
+        return Packet(0, mode.k, kind="plane"), True
     if isinstance(mode, DiamondMode):
-        return gaussian_packet("diamond", mode.omega, n=mode.n), True
+        return Packet(mode.n, mode.omega), True
     if isinstance(mode, ExteriorMode):
-        return gaussian_packet("exterior", mode.omega), True
+        return Packet(0, mode.omega, kind="exterior"), True
     raise TypeError(f"not a mode or packet: {mode!r}")
 
 

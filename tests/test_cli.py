@@ -115,8 +115,6 @@ class TestDetector:
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv", [
-        ["--a", "nan", "fig2"],
-        ["--a", "inf", "spectrum"],
         ["spectrum", "--tol", "nan"],
         ["fig2", "--sigma", "inf"],
         ["spectrum", "--grid", "1.0", "--sigma", "nan"],
@@ -209,6 +207,15 @@ class TestOptions:
                   if not name.startswith("diamondfield.geometry.")
                   and "scale" in inspect.signature(fn).parameters]
         assert scaled == []
+
+    @pytest.mark.parametrize("argv", [["--a", "2", "spectrum"], ["spectrum", "--a", "2"],
+                                      ["fig2", "--a", "2"]])
+    def test_no_display_scale_flag(self, argv):
+        # --a once rescaled only spectrum's omega0 column while every command
+        # printed a=2; results are in units of a
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["correlations", "fig2", "detector", "validate"])
     def test_only_spectrum_takes_tol(self, command, capsys):

@@ -290,6 +290,23 @@ class TestCrossMoments:
         assert abs(cm.m_minus - mm) <= 1e-15
         assert abs(cm.m_plus - mp) <= 1e-15
 
+    @pytest.mark.parametrize("s0,s1,nodes", [
+        ((1.0, 0.1), (1.0, 0.01), 1536),
+        ((2.0, 0.2), (2.0, 0.02), 1536),
+        ((1.0, 0.1), (1.0, 0.02), 768),
+        ((1.0, 0.05), (1.0, 0.02), 512),
+        ((4.18, 0.237, 1.43), (3.59, 0.0265, 17.9), 1536),
+    ])
+    def test_wide_exterior_packet_resolved(self, s0, s1, nodes):
+        # at n = 1 the exterior sum must resolve e^{-i w L} out to the diamond
+        # packet's edge |L| ~ |v0| + 5.5 / sigma; on 96 (103) nodes the 1st,
+        # 2nd, 3rd and 5th pairs were 2.9e-3, 1.2e-4, 1.7e-5 and 1.7e-7 off,
+        # with est_error below 7e-15.  nodes is at least twice cross_moments'
+        cm = cross_moments(s0, s1, 1)
+        mm, mp, _ = root_node_oracle(s0, s1, nodes=nodes)
+        assert abs(cm.m_minus - mm) <= cm.est_error
+        assert abs(cm.m_plus - mp) <= cm.est_error
+
 
 class TestAdjacentLattice:
     @pytest.mark.parametrize("s0,s1", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from diamondfield.gaussian import (
     mode_variance,
     squeezing_witness,
 )
+from diamondfield.modes import Packet, kg_product
 
 FIG2 = dict(omega0=1.0, sigma=0.02)
 
@@ -47,6 +49,27 @@ class TestSpecs:
     def test_kind_contract(self):
         with pytest.raises(DomainError):
             WavepacketSpec(0, 1.0, kind="rindler")
+
+
+class TestOnePacketType:
+    def test_spec_adds_no_fields(self):
+        assert dataclasses.fields(WavepacketSpec) == dataclasses.fields(Packet)
+
+    def test_spec_is_a_kg_packet(self):
+        # the covariance's modes are the KG engine's packets
+        s = WavepacketSpec(0, 1.0)
+        res = kg_product(s, s)
+        assert abs(res.value - 1.0) <= res.est_error
+
+    def test_covariance_takes_specs_only(self):
+        # a plain Packet would skip the narrow-band check
+        with pytest.raises(DomainError):
+            build_covariance([Packet(0, 1.0)])
+
+    @pytest.mark.parametrize("kwargs", [dict(kind="exterior"), dict(conj=True)])
+    def test_spec_contract(self, kwargs):
+        with pytest.raises(DomainError):
+            WavepacketSpec(0, 1.0, **kwargs)
 
 
 class TestCovariance:

@@ -25,7 +25,6 @@ from diamondfield.modes import (
     _taylor_sum,
     boundary_mask,
     eval_mode,
-    gaussian_packet,
     kg_product,
 )
 
@@ -68,19 +67,19 @@ class TestModeFunctions:
 class TestPacketNorms:
     @pytest.mark.parametrize("kind", KINDS)
     def test_unit_norm(self, kind):
-        p = gaussian_packet(kind, 1.0)
+        p = Packet(0, 1.0, kind=kind)
         res = kg_product(p, p)
         assert abs(res.value - 1.0) < 1e-7
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_conjugate_negative_norm(self, kind):
-        p = gaussian_packet(kind, 1.0)
+        p = Packet(0, 1.0, kind=kind)
         res = kg_product(p.conjugate(), p.conjugate())
         assert abs(res.value + 1.0) < 1e-7
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_mode_conjugate_orthogonal(self, kind):
-        p = gaussian_packet(kind, 1.0)
+        p = Packet(0, 1.0, kind=kind)
         res = kg_product(p, p.conjugate())
         assert abs(res.value) < 1e-7
 
@@ -89,7 +88,7 @@ class TestPacketNorms:
     def test_unit_norm_far_from_center(self, kind, v0):
         # the envelope peaks at u = -v0 for diamond and plane packets and at
         # u = +v0 for exterior ones; the product must integrate over it
-        p = gaussian_packet(kind, 1.0, 0.02, v0=v0)
+        p = Packet(0, 1.0, 0.02, v0=v0, kind=kind)
         assert abs(kg_product(p, p).value - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("v0", [0.0, 100.0, 300.0])
@@ -97,7 +96,7 @@ class TestPacketNorms:
     def test_est_error_bounds_unit_gap(self, kind, v0):
         # the doubling difference alone reads 0 here; the rounding floor of
         # the phases w u must cover the ~1e-14 gap
-        p = gaussian_packet(kind, 1.0, 0.02, v0=v0)
+        p = Packet(0, 1.0, 0.02, v0=v0, kind=kind)
         res = kg_product(p, p)
         assert abs(res.value - 1.0) <= res.est_error <= 1e-12
 
@@ -115,12 +114,26 @@ def _count_nodes(monkeypatch):
     return nodes
 
 
+class TestPacket:
+    def test_packets_compare_and_hash(self):
+        # the node arrays are not fields, so equal parameters give equal packets
+        p, q = Packet(0, 1.0), Packet(0, 1.0)
+        assert p == q and hash(p) == hash(q)
+        assert p.conjugate() != p and p.conjugate().conjugate() == p
+        assert len({p, q, p.conjugate()}) == 2
+
+    def test_nodes_are_the_profile_grid(self):
+        p = Packet(0, 1.0, 0.05, v0=3.0, kind="exterior")
+        om, wt, G = p.profile.nodes()
+        assert np.array_equal(p.omegas, om) and np.array_equal(p.weights, wt * G)
+
+
 class TestProductCost:
     @pytest.mark.parametrize("kind", KINDS)
     def test_norm_at_beat_bandwidth(self, kind, monkeypatch):
         # a norm sums the beats e^{-i (w_j - w_k) u} of the packet in closed
         # form: no packet evaluation and no quadrature
-        p = gaussian_packet(kind, 1.0, 0.02)
+        p = Packet(0, 1.0, 0.02, kind=kind)
         nodes = _count_nodes(monkeypatch)
         calls = []
         monkeypatch.setattr(modes, "integrate_adaptive", lambda *a, **k: calls.append(a))
@@ -130,8 +143,8 @@ class TestProductCost:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_shared_evaluation_is_bit_identical(self, kind):
-        p = gaussian_packet(kind, 1.0, 0.02, v0=3.0)
-        q = dataclasses.replace(p, omegas=p.omegas.copy(), weights=p.weights.copy())
+        p = Packet(0, 1.0, 0.02, v0=3.0, kind=kind)
+        q = dataclasses.replace(p)  # equal parameters, its own node arrays
         assert kg_product(p, p) == kg_product(p, q)
         assert kg_product(p, p.conjugate()) == kg_product(p, q.conjugate())
         assert kg_product(p.conjugate(), p.conjugate()) == kg_product(p.conjugate(), q.conjugate())
@@ -165,8 +178,8 @@ class TestSameFamilySum:
     def test_est_error_bounds_gap_to_quadrature(self, kind, v0, sigma):
         # the closed-form double sum against the quadrature it replaced, for
         # a packet p, its conjugate and a packet q at omega0 = 1.08, v0 / 2
-        p = gaussian_packet(kind, 1.0, sigma, v0=v0)
-        q = gaussian_packet(kind, 1.08, sigma, v0=v0 / 2.0)
+        p = Packet(0, 1.0, sigma, v0=v0, kind=kind)
+        q = Packet(0, 1.08, sigma, v0=v0 / 2.0, kind=kind)
         pairs = ((p, p), (p, p.conjugate()), (p.conjugate(), p.conjugate()),
                  (p, q), (q.conjugate(), p))
         for m1, m2 in pairs:
@@ -177,8 +190,8 @@ class TestSameFamilySum:
 class TestOverlaps:
     def test_same_family_frequency_space_oracle(self):
         # overlap of two packets in one diamond is the profile overlap
-        p1 = gaussian_packet("diamond", 1.0, 0.05)
-        p2 = gaussian_packet("diamond", 1.08, 0.05)
+        p1 = Packet(0, 1.0, 0.05)
+        p2 = Packet(0, 1.08, 0.05)
         val = kg_product(p1, p2).value
         s = 0.05
         ref = math.exp(-((1.08 - 1.0) ** 2) / (8.0 * s * s))
@@ -186,8 +199,8 @@ class TestOverlaps:
         assert abs(val - ref) < 1e-6
 
     def test_displaced_packet_phase(self):
-        p1 = gaussian_packet("plane", 1.0, 0.02)
-        p2 = gaussian_packet("plane", 1.0, 0.02, v0=0.3)
+        p1 = Packet(0, 1.0, 0.02, kind="plane")
+        p2 = Packet(0, 1.0, 0.02, v0=0.3, kind="plane")
         val = kg_product(p1, p2).value
         # <p1, p2> = Int |G|^2 e^{i w v0} dw, Gaussian closed form
         ref = np.exp(1j * 0.3 - 0.02**2 * 0.3**2 / 2.0)
@@ -197,21 +210,21 @@ class TestOverlaps:
         # unchecked, a misspelt diamond meets diamond 2 with a nonzero product
         # and an unknown kind goes through the diamond kernel against a plane
         with pytest.raises(DomainError):
-            kg_product(gaussian_packet("Diamond", 1.0), gaussian_packet("diamond", 1.0, n=2))
+            kg_product(Packet(0, 1.0, kind="Diamond"), Packet(2, 1.0))
         with pytest.raises(DomainError):
-            kg_product(gaussian_packet("rindler", 1.0), gaussian_packet("plane", 1.0))
+            kg_product(Packet(0, 1.0, kind="rindler"), Packet(0, 1.0, kind="plane"))
 
     def test_disjoint_diamonds_exact_zero(self):
-        p1 = gaussian_packet("diamond", 1.0, n=0)
-        p2 = gaussian_packet("diamond", 1.0, n=2)
+        p1 = Packet(0, 1.0)
+        p2 = Packet(2, 1.0)
         res = kg_product(p1, p2)
         assert res.value == 0.0
         assert res.est_error == 0.0
 
     @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 0), (1, 2)])
     def test_touching_diamonds_exact_zero(self, n1, n2):
-        p1 = gaussian_packet("diamond", 1.0, n=n1)
-        res = kg_product(p1, gaussian_packet("diamond", 1.0, n=n2))
+        p1 = Packet(n1, 1.0)
+        res = kg_product(p1, Packet(n2, 1.0))
         assert res.value == 0.0
         assert res.est_error == 0.0
 
@@ -219,21 +232,21 @@ class TestOverlaps:
     def test_plane_diamond_matches_closed_form_node_sum(self, omega, k, n):
         # <P, Q> = sum_jk a_j conj(b_k) A(omega_j, k_k) for P = sum a_j g_{n, omega_j}
         # and Q = sum b_k u_{k_k}, with A = <g, u_k> in closed form
-        d = gaussian_packet("diamond", omega, 0.05, n=n)
-        p = gaussian_packet("plane", k, 0.05)
+        d = Packet(n, omega, 0.05)
+        p = Packet(0, k, 0.05, kind="plane")
         ref = sum(a * np.sum(np.conj(p.weights) * ab_coefficients(w, p.omegas, n=n)[0])
                   for w, a in zip(d.omegas, d.weights))
         assert abs(kg_product(d, p).value - ref) <= 1e-9
         assert abs(kg_product(p, d).value - np.conj(ref)) <= 1e-9
 
     def test_diamond_exterior_orthogonal_supports(self):
-        p1 = gaussian_packet("diamond", 1.0, n=0)
-        p2 = gaussian_packet("exterior", 1.0)
+        p1 = Packet(0, 1.0)
+        p2 = Packet(0, 1.0, kind="exterior")
         assert kg_product(p1, p2).value == 0.0
 
     def test_conjugation_antisymmetry(self):
-        p1 = gaussian_packet("diamond", 1.0, 0.05)
-        p2 = gaussian_packet("diamond", 1.2, 0.05)
+        p1 = Packet(0, 1.0, 0.05)
+        p2 = Packet(0, 1.2, 0.05)
         lhs = kg_product(p1.conjugate(), p2.conjugate()).value
         rhs = -np.conj(kg_product(p1, p2).value)
         assert abs(lhs - rhs) < 1e-7
@@ -249,7 +262,7 @@ class TestOverlaps:
 
     def test_plane_exterior_fails_fast(self):
         # the exterior-chart quadrature of this pair grows without bound
-        plane, ext = gaussian_packet("plane", 1.0), gaussian_packet("exterior", 1.0)
+        plane, ext = Packet(0, 1.0, kind="plane"), Packet(0, 1.0, kind="exterior")
         pairs = [
             (plane, ext),
             (ext.conjugate(), plane),
@@ -265,8 +278,8 @@ class TestOverlaps:
 
     def test_diamond_exterior_fails_fast(self):
         # the diamond-exterior overlap lives in correlations, not in the KG engine
-        diamond = gaussian_packet("diamond", 1.0, n=1)
-        ext = gaussian_packet("exterior", 1.0)
+        diamond = Packet(1, 1.0)
+        ext = Packet(0, 1.0, kind="exterior")
         for d in (diamond, diamond.conjugate()):
             for x in (ext, ext.conjugate()):
                 for m1, m2 in ((d, x), (x, d)):
@@ -284,7 +297,7 @@ PLANE_DIAMOND = [
 
 
 def _plane_diamond_pair(omega, k, n, sigma):
-    return gaussian_packet("diamond", omega, sigma, n=n), gaussian_packet("plane", k, sigma)
+    return Packet(n, omega, sigma), Packet(0, k, sigma, kind="plane")
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,8 +331,8 @@ class TestPlaneDiamond:
 
     def test_no_chart_evaluation(self, monkeypatch):
         # both packets are summed inside the rapidity integrand
-        d = gaussian_packet("diamond", 1.0, 0.05)
-        p = gaussian_packet("plane", 1.5, 0.05)
+        d = Packet(0, 1.0, 0.05)
+        p = Packet(0, 1.5, 0.05, kind="plane")
         nodes = _count_nodes(monkeypatch)
         for m1, m2 in ((d, p), (p.conjugate(), d), (d.conjugate(), p)):
             kg_product(m1, m2)
