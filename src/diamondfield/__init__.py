@@ -26,12 +26,8 @@ from .geometry import (
     worldline_clock,
 )
 from .modes import (
-    DiamondMode,
-    ExteriorMode,
     Packet,
-    PlaneWave,
     Profile,
-    eval_mode,
     kg_product,
 )
 from .bogoliubov import (
@@ -84,12 +80,8 @@ __all__ = [
     "to_diamond",
     "to_minkowski",
     "worldline_clock",
-    "DiamondMode",
-    "ExteriorMode",
     "Packet",
-    "PlaneWave",
     "Profile",
-    "eval_mode",
     "kg_product",
     "ab_coefficients",
     "ab_numeric",

@@ -8,14 +8,20 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 PANEL_ORDER = 16  # Gauss-Legendre nodes per panel
 _MAX_DOUBLINGS = 12  # panel doublings before integrate_adaptive gives up
+_MAX_ORDER = 2048  # leggauss is O(n^3) in time and O(n^2) in memory: 0.7 s at 2,000
+_MAX_NODES = 2**20  # nodes of one integrate pass
 
 
 def gauss_legendre(order: int):
+    """(x, w) of the order-node Gauss-Legendre rule on [-1, 1], cached;
+    DomainError above _MAX_ORDER nodes."""
+    if not order <= _MAX_ORDER:
+        raise DomainError(f"a {order}-node Gauss-Legendre rule exceeds the limit of {_MAX_ORDER} nodes")
     if order not in _GL_CACHE:
         x, w = legendre.leggauss(order)
         _GL_CACHE[order] = (x, w)
@@ -43,6 +49,12 @@ def panel_nodes(lo: float, hi: float, n_panels: int):
 
 
 def integrate(f, lo: float, hi: float, n_panels: int):
+    """Sum f over n_panels panels; ConvergenceError, before any node is built,
+    when the pass would exceed _MAX_NODES nodes."""
+    if not n_panels * PANEL_ORDER <= _MAX_NODES:  # also catches inf and NaN
+        raise ConvergenceError(f"a quadrature pass of {n_panels * PANEL_ORDER:.6g} nodes exceeds "
+                               f"the budget of {_MAX_NODES} nodes")
+    n_panels = int(n_panels)
     u, w = panel_nodes(lo, hi, n_panels)
     vals = f(u) * w
     # panel-ordered summation keeps the result independent of evaluation order
@@ -52,7 +64,8 @@ def integrate(f, lo: float, hi: float, n_panels: int):
 def integrate_adaptive(f, lo: float, hi: float, tol: float, est_freq: float = 1.0):
     """Integrate f over [lo, hi] doubling the panel count until two successive
     refinements agree within tol (absolute).  Returns (value, est_error);
-    raises ConvergenceError after _MAX_DOUBLINGS or on a non-finite estimate.
+    raises ConvergenceError after _MAX_DOUBLINGS, on a non-finite estimate, or
+    before a pass of more than _MAX_NODES nodes.
 
     f may return an array whose last axis runs over the nodes: each component
     is summed as a scalar integrand would be, value has the leading shape, and
@@ -63,7 +76,7 @@ def integrate_adaptive(f, lo: float, hi: float, tol: float, est_freq: float = 1.
     of the frequencies of the functions multiplied into it.
     """
     # start with ~3 panels per oscillation of the fastest expected phase
-    n0 = max(4, int(np.ceil((hi - lo) * max(est_freq, 1e-12) / (2.0 * np.pi) * 3.0)))
+    n0 = max(4, np.ceil((hi - lo) * max(est_freq, 1e-12) / (2.0 * np.pi) * 3.0))  # may be inf
     prev = integrate(f, lo, hi, n0)
     for _ in range(_MAX_DOUBLINGS):
         n0 *= 2

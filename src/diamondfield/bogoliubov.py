@@ -44,7 +44,7 @@ import numpy as np
 
 from ._quad import PANEL_ORDER, integrate_adaptive, panel_grid
 from .errors import DomainError
-from .modes import _V_CUT, Profile, _plane_kernel, _rapidity_integral
+from .modes import _V_CUT, DEFAULT_SIGMA, Profile, _plane_kernel, _rapidity_integral
 from .specfun import kummer_m_vec, log_gamma
 
 
@@ -361,7 +361,7 @@ def _smeared_integral(profile, which):
     return SpectrumResult(finite + tail, err_f + lanes + err_t, finite, tail)
 
 
-def thermal_occupation(omega0, sigma=0.02, v0=0.0):
+def thermal_occupation(omega0, sigma=DEFAULT_SIGMA, v0=0.0):
     """Smeared diamond-mode occupation Int dka |B_G(ka)|^2 in the vacuum.
 
     omega0, sigma are in units of a, v0 is the packet center in the diamond
@@ -372,12 +372,12 @@ def thermal_occupation(omega0, sigma=0.02, v0=0.0):
     return _smeared_integral(Profile(omega0, sigma, v0), "occupation")
 
 
-def completeness_check(omega0, sigma=0.02):
+def completeness_check(omega0, sigma=DEFAULT_SIGMA):
     """Smeared Bogoliubov completeness Int dka (|A_G|^2 - |B_G|^2); exactly 1."""
     return _smeared_integral(Profile(omega0, sigma), "completeness")
 
 
-def planck_occupation(omega0, sigma=0.02):
+def planck_occupation(omega0, sigma=DEFAULT_SIGMA):
     """Reference value: packet-averaged Planck factor at T = 1/2 pi."""
     om, wt, G = Profile(omega0, sigma).nodes()
     return float(np.sum(wt * np.abs(G) ** 2 / np.expm1(2.0 * math.pi * om)))

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
+from .modes import DEFAULT_SIGMA
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -295,7 +296,7 @@ def build_parser():
         sp.add_argument("--grid", type=_checked(_parse_grid), default=grid,
                         help="comma list or lo:hi:step")
         if sigma:
-            sp.add_argument("--sigma", type=_POSITIVE, default=0.02)
+            sp.add_argument("--sigma", type=_POSITIVE, default=DEFAULT_SIGMA)
 
     sp = sub.add_parser("spectrum", help="smeared vacuum occupation vs Planck")
     common(sp, "0.5,1.0,2.0")

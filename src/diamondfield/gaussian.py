@@ -17,7 +17,7 @@ from ._quad import panel_nodes
 from .bogoliubov import planck_occupation
 from .correlations import adjacent_moments_analytic, cross_moments
 from .errors import ConvergenceError, DomainError
-from .modes import Packet
+from .modes import DEFAULT_SIGMA, Packet
 
 WITNESS_MARGIN = 1e-6
 
@@ -150,7 +150,7 @@ def squeezing_witness(cov, i, j):
 
 
 def fig2_sweep(phi_list=(0.0, 0.2 * math.pi), omega1_grid=None,
-               omega0=1.0, sigma=0.02, v0=0.0):
+               omega0=1.0, sigma=DEFAULT_SIGMA, v0=0.0):
     """Joint-variance sweep between a zeroth- and a first-diamond packet.
 
     Returns rows (phi, omega1, V_minus, V_plus, entangled) as a dict of

@@ -3,8 +3,11 @@
 Maps between Minkowski coordinates (t, x, y, z) and diamond coordinates
 (eta, xi, zeta, rho) for the bounded region |t| + r < 2/a, plus the line
 element, the static worldline clock relation and the null-coordinate map
-used by the (1+1)-D mode analysis.  All formulas depend on the scale only
-through a * (coordinate), so internally everything is computed with a = 1.
+V = (2/a) tanh(a v/2) of the diamond.  The (1+1)-D mode analysis (modes,
+correlations) works at a = 1 and computes V = 4n + 2 tanh(v/2) of diamond n
+inline rather than through null_map.  All formulas depend on the scale
+only through a * (coordinate), so internally everything is computed with
+a = 1.
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ all divided by sqrt(4 pi w).  Each family is a plane wave in its own null
 rapidity: v = 2 artanh((V-4n)/2) for diamond n (phase e^{-i w v}) and
 L = ln((V+2)/(V-2)) for the exterior (phase e^{+i w L}).
 
-Sharp single-frequency modes are distributions; the KG product engine
-therefore works with Gaussian wavepackets and silently wraps sharp requests
-in narrow packets (bandwidth DEFAULT_SIGMA).  The KG product
+Sharp single-frequency modes are distributions, so every mode input is a
+Gaussian wavepacket (Packet, default bandwidth DEFAULT_SIGMA).  The KG product
 
     <f, g> = -i Int dV (f dV(g*) - g* dV(f))
 
@@ -39,7 +38,7 @@ import numpy as np
 from ._quad import PANEL_ORDER, gauss_legendre, integrate_adaptive, panel_grid, panel_nodes
 from .errors import DomainError
 
-DEFAULT_SIGMA = 0.02  # bandwidth used to smear sharp single-frequency requests
+DEFAULT_SIGMA = 0.02  # the one default packet bandwidth of the package and its CLI
 
 _TAIL = 5.5  # packet envelopes are truncated at exp(-_TAIL^2) ~ 7e-14
 _CUT = 8.0  # nodes in omega span omega0 +- _CUT sigma, where |G|^2 < e^{-32} of its peak
@@ -58,75 +57,6 @@ def _phase(x):
     np.sin(x, out=out.imag)
     np.negative(out.imag, out=out.imag)
     return out
-
-
-# ---------------------------------------------------------------------------
-# mode labels
-
-@dataclass(frozen=True)
-class PlaneWave:
-    k: float
-
-    def __post_init__(self):
-        if not self.k > 0.0:
-            raise DomainError("plane-wave k must be positive")
-
-
-@dataclass(frozen=True)
-class DiamondMode:
-    n: int
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise DomainError("diamond-mode omega must be positive")
-
-
-@dataclass(frozen=True)
-class ExteriorMode:
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise DomainError("exterior-mode omega must be positive")
-
-
-def eval_mode(mode, V):
-    """Sharp mode function at Minkowski null coordinate V (vectorized).
-
-    Exactly on a support boundary the (limit) value 0 is returned; use
-    boundary_mask to detect that case.
-    """
-    V = np.asarray(V, dtype=float)
-    if isinstance(mode, PlaneWave):
-        k = mode.k
-        return np.exp(-1j * k * V) / math.sqrt(4.0 * math.pi * k)
-    if isinstance(mode, DiamondMode):
-        s = V - 4.0 * mode.n
-        inside = np.abs(s) < 2.0
-        out = np.zeros(V.shape, dtype=complex)
-        sv = s[inside]
-        ratio = (1.0 + sv / 2.0) / (1.0 - sv / 2.0)
-        out[inside] = ratio ** (-1j * mode.omega) / math.sqrt(4.0 * math.pi * mode.omega)
-        return out
-    if isinstance(mode, ExteriorMode):
-        outside = np.abs(V) > 2.0
-        out = np.zeros(V.shape, dtype=complex)
-        Vv = V[outside]
-        ratio = (Vv / 2.0 + 1.0) / (Vv / 2.0 - 1.0)
-        out[outside] = ratio ** (1j * mode.omega) / math.sqrt(4.0 * math.pi * mode.omega)
-        return out
-    raise TypeError(f"unknown mode label {mode!r}")
-
-
-def boundary_mask(mode, V):
-    """True where V sits exactly on the mode's null support boundary."""
-    V = np.asarray(V, dtype=float)
-    if isinstance(mode, DiamondMode):
-        return np.abs(V - 4.0 * mode.n) == 2.0
-    if isinstance(mode, ExteriorMode):
-        return np.abs(V) == 2.0
-    return np.zeros(V.shape, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +178,6 @@ class Packet:
         return val, dval
 
 
-def _wrap_sharp(mode):
-    if isinstance(mode, Packet):
-        return mode, False
-    if isinstance(mode, PlaneWave):
-        return Packet(0, mode.k, kind="plane"), True
-    if isinstance(mode, DiamondMode):
-        return Packet(mode.n, mode.omega), True
-    if isinstance(mode, ExteriorMode):
-        return Packet(0, mode.omega, kind="exterior"), True
-    raise TypeError(f"not a mode or packet: {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # quadrature of products
 
@@ -358,15 +276,12 @@ class KGProduct:
     est_error: float
 
 
-def kg_product(m1, m2):
-    """Klein-Gordon product <m1, m2> = -i Int dV (m1 dV m2* - m2* dV m1).
-
-    Accepts Packet objects or sharp mode labels; sharp labels are wrapped in
-    narrow Gaussian packets (DEFAULT_SIGMA), except that two sharp modes of
-    the same family with overlapping support are rejected as distributional.
-    Disjoint supports give an exact 0.  An exterior packet with an
-    overlapping packet of another family is rejected before any quadrature:
-    diamond-exterior overlaps are the rapidity integral of correlations.
+def kg_product(p1, p2):
+    """Klein-Gordon product <p1, p2> = -i Int dV (p1 dV p2* - p2* dV p1) of
+    two Packets; anything else is a TypeError.  Disjoint supports give an
+    exact 0.  An exterior packet with an overlapping packet of another family
+    is rejected before any quadrature: diamond-exterior overlaps are the
+    rapidity integral of correlations.
 
     A plane and a diamond packet meet in _rapidity_integral over |v| <= 40.
     Two packets of one family, f = sum_j a_j e^{-i s_j u} and
@@ -378,13 +293,8 @@ def kg_product(m1, m2):
     c the midpoint and S the sign of dV/du; est_error is its rounding
     eps sum|terms| (1 + max|d| max(|lo|, |hi|)) for the phases d u.
     """
-    p1, sharp1 = _wrap_sharp(m1)
-    p2, sharp2 = _wrap_sharp(m2)
-    if sharp1 and sharp2 and p1.kind == p2.kind and not _disjoint(p1, p2):
-        raise DomainError(
-            "product of two sharp same-family modes is distributional; "
-            "smear at least one into a wavepacket"
-        )
+    if not (isinstance(p1, Packet) and isinstance(p2, Packet)):
+        raise TypeError(f"kg_product takes two Packets, not {p1!r} and {p2!r}")
     if _disjoint(p1, p2):
         return KGProduct(0.0 + 0.0j, 0.0)
     if "exterior" in (p1.kind, p2.kind) and p1.kind != p2.kind:

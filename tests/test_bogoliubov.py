@@ -359,6 +359,25 @@ class TestPacketCenter:
             thermal_occupation(1.0, sigma, v0=v0)
 
 
+def _occupation_sweep_points(seed=20261019, count=20):
+    """count (omega0, sigma, v0) inside the tail guard |v0| + 7/sigma <= 702:
+    sigma log-uniform on [0.01, 0.3], omega0 uniform on [max(12 sigma, 0.3),
+    that + 3] and v0 uniform on +-min(30, 702 - 7/sigma)."""
+    rng, points = np.random.default_rng(seed), []
+    for _ in range(count):
+        sigma = math.exp(rng.uniform(math.log(0.01), math.log(0.3)))
+        lo, reach = max(12.0 * sigma, 0.3), min(30.0, 702.0 - 7.0 / sigma)
+        points.append((rng.uniform(lo, lo + 3.0), sigma, rng.uniform(-reach, reach)))
+    return points
+
+
+class TestOccupationSweep:
+    @pytest.mark.parametrize("omega0,sigma,v0", _occupation_sweep_points())
+    def test_planck_within_est_error(self, omega0, sigma, v0):
+        res = thermal_occupation(omega0, sigma, v0=v0)
+        assert abs(res.value - planck_occupation(omega0, sigma)) <= res.est_error
+
+
 def _tail_per_order(T, r, w, kappa_split, dL):
     """_tail_integral with one complex expm1 per series order m of the
     same-sector pairs: the reference for the phase E formed once per sector."""

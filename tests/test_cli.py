@@ -112,6 +112,24 @@ class TestDetector:
         meta = dict(ln[2:].split("=", 1) for ln in text.splitlines() if ln.startswith("# "))
         assert abs(float(meta["fitted_T"]) - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
 
+    @pytest.mark.parametrize("window", ["120", "1000"])
+    def test_long_windows(self, tmp_path, window):
+        # 1/sinh^2 of the kernel overflowed beyond a window of about 104
+        code, text = run(tmp_path, "detector", "--window", window)
+        assert code == 0
+        meta = dict(ln[2:].split("=", 1) for ln in text.splitlines() if ln.startswith("# "))
+        assert abs(float(meta["fitted_T"]) - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
+
+    @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6"], ["--grid", "0.5,200"]])
+    def test_oversized_quadrature_fails_fast(self, argv, bounded):
+        # the first two ask for a first pass of 43M and 80M nodes; at E = 200 the
+        # first pass (860K nodes) fits the budget and the second does not
+        code, seconds, err = bounded("from diamondfield.cli import main",
+                                     f"main({['detector', *argv]!r})", timeout=10.0)
+        assert code == "1" and seconds < 1.0
+        assert json.loads(err)["error"] == "ConvergenceError"
+        assert "exceeds the budget" in err
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv", [

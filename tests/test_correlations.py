@@ -308,6 +308,29 @@ class TestCrossMoments:
         assert abs(cm.m_plus - mp) <= cm.est_error
 
 
+def _route_sweep_pairs(seed=20261019, count=24):
+    """count (p0, p1) packet pairs over the domain both adjacent routes serve:
+    sigma log-uniform on [0.01, 0.3] with the widths more than 10% apart,
+    omega0 uniform on [max(12 sigma, 0.3), that + 3] and v0 on [-30, 30]."""
+    rng, pairs = np.random.default_rng(seed), []
+    while len(pairs) < count:
+        sigma = np.exp(rng.uniform(math.log(0.01), math.log(0.3), 2))
+        lo = np.maximum(12.0 * sigma, 0.3)
+        omega0, v0 = rng.uniform(lo, lo + 3.0), rng.uniform(-30.0, 30.0, 2)
+        if max(sigma) / min(sigma) > 1.1:
+            pairs.append(tuple((float(omega0[i]), float(sigma[i]), float(v0[i])) for i in range(2)))
+    return pairs
+
+
+class TestRouteSweep:
+    @pytest.mark.parametrize("s0,s1", _route_sweep_pairs())
+    def test_routes_agree_within_their_errors(self, s0, s1):
+        kg, an = cross_moments(s0, s1, 1), adjacent_moments_analytic(s0, s1)
+        bound = kg.est_error + an.est_error
+        assert abs(kg.m_minus - an.m_minus) <= bound
+        assert abs(kg.m_plus - an.m_plus) <= bound
+
+
 class TestAdjacentLattice:
     @pytest.mark.parametrize("s0,s1", [
         ((1.0, 0.05), (1.0, 0.05)),
@@ -521,6 +544,12 @@ class TestPacketDomain:
             with pytest.raises(DomainError):
                 call()
             assert time.perf_counter() - t0 < 1.0
+
+    def test_wide_exterior_over_narrow_diamond_fails_fast(self, bounded):
+        # the exterior sum would need 7,066 nodes, about 30 s of Gauss-Legendre solve
+        name, seconds, _ = bounded("from diamondfield.correlations import cross_moments",
+                                   "cross_moments((12.0, 1.0), (1.0, 0.01), 1)")
+        assert name == "DomainError" and seconds < 1.0
 
     def test_smeared_asymptotic_rejects_offset_centers(self):
         # the asymptotic form has no e^{-i w v0} phases; the numeric moments do

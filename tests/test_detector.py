@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from scipy import special
 
 from diamondfield.detector import (
@@ -74,6 +75,18 @@ class TestResponse:
         rates = [[response_rate(E).value, response_rate(-E).value] for E in Es]
         T = fit_temperature(Es, rates)
         assert abs(T - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
+
+    @pytest.mark.parametrize("T", [80.0, 120.0, 1000.0])
+    @pytest.mark.parametrize("E", [0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+    def test_rate_is_smoothed_planck(self, E, T):
+        # the windowed rate is the eternal rate smoothed by the window's Gaussian
+        # in energy, (T / sqrt pi) e^{-T^2 (E - E')^2}, summed on E +- 9/T
+        x, w = legendre.leggauss(200)
+        Ep = E + (9.0 / T) * x
+        ref = sum((9.0 / T) * wk * expected_rate(float(e)) * (T / math.sqrt(math.pi))
+                  * math.exp(-(T * (E - e)) ** 2) for wk, e in zip(w, Ep))
+        res = response_rate(E, window_time=T)
+        assert abs(res.value - ref) <= res.est_error
 
     def test_fit_temperature_shape_contract(self):
         with pytest.raises(DomainError):

@@ -14,6 +14,11 @@ class TestNodes:
         x2, w2 = gauss_legendre(16)
         assert x1 is x2 and w1 is w2
 
+    def test_order_limit(self, bounded):
+        name, seconds, _ = bounded("from diamondfield._quad import _MAX_ORDER, gauss_legendre",
+                                   "gauss_legendre(_MAX_ORDER + 1)")
+        assert name == "DomainError" and seconds < 1.0
+
     def test_weights_sum_to_length(self):
         x, w = panel_nodes(-1.0, 3.0, 8)
         assert abs(np.sum(w) - 4.0) < 1e-13
@@ -70,6 +75,13 @@ class TestIntegrate:
         with pytest.raises(ConvergenceError):
             integrate_adaptive(f, 0.0, 1.0, tol=1e-10)
         assert len(sizes) <= 2
+
+    @pytest.mark.parametrize("hi,est_freq", [(1.0, 1e9), (1e300, 1e300), (1.0, 1.25e5)])
+    def test_node_budget_checked_before_each_pass(self, bounded, hi, est_freq):
+        # a first pass of 7.6e9 or inf nodes; a first pass of 954,944 nodes and a second of twice that
+        name, seconds, _ = bounded("from diamondfield._quad import integrate_adaptive",
+                                   f"integrate_adaptive(lambda u: u, 0.0, {hi!r}, 1e-12, {est_freq!r})")
+        assert name == "ConvergenceError" and seconds < 1.0
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # a kink the panel doubling cannot resolve to 1e-15
