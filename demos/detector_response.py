@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from diamondfield import expected_rate, identity_residual, response_rate
+from diamondfield import expected_rate, identity_residual, response_rate, response_rates
 from diamondfield.detector import fit_temperature
 
 ENERGIES = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
@@ -29,8 +29,7 @@ def main():
     print(f"{'E':>6} {'rate(+E)':>13} {'rate(-E)':>13} {'balance':>12} {'e^-2piE':>12}")
     rates = []
     for E in ENERGIES:
-        up = response_rate(float(E))
-        dn = response_rate(-float(E))
+        up, dn = response_rates(float(E))  # one integral serves +E and -E
         rates.append([up.value, dn.value])
         print(
             f"{E:6.2f} {up.value:13.5e} {dn.value:13.5e} "

@@ -61,6 +61,7 @@ from .detector import (
     expected_rate,
     identity_residual,
     response_rate,
+    response_rates,
     thermal_wightman,
     wightman_minkowski,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "expected_rate",
     "identity_residual",
     "response_rate",
+    "response_rates",
     "thermal_wightman",
     "wightman_minkowski",
     "__version__",

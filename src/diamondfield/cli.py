@@ -166,7 +166,7 @@ def cmd_fig2(args):
 
 
 def cmd_detector(args):
-    from .detector import expected_rate, fit_temperature, identity_residual, response_rate
+    from .detector import expected_rate, fit_temperature, identity_residual, response_rate, response_rates
 
     meta = _base_meta(args, "detector")
     meta.update(eps=args.eps, window=args.window)
@@ -175,8 +175,11 @@ def cmd_detector(args):
     rows = []
     pairs = []
     for E in args.grid:
-        up = response_rate(E, args.window, args.eps)
-        dn = response_rate(-E, args.window, args.eps)
+        up, dn = response_rates(E, args.window, args.eps)
+        for e, r in ((E, up), (-E, dn)):  # the fit needs both rates resolved
+            if not r.value > r.est_error:
+                raise DomainError(f"the detector rate at E={e:g} is {r.value:.3g}, not above its "
+                                  f"est_error {r.est_error:.3g}: unresolved at window {args.window:g}")
         up_half = response_rate(E, args.window, args.eps / 2.0)
         consistent = abs(up.value - up_half.value) <= 0.02 * abs(up.value)
         pairs.append((up.value, dn.value))

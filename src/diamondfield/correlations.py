@@ -145,7 +145,8 @@ def cross_moments(spec0, spec_n, n):
     shared tip, so it runs down to the diamond packet's envelope edge
     lo = -|v0| - _TAIL/sigma.  Resolving the exterior phases e^{-i w L} out to
     |L| ~ |lo| takes m_x = 96 + 12.8 (sigma0 |lo| - _TAIL) nodes, more than m only
-    if p0 is the wider packet; then m_x is used and est_error adds |Q(m_x) - Q(m_x - 4)|.
+    if p0 is the wider packet; then p0 takes m_x nodes, p1 keeps m, and est_error
+    adds |Q(m_x) - Q(m_x - 4)|, the node term of the exterior nodes alone.
     """
     if n < 1:
         raise DomainError("cross_moments requires diamond separation n >= 1")
@@ -153,14 +154,15 @@ def cross_moments(spec0, spec_n, n):
     p1 = Profile(*spec_n).checked()
     lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -_V_CUT
 
-    def moments(m):
-        o0, w0, G0 = p0.nodes(m, root=True)
-        o1, w1, G1 = p1.nodes(m, root=True)
+    m = _node_count(p0, p1)
+    o1, w1, G1 = p1.nodes(m, root=True)
+
+    def moments(m0):
+        o0, w0, G0 = p0.nodes(m0, root=True)
         e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))  # E_minus; E_plus = conj
         mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, _V_CUT)
         return np.conj(mm), np.conj(mp), err
 
-    m = _node_count(p0, p1)
     # m_x, with sigma0 |lo| - _TAIL written to be exactly sigma |v0| at equal widths
     m_x = 96 + math.ceil(12.8 * (p0.sigma * abs(p1.v0) + _TAIL * (p0.sigma / p1.sigma - 1.0)))
     if n >= 2 or m_x <= m:

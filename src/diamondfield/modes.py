@@ -22,8 +22,9 @@ A diamond packet P meets another family Q in the one term -2i Int dv P dv Q*(V(v
 left by parts: _rapidity_integral, with both packets summed inside, serves
 plane waves (kg_product, bogoliubov.ab_numeric) and the exterior mode
 (diamondfield.correlations).  Neither side forms a phase per node and
-frequency: P factors over the equal quadrature panels, and Q(V(v)) is a
-short Taylor series in its own rapidity about each panel's mid-range.
+frequency: P factors over the equal quadrature panels and their midpoints,
+and Q(V(v)) is a short Taylor series in its own rapidity about the points
+of one lattice.
 """
 
 from __future__ import annotations
@@ -189,42 +190,51 @@ def _plane_kernel(n, v):
 def _panel_sum(om, c, lo, hi, n_panels):
     """sum_j c[j] e^{-i om[j] v} on the nodes v = mid[p] + off[i] of
     panel_nodes(lo, hi, n_panels).  Equal panels are translates of one panel,
-    so the phase factors as e^{-i w mid[p]} e^{-i w off[i]}: one (panels x m)
-    by (m x 16) product of (panels + 16) m phases instead of 16 panels m.
-    Splitting w v rounds within the floor eps (1 + max w max|v|)."""
-    mid, off, _ = panel_grid(lo, hi, n_panels)
-    return ((_phase(np.multiply.outer(mid, om)) * c) @ _phase(np.multiply.outer(om, off))).ravel()
+    so the phase factors as e^{-i w mid[p]} e^{-i w off[i]}, and the midpoints
+    lo + step (p + 1/2), step = (hi - lo) / n_panels as panel_grid forms it,
+    factor once more over B ~ sqrt(panels) block starts p = B q and in-block
+    offsets r: (2 sqrt(panels) + 16) m phases, not 16 panels m.  Splitting
+    w v rounds within the floor eps (1 + max w max|v|)."""
+    _, off, _ = panel_grid(lo, hi, n_panels)
+    step, B = (hi - lo) / n_panels, math.isqrt(n_panels - 1) + 1
+    starts = lo + step * (B * np.arange(-(-n_panels // B)) + 0.5)
+    mid = (_phase(np.multiply.outer(starts, om)) * c)[:, None, :] * _phase(
+        np.multiply.outer(step * np.arange(B), om))
+    return (mid.reshape(-1, om.size)[:n_panels] @ _phase(np.multiply.outer(om, off))).ravel()
 
 
 def _taylor_sum(om, c, L):
-    """(X, bound): X = sum_k c[k] e^{-i om[k] L} on the nodes L of equal
-    panels (PANEL_ORDER per panel, panel by panel), with |X - exact| <= bound.
-    L need not be linear in the panel's variable, so the phase does not factor
-    as in _panel_sum; instead X is its Taylor series in d = L - L0 about each
-    panel's mid-range L0,
+    """(X, bound): X = sum_k c[k] e^{-i om[k] L} at the points L, with
+    |X - exact| <= bound.  L need not be linear in the quadrature variable,
+    so the phase does not factor as in _panel_sum; instead X is its Taylor
+    series in d = L - L0 about the nearest point L0 = j delta of one lattice
+    of spacing delta = 1/max|w|,
 
-        X = sum_{q < Q} M[p, q] d^q,  M[p, q] = sum_k c_k e^{-i w_k L0[p]} (-i w_k)^q / q!,
+        X = sum_{q < Q} M[j, q] d^q,  M[j, q] = sum_k c_k e^{-i w_k j delta} (-i w_k)^q / q!,
 
-    one (panels x m) phase matrix and one (panels x m) by (m x Q) product,
-    then Horner on the nodes.  Q is the least order with x^Q / Q! <= _TAYLOR_TOL
-    for x = max w max|d| on these nodes, and bound = sum|c| x^Q / Q! is the
-    Lagrange remainder."""
-    L = L.reshape(-1, PANEL_ORDER)
-    L0 = 0.5 * (np.max(L, axis=1) + np.min(L, axis=1))
-    d = L - L0[:, None]
-    x = float(np.max(np.abs(om)) * np.max(np.abs(d)))
+    one phase row per lattice point in use (1 to 4 where L moves slowly,
+    |L| max|w| rows where it does not) and one (rows x m) by (m x Q) product,
+    then Horner on the points, one column of M per step.  Q is the least
+    order with x^Q / Q! <= _TAYLOR_TOL for x = max|w| max|d| <= 1/2, and
+    bound = sum|c| x^Q / Q! is the Lagrange remainder."""
+    top = float(np.max(np.abs(om)))
+    j = np.rint(L * top)
+    j0 = float(np.min(j))
+    d = L - j / top
+    x = top * float(np.max(np.abs(d)))
     Q, rem = 1, x
     while rem > _TAYLOR_TOL:
         Q += 1
         rem *= x / Q
     steps = np.multiply.outer(-1j * om, 1.0 / np.arange(1, Q))  # (-i w) / q
-    M = _phase(np.multiply.outer(L0, om)) @ np.cumprod(
-        np.hstack([c[:, None], steps]), axis=1)
-    X = np.zeros(d.shape, dtype=complex) + M[:, -1:]
+    M = (_phase(np.multiply.outer(np.arange(j0, np.max(j) + 1.0) / top, om)) @ np.cumprod(
+        np.hstack([c[:, None], steps]), axis=1)).T.copy()
+    row = (j - j0).astype(np.intp)
+    X = M[Q - 1][row]
     for q in range(Q - 2, -1, -1):
         X *= d
-        X += M[:, q:q + 1]
-    return X.ravel(), float(np.sum(np.abs(c))) * rem
+        X += M[q][row]
+    return X, float(np.sum(np.abs(c))) * rem
 
 
 def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
@@ -233,10 +243,13 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
     P = sum_j c_p[j] e^{-i om_p[j] v} and X = sum_k c_x[k] e^{-i om_x[k] L}:
     up to a constant, the KG products of a diamond packet with a plane
     (_plane_kernel) or exterior (correlations._kernel) packet Q and with Q*.
-    P factors over the equal quadrature panels (_panel_sum).  L is not linear
-    in v, so X is a short Taylor series in L about each panel's mid-range
-    (_taylor_sum); est_error adds its remainder integrated against |base P|
-    to the doubling difference (to _RAPIDITY_TOL) and the rounding floor.
+    P factors over the equal quadrature panels and their midpoints
+    (_panel_sum).  L is not linear in v, so X is a short Taylor series in L
+    about the points of one lattice in L (_taylor_sum).  est_error adds to the
+    doubling difference (to _RAPIDITY_TOL) the Taylor remainder integrated
+    against |base P| and the rounding floor of the phases w v and w L, taken
+    on the scale sum|c| of each sum's terms: a packet read far from its
+    centre cancels in its sum.
     """
     last = []
 
@@ -244,14 +257,15 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
         base, L = kernel(v)
         P = base * _panel_sum(om_p, c_p, lo, hi, v.size // PANEL_ORDER)
         X, bound = _taylor_sum(om_x, c_x, L)
-        last[:] = [np.stack([P * X, -P * np.conj(X)]), L, P, bound]
-        return last[0]
+        last[:] = [base, L, P, X, bound]
+        return np.stack([P * X, -P * np.conj(X)])
 
     val, err = integrate_adaptive(f, lo, hi, _RAPIDITY_TOL, est_freq=float(np.max(om_p) + np.max(om_x)))
-    vals, L, P, bound = last
+    base, L, P, X, bound = last
     phase = np.max(om_p) * max(abs(lo), abs(hi)) + np.max(om_x) * np.max(np.abs(L))
     _, w = panel_nodes(lo, hi, L.size // PANEL_ORDER)  # integrate_adaptive's final panels
-    floor = np.finfo(float).eps * float(np.max(np.sum(np.abs(vals) * w, axis=-1))) * (1.0 + phase)
+    size = np.abs(base) * np.abs(X) * np.sum(np.abs(c_p)) + np.abs(P) * np.sum(np.abs(c_x))
+    floor = np.finfo(float).eps * float(size @ w) * (1.0 + phase)
     return val[0], val[1], float(err) + floor + bound * float(np.abs(P) @ w)
 
 

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import diamondfield
-from diamondfield import cli
+from diamondfield import cli, detector
 from diamondfield.cli import main
 
 
@@ -119,6 +119,26 @@ class TestDetector:
         assert code == 0
         meta = dict(ln[2:].split("=", 1) for ln in text.splitlines() if ln.startswith("# "))
         assert abs(float(meta["fitted_T"]) - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
+
+    def test_one_integral_per_energy_and_eps(self, tmp_path, monkeypatch):
+        # rate(E) and rate(-E) share one integral, and the eps / 2 check takes
+        # one more: 6 at the default grid, where each rate took its own (9)
+        calls, integrate = [], detector.integrate_adaptive
+        monkeypatch.setattr(detector, "integrate_adaptive",
+                            lambda *a, **k: calls.append(a[1:3]) or integrate(*a, **k))
+        code, _ = run(tmp_path, "detector")
+        assert code == 0 and len(calls) == 6
+
+    def test_unresolved_rates_rejected(self, capsys):
+        # at a window of 80 the rates at E = 5, 10, 30 lie below their own
+        # est_error (-1.0e-13 at E = 5); the fit took the log of a negative
+        # ratio and printed fitted_T=nan after a numpy RuntimeWarning
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["detector", "--grid", "5,10,30"])
+        assert exc.value.code == 2 and time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "rate at E=5 is" in err and "not above its est_error" in err
 
     @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6"], ["--grid", "0.5,200"]])
     def test_oversized_quadrature_fails_fast(self, argv, bounded):

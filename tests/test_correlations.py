@@ -20,7 +20,7 @@ from diamondfield.correlations import (
     smeared_asymptotic_moment,
 )
 from diamondfield.errors import DomainError, PoleError
-from diamondfield.modes import _SPAN, _TAIL, Profile
+from diamondfield.modes import _SPAN, _TAIL, Profile, _node_count
 from diamondfield.specfun import log_gamma
 
 
@@ -181,6 +181,33 @@ class TestCrossMoments:
         cross_moments((1.0, 0.02), (1.0, 0.02), n)
         assert phases[0] <= limit
 
+    @pytest.mark.parametrize("n,limit", [(20, 10_000), (1, 100_000)])
+    def test_phases_on_lattice_tables(self, n, limit, monkeypatch):
+        # the panel midpoints come from two tables of ~sqrt(panels) rows and
+        # the exterior sum takes one row per lattice point j / max w in use:
+        # 7,872 phases at n = 20 and 77,568 at n = 1, where a row per panel on
+        # both sides made them 57,792 and 217,920
+        sizes, phase = [], modes._phase
+        monkeypatch.setattr(modes, "_phase", lambda x: sizes.append(np.size(x)) or phase(x))
+        cross_moments((1.0, 0.02), (1.0, 0.02), n)
+        assert sum(sizes) <= limit
+
+    def test_wide_exterior_nodes_leave_diamond_nodes(self, monkeypatch):
+        # m_x serves the exterior sum alone: the diamond packet stays on
+        # m = _node_count nodes, so the m_x - 4 node term varies only the
+        # exterior nodes (both packets took m_x = 730 and 726 nodes)
+        s0, s1 = (1.0, 0.1), (1.0, 0.01)
+        sizes, overlap = [], correlations._overlap
+
+        def counting(n, om_d, p, om_x, *rest):
+            sizes.append((om_d.size, om_x.size))
+            return overlap(n, om_d, p, om_x, *rest)
+
+        monkeypatch.setattr(correlations, "_overlap", counting)
+        cross_moments(s0, s1, 1)
+        m = _node_count(Profile(*s0), Profile(*s1))
+        assert sizes == [(m, 730), (m, 726)]
+
     @pytest.mark.parametrize("s0,s1,n", [
         *(pytest.param((1.0, 0.02), (1.0, 0.02), n, id=f"equal-{n}") for n in (1, 2, 3, 10, 20, 40)),
         *(pytest.param((1.0, 0.02, 100.0), (1.0, 0.02, -100.0), n, id=f"offset-v0-{n}") for n in (1, 2)),
@@ -329,6 +356,41 @@ class TestRouteSweep:
         bound = kg.est_error + an.est_error
         assert abs(kg.m_minus - an.m_minus) <= bound
         assert abs(kg.m_plus - an.m_plus) <= bound
+
+
+def unfactored_root_node_oracle(spec0, spec1, n):
+    """root_node_oracle on 256 nodes through unfactored_rapidity_integral: one
+    np.exp per node and frequency, nothing shared with the phase tables."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlations, "_rapidity_integral", unfactored_rapidity_integral)
+        return root_node_oracle(spec0, spec1, n, nodes=256)
+
+
+class TestSeparatedRouteSweep:
+    """cross_moments(..., n >= 2) against unfactored_root_node_oracle on the
+    draws of _route_sweep_pairs(20261020, 24), at n = 2, 3, 7, 20 in turn,
+    and on the first run's four misses as explicit cases: where the packet
+    sums P and X cancel, they round on the scale of sum|c|, not of |P X|.  A
+    floor of eps sum|base P X| read 2.8e-25, 6.1e-25, 1.6e-25 and 6.2e-24
+    there, against gaps of 2.6e-24, 8.3e-24, 2.2e-24 and 2.1e-23; the oracle
+    on cross_moments' own nodes agreed within 5.3e-25."""
+
+    @pytest.mark.parametrize("s0,s1,n", [
+        *((s0, s1, (2, 3, 7, 20)[i % 4]) for i, (s0, s1) in enumerate(_route_sweep_pairs(20261020, 24))),
+        pytest.param((4.8938621465111325, 0.1927142385592486, 12.814831768600143),
+                     (1.4180063626220407, 0.015772827369646168, 23.777206332816327), 2, id="miss-0"),
+        pytest.param((2.6485023388695654, 0.11678939638452634, -17.956278963816636),
+                     (1.8122023080696161, 0.13112344895138975, -26.782538882185797), 3, id="miss-13"),
+        pytest.param((3.5259952947959823, 0.1918520229854924, -23.83433409873363),
+                     (1.237325460800966, 0.04332342395570035, 4.136640897842611), 20, id="miss-15"),
+        pytest.param((1.3108335569678196, 0.10720705057283825, -29.71546094979825),
+                     (2.2419168891322667, 0.014613224214950017, -27.34478668694937), 20, id="miss-19"),
+    ])
+    def test_est_error_bounds_gap_to_oracle(self, s0, s1, n):
+        cm = cross_moments(s0, s1, n)
+        mm, mp, _ = unfactored_root_node_oracle(s0, s1, n)
+        assert abs(cm.m_minus - mm) <= cm.est_error
+        assert abs(cm.m_plus - mp) <= cm.est_error
 
 
 class TestAdjacentLattice:

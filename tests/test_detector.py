@@ -5,13 +5,18 @@ import pytest
 from numpy.polynomial import legendre
 from scipy import special
 
+from diamondfield import detector
+from diamondfield._quad import integrate_adaptive
 from diamondfield.detector import (
+    _sinh2_deficit,
+    _vacuum_window_rate,
     accelerated_wightman,
     detailed_balance,
     expected_rate,
     fit_temperature,
     identity_residual,
     response_rate,
+    response_rates,
     scaled_static_wightman,
     thermal_wightman,
     wightman_minkowski,
@@ -87,6 +92,30 @@ class TestResponse:
                   * math.exp(-(T * (E - e)) ** 2) for wk, e in zip(w, Ep))
         res = response_rate(E, window_time=T)
         assert abs(res.value - ref) <= res.est_error
+
+    @pytest.mark.parametrize("E", [1.0, 3.0, 5.0, 10.0, 30.0])
+    def test_est_error_covers_window_cut(self, E):
+        # the integral stops at d = 7T, where the window is still e^{-12.25} of
+        # its peak: against a 12T cut the rate moves by 5.3e-13 at E = 1 and by
+        # 7.7e-14 / 2.4e-14 at E = 10 / 30, where est_error read 4.2e-14 / 4.7e-15
+        T, eps = 80.0, 1e-8
+
+        def f(d):
+            dW = -(_sinh2_deficit((d - 1j * eps) / 2.0) / (16.0 * math.pi**2))
+            return 2.0 * np.cos(E * d) * np.exp(-(d * d) / (4.0 * T * T)) * dW
+
+        val, _ = integrate_adaptive(f, 1e-12, 12.0 * T, 1e-14, est_freq=E + 1.0)
+        res = response_rate(E, window_time=T, eps=eps)
+        assert abs(res.value - (_vacuum_window_rate(E, T) + val.real)) <= res.est_error
+
+    @pytest.mark.parametrize("E", [0.0, 0.5, -1.0, 2.0])
+    def test_rates_at_plus_and_minus_E_share_one_integral(self, E, monkeypatch):
+        calls, integrate = [], detector.integrate_adaptive
+        monkeypatch.setattr(detector, "integrate_adaptive",
+                            lambda *a, **k: calls.append(a[1:3]) or integrate(*a, **k))
+        up, down = response_rates(E)
+        assert len(calls) == 1
+        assert (up, down) == (response_rate(E), response_rate(-E))  # bit for bit
 
     def test_fit_temperature_shape_contract(self):
         with pytest.raises(DomainError):
