@@ -28,8 +28,8 @@ def main():
     print("response rates (per unit scaled time, window T = 80/a):")
     print(f"{'E':>6} {'rate(+E)':>13} {'rate(-E)':>13} {'balance':>12} {'e^-2piE':>12}")
     rates = []
-    for E in ENERGIES:
-        up, dn = response_rates(float(E))  # one integral serves +E and -E
+    # the rates at +E and -E of the whole grid, from one integral per block
+    for E, (up, dn) in zip(ENERGIES, response_rates(ENERGIES)):
         rates.append([up.value, dn.value])
         print(
             f"{E:6.2f} {up.value:13.5e} {dn.value:13.5e} "

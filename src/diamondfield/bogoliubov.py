@@ -76,7 +76,7 @@ def ab_numeric(omega, k, n=0):
     if not (Om > 0.0 and ka > 0.0):
         raise DomainError("omega and k must be positive")
     vA, vB, err = _rapidity_integral(lambda v: _plane_kernel(n, v), np.array([Om]), np.ones(1),
-                                     np.array([ka]), np.ones(1), -_V_CUT, _V_CUT)
+                                     np.array([ka]), np.ones(1), -_V_CUT, _V_CUT, 1.0)
     c = math.sqrt(ka / Om) / (2.0 * math.pi)
     return (c * vA, -c * vB, c * err)
 

@@ -166,24 +166,22 @@ def cmd_fig2(args):
 
 
 def cmd_detector(args):
-    from .detector import expected_rate, fit_temperature, identity_residual, response_rate, response_rates
+    from .detector import expected_rate, fit_temperature, identity_residual, response_rates
 
     meta = _base_meta(args, "detector")
     meta.update(eps=args.eps, window=args.window)
     residual = identity_residual(np.linspace(-3.0, 3.0, 20))
     meta["identity_residual"] = residual
-    rows = []
-    pairs = []
-    for E in args.grid:
-        up, dn = response_rates(E, args.window, args.eps)
-        for e, r in ((E, up), (-E, dn)):  # the fit needs both rates resolved
+    rates = response_rates(args.grid, args.window, args.eps)
+    for E, pair in zip(args.grid, rates):
+        for e, r in zip((E, -E), pair):  # the fit needs both rates resolved
             if not r.value > r.est_error:
                 raise DomainError(f"the detector rate at E={e:g} is {r.value:.3g}, not above its "
                                   f"est_error {r.est_error:.3g}: unresolved at window {args.window:g}")
-        up_half = response_rate(E, args.window, args.eps / 2.0)
-        consistent = abs(up.value - up_half.value) <= 0.02 * abs(up.value)
-        pairs.append((up.value, dn.value))
-        rows.append((E, up.value, up.value / dn.value, expected_rate(E), consistent))
+    halves = response_rates(args.grid, args.window, args.eps / 2.0)
+    pairs = [(up.value, dn.value) for up, dn in rates]
+    rows = [(E, up, up / dn, expected_rate(E), abs(up - half[0].value) <= 0.02 * abs(up))
+            for E, (up, dn), half in zip(args.grid, pairs, halves)]
     T_fit = fit_temperature(args.grid, pairs)
     meta["fitted_T"] = T_fit
     rowsT = [row + (T_fit,) for row in rows]

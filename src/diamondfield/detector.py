@@ -16,9 +16,11 @@ i*epsilon prescription out of the numerics.
 
 Every window width T > 0 is in the domain of response_rate: the kernel
 cannot overflow, and it takes its series where the direct form would cancel.
-The quadrature over 0 < d < 7T converges in passes of about 53 T (|E| + 1)
-and twice that many nodes, so its node budget (_quad._MAX_NODES) admits
-T (|E| + 1) up to about 9,800 and raises ConvergenceError beyond.
+The rates of a whole energy grid come from one quadrature over 0 < d < 7T
+per block of _E_ROWS energies, since only cos(E d) in the integrand depends
+on E.  It converges in passes of about 53 T (max|E| + 1) and twice that many
+nodes, so its node budget (_quad._MAX_NODES) admits T (max|E| + 1) up to
+about 9,800 and raises ConvergenceError beyond.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .bogoliubov import _temperature_fit
 from .errors import DomainError
 
 _RATE_TOL = 1e-12  # absolute doubling tolerance of the response_rate integral
+_E_ROWS = 4  # energies per response_rates integral: bounds its (energies x nodes) integrand
 
 
 def wightman_minkowski(dt, dr, eps=0.0):
@@ -109,38 +112,54 @@ def _vacuum_window_rate(E, T):
 
 def response_rates(E, window_time=80.0, eps=1e-8):
     """(rate(E), rate(-E)) as RateResults: detector response rates per unit
-    scaled time a*eta at the energy gaps E and -E, from one integral.
+    scaled time a*eta at the energy gaps E and -E, from one integral.  For a
+    1-D array of energies, the list of those pairs, one per energy.
 
     window_time is the Gaussian switching width T; for an eternal window the
     rate tends to (1/2 pi) E / (e^{2 pi E} - 1).  The vacuum part of W is
     transformed in closed form, so eps only enters the smooth subtracted
-    integrand f(d) = 2 cos(E d) h(d) and the rate is insensitive to halving
-    it.  f depends on E only through the even cos(E d), which np.cos keeps
-    even bit for bit, so rate(E) and rate(-E) share its integral over
-    0 < d < 7T.  est_error adds to the doubling difference the cut beyond 7T,
-    where the window h is still e^{-12.25} of its peak: h falls monotonically,
-    so by parts the tail is at most 2 h(7T) / |E|, and without the
-    oscillation at most 2 h(7T) T^2 / 7T; the smaller bound is taken.
+    integrand f(d) = 2 cos(E d) g(d), g the window times the vacuum-subtracted
+    correlation, and the rate is insensitive to halving it.  f depends on E
+    only through the even cos(E d), which np.cos keeps even bit for bit, so
+    rate(E) and rate(-E) share its integral over 0 < d < 7T; and g, the
+    costly complex factor, is formed once per node for every E of a block of
+    _E_ROWS energies, integrated together at est_freq = max|E| + 1 of the
+    block.  est_error adds to the block's doubling difference the cut beyond
+    7T, where the window is still e^{-12.25} of its peak: the envelope
+    h = 2|g| of f falls monotonically, so by parts the tail is at most
+    2 h(7T) / |E|, and without the oscillation at most 2 h(7T) T^2 / 7T; the
+    smaller bound is taken.
     """
     T = float(window_time)
     if not T > 0.0:
         raise DomainError("window_time must be positive")
+    energies = np.atleast_1d(np.asarray(E, dtype=float))
 
-    def deficit(d):
-        # vacuum-subtracted thermal correlation, smooth and even in d
-        return -(_sinh2_deficit((d - 1j * eps) / 2.0) / (16.0 * math.pi**2))
-
-    def integrand(d):
-        return 2.0 * np.cos(E * d) * np.exp(-(d * d) / (4.0 * T * T)) * deficit(d)
+    def g(d):
+        # the window times the vacuum-subtracted thermal correlation, smooth and even in d
+        dW = -(_sinh2_deficit((d - 1j * eps) / 2.0) / (16.0 * math.pi**2))
+        return np.exp(-(d * d) / (4.0 * T * T)) * dW
 
     # the subtracted kernel only falls like 1/d^2, so the cut is set by the
     # window envelope, not by the thermal decay
     d_max = 7.0 * T
-    val, err = integrate_adaptive(integrand, 1e-12, d_max, _RATE_TOL, est_freq=abs(E) + 1.0)
-    h = 2.0 * math.exp(-((d_max / (2.0 * T)) ** 2)) * abs(deficit(np.array([d_max]))[0])
-    err = float(err + abs(np.imag(val)) + 2.0 * h / max(abs(E), d_max / (T * T)))
-    return tuple(RateResult(value=float(_vacuum_window_rate(e, T) + np.real(val)), est_error=err)
-                 for e in (E, -E))
+    h = 2.0 * abs(g(np.array([d_max]))[0])
+    pairs = []
+    for i in range(0, energies.size, _E_ROWS):
+        block = energies[i:i + _E_ROWS]
+
+        def integrand(d):
+            x = np.multiply.outer(block, d)
+            np.cos(x, out=x)
+            return x * (2.0 * g(d))
+
+        val, err = integrate_adaptive(integrand, 1e-12, d_max, _RATE_TOL,
+                                      est_freq=float(np.max(np.abs(block))) + 1.0)
+        for e, v in zip(block.tolist(), val):
+            est = float(err + abs(v.imag) + 2.0 * h / max(abs(e), d_max / (T * T)))
+            pairs.append(tuple(RateResult(value=float(_vacuum_window_rate(x, T) + v.real), est_error=est)
+                               for x in (e, -e)))
+    return pairs if np.ndim(E) else pairs[0]
 
 
 def response_rate(E, window_time=80.0, eps=1e-8):

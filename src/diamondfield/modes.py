@@ -183,7 +183,8 @@ class Packet:
 # quadrature of products
 
 def _plane_kernel(n, v):
-    """(base, L) = (dV/dv, -V) of the diamond-n / plane overlap, V = 4n + 2 tanh(v/2)."""
+    """(base, L) = (dV/dv, -V) of the diamond-n / plane overlap, V = 4n + 2 tanh(v/2).
+    |dL/dv| = sech^2(v/2) reaches its bound 1 at v = 0."""
     return np.cosh(v / 2.0) ** -2, -(4.0 * n + 2.0 * np.tanh(v / 2.0))
 
 
@@ -237,12 +238,16 @@ def _taylor_sum(om, c, L):
     return X, float(np.sum(np.abs(c))) * rem
 
 
-def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
+def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, rate):
     """(I, J, est_error): I = Int dv base P X and J = -Int dv base P conj(X)
     over the diamond rapidity v in [lo, hi], with (base, L) = kernel(v),
     P = sum_j c_p[j] e^{-i om_p[j] v} and X = sum_k c_x[k] e^{-i om_x[k] L}:
     up to a constant, the KG products of a diamond packet with a plane
     (_plane_kernel) or exterior (correlations._kernel) packet Q and with Q*.
+    rate bounds |dL/dv| on [lo, hi], so the phases of P X turn at most at
+    max om_p + rate max om_x, the first passes' est_freq: 1 for the plane
+    kernel and the first diamond, far less for the exterior seen from
+    diamond n >= 2 (correlations._overlap).
     P factors over the equal quadrature panels and their midpoints
     (_panel_sum).  L is not linear in v, so X is a short Taylor series in L
     about the points of one lattice in L (_taylor_sum).  est_error adds to the
@@ -260,7 +265,8 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
         last[:] = [base, L, P, X, bound]
         return np.stack([P * X, -P * np.conj(X)])
 
-    val, err = integrate_adaptive(f, lo, hi, _RAPIDITY_TOL, est_freq=float(np.max(om_p) + np.max(om_x)))
+    est_freq = float(np.max(om_p) + rate * np.max(om_x))
+    val, err = integrate_adaptive(f, lo, hi, _RAPIDITY_TOL, est_freq=est_freq)
     base, L, P, X, bound = last
     phase = np.max(om_p) * max(abs(lo), abs(hi)) + np.max(om_x) * np.max(np.abs(L))
     _, w = panel_nodes(lo, hi, L.size // PANEL_ORDER)  # integrate_adaptive's final panels
@@ -322,7 +328,7 @@ def kg_product(p1, p2):
         d, q = (p1, p2) if p1.kind == "diamond" else (p2, p1)
         I, J, err = _rapidity_integral(
             lambda v: _plane_kernel(d.n, v), d.omegas, d.weights / np.sqrt(d.omegas),
-            q.omegas, np.conj(q.weights) * np.sqrt(q.omegas), -_V_CUT, _V_CUT)
+            q.omegas, np.conj(q.weights) * np.sqrt(q.omegas), -_V_CUT, _V_CUT, 1.0)
         val = (J if d.conj != q.conj else I) / (2.0 * math.pi)
         val = -np.conj(val) if d.conj else val
         return KGProduct(complex(np.conj(val) if p1 is q else val), err / (2.0 * math.pi))

@@ -121,13 +121,14 @@ class TestDetector:
         assert abs(float(meta["fitted_T"]) - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
 
     def test_one_integral_per_energy_and_eps(self, tmp_path, monkeypatch):
-        # rate(E) and rate(-E) share one integral, and the eps / 2 check takes
-        # one more: 6 at the default grid, where each rate took its own (9)
+        # the default grid is one block of response_rates: one integral at eps
+        # and one for the eps / 2 check, where one per energy and eps took 6
+        # and one per rate 9
         calls, integrate = [], detector.integrate_adaptive
         monkeypatch.setattr(detector, "integrate_adaptive",
                             lambda *a, **k: calls.append(a[1:3]) or integrate(*a, **k))
         code, _ = run(tmp_path, "detector")
-        assert code == 0 and len(calls) == 6
+        assert code == 0 and len(calls) == 2
 
     def test_unresolved_rates_rejected(self, capsys):
         # at a window of 80 the rates at E = 5, 10, 30 lie below their own

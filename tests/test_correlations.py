@@ -133,12 +133,24 @@ class TestAdjacentSharp:
                 assert abs(b - ref_b) <= 1e-13 * abs(ref_b)
                 assert abs(l - ref_l) <= 1e-13 * abs(ref_l)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
+    def test_phase_rate_bound(self, n):
+        # _overlap sizes the rapidity passes by |dL/dv| <= 1/(4n(n - 1)) for
+        # n >= 2 (sups 0.072, 0.029, 0.0025 and 1.56e-4) and <= 1 for n = 1,
+        # reached at the tip the first diamond shares with the exterior
+        bound = mpmath.mpf(1) if n == 1 else mpmath.mpf(1) / (4 * n * (n - 1))
+        with mpmath.workdps(40):
+            for vi in np.linspace(-40.0, 40.0, 1601):
+                V = 4 * n + 2 * mpmath.tanh(mpmath.mpf(vi) / 2)
+                rate = 4 * mpmath.sech(mpmath.mpf(vi) / 2) ** 2 / ((V - 2) * (V + 2))
+                assert rate <= bound if n == 1 else rate < bound
+
     def test_numeric_requires_n_ge_1(self):
         with pytest.raises(DomainError):
             alpha_beta_numeric(1.0, 1.3, n=0)
 
 
-def unfactored_rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
+def unfactored_rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, rate):
     """modes._rapidity_integral with one np.exp per node and frequency on both
     sides, on the same panels; returns (I, J, doubling difference)."""
     def f(v):
@@ -147,7 +159,7 @@ def unfactored_rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi):
         X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
         return np.stack([P * X, -P * np.conj(X)])
 
-    est_freq = float(np.max(om_p) + np.max(om_x))
+    est_freq = float(np.max(om_p) + rate * np.max(om_x))
     val, err = integrate_adaptive(f, lo, hi, modes._RAPIDITY_TOL, est_freq=est_freq)
     return val[0], val[1], err
 
@@ -180,6 +192,14 @@ class TestCrossMoments:
         monkeypatch.setattr(modes, "_phase", counting)
         cross_moments((1.0, 0.02), (1.0, 0.02), n)
         assert phases[0] <= limit
+
+    def test_separated_passes_at_exterior_phase_rate(self, monkeypatch):
+        # the passes start at max w + max w / (4n(n - 1)) over |v| <= 40, not
+        # at the sum of both packets' top frequencies: 768 + 1,536 kernel
+        # nodes at n = 20, where they took 1,520 + 3,040
+        sizes = _count_kernel_nodes(monkeypatch)
+        cross_moments((1.0, 0.02), (1.0, 0.02), 20)
+        assert sum(sizes) <= 2_304
 
     @pytest.mark.parametrize("n,limit", [(20, 10_000), (1, 100_000)])
     def test_phases_on_lattice_tables(self, n, limit, monkeypatch):

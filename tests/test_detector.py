@@ -117,6 +117,48 @@ class TestResponse:
         assert len(calls) == 1
         assert (up, down) == (response_rate(E), response_rate(-E))  # bit for bit
 
+    @pytest.mark.parametrize("eps", [1e-8, 5e-9])
+    def test_grid_route_matches_one_integral_per_energy(self, eps):
+        # the CLI's grid and both of its eps: each energy integrated on its
+        # own at est_freq |E| + 1, the route before energies shared a block
+        T, grid = 80.0, [0.1, 0.5, 1.0, 2.0, 3.0]
+
+        def single(E):
+            def f(d):
+                dW = -(_sinh2_deficit((d - 1j * eps) / 2.0) / (16.0 * math.pi**2))
+                return 2.0 * np.cos(E * d) * np.exp(-(d * d) / (4.0 * T * T)) * dW
+
+            val, _ = integrate_adaptive(f, 1e-12, 7.0 * T, detector._RATE_TOL, est_freq=abs(E) + 1.0)
+            return [_vacuum_window_rate(e, T) + val.real for e in (E, -E)]
+
+        for E, pair in zip(grid, response_rates(grid, T, eps)):
+            for r, ref in zip(pair, single(E)):
+                assert abs(r.value - ref) <= r.est_error
+
+    def test_long_grids_integrate_in_blocks(self, monkeypatch):
+        # 200 energies never put more than _E_ROWS rows into one integrand,
+        # so its memory does not grow with the grid; a short window keeps
+        # the passes small
+        rows, integrate = [], detector.integrate_adaptive
+
+        def recording(f, *a, **k):
+            def shaped(d):
+                out = f(d)
+                rows.append(out.shape[0])
+                return out
+
+            return integrate(shaped, *a, **k)
+
+        monkeypatch.setattr(detector, "integrate_adaptive", recording)
+        grid = np.linspace(-2.0, 2.0, 200)
+        rates = response_rates(grid, window_time=5.0)
+        assert len(rates) == 200 and max(rows) == detector._E_ROWS
+        for i in (0, 101, 199):  # the rows keep their energies
+            up, down = rates[i]
+            ref_up, ref_down = response_rates(grid[i], window_time=5.0)
+            assert abs(up.value - ref_up.value) <= up.est_error + ref_up.est_error
+            assert abs(down.value - ref_down.value) <= down.est_error + ref_down.est_error
+
     def test_fit_temperature_shape_contract(self):
         with pytest.raises(DomainError):
             fit_temperature([1.0], [1.0, 2.0, 3.0])

@@ -301,7 +301,8 @@ def _exterior_side(n):
     om, wt, G = Profile(1.0, 0.02).nodes(96, root=True)
     c = wt * G / (2.0 * np.sinh(math.pi * om)) * np.sqrt(om)
     lo = -_TAIL / 0.02 if n == 1 else -_V_CUT
-    return lambda v: _kernel(n, v), om, c, lo, _V_CUT, 2.0 * np.max(om)
+    rate = 1.0 if n == 1 else 0.25 / (n * (n - 1))  # correlations._overlap's bound on |dL/dv|
+    return lambda v: _kernel(n, v), om, c, lo, _V_CUT, (1.0 + rate) * np.max(om)
 
 
 def _plane_side(omega, k, sigma):
