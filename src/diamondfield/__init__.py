@@ -18,7 +18,6 @@ from .errors import (
 )
 from .geometry import (
     DiamondEvent,
-    DiamondScale,
     MinkowskiEvent,
     line_element,
     to_diamond,
@@ -75,7 +74,6 @@ __all__ = [
     "PoleError",
     "SingularMapError",
     "DiamondEvent",
-    "DiamondScale",
     "MinkowskiEvent",
     "line_element",
     "to_diamond",

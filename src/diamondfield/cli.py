@@ -42,9 +42,14 @@ def _parse_grid(spec):
 
 
 def _parse_phi_list(spec):
-    """Comma list of phases; a 'pi' suffix multiplies by pi."""
-    toks = [tok.strip().lower() for tok in spec.split(",")]
-    return [float(t[:-2] or 1.0) * math.pi if t.endswith("pi") else float(t) for t in toks]
+    """Comma list of phases; a 'pi' suffix multiplies by pi ('pi', '-pi' and
+    '+pi' read as +-1 pi)."""
+    def phase(tok):
+        if not tok.endswith("pi"):
+            return float(tok)
+        coef = tok[:-2]
+        return float(coef + "1" if coef in ("", "+", "-") else coef) * math.pi
+    return [phase(tok.strip().lower()) for tok in spec.split(",")]
 
 
 def _checked(parse, ok=math.isfinite, need="finite"):
@@ -159,7 +164,7 @@ def cmd_fig2(args):
                "axes reconstructed from the described phenomenology",
     )
     header = ("phi", "omega1", "v_minus", "v_plus", "entangled")
-    tab = fig2_sweep(args.phi, args.grid, omega0=1.0, sigma=args.sigma)
+    tab = fig2_sweep(args.phi, args.grid, sigma=args.sigma)
     rows = list(zip(*(tab[key].tolist() for key in header)))
     _emit(args.out, args.format, meta, header, rows)
     return EXIT_OK

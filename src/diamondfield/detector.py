@@ -33,6 +33,7 @@ import numpy as np
 from ._quad import integrate_adaptive
 from .bogoliubov import _temperature_fit
 from .errors import DomainError
+from .geometry import worldline_clock
 
 _RATE_TOL = 1e-12  # absolute doubling tolerance of the response_rate integral
 _E_ROWS = 4  # energies per response_rates integral: bounds its (energies x nodes) integrand
@@ -46,26 +47,25 @@ def wightman_minkowski(dt, dr, eps=0.0):
     return -(1.0 / (4.0 * math.pi**2)) / (dt * dt - dr * dr)
 
 
-def scaled_static_wightman(eta, eta_p, eps=0.0):
-    """W along the static worldline t = 2 tanh(eta / 2), r = 0, divided
+def scaled_static_wightman(eta, eta_p):
+    """W along the static worldline t = worldline_clock(eta), r = 0, divided
     by the energy-scaling factors cosh^2(eta/2) cosh^2(eta'/2)."""
-    x, x_p = np.asarray(eta) / 2.0, np.asarray(eta_p) / 2.0
-    num = wightman_minkowski(2.0 * np.tanh(x) - 2.0 * np.tanh(x_p), 0.0, eps)
-    return num / (np.cosh(x) ** 2 * np.cosh(x_p) ** 2)
+    num = wightman_minkowski(worldline_clock(eta) - worldline_clock(eta_p), 0.0)
+    return num / (np.cosh(np.asarray(eta) / 2.0) ** 2 * np.cosh(np.asarray(eta_p) / 2.0) ** 2)
 
 
-def accelerated_wightman(tau, tau_p, eps=0.0):
+def accelerated_wightman(tau, tau_p):
     """W along the hyperbola t = sinh(tau), x = cosh(tau)."""
     tau = np.asarray(tau, dtype=float)
     tau_p = np.asarray(tau_p, dtype=float)
     dt = np.sinh(tau) - np.sinh(tau_p)
     dr = np.cosh(tau) - np.cosh(tau_p)
-    return wightman_minkowski(dt, np.abs(dr), eps)
+    return wightman_minkowski(dt, np.abs(dr))
 
 
-def thermal_wightman(d, eps=0.0):
-    """Closed form -(1/16 pi^2)/sinh^2((d - i eps)/2)."""
-    x = (np.asarray(d, dtype=complex) - 1j * eps) / 2.0
+def thermal_wightman(d):
+    """Closed form -(1/16 pi^2)/sinh^2(d/2)."""
+    x = np.asarray(d, dtype=complex) / 2.0
     return -(1.0 / (16.0 * math.pi**2)) / np.sinh(x) ** 2
 
 
@@ -188,4 +188,6 @@ def fit_temperature(energies, rates):
     # rate(E)/rate(-E) = e^{-E/T}
     if rates.shape != (len(energies), 2):
         raise DomainError("rates must be pairs (rate(+E), rate(-E))")
+    if not np.all(rates > 0.0):
+        raise DomainError("rates must be positive")
     return _temperature_fit(energies, -np.log(rates[:, 0] / rates[:, 1]))

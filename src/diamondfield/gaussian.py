@@ -121,6 +121,8 @@ def build_covariance(specs, adjacent="analytic"):
 
 def mode_variance(cov, i, phi=0.0):
     """V(X_i(phi)) from the stored covariance."""
+    if not 0 <= i < len(cov.modes):
+        raise IndexError(f"mode index must lie in [0, {len(cov.modes)})")
     c, s = math.cos(phi), math.sin(phi)
     u = np.zeros(cov.matrix.shape[0])
     u[2 * i], u[2 * i + 1] = c, s
@@ -129,8 +131,9 @@ def mode_variance(cov, i, phi=0.0):
 
 def joint_variance(cov, i, j, sign, phi=0.0):
     """V((X_i(phi) + sign * X_j(phi)) / sqrt 2), sign in {+1, -1}."""
-    if i == j:
-        raise IndexError("joint variance needs two distinct modes")
+    m = len(cov.modes)
+    if not (0 <= i < m and 0 <= j < m) or i == j:
+        raise IndexError(f"joint variance needs two distinct mode indices in [0, {m})")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     s = float(sign)
@@ -149,13 +152,12 @@ def squeezing_witness(cov, i, j):
     return {"entangled": entangled, "V_minus_0": v_minus, "V_plus_half_pi": v_plus}
 
 
-def fig2_sweep(phi_list=(0.0, 0.2 * math.pi), omega1_grid=None,
-               omega0=1.0, sigma=DEFAULT_SIGMA, v0=0.0):
+def fig2_sweep(phi_list=(0.0, 0.2 * math.pi), omega1_grid=None, sigma=DEFAULT_SIGMA):
     """Joint-variance sweep between a zeroth- and a first-diamond packet.
 
     Returns rows (phi, omega1, V_minus, V_plus, entangled) as a dict of
     arrays, ordered by (phi, omega1).  The zeroth packet is fixed at
-    (omega0, sigma, v0); the first-diamond central frequency runs over
+    (1.0, sigma, 0); the first-diamond packet (omega1, sigma, 0) runs over
     omega1_grid.  entangled is the squeezing_witness verdict of each
     covariance, independent of phi.
     """
@@ -165,8 +167,8 @@ def fig2_sweep(phi_list=(0.0, 0.2 * math.pi), omega1_grid=None,
     covs = []
     for om1 in omega1_grid:
         cov = build_covariance([
-            WavepacketSpec(0, omega0, sigma, v0),
-            WavepacketSpec(1, float(om1), sigma, v0),
+            WavepacketSpec(0, 1.0, sigma),
+            WavepacketSpec(1, float(om1), sigma),
         ])
         covs.append((float(om1), cov, squeezing_witness(cov, 0, 1)["entangled"]))
     tab = {key: [] for key in ("phi", "omega1", "v_minus", "v_plus", "entangled")}

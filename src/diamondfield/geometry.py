@@ -1,13 +1,10 @@
 """Diamond coordinate system.
 
 Maps between Minkowski coordinates (t, x, y, z) and diamond coordinates
-(eta, xi, zeta, rho) for the bounded region |t| + r < 2/a, plus the line
-element, the static worldline clock relation and the null-coordinate map
-V = (2/a) tanh(a v/2) of the diamond.  The (1+1)-D mode analysis (modes,
-correlations) works at a = 1 and computes V = 4n + 2 tanh(v/2) of diamond n
-inline rather than through null_map.  All formulas depend on the scale
-only through a * (coordinate), so internally everything is computed with
-a = 1.
+(eta, xi, zeta, rho) for the bounded region |t| + r < 2, plus the line
+element and the static worldline clock.  Every formula depends on the
+diamond size only through a * (coordinate), so coordinates are in units
+of 1/a: the diamond has half-width 2 and its static observer lifetime 4.
 """
 
 from __future__ import annotations
@@ -18,25 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, OutsideDiamondError, SingularMapError
-
-
-@dataclass(frozen=True)
-class DiamondScale:
-    """Inverse-size parameter a; half-width 2/a, observer lifetime 4/a."""
-
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError("diamond scale a must be positive and finite")
-
-    @property
-    def half_size(self) -> float:
-        return 2.0 / self.a
-
-    @property
-    def lifetime(self) -> float:
-        return 4.0 / self.a
 
 
 @dataclass(frozen=True)
@@ -59,25 +37,15 @@ class DiamondEvent:
     rho: float
 
 
-@dataclass(frozen=True)
-class NullCoordPair:
-    """Minkowski null V = t + x paired with diamond null v = eta + xi."""
-
-    V: float
-    v: float
-    dV_dv: float
-
-
 def _check_finite(*vals):
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("non-finite coordinate")
 
 
-def to_diamond(e: MinkowskiEvent, scale: DiamondScale = DiamondScale()) -> DiamondEvent:
+def to_diamond(e: MinkowskiEvent) -> DiamondEvent:
     """Map an interior Minkowski event to diamond coordinates."""
-    a = scale.a
     _check_finite(e.t, e.x, e.y, e.z)
-    t, x, y, z = a * e.t, a * e.x, a * e.y, a * e.z  # work in units of 1/a
+    t, x, y, z = e.t, e.x, e.y, e.z
     r = math.sqrt(x * x + y * y + z * z)
     if abs(t) + r >= 2.0:
         raise OutsideDiamondError("event on or outside the diamond null boundary")
@@ -89,10 +57,10 @@ def to_diamond(e: MinkowskiEvent, scale: DiamondScale = DiamondScale()) -> Diamo
     xi = math.log(math.sqrt(q * q - t * t) / f)
     zeta = 2.0 * y / f
     rho = 2.0 * z / f
-    return DiamondEvent(eta / a, xi / a, zeta / a, rho / a)
+    return DiamondEvent(eta, xi, zeta, rho)
 
 
-def to_minkowski(d: DiamondEvent, scale: DiamondScale = DiamondScale()) -> MinkowskiEvent:
+def to_minkowski(d: DiamondEvent) -> MinkowskiEvent:
     """Closed-form inverse of to_diamond.
 
     With f the map denominator, to_diamond gives q = f e^xi cosh(eta) and
@@ -106,9 +74,8 @@ def to_minkowski(d: DiamondEvent, scale: DiamondScale = DiamondScale()) -> Minko
     Images that round onto the null boundary fail the round-trip check and
     raise ConvergenceError.
     """
-    a = scale.a
     _check_finite(d.eta, d.xi, d.zeta, d.rho)
-    eta, xi, zeta, rho = a * d.eta, a * d.xi, a * d.zeta, a * d.rho
+    eta, xi, zeta, rho = d.eta, d.xi, d.zeta, d.rho
 
     try:
         e_xi = math.exp(xi)
@@ -125,47 +92,18 @@ def to_minkowski(d: DiamondEvent, scale: DiamondScale = DiamondScale()) -> Minko
     res = (dd.eta - eta, dd.xi - xi, dd.zeta - zeta, dd.rho - rho)
     if max(abs(r) for r in res) > 1e-10:
         raise ConvergenceError("to_minkowski inversion residual above 1e-10")
-    return MinkowskiEvent(*(out / a))
+    return MinkowskiEvent(*out)
 
 
-def line_element(
-    d: DiamondEvent, dd: DiamondEvent, scale: DiamondScale = DiamondScale()
-) -> float:
+def line_element(d: DiamondEvent, dd: DiamondEvent) -> float:
     """ds^2 for a small displacement dd taken at the diamond event d."""
-    a = scale.a
-    eta, xi = a * d.eta, a * d.xi
-    zeta, rho = a * d.zeta, a * d.rho
-    # transverse coefficient is a^2/8, pinned by the pullback of the
+    # transverse coefficient is 1/8, pinned by the pullback of the
     # Minkowski interval through the coordinate map (see tests)
-    conf = math.cosh(eta) + math.cosh(xi) + 0.125 * math.exp(-xi) * (zeta**2 + rho**2)
-    num = 4.0 * (dd.eta**2 - dd.xi**2) - math.exp(-2.0 * xi) * (dd.zeta**2 + dd.rho**2)
+    conf = math.cosh(d.eta) + math.cosh(d.xi) + 0.125 * math.exp(-d.xi) * (d.zeta**2 + d.rho**2)
+    num = 4.0 * (dd.eta**2 - dd.xi**2) - math.exp(-2.0 * d.xi) * (dd.zeta**2 + dd.rho**2)
     return num / conf**2
 
 
-def worldline_clock(eta: float, scale: DiamondScale = DiamondScale()) -> float:
-    """Minkowski time on the static worldline: t = (2/a) tanh(a eta / 2)."""
-    a = scale.a
-    return (2.0 / a) * math.tanh(a * eta / 2.0)
-
-
-def worldline_clock_rate(eta: float, scale: DiamondScale = DiamondScale()) -> float:
-    """dt/deta on the static worldline: 1/cosh^2(a eta / 2)."""
-    a = scale.a
-    return 1.0 / math.cosh(a * eta / 2.0) ** 2
-
-
-def null_map(v: float, scale: DiamondScale = DiamondScale()) -> NullCoordPair:
-    """Pair the diamond null coordinate v with Minkowski null V."""
-    a = scale.a
-    _check_finite(v)
-    V = (2.0 / a) * math.tanh(a * v / 2.0)
-    return NullCoordPair(V=V, v=v, dV_dv=1.0 / math.cosh(a * v / 2.0) ** 2)
-
-
-def null_map_inverse(V: float, scale: DiamondScale = DiamondScale()) -> NullCoordPair:
-    """Inverse pairing; requires |V| < 2/a strictly."""
-    a = scale.a
-    if not abs(V) < 2.0 / a:
-        raise OutsideDiamondError("V outside the open diamond null range")
-    v = (2.0 / a) * math.atanh(a * V / 2.0)
-    return NullCoordPair(V=V, v=v, dV_dv=1.0 / math.cosh(a * v / 2.0) ** 2)
+def worldline_clock(eta):
+    """Minkowski time on the static worldline, elementwise: t = 2 tanh(eta / 2)."""
+    return 2.0 * np.tanh(np.asarray(eta) / 2.0)

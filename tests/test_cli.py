@@ -207,6 +207,10 @@ class TestParser:
         assert outs[1::2] == [fresh] * 3
         assert all(len(out.splitlines()) < len(fresh.splitlines()) for out in outs[::2])
 
+    def test_phi_bare_sign_before_pi(self):
+        assert cli._checked(cli._parse_phi_list)("-pi,+pi") == [-math.pi, math.pi]
+        assert cli._checked(cli._parse_phi_list)("pi,-0.5pi") == [math.pi, -0.5 * math.pi]
+
 
 class TestOptions:
     """Each quadrature reads one module constant for its tolerance, so no
@@ -238,13 +242,11 @@ class TestOptions:
         assert knobs == []
 
     def test_results_in_units_of_a(self):
-        # the diamond's size lives in geometry.DiamondScale; every other
-        # function takes and returns quantities in units of a
+        # no function takes the diamond's size: coordinates are in units of
+        # 1/a, frequencies and energies in units of a
         names = dict(self._public_callables())
         assert "diamondfield.geometry.to_diamond" in names
-        scaled = [name for name, fn in names.items()
-                  if not name.startswith("diamondfield.geometry.")
-                  and "scale" in inspect.signature(fn).parameters]
+        scaled = [name for name, fn in names.items() if "scale" in inspect.signature(fn).parameters]
         assert scaled == []
 
     @pytest.mark.parametrize("argv", [["--a", "2", "spectrum"], ["spectrum", "--a", "2"],

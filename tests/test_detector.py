@@ -163,6 +163,12 @@ class TestResponse:
         with pytest.raises(DomainError):
             fit_temperature([1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("rates", [[[1.0, -1.0]], [[0.0, 1.0]]])
+    def test_fit_temperature_rejects_non_positive_rates(self, rates):
+        # the balance ratio's log would be NaN or infinite
+        with pytest.raises(DomainError):
+            fit_temperature([1.0], rates)
+
 
 class TestVacuumWindowRate:
     def test_math_erfc_matches_scipy(self):

@@ -19,7 +19,7 @@ from diamondfield.gaussian import (
 )
 from diamondfield.modes import Packet, kg_product
 
-FIG2 = dict(omega0=1.0, sigma=0.02)
+FIG2 = dict(sigma=0.02)
 
 
 def pair(n0=0, n1=1, om0=1.0, om1=1.0, sigma=0.02):
@@ -204,6 +204,21 @@ class TestJointVariance:
     def test_same_index_rejected(self):
         with pytest.raises(IndexError):
             joint_variance(pair(), 0, 0, -1, 0.0)
+
+    @pytest.mark.parametrize("i, j", [(1, -1), (-1, 1), (0, 2), (2, 0), (-3, 0)])
+    def test_index_out_of_range_rejected(self, i, j):
+        # -1 aliases mode 1: it would pass the distinct-modes check and pair
+        # the mode with itself, reading entangled with V about 0.5
+        cov = pair()
+        with pytest.raises(IndexError):
+            joint_variance(cov, i, j, -1, 0.0)
+        with pytest.raises(IndexError):
+            squeezing_witness(cov, i, j)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_mode_variance_index_out_of_range_rejected(self, i):
+        with pytest.raises(IndexError):
+            mode_variance(pair(), i)
 
 
 class TestWitness:
