@@ -23,8 +23,9 @@ quadrature handles kappa <= kappa_split = 40, with A_G, B_G from trapezoid sums
 of the Euler integral (B_G off the real line where it cancels there), whose
 lane errors are part of est_error.  The quadrature's kappa lanes are equal
 Gauss-Legendre panels, so the sums' phases e^{kappa phi(s)} factor into one
-row per panel midpoint and one per node offset.  Beyond kappa_split each
-Kummer sector is a short series in 1/kappa times kappa^{-+i Om}, so the tail,
+row per panel midpoint and one per node offset, each computed on s >= 0 and
+conjugated onto s < 0.  Beyond kappa_split each Kummer sector is a short
+series in 1/kappa times kappa^{-+i Om}, so the tail,
 e^{+-4 i kappa} cross term included, is a Hermitian form in the series terms,
 integrated in closed form term by term.  The second sector is the first with
 its frequencies and beat negated, so per series order the form takes one
@@ -97,22 +98,39 @@ _EULER_N = round(_EULER_S / _EULER_H)
 _EULER_NODES = _EULER_H * np.arange(-_EULER_N, _EULER_N + 1)  # spacing exactly the weight h
 
 
+def _mirrored_exp(z):
+    """e^z on every node of _EULER_NODES, from the exponents z of a row on the
+    nodes s >= 0 (last axis) with z(-s) = conj(z(s)).  The nodes h k are
+    exactly symmetric and e^{conj z} = conj(e^z), so the nodes s < 0 take the
+    conjugates of their mirror images: half the exponentials of a full row."""
+    out = np.empty(z.shape[:-1] + (_EULER_NODES.size,), dtype=complex)
+    half = np.exp(z, out=out[..., _EULER_N:])
+    np.conjugate(half[..., :0:-1], out=out[..., :_EULER_N])
+    return out
+
+
 def _euler_kernels(om, coeff):
     """K(s) = sum_j c_j (2/(pi sqrt(Om_j))) e^{2 i Om_j s}/(2 cosh^2 s) on the
     nodes s = _EULER_NODES (row 0) and s + i _EULER_THETA (row 1), where each
-    e^{2 i Om_j s} of the real line gains e^{-2 Om_j theta}."""
+    e^{2 i Om_j s} of the real line gains e^{-2 Om_j theta}.  The row
+    e^{2 i Om_j s} takes conjugate values at -s and s, so it is formed on
+    s >= 0 (_mirrored_exp), one frequency node at a time."""
     s, theta = _EULER_NODES, _EULER_THETA
     K = np.zeros((2, s.size), dtype=complex)
     for Om, c in zip(om, coeff):
-        e = (c * 2.0 / (math.pi * math.sqrt(Om))) * np.exp(2j * Om * s)
+        e = (c * 2.0 / (math.pi * math.sqrt(Om))) * _mirrored_exp(2j * Om * s[_EULER_N:])
         K[0] += e
         K[1] += math.exp(-2.0 * Om * theta) * e
     return K * (0.5 / np.cosh(np.stack([s, s + 1j * theta])) ** 2)
 
 
 def _exp_outer(x, phase):
-    """e^{x phase} for every pair of x and phase: the factors of a trapezoid sum."""
-    return np.exp(np.multiply.outer(x, phase))
+    """e^{x phase} for every real x and every node of a phase row on
+    _EULER_NODES: the factors of a trapezoid sum.  Both lines' rows satisfy
+    phase(-s) = conj(phase(s)): -2i tanh s on the real line, and 2i tanh(s + i theta)
+    on the shifted one, where tanh(-s + i theta) = -conj(tanh(s + i theta)).
+    So e^{x phase} is formed on s >= 0 only (_mirrored_exp)."""
+    return _mirrored_exp(np.multiply.outer(x, phase[_EULER_N:]))
 
 
 def _trapezoid(mid, off, phase, K):
@@ -129,7 +147,9 @@ def _trapezoid(mid, off, phase, K):
     W2 = 2.0 * W
     W2[1::2] = 0.0  # step 2h on every second node
     W = np.concatenate([W, W2], axis=1)
-    E_off = _exp_outer(phase, off)
+    # a C-ordered copy: matmul on the transposed view takes another BLAS
+    # path, whose sums can differ in the last bit
+    E_off = np.ascontiguousarray(_exp_outer(off, phase).T)
     T = np.empty((mid.size, off.size, W.shape[1]), dtype=complex)
     for lo in range(0, mid.size, _EULER_CHUNK):
         E_mid = _exp_outer(mid[lo:lo + _EULER_CHUNK], phase)
@@ -388,12 +408,18 @@ def fit_temperature(omega, occupation):
     through the origin of log(1 + 1/n) against omega."""
     omega = np.asarray(omega, dtype=float)
     n = np.asarray(occupation, dtype=float)
-    if np.any(n <= 0.0):
-        raise DomainError("occupations must be positive")
+    if omega.ndim != 1 or n.shape != omega.shape:
+        raise DomainError("omega and occupation must be 1-D and of equal length")
+    if not np.all(np.isfinite(n) & (n > 0.0)):
+        raise DomainError("occupations must be positive and finite")
     return _temperature_fit(omega, np.log1p(1.0 / n))
 
 
 def _temperature_fit(x, y):
-    """T from Boltzmann exponents y = x / T: least squares through the origin."""
-    slope = float(np.sum(x * y) / np.sum(x * x))
+    """T from Boltzmann exponents y = x / T: least squares through the origin,
+    on a finite grid x with a nonzero point."""
+    xx = np.sum(x * x)
+    if not (math.isfinite(xx) and xx > 0.0):
+        raise DomainError("the grid must be finite and hold a nonzero point")
+    slope = float(np.sum(x * y) / xx)
     return 1.0 / slope

@@ -24,10 +24,6 @@ class MinkowskiEvent:
     y: float
     z: float
 
-    @property
-    def r(self) -> float:
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
-
 
 @dataclass(frozen=True)
 class DiamondEvent:

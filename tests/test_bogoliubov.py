@@ -121,6 +121,20 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             fit_temperature([1.0], [0.0])
 
+    @pytest.mark.parametrize("omega,occupation", [
+        pytest.param([1.0, 2.0], [math.nan, 0.1], id="nan"),
+        pytest.param([1.0, 2.0], [math.inf, 0.1], id="inf"),
+        pytest.param([1.0, 2.0], [0.1], id="short"),
+        pytest.param([[1.0, 2.0]], [[0.1, 0.2]], id="2-D"),
+        pytest.param([], [], id="empty"),
+        pytest.param([0.0, 0.0], [0.1, 0.2], id="zero-grid"),
+    ])
+    def test_fit_temperature_rejects_bad_input(self, omega, occupation):
+        # a NaN, a broadcast or infinite occupation gave a NaN or wrong T, an
+        # empty or all-zero grid divided 0/0
+        with pytest.raises(DomainError):
+            fit_temperature(omega, occupation)
+
 
 def _count_mp_calls(monkeypatch):
     import mpmath
@@ -312,6 +326,54 @@ class TestPanelFactoring:
         thermal_occupation(omega0)
         assert phases[0] <= 2001 * (77 + 16 + 154 + 16 + 2 * 16 + shifted_panels)
         assert len(kernels) == 1  # K on both lines, once per integral
+
+
+def _full_exp_outer(x, phase):
+    return np.exp(np.multiply.outer(x, phase))
+
+
+def _per_node_kernels(om, coeff):
+    """_euler_kernels with one full row of exponentials per frequency node."""
+    s, theta = bogoliubov._EULER_NODES, bogoliubov._EULER_THETA
+    K = np.zeros((2, s.size), dtype=complex)
+    for Om, c in zip(om, coeff):
+        e = (c * 2.0 / (math.pi * math.sqrt(Om))) * np.exp(2j * Om * s)
+        K[0] += e
+        K[1] += math.exp(-2.0 * Om * theta) * e
+    return K * (0.5 / np.cosh(np.stack([s, s + 1j * theta])) ** 2)
+
+
+class TestMirroredPhases:
+    """Phase rows are formed on s >= 0 and conjugated onto s < 0; every
+    element must equal the full row's, bit for bit."""
+
+    def test_nodes_are_symmetric(self):
+        s = bogoliubov._EULER_NODES
+        assert np.array_equal(s[::-1], -s)
+        assert s[bogoliubov._EULER_N] == 0.0
+
+    def test_exp_outer_is_full_exp_bit_for_bit(self):
+        s, theta = bogoliubov._EULER_NODES, bogoliubov._EULER_THETA
+        mid, off, _ = bogoliubov.panel_grid(1e-9, bogoliubov._KAPPA_SPLIT, 154)
+        for phase in (-2j * np.tanh(s), 2j * np.tanh(s + 1j * theta)):
+            for x in (mid, off):
+                got, want = bogoliubov._exp_outer(x, phase), _full_exp_outer(x, phase)
+                assert got.shape == want.shape == (x.size, s.size)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("omega0,v0", [(0.5, 0.0), (1.0, 0.0), (4.0, 0.0), (1.0, 30.0), (2.0, -5.0)])
+    def test_kernels_match_per_node_rows_bit_for_bit(self, omega0, v0):
+        got, want = bogoliubov._euler_kernels(*_packet(omega0, v0)), _per_node_kernels(*_packet(omega0, v0))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("integral", [thermal_occupation, completeness_check])
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 4.0])
+    def test_integrals_equal_full_rows(self, integral, omega0, monkeypatch):
+        res = integral(omega0)
+        monkeypatch.setattr(bogoliubov, "_exp_outer", _full_exp_outer)
+        monkeypatch.setattr(bogoliubov, "_euler_kernels", _per_node_kernels)
+        ref = integral(omega0)
+        assert res.value == ref.value and res.est_error == ref.est_error
 
 
 class TestNarrowPackets:

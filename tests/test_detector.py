@@ -169,6 +169,13 @@ class TestResponse:
         with pytest.raises(DomainError):
             fit_temperature([1.0], rates)
 
+    @pytest.mark.parametrize("energies,rates", [([], np.zeros((0, 2))), ([0.0], [[1.0, 1.0]])],
+                             ids=["empty", "zero-grid"])
+    def test_fit_temperature_rejects_grid_without_nonzero_energy(self, energies, rates):
+        # the least-squares slope was 0/0
+        with pytest.raises(DomainError):
+            fit_temperature(energies, rates)
+
 
 class TestVacuumWindowRate:
     def test_math_erfc_matches_scipy(self):
