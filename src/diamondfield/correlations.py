@@ -241,58 +241,45 @@ def _lattice_nodes(p, h, offset):
     return u * u, np.where(u == 0.0, 0.5 * h, h), p.amplitude(u * u)
 
 
-def _lattice(p1, ext, dia, le, lep, K):
-    """(m_minus, size of its terms) on two lattices in u = sqrt(W): exterior
-    nodes ext = _lattice_nodes(p0, h, 1/2) and diamond nodes dia =
-    _lattice_nodes(p1, h, 0), with le, lep = _log_e on them and
-    K = Gamma(i(W' - W)).
+def _lattice(x, Ky, aKy, res):
+    """(m_minus, size of its terms) from the trapezoid weights x = a dW on the
+    exterior nodes, the products Ky = K y and aKy = |K| |y| of the kernel
+    K = Gamma(i(W' - W)) with the weights y = b dW' on the diamond nodes, and
+    the residue term res = b(W)/2 on the exterior nodes.
 
     With a = conj(G0) A / (2 sinh pi W), b = conj(G1) / A and K(z) = Gamma(iz)
-    from Im W' < 0, m_minus = (1/2pi) Int Int a(W) b(W') K(W' - W).  In u the
-    integrands a dW = 2u a du and b dW' = 2u' b du' are even and smooth, with
-    no W^{-1/2} endpoint at W = 0, so the trapezoid sum over u >= 0 is half
-    the one over the whole line.  The pole at u' = +-u falls halfway between
-    two nodes, so the sum over it is its principal value, and the residue adds
-    b(W)/2 to F = (1/2pi) Int b K dW'.
+    from Im W' < 0, m_minus = (1/2pi) Int Int a(W) b(W') K(W' - W).  Each
+    exterior node lies halfway between two diamond nodes, where the pole at
+    W' = W sits, so the sum over W' is its principal value and the residue
+    adds b(W)/2 to F = (1/2pi) Int b K dW'.  With K = Gamma(i(W + W')),
+    -conj(x) for x and no residue, the same sum is m_plus.
     """
-    (W, wu, G0), (Wp, wp, G1) = ext, dia
-    x = wu * np.conj(G0) * np.exp(le) * W / np.sinh(math.pi * W)
-    y = wp * 2.0 * np.conj(G1) / np.exp(lep)
-    res = np.conj(p1.amplitude(W)) / (2.0 * np.sqrt(W) * np.exp(le))
-    F = K @ y / (2.0 * math.pi) + res
-    size = np.abs(x) @ (np.abs(K) @ np.abs(y) / (2.0 * math.pi) + np.abs(res))
+    F = Ky / (2.0 * math.pi) + res
+    size = np.abs(x) @ (aKy / (2.0 * math.pi) + np.abs(res))
     return complex(x @ F), size
 
 
-def _plus(ext, dia, le, lep, K):
+def _plus(x, y, K):
     """(m_plus, size of its terms): -(1/2pi) Int Int conj(a) b K with the a, b
-    of _lattice and K = Gamma(i(W + W')), on the Gauss-Legendre nodes in
-    sqrt(W) ext = p0.nodes(n, root=True) and dia = p1.nodes(n, root=True)."""
-    (W, w0, G0), (Wp, w1, G1) = ext, dia
-    x = w0 * G0 * np.exp(np.conj(_log_a(W, le))) / (2.0 * np.sinh(math.pi * W))
-    y = w1 * np.conj(G1) * np.exp(-_log_a(Wp, lep))
+    of _lattice, K = Gamma(i(W + W')) and the weights x = conj(a) dW,
+    y = b dW' of the Gauss-Legendre tensor of _root_route.  The integrand
+    has no pole, so any smooth rule serves."""
     terms = np.multiply.outer(x, y) * K / (2.0 * math.pi)
     return -complex(np.sum(terms)), np.sum(np.abs(terms))
 
 
-def adjacent_moments_analytic(spec0, spec1):
-    """<b0 b1> and <b0+ b1> from the adjacent-diamond closed forms.
-
-    m_minus is the sum of _lattice at the step h that keeps the W spacing 2uh
-    below sigma/2 on both packets, shrunk further as the centres v0 move off
-    0 and the phases e^{-i W v0} turn faster; its error adds |m(h) - m(2h)| to
-    the floor that the Gamma error _lg_rel sets.  m_plus has no pole: it is
-    the tensor Gauss-Legendre sum on n nodes per packet in sqrt(W)
-    (Profile.nodes(n, root=True)), the functional that cross_moments
-    integrates, estimated against n - 4 nodes.  Both cover each packet's
-    omega0 +- _SPAN sigma, where G falls below e^{-36} of its peak.  The four
-    sums take log e on all their nodes from one log_gamma_1pix call, and
-    Gamma(iz) on all their kernel arguments from one more.
-    """
-    p0 = Profile(*spec0).checked()
-    p1 = Profile(*spec1).checked()
+def _root_route(p0, p1, V):
+    """[(m_minus, size), (m_minus at 2h, size), (m_plus, size), (m_plus on
+    n - 4 nodes, size)] for packets whose range reaches omega = 0, where a and
+    b carry a W^{-1/2} endpoint.  m_minus is summed on the lattices in
+    u = sqrt(W) of _lattice_nodes, exterior nodes at offset 1/2, at the step h
+    that keeps the W spacing 2uh below sigma/2 on both packets: in u the
+    integrands a dW = 2u a du and b dW' = 2u' b du' are even and smooth, so
+    the trapezoid sum over u >= 0 is half the one over the whole line, and
+    the pole at u' = u falls halfway between two nodes.  m_plus is the tensor
+    Gauss-Legendre sum on n nodes per packet in u (Profile.nodes(n,
+    root=True)), the functional that cross_moments integrates."""
     n = 36 + math.ceil(12.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
-    V = abs(p0.v0) + abs(p1.v0)
     h = min(p.sigma / (4.0 * math.sqrt(p.omega0 + _SPAN * p.sigma) * (1.0 + V * p.sigma / (2.0 * math.pi)))
             for p in (p0, p1))
     grids = [(p0.nodes(m, root=True), p1.nodes(m, root=True)) for m in (n, n - 4)]
@@ -300,10 +287,80 @@ def adjacent_moments_analytic(spec0, spec1):
     le = _batched(_log_e, [g[0] for pair in grids for g in pair])
     K = _batched(_gamma_i, [np.add.outer(a[0], b[0]) for a, b in grids[:2]]
                  + [np.subtract.outer(b[0], a[0]).T for a, b in grids[2:]])
-    mp, size_p = _plus(*grids[0], le[0], le[1], K[0])
-    mp2, _ = _plus(*grids[1], le[2], le[3], K[1])
-    mm, size_m = _lattice(p1, *grids[2], le[4], le[5], K[2])
-    mm2, _ = _lattice(p1, *grids[3], le[6], le[7], K[3])
+    minus, plus = [], []
+    for ((W, w0, G0), (Wp, w1, G1)), l0, l1, k in zip(grids[:2], le[0:4:2], le[1:4:2], K[:2]):
+        x = w0 * G0 * np.exp(np.conj(_log_a(W, l0))) / (2.0 * np.sinh(math.pi * W))
+        plus.append(_plus(x, w1 * np.conj(G1) * np.exp(-_log_a(Wp, l1)), k))
+    for ((W, wu, G0), (Wp, wp, G1)), l0, l1, k in zip(grids[2:], le[4::2], le[5::2], K[2:]):
+        x = wu * np.conj(G0) * np.exp(l0) * W / np.sinh(math.pi * W)
+        y = wp * 2.0 * np.conj(G1) / np.exp(l1)
+        res = np.conj(p1.amplitude(W)) / (2.0 * np.sqrt(W) * np.exp(l0))
+        minus.append(_lattice(x, k @ y, np.abs(k) @ np.abs(y), res))
+    return minus + plus
+
+
+def _w_indices(p, s, offset):
+    """The k of the nodes W = (k + offset) s within omega0 +- _SPAN sigma."""
+    return np.arange(math.ceil((p.omega0 - _SPAN * p.sigma) / s - offset),
+                     math.floor((p.omega0 + _SPAN * p.sigma) / s - offset) + 1)
+
+
+def _w_route(p0, p1, V):
+    """[(m_minus, size), (m_minus at 2d, size), (m_plus, size), (m_plus at
+    2d, size)] for packets whose ranges stay above omega = 0, where a and b
+    are smooth: both moments on one pair of trapezoid lattices in W itself,
+    exterior nodes W = (j + 1/2) d and diamond nodes W' = k d, with
+    d = 3 sigma / (8 (1 + V sigma / 2pi)) and V the sum of the |v0|.  Each
+    exterior node lies halfway between two diamond nodes.  On these nodes
+    Gamma(i(W' - W)) depends on k - j only (Toeplitz) and Gamma(i(W + W'))
+    on j + k only (Hankel), so each kernel takes N0 + N1 - 1 Gamma values."""
+    d = min(3.0 * p.sigma / (8.0 * (1.0 + V * p.sigma / (2.0 * math.pi))) for p in (p0, p1))
+    steps = (d, 2.0 * d)
+    jk = [(_w_indices(p0, s, 0.5), _w_indices(p1, s, 0.0)) for s in steps]
+    W = [(j + 0.5) * s for (j, _), s in zip(jk, steps)]
+    Wp = [k * s for (_, k), s in zip(jk, steps)]
+    le = _batched(_log_e, W + Wp)
+    # Toeplitz arguments (k - j - 1/2) s from k - j = k0 - j_last up, Hankel
+    # ones (j + k + 1/2) s from j + k = j0 + k0 up
+    g = _batched(_gamma_i, [(c + np.arange(j.size + k.size - 1)) * s
+                            for (j, k), s in zip(jk, steps)
+                            for c in (k[0] - j[-1] - 0.5, j[0] + k[0] + 0.5)])
+    minus, plus = [], []
+    for i, ((j, k), s) in enumerate(zip(jk, steps)):
+        la = _log_a(W[i], le[i])
+        x = s * np.conj(p0.amplitude(W[i])) * np.exp(la) / (2.0 * np.sinh(math.pi * W[i]))
+        y = s * np.conj(p1.amplitude(Wp[i])) * np.exp(-_log_a(Wp[i], le[i + 2]))
+        res = np.conj(p1.amplitude(W[i])) * np.exp(-la) / 2.0
+        # row r of the Toeplitz kernel is gT[j.size - 1 - r:][:k.size] and of
+        # the Hankel one gH[r:][:k.size], so the products with y are
+        # correlations (np.correlate conjugates its second argument)
+        gT, gH, ay = g[2 * i], g[2 * i + 1], np.abs(y)
+        minus.append(_lattice(x, np.correlate(gT, np.conj(y))[::-1], np.correlate(np.abs(gT), ay)[::-1], res))
+        plus.append(_lattice(-np.conj(x), np.correlate(gH, np.conj(y)), np.correlate(np.abs(gH), ay), 0.0))
+    return minus + plus
+
+
+def adjacent_moments_analytic(spec0, spec1):
+    """<b0 b1> and <b0+ b1> from the adjacent-diamond closed forms.
+
+    Both moments are double integrals over the two profiles' omega0 +- _SPAN
+    sigma, where G falls below e^{-36} of its peak, with Gamma(iz) kernels;
+    m_minus has a pole at W' = W.  Where both ranges stay above omega = 0,
+    both are summed by _lattice on the lattices in W of _w_route, whose
+    kernels are Toeplitz and Hankel.  Where a range reaches omega = 0, the
+    route of _root_route keeps the W^{-1/2} endpoint smooth: m_minus by
+    _lattice on lattices in sqrt(W), m_plus by _plus on Gauss-Legendre nodes
+    in sqrt(W).  The step (d or h) shrinks as the centres v0 move off 0 and
+    the phases e^{-i W v0} turn faster.  est_error adds the gap to the sum at
+    step 2d, 2h or on n - 4 nodes to the floor that the Gamma error _lg_rel
+    sets.  The sums take log e on all their nodes from one log_gamma_1pix
+    call, and Gamma(iz) on all their kernel arguments from one more.
+    """
+    p0 = Profile(*spec0).checked()
+    p1 = Profile(*spec1).checked()
+    V = abs(p0.v0) + abs(p1.v0)
+    route = _w_route if min(p.omega0 - _SPAN * p.sigma for p in (p0, p1)) > 0.0 else _root_route
+    (mm, size_m), (mm2, _), (mp, size_p), (mp2, _) = route(p0, p1, V)
     # each term carries three Gamma factors, whose arguments W, W', W + W'
     # and |W' - W| stay below the sum of the packets' upper ends
     rel = 3.0 * _lg_rel(sum(p.omega0 + _SPAN * p.sigma for p in (p0, p1)))

@@ -186,8 +186,8 @@ def fit_temperature(energies, rates):
     energies = np.asarray(energies, dtype=float)
     rates = np.asarray(rates, dtype=float)
     # rate(E)/rate(-E) = e^{-E/T}
-    if rates.shape != (len(energies), 2):
-        raise DomainError("rates must be pairs (rate(+E), rate(-E))")
-    if not np.all(rates > 0.0):
-        raise DomainError("rates must be positive")
+    if energies.ndim != 1 or rates.shape != (len(energies), 2):
+        raise DomainError("energies must be 1-D and rates pairs (rate(+E), rate(-E))")
+    if not np.all(np.isfinite(rates) & (rates > 0.0)):
+        raise DomainError("rates must be positive and finite")
     return _temperature_fit(energies, -np.log(rates[:, 0] / rates[:, 1]))

@@ -488,9 +488,11 @@ class TestAdjacentLattice:
 
 
 def complex_route_moments(spec0, spec1):
-    """(m_minus, m_plus) of adjacent_moments_analytic at the same step and node
-    count, with log e and Gamma(iz) from the complex Lanczos log_gamma and one
-    evaluation per sum."""
+    """(m_minus, m_plus) of adjacent_moments_analytic at the same step and on
+    the same nodes, with log e and Gamma(iz) from the complex Lanczos
+    log_gamma and one evaluation per kernel entry: the lattices in W where
+    both ranges stay above omega = 0, else the lattices and Gauss-Legendre
+    nodes in sqrt(W)."""
     def log_e(W):
         return 1j * W * math.log(2.0) - log_gamma(1.0 - 1j * W)
 
@@ -507,9 +509,22 @@ def complex_route_moments(spec0, spec1):
     p0, p1 = Profile(*spec0), Profile(*spec1)
     n = 36 + math.ceil(12.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
     V = abs(p0.v0) + abs(p1.v0)
+    if min(p.omega0 - _SPAN * p.sigma for p in (p0, p1)) > 0.0:
+        # both moments on W = (j + 1/2) d and W' = k d
+        d = min(3.0 * p.sigma / (8.0 * (1.0 + V * p.sigma / (2.0 * math.pi))) for p in (p0, p1))
+        W, Wp = ((np.arange(math.ceil((p.omega0 - _SPAN * p.sigma) / d - off),
+                            math.floor((p.omega0 + _SPAN * p.sigma) / d - off) + 1) + off) * d
+                 for p, off in ((p0, 0.5), (p1, 0.0)))
+        A, Ap = np.sqrt(W) * np.exp(log_e(W)), np.sqrt(Wp) * np.exp(log_e(Wp))
+        x = d * np.conj(p0.amplitude(W)) * A / (2.0 * np.sinh(math.pi * W))
+        y = d * np.conj(p1.amplitude(Wp)) / Ap
+        F = gamma_i(Wp[None, :] - W[:, None]) @ y / (2.0 * math.pi)
+        mm = x @ (F + np.conj(p1.amplitude(W)) / (2.0 * A))
+        mp = -np.conj(x) @ gamma_i(W[:, None] + Wp[None, :]) @ y / (2.0 * math.pi)
+        return complex(mm), complex(mp)
     h = min(p.sigma / (4.0 * math.sqrt(p.omega0 + _SPAN * p.sigma) * (1.0 + V * p.sigma / (2.0 * math.pi)))
             for p in (p0, p1))
-    # m_minus on the half-step-offset lattices
+    # m_minus on the half-step-offset lattices in u = sqrt(W)
     u, wu = lattice_nodes(p0, h, 0.5)
     up, wp = lattice_nodes(p1, h, 0.0)
     W, Wp = u * u, up * up
@@ -525,6 +540,43 @@ def complex_route_moments(spec0, spec1):
     y = w1 * np.conj(G1) * np.exp(-(0.5 * np.log(Wp) + log_e(Wp)))
     mp = -np.sum(np.multiply.outer(x, y) * gamma_i(np.add.outer(W, Wp))) / (2.0 * math.pi)
     return complex(mm), complex(mp)
+
+
+def mp_w_lattice_reference(spec0, spec1):
+    """(m_minus, m_plus) of packets whose ranges stay above omega = 0, to about
+    30 digits: the sums on the lattices W = (j + 1/2) s, W' = k s at a quarter
+    of the code's step d, all in mpmath at 30 digits, with e(W) = 2^{iW} /
+    Gamma(1 - iW) and Gamma(iz) from mpmath.gamma.  Only the kernel values
+    are shared between equal k - j (or j + k)."""
+    p0, p1 = Profile(*spec0), Profile(*spec1)
+    V = abs(p0.v0) + abs(p1.v0)
+    s = min(3.0 * p.sigma / (8.0 * (1.0 + V * p.sigma / (2.0 * math.pi))) for p in (p0, p1)) / 4.0
+    with mpmath.workdps(30):
+        def nodes(p, offset):
+            k = range(math.ceil((p.omega0 - _SPAN * p.sigma) / s - offset),
+                      math.floor((p.omega0 + _SPAN * p.sigma) / s - offset) + 1)
+            return [(i + mpmath.mpf(offset)) * s for i in k], k
+
+        def G(p, w):
+            sig = mpmath.mpf(p.sigma)
+            return ((2 * mpmath.pi * sig**2) ** mpmath.mpf(-0.25)
+                    * mpmath.exp(-(w - p.omega0) ** 2 / (4 * sig**2)) * mpmath.expj(-w * p.v0))
+
+        def A(w):  # sqrt(W) e(W)
+            return mpmath.sqrt(w) * mpmath.power(2, 1j * w) / mpmath.gamma(1 - 1j * w)
+
+        (W, j), (Wp, k) = nodes(p0, 0.5), nodes(p1, 0.0)
+        x = [s * mpmath.conj(G(p0, w)) * A(w) / (2 * mpmath.sinh(mpmath.pi * w)) for w in W]
+        y = [s * mpmath.conj(G(p1, w)) / A(w) for w in Wp]
+        res = [mpmath.conj(G(p1, w)) / (2 * A(w)) for w in W]
+        T = {m: mpmath.gamma(1j * (m - mpmath.mpf(0.5)) * s) for m in range(k[0] - j[-1], k[-1] - j[0] + 1)}
+        H = {m: mpmath.gamma(1j * (m + mpmath.mpf(0.5)) * s) for m in range(j[0] + k[0], j[-1] + k[-1] + 1)}
+        two_pi = 2 * mpmath.pi
+        mm = mpmath.fsum(xa * (mpmath.fdot([T[kb - ja] for kb in k], y) / two_pi + r)
+                         for xa, ja, r in zip(x, j, res))
+        mp = -mpmath.fsum(mpmath.conj(xa) * mpmath.fdot([H[kb + ja] for kb in k], y)
+                          for xa, ja in zip(x, j)) / two_pi
+        return complex(mm), complex(mp)
 
 
 NARROW = [((1.0, 0.02), (0.93, 0.02)), ((1.0, 0.02), (1.0, 0.02)), ((1.0, 0.02), (1.5, 0.02))]
@@ -552,6 +604,36 @@ class TestRealLineKernel:
         mm, mp = complex_route_moments(s0, s1)
         assert abs(an.m_minus - mm) <= 1e-13 * abs(mm)
         assert abs(an.m_plus - mp) <= 1e-13 * abs(mp)
+
+    @pytest.mark.parametrize("s0,s1", [
+        *(((1.0, 0.02), (w, 0.02)) for w in (0.5, 0.93, 1.0, 1.5)),
+        ((0.5, 0.02), (1.05, 0.02)),
+        ((0.55, 0.02), (0.9, 0.02)),
+        ((0.3, 0.02), (0.5, 0.02)),
+        ((1.0, 0.08), (1.0, 0.08)),
+        ((0.2405, 0.02), (0.2405, 0.02)),  # its range ends 5e-4 above omega = 0
+        ((1.0, 0.05, 0.3), (1.0, 0.05, -0.2)),
+    ])
+    def test_est_error_bounds_gap_to_30_digit_lattice(self, s0, s1):
+        # gaps up to 5.6e-17 against est_error 2.3e-17 to 9.2e-15; the Gauss-
+        # Legendre m_plus that the W lattice replaced was up to 8.5e-11 off
+        an = adjacent_moments_analytic(s0, s1)
+        mm, mp = mp_w_lattice_reference(s0, s1)
+        assert abs(an.m_minus - mm) <= an.est_error
+        assert abs(an.m_plus - mp) <= an.est_error
+
+    def test_kernels_take_few_gamma_arguments(self, monkeypatch):
+        # on the W lattices each kernel takes N0 + N1 - 1 arguments per step
+        # (380 here), where full matrices took 6,177
+        sizes = []
+
+        def recording(z):
+            sizes.append(np.size(z))
+            return specfun.log_gamma_1pix(z)
+
+        monkeypatch.setattr(correlations, "log_gamma_1pix", recording)
+        adjacent_moments_analytic((1.0, 0.02), (1.2, 0.02))
+        assert max(sizes) <= 600
 
     def test_one_kernel_evaluation_per_call(self, monkeypatch):
         # the four sums share one log e call and one Gamma(iz) call

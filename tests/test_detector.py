@@ -176,6 +176,15 @@ class TestResponse:
         with pytest.raises(DomainError):
             fit_temperature(energies, rates)
 
+    @pytest.mark.parametrize("energies,rates", [([[1.0, 2.0]], [[0.5, 1.0]]), ([1.0], [[math.inf, 1.0]]),
+                                                ([1.0], [[1.0, math.nan]])],
+                             ids=["2-D", "inf", "nan"])
+    def test_fit_temperature_rejects_what_the_spectrum_fit_rejects(self, energies, rates):
+        # 2-D energies broadcast against the rates and gave T = 2.40; an
+        # infinite rate passed rates > 0 and gave T = -0.0
+        with pytest.raises(DomainError):
+            fit_temperature(energies, rates)
+
 
 class TestVacuumWindowRate:
     def test_math_erfc_matches_scipy(self):
