@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import _MAX_NODES
 from .errors import DomainError, PoleError
 from .modes import _SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral
 from .specfun import log_gamma_1pix
@@ -259,44 +260,34 @@ def _lattice(x, Ky, aKy, res):
     return complex(x @ F), size
 
 
-def _plus(x, y, K):
-    """(m_plus, size of its terms): -(1/2pi) Int Int conj(a) b K with the a, b
-    of _lattice, K = Gamma(i(W + W')) and the weights x = conj(a) dW,
-    y = b dW' of the Gauss-Legendre tensor of _root_route.  The integrand
-    has no pole, so any smooth rule serves."""
-    terms = np.multiply.outer(x, y) * K / (2.0 * math.pi)
-    return -complex(np.sum(terms)), np.sum(np.abs(terms))
-
-
 def _root_route(p0, p1, V):
-    """[(m_minus, size), (m_minus at 2h, size), (m_plus, size), (m_plus on
-    n - 4 nodes, size)] for packets whose range reaches omega = 0, where a and
-    b carry a W^{-1/2} endpoint.  m_minus is summed on the lattices in
-    u = sqrt(W) of _lattice_nodes, exterior nodes at offset 1/2, at the step h
-    that keeps the W spacing 2uh below sigma/2 on both packets: in u the
+    """[(m_minus, size), (m_minus at 2h, size), (m_plus, size), (m_plus at
+    2h, size), W_min] for packets whose range reaches omega = 0, where a and
+    b carry a W^{-1/2} endpoint: both moments by _lattice on the lattices in
+    u = sqrt(W) of _lattice_nodes, exterior nodes at offset 1/2, at the step
+    h that keeps the W spacing 2uh below sigma/2 on both packets.  In u the
     integrands a dW = 2u a du and b dW' = 2u' b du' are even and smooth, so
     the trapezoid sum over u >= 0 is half the one over the whole line, and
-    the pole at u' = u falls halfway between two nodes.  m_plus is the tensor
-    Gauss-Legendre sum on n nodes per packet in u (Profile.nodes(n,
-    root=True)), the functional that cross_moments integrates."""
-    n = 36 + math.ceil(12.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
+    the pole at u' = u falls halfway between two nodes.  W_min is the lowest
+    exterior node at h.  Both kernels are full N0 x N1 matrices, so
+    DomainError if N0 N1 at h exceeds _MAX_NODES."""
     h = min(p.sigma / (4.0 * math.sqrt(p.omega0 + _SPAN * p.sigma) * (1.0 + V * p.sigma / (2.0 * math.pi)))
             for p in (p0, p1))
-    grids = [(p0.nodes(m, root=True), p1.nodes(m, root=True)) for m in (n, n - 4)]
-    grids += [(_lattice_nodes(p0, s, 0.5), _lattice_nodes(p1, s, 0.0)) for s in (h, 2.0 * h)]
+    grids = [(_lattice_nodes(p0, s, 0.5), _lattice_nodes(p1, s, 0.0)) for s in (h, 2.0 * h)]
+    entries = grids[0][0][0].size * grids[0][1][0].size
+    if not entries <= _MAX_NODES:
+        raise DomainError(f"the adjacent kernels would hold {entries} entries, over the budget of {_MAX_NODES}")
     le = _batched(_log_e, [g[0] for pair in grids for g in pair])
-    K = _batched(_gamma_i, [np.add.outer(a[0], b[0]) for a, b in grids[:2]]
-                 + [np.subtract.outer(b[0], a[0]).T for a, b in grids[2:]])
+    K = _batched(_gamma_i, [k for (W, _, _), (Wp, _, _) in grids for k in (Wp - W[:, None], Wp + W[:, None])])
     minus, plus = [], []
-    for ((W, w0, G0), (Wp, w1, G1)), l0, l1, k in zip(grids[:2], le[0:4:2], le[1:4:2], K[:2]):
-        x = w0 * G0 * np.exp(np.conj(_log_a(W, l0))) / (2.0 * np.sinh(math.pi * W))
-        plus.append(_plus(x, w1 * np.conj(G1) * np.exp(-_log_a(Wp, l1)), k))
-    for ((W, wu, G0), (Wp, wp, G1)), l0, l1, k in zip(grids[2:], le[4::2], le[5::2], K[2:]):
+    for ((W, wu, G0), (Wp, wp, G1)), l0, l1, kT, kH in zip(grids, le[0::2], le[1::2], K[0::2], K[1::2]):
         x = wu * np.conj(G0) * np.exp(l0) * W / np.sinh(math.pi * W)
         y = wp * 2.0 * np.conj(G1) / np.exp(l1)
         res = np.conj(p1.amplitude(W)) / (2.0 * np.sqrt(W) * np.exp(l0))
-        minus.append(_lattice(x, k @ y, np.abs(k) @ np.abs(y), res))
-    return minus + plus
+        ay = np.abs(y)
+        minus.append(_lattice(x, kT @ y, np.abs(kT) @ ay, res))
+        plus.append(_lattice(-np.conj(x), kH @ y, np.abs(kH) @ ay, 0.0))
+    return minus + plus + [grids[0][0][0][0]]
 
 
 def _w_indices(p, s, offset):
@@ -307,13 +298,14 @@ def _w_indices(p, s, offset):
 
 def _w_route(p0, p1, V):
     """[(m_minus, size), (m_minus at 2d, size), (m_plus, size), (m_plus at
-    2d, size)] for packets whose ranges stay above omega = 0, where a and b
-    are smooth: both moments on one pair of trapezoid lattices in W itself,
+    2d, size), W_min] for packets whose ranges stay above omega = 0, where a
+    and b are smooth: both moments on one pair of trapezoid lattices in W itself,
     exterior nodes W = (j + 1/2) d and diamond nodes W' = k d, with
     d = 3 sigma / (8 (1 + V sigma / 2pi)) and V the sum of the |v0|.  Each
     exterior node lies halfway between two diamond nodes.  On these nodes
     Gamma(i(W' - W)) depends on k - j only (Toeplitz) and Gamma(i(W + W'))
-    on j + k only (Hankel), so each kernel takes N0 + N1 - 1 Gamma values."""
+    on j + k only (Hankel), so each kernel takes N0 + N1 - 1 Gamma values.
+    W_min is the lowest exterior node at d."""
     d = min(3.0 * p.sigma / (8.0 * (1.0 + V * p.sigma / (2.0 * math.pi))) for p in (p0, p1))
     steps = (d, 2.0 * d)
     jk = [(_w_indices(p0, s, 0.5), _w_indices(p1, s, 0.0)) for s in steps]
@@ -337,7 +329,7 @@ def _w_route(p0, p1, V):
         gT, gH, ay = g[2 * i], g[2 * i + 1], np.abs(y)
         minus.append(_lattice(x, np.correlate(gT, np.conj(y))[::-1], np.correlate(np.abs(gT), ay)[::-1], res))
         plus.append(_lattice(-np.conj(x), np.correlate(gH, np.conj(y)), np.correlate(np.abs(gH), ay), 0.0))
-    return minus + plus
+    return minus + plus + [W[0][0]]
 
 
 def adjacent_moments_analytic(spec0, spec1):
@@ -345,23 +337,29 @@ def adjacent_moments_analytic(spec0, spec1):
 
     Both moments are double integrals over the two profiles' omega0 +- _SPAN
     sigma, where G falls below e^{-36} of its peak, with Gamma(iz) kernels;
-    m_minus has a pole at W' = W.  Where both ranges stay above omega = 0,
-    both are summed by _lattice on the lattices in W of _w_route, whose
-    kernels are Toeplitz and Hankel.  Where a range reaches omega = 0, the
-    route of _root_route keeps the W^{-1/2} endpoint smooth: m_minus by
-    _lattice on lattices in sqrt(W), m_plus by _plus on Gauss-Legendre nodes
-    in sqrt(W).  The step (d or h) shrinks as the centres v0 move off 0 and
-    the phases e^{-i W v0} turn faster.  est_error adds the gap to the sum at
-    step 2d, 2h or on n - 4 nodes to the floor that the Gamma error _lg_rel
-    sets.  The sums take log e on all their nodes from one log_gamma_1pix
-    call, and Gamma(iz) on all their kernel arguments from one more.
+    m_minus has a pole at W' = W.  Both are summed by _lattice: where both
+    ranges stay above omega = 0 on the lattices in W of _w_route, whose
+    kernels are Toeplitz and Hankel, else on the lattices in sqrt(W) of
+    _root_route, which keep the W^{-1/2} endpoint smooth.  The step (d or h)
+    shrinks as the centres v0 move off 0 and the phases e^{-i W v0} turn
+    faster.  est_error adds three terms: the gap to the sum at step 2d or
+    2h, the floor that the Gamma error _lg_rel sets, and the infrared term
+    c ln(W_top / W_min), c = |G0(0) G1(0)| / 4pi.  Where G0(0) G1(0) != 0
+    the residue term of m_minus grows like c / W toward W = 0, so each
+    moment depends on the lowest exterior node W_min like c ln(1 / W_min);
+    W_top is the larger upper end omega0 + _SPAN sigma.  The sums take log e
+    on all their nodes from one log_gamma_1pix call, and Gamma(iz) on all
+    their kernel arguments from one more.
     """
     p0 = Profile(*spec0).checked()
     p1 = Profile(*spec1).checked()
     V = abs(p0.v0) + abs(p1.v0)
     route = _w_route if min(p.omega0 - _SPAN * p.sigma for p in (p0, p1)) > 0.0 else _root_route
-    (mm, size_m), (mm2, _), (mp, size_p), (mp2, _) = route(p0, p1, V)
+    (mm, size_m), (mm2, _), (mp, size_p), (mp2, _), w_min = route(p0, p1, V)
     # each term carries three Gamma factors, whose arguments W, W', W + W'
     # and |W' - W| stay below the sum of the packets' upper ends
-    rel = 3.0 * _lg_rel(sum(p.omega0 + _SPAN * p.sigma for p in (p0, p1)))
-    return CrossMoments(mm, mp, max(abs(mm - mm2) + rel * size_m, abs(mp - mp2) + rel * size_p))
+    tops = [p.omega0 + _SPAN * p.sigma for p in (p0, p1)]
+    rel = 3.0 * _lg_rel(sum(tops))
+    c = abs(p0.amplitude(0.0) * p1.amplitude(0.0)) / (4.0 * math.pi)
+    err = max(abs(mm - mm2) + rel * size_m, abs(mp - mp2) + rel * size_p)
+    return CrossMoments(mm, mp, err + c * math.log(max(tops) / w_min))

@@ -484,15 +484,41 @@ class TestAdjacentLattice:
         # m_minus grows like c / W toward W = 0, so the moment depends on the
         # lowest node like c ln(1 / W_min); the lattice at 2h moves it by c ln 4
         c = abs(Profile(*s0).amplitude(0.0) * Profile(*s1).amplitude(0.0)) / (4.0 * math.pi)
-        assert adjacent_moments_analytic(s0, s1).est_error >= c
+        an = adjacent_moments_analytic(s0, s1)
+        assert an.est_error >= c
+        # the oracle's nodes start at another lowest frequency, so its gap is
+        # that log too, which est_error must bound
+        mm, mp, err = root_node_oracle(s0, s1)
+        assert abs(an.m_minus - mm) <= an.est_error + err
+        assert abs(an.m_plus - mp) <= an.est_error + err
+
+    @pytest.mark.parametrize("s0,s1", [((0.5, 0.05), (0.6, 0.05)), ((1.2, 0.1), (1.2, 0.1))])
+    def test_est_error_tight_where_infrared_term_vanishes(self, s0, s1):
+        # ranges that reach omega = 0 with G(0) ~ e^{-25} or less; a Gauss-
+        # Legendre m_plus on n and n - 4 nodes read 7.8e-10 and 1.1e-11 here
+        an = adjacent_moments_analytic(s0, s1)
+        mm, mp, err = root_node_oracle(s0, s1)
+        assert an.est_error <= 1e-13
+        assert abs(an.m_minus - mm) <= an.est_error + err
+        assert abs(an.m_plus - mp) <= an.est_error + err
+
+    def test_dense_kernel_budget_fails_fast(self, bounded):
+        # off-centre packets reaching omega = 0 shrink the step h, and the two
+        # full kernels of the sqrt(W) lattices grow as N0 N1: 8.3M entries
+        # here, over _quad._MAX_NODES, where 0.86M at v0 = +-300 pass
+        name, seconds, _ = bounded("from diamondfield.correlations import adjacent_moments_analytic",
+                                   "adjacent_moments_analytic((1.0, 0.1, 1000.0), (1.0, 0.1, -1000.0))")
+        assert name == "DomainError" and seconds < 1.0
+        name, _, _ = bounded("from diamondfield.correlations import adjacent_moments_analytic",
+                             "adjacent_moments_analytic((1.0, 0.1, 300.0), (1.0, 0.1, -300.0))")
+        assert name.startswith("CrossMoments(")
 
 
 def complex_route_moments(spec0, spec1):
     """(m_minus, m_plus) of adjacent_moments_analytic at the same step and on
     the same nodes, with log e and Gamma(iz) from the complex Lanczos
     log_gamma and one evaluation per kernel entry: the lattices in W where
-    both ranges stay above omega = 0, else the lattices and Gauss-Legendre
-    nodes in sqrt(W)."""
+    both ranges stay above omega = 0, else the lattices in sqrt(W)."""
     def log_e(W):
         return 1j * W * math.log(2.0) - log_gamma(1.0 - 1j * W)
 
@@ -507,7 +533,6 @@ def complex_route_moments(spec0, spec1):
         return u, np.where(u == 0.0, 0.5 * h, h)
 
     p0, p1 = Profile(*spec0), Profile(*spec1)
-    n = 36 + math.ceil(12.0 * max(p.sigma * abs(p.v0) for p in (p0, p1)))
     V = abs(p0.v0) + abs(p1.v0)
     if min(p.omega0 - _SPAN * p.sigma for p in (p0, p1)) > 0.0:
         # both moments on W = (j + 1/2) d and W' = k d
@@ -524,7 +549,7 @@ def complex_route_moments(spec0, spec1):
         return complex(mm), complex(mp)
     h = min(p.sigma / (4.0 * math.sqrt(p.omega0 + _SPAN * p.sigma) * (1.0 + V * p.sigma / (2.0 * math.pi)))
             for p in (p0, p1))
-    # m_minus on the half-step-offset lattices in u = sqrt(W)
+    # both moments on the half-step-offset lattices in u = sqrt(W)
     u, wu = lattice_nodes(p0, h, 0.5)
     up, wp = lattice_nodes(p1, h, 0.0)
     W, Wp = u * u, up * up
@@ -533,12 +558,7 @@ def complex_route_moments(spec0, spec1):
     y = wp * 2.0 * np.conj(p1.amplitude(Wp)) / np.exp(log_e(Wp))
     F = gamma_i(Wp[None, :] - W[:, None]) @ y / (2.0 * math.pi)
     mm = x @ (F + np.conj(p1.amplitude(W)) / (2.0 * u * np.exp(le)))
-    # m_plus on Gauss-Legendre nodes in sqrt(W)
-    W, w0, G0 = p0.nodes(n, root=True)
-    Wp, w1, G1 = p1.nodes(n, root=True)
-    x = w0 * G0 * np.exp(np.conj(0.5 * np.log(W) + log_e(W))) / (2.0 * np.sinh(math.pi * W))
-    y = w1 * np.conj(G1) * np.exp(-(0.5 * np.log(Wp) + log_e(Wp)))
-    mp = -np.sum(np.multiply.outer(x, y) * gamma_i(np.add.outer(W, Wp))) / (2.0 * math.pi)
+    mp = -np.conj(x) @ gamma_i(W[:, None] + Wp[None, :]) @ y / (2.0 * math.pi)
     return complex(mm), complex(mp)
 
 
