@@ -21,17 +21,37 @@ sharp alpha and beta are in units of 1/a, the smeared moments dimensionless.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _MAX_NODES
+from ._quad import _MAX_NODES, integrate
 from .errors import DomainError, PoleError
-from .modes import _SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral
+from .modes import _SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral, _taylor_sum
 from .specfun import log_gamma_1pix
 
 _POLE_GUARD = 1e-12
+
+
+def _separation(n, least):
+    """DomainError unless the diamond separation n is an integer >= least."""
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise DomainError(f"the diamond separation n must be an integer >= {least}, not {n!r}")
+
+
+def _frequencies(*W):
+    """DomainError unless every frequency is positive and finite."""
+    if not all(0.0 < w < math.inf for w in W):
+        raise DomainError("frequencies must be positive and finite")
+
+
+def _sinh_pi(W):
+    """sinh(pi W) on an array; inf without a warning where it overflows (pi W
+    above 710), so that the weights divided by it underflow to 0."""
+    with np.errstate(over="ignore"):
+        return np.sinh(math.pi * W)
 
 
 def _log_e(W):
@@ -58,8 +78,7 @@ def alpha_beta_adjacent(Omega, Omega_p):
     in units of a.  alpha = <g1_{w'}, gex_w>, beta = <g1_{w'}, gex_w*>
     in the package KG convention; alpha has a simple pole at Omega = Omega_p.
     """
-    if not (Omega > 0.0 and Omega_p > 0.0):
-        raise DomainError("frequencies must be positive")
+    _frequencies(Omega, Omega_p)
     if abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
     W = np.array([Omega, Omega_p])
@@ -114,10 +133,8 @@ def alpha_beta_numeric(Omega, Omega_p, n=1):
     in closed form, and alpha has a pole at Omega = Omega_p.  For n >= 2 the
     integrand is ~1e-17 at the cut and alpha is finite on the diagonal.
     """
-    if n < 1:
-        raise DomainError("alpha_beta_numeric requires diamond index n >= 1")
-    if not (Omega > 0.0 and Omega_p > 0.0):
-        raise DomainError("frequencies must be positive")
+    _separation(n, 1)
+    _frequencies(Omega, Omega_p)
     if n == 1 and abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
 
@@ -144,59 +161,87 @@ class CrossMoments:
     est_error: float
 
 
+def _cut_size(om, c, exterior, lo, hi):
+    """(2/pi) Int_lo^hi dv |base S| for the n = 1 kernel (_kernel) and the
+    packet sum S = sum_k c[k] e^{-i om[k] t}, t = L(v) for the exterior
+    packet and t = v for the diamond one (_taylor_sum), on about 3 panels per
+    turn of its fastest phase (|dL/dv| <= 1); 0 for an empty range."""
+    def f(v):
+        base, L = _kernel(1, v)
+        return np.abs(base * _taylor_sum(om, c, L if exterior else v)[0])
+
+    panels = max(4, math.ceil(3.0 * (hi - lo) * float(np.max(om)) / (2.0 * math.pi)))
+    return (2.0 / math.pi) * float(integrate(f, lo, hi, panels))
+
+
 def cross_moments(spec0, spec_n, n):
     """Smeared <b0 bn> and <b0+ bn> for Gaussian packets spec = (omega0, sigma)
     or (omega0, sigma, v0), the nth packet living in diamond n >= 1.
 
-    One _overlap integral with both profiles summed inside, on m nodes in
-    sqrt(omega) over omega0 +- _SPAN sigma (Profile.nodes(m, root=True),
-    exact at an omega = 0 endpoint), m = _node_count(p0, p1).
-    For n >= 2 it runs over |v| <= 40, where sech^2(v/2) has decayed to
-    ~1e-17; for n = 1 the integrand keeps the packets' size toward the
-    shared tip, so it runs down to the diamond packet's envelope edge
-    lo = -|v0| - _TAIL/sigma.  Resolving the exterior phases e^{-i w L} out to
-    |L| ~ |lo| takes m_x = 96 + 12.8 (sigma0 |lo| - _TAIL) nodes, more than m only
-    if p0 is the wider packet; then p0 takes m_x nodes, p1 keeps m, and est_error
-    adds |Q(m_x) - Q(m_x - 4)|, the node term of the exterior nodes alone.
+    One _overlap integral with both profiles summed inside, each on
+    m = _node_count(p0, p1) nodes in sqrt(omega) over omega0 +- _SPAN sigma
+    (Profile.nodes(m, root=True), exact at an omega = 0 endpoint).  For n >= 2
+    it runs over |v| <= 40, where sech^2(v/2) is ~1e-17.  For n = 1 the
+    weight tends to 1/4 at the tip shared with the exterior boundary, so it
+    runs where both envelopes overlap: from lo, the higher of the diamond
+    packet's edge -|v0_1| - _TAIL/sigma_1 and the exterior packet's, whose
+    sum X(L) ends at L_max = -v0_0 + _TAIL/sigma_0, at v(L_max) with the exact
+    inverse v(L) = -L - log1p(-2 e^{-L}) (lo = 40 if L_max <= ln 2, the least
+    L).  est_error adds what the cuts drop.  On [lo2, lo], lo2 the lower edge,
+    the packet cut at lo is worth its Gaussian edge e^{-_TAIL^2} sum|c| plus
+    its omega = 0 tail, |G0(0)| / (2 sqrt(pi L)) at L(lo) for the exterior
+    packet and |G1(0)| sqrt(pi / |lo|) for the diamond one, times (2/pi)
+    Int |base S| over the other packet's sum S (_cut_size).  Below lo2 the two
+    tails multiply into c / |v|: the infrared term c ln(W_top |lo2|) of
+    adjacent_moments_analytic with 1/|lo2| as its lowest node,
+    c = |G0(0) G1(0)| / 4pi and W_top the larger omega0 + _SPAN sigma.
     """
-    if n < 1:
-        raise DomainError("cross_moments requires diamond separation n >= 1")
+    _separation(n, 1)
     p0 = Profile(*spec0).checked()
     p1 = Profile(*spec_n).checked()
-    lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -_V_CUT
-
     m = _node_count(p0, p1)
+    o0, w0, G0 = p0.nodes(m, root=True)
     o1, w1, G1 = p1.nodes(m, root=True)
+    e = w0 * np.conj(G0) / (2.0 * _sinh_pi(o0))  # E_minus; E_plus = conj
+    if n >= 2:
+        mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, -_V_CUT, _V_CUT)
+        return CrossMoments(np.conj(mm), np.conj(mp), err)
 
-    def moments(m0):
-        o0, w0, G0 = p0.nodes(m0, root=True)
-        e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))  # E_minus; E_plus = conj
-        mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, _V_CUT)
-        return np.conj(mm), np.conj(mp), err
-
-    # m_x, with sigma0 |lo| - _TAIL written to be exactly sigma |v0| at equal widths
-    m_x = 96 + math.ceil(12.8 * (p0.sigma * abs(p1.v0) + _TAIL * (p0.sigma / p1.sigma - 1.0)))
-    if n >= 2 or m_x <= m:
-        return CrossMoments(*moments(m))
-    (mm, mp, err), (mm2, mp2, _) = moments(m_x), moments(m_x - 4)
-    return CrossMoments(mm, mp, err + max(abs(mm - mm2), abs(mp - mp2)))
+    L_max = _TAIL / p0.sigma - p0.v0
+    edge_x = -L_max - math.log1p(-2.0 * math.exp(-L_max)) if L_max > math.log(2.0) else math.inf
+    edge_d = -abs(p1.v0) - _TAIL / p1.sigma
+    lo, lo2 = min(max(edge_x, edge_d), _V_CUT), min(edge_x, edge_d)
+    mm, mp, err = _overlap(1, o1, w1 * G1, o0, e, lo, _V_CUT)
+    c_x, c_d = np.conj(e) * np.sqrt(o0), w1 * G1 / np.sqrt(o1)  # the sums X and P of _overlap
+    g0, g1 = abs(p0.amplitude(0.0)), abs(p1.amplitude(0.0))
+    if edge_x >= edge_d:  # the exterior packet is cut on [lo2, lo], the diamond one kept
+        c_cut, tail, kept = c_x, g0 / (2.0 * math.sqrt(math.pi * _kernel(1, lo)[1])), (o1, c_d, False)
+    else:
+        c_cut, tail, kept = c_d, g1 * math.sqrt(math.pi / abs(lo)), (o0, c_x, True)
+    err += (math.exp(-_TAIL**2) * np.sum(np.abs(c_cut)) + tail) * _cut_size(*kept, lo2, lo)
+    c = g0 * g1 / (4.0 * math.pi)
+    top = max(p.omega0 + _SPAN * p.sigma for p in (p0, p1))
+    return CrossMoments(np.conj(mm), np.conj(mp), err + c * math.log(top * abs(lo2)))
 
 
 def asymptotic_moment(n, Omega, Omega_p):
     """Large-separation moments (m_minus, m_plus): a 1/(4 n^2) falloff, for
     frequencies Omega, Omega_p in units of a.
 
-    Certified for n >= 10; between 5 and 10 a warning is issued; below 5 the
-    expansion is unreliable and a DomainError is raised.
+    Certified for integer n >= 10; between 5 and 10 a warning is issued; below
+    5 the expansion is unreliable and a DomainError is raised, as for
+    frequencies that are not positive and finite.  Where sinh(pi Omega)
+    passes the double range the moments are the underflowed 0.
     """
-    if n < 5:
-        raise DomainError("asymptotic moments need diamond separation n >= 5")
+    _separation(n, 5)
+    _frequencies(Omega, Omega_p)
     if n < 10:
         warnings.warn("asymptotic moments are rough for n < 10", stacklevel=2)
-    m = (
-        math.sqrt(Omega * Omega_p)
-        / (4.0 * n * n * math.sinh(math.pi * Omega) * math.sinh(math.pi * Omega_p))
-    )
+    try:
+        d = 4.0 * n * n * math.sinh(math.pi * Omega) * math.sinh(math.pi * Omega_p)
+    except OverflowError:
+        d = math.inf
+    m = math.sqrt(Omega * Omega_p) / d
     return m, -m
 
 
@@ -281,7 +326,7 @@ def _root_route(p0, p1, V):
     K = _batched(_gamma_i, [k for (W, _, _), (Wp, _, _) in grids for k in (Wp - W[:, None], Wp + W[:, None])])
     minus, plus = [], []
     for ((W, wu, G0), (Wp, wp, G1)), l0, l1, kT, kH in zip(grids, le[0::2], le[1::2], K[0::2], K[1::2]):
-        x = wu * np.conj(G0) * np.exp(l0) * W / np.sinh(math.pi * W)
+        x = wu * np.conj(G0) * np.exp(l0) * W / _sinh_pi(W)
         y = wp * 2.0 * np.conj(G1) / np.exp(l1)
         res = np.conj(p1.amplitude(W)) / (2.0 * np.sqrt(W) * np.exp(l0))
         ay = np.abs(y)
@@ -320,7 +365,7 @@ def _w_route(p0, p1, V):
     minus, plus = [], []
     for i, ((j, k), s) in enumerate(zip(jk, steps)):
         la = _log_a(W[i], le[i])
-        x = s * np.conj(p0.amplitude(W[i])) * np.exp(la) / (2.0 * np.sinh(math.pi * W[i]))
+        x = s * np.conj(p0.amplitude(W[i])) * np.exp(la) / (2.0 * _sinh_pi(W[i]))
         y = s * np.conj(p1.amplitude(Wp[i])) * np.exp(-_log_a(Wp[i], le[i + 2]))
         res = np.conj(p1.amplitude(W[i])) * np.exp(-la) / 2.0
         # row r of the Toeplitz kernel is gT[j.size - 1 - r:][:k.size] and of

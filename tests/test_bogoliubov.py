@@ -517,6 +517,17 @@ class TestTailSeries:
             integral(8.0)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("sigma", [0.02, 0.1])
+    def test_high_packets_fail_fast(self, sigma):
+        # from omega0 = 127.5 every series term underflowed to 0, so the check
+        # 0 > 0 passed and the calls returned up to 0.042 with est_error ~1e-13,
+        # where Planck is ~0 (4.5e-3 at (150, 0.02))
+        for omega0 in [7.0, 127.5, 150.0, 318.5, *np.arange(8.0, 401.0, 8.0)]:
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError, match="kappa_split"):
+                thermal_occupation(omega0, sigma)
+            assert time.perf_counter() - t0 < 1.0
+
     def test_est_error_bounds_planck_gap_off_center(self):
         res = thermal_occupation(1.0, 0.05, v0=0.5)
         gap = abs(res.value - planck_occupation(1.0, 0.05))

@@ -48,6 +48,14 @@ class TestSpectrum:
             main(["spectrum", "--grid", ""])
         assert exc.value.code == 2
 
+    def test_high_packet_usage_error(self, capsys):
+        # the tail's series terms underflow to 0 here; the run printed 4.5e-3
+        # against a Planck value of 0 and exited 1
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--grid", "150"])
+        assert exc.value.code == 2
+        assert "kappa_split" in capsys.readouterr().err
+
     def test_too_narrow_packet_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--grid", "1.0", "--sigma", "0.005"])
@@ -56,6 +64,14 @@ class TestSpectrum:
 
 
 class TestCorrelations:
+    def test_high_frequencies_print_zeros(self, tmp_path):
+        # the sinh overflow ended this run in {"error": "OverflowError"}
+        code, text = run(tmp_path, "correlations", "--grid", "300", "--n", "20")
+        assert code == 0
+        rows = [ln.split(",") for ln in text.strip().splitlines() if not ln.startswith("#")][1:]
+        assert [r[-1] for r in rows] == ["numeric", "asymptotic"]
+        assert all(float(x) == 0.0 for r in rows for x in r[3:7])
+
     def test_methods_column(self, tmp_path):
         code, text = run(tmp_path, "correlations", "--grid", "1.0,1.3", "--n", "1,20")
         assert code == 0

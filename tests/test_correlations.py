@@ -51,12 +51,13 @@ def chebyshev_oracle(spec0, spec_n, n, deg=(14, 15)):
     return np.conj(np.conj(e) @ al @ p), np.conj(e @ be @ p)
 
 
-def root_node_oracle(spec0, spec1, n=1, nodes=128):
+def root_node_oracle(spec0, spec1, n=1, nodes=128, v_lo=None):
     """(m_minus, m_plus, est_error) of packets in diamonds 0 and n from the
     rapidity integral of cross_moments, with both profiles on their own
     Gauss-Legendre nodes in sqrt(omega) over omega0 +- 12 sigma: those
     integrate the omega^{-1/2} endpoint of a packet that reaches omega = 0 to
-    full accuracy, where nodes in omega do not."""
+    full accuracy, where nodes in omega do not.  For n = 1 the integral runs
+    from v_lo, by default the diamond packet's envelope edge."""
     p0, p1 = Profile(*spec0), Profile(*spec1)
     x, w = legendre.leggauss(nodes)
     grids = []
@@ -67,7 +68,7 @@ def root_node_oracle(spec0, spec1, n=1, nodes=128):
         grids.append((u * u, (hi - lo) * w * u, prof.amplitude(u * u)))
     (o0, w0, G0), (o1, w1, G1) = grids
     e = w0 * np.conj(G0) / (2.0 * np.sinh(math.pi * o0))
-    lo = -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -40.0
+    lo = v_lo if v_lo is not None else -abs(p1.v0) - _TAIL / p1.sigma if n == 1 else -40.0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modes, "_RAPIDITY_TOL", 1e-13)
         mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, lo, 40.0)
@@ -212,10 +213,10 @@ class TestCrossMoments:
         cross_moments((1.0, 0.02), (1.0, 0.02), n)
         assert sum(sizes) <= limit
 
-    def test_wide_exterior_nodes_leave_diamond_nodes(self, monkeypatch):
-        # m_x serves the exterior sum alone: the diamond packet stays on
-        # m = _node_count nodes, so the m_x - 4 node term varies only the
-        # exterior nodes (both packets took m_x = 730 and 726 nodes)
+    def test_one_overlap_on_node_count_nodes(self, monkeypatch):
+        # the integral starts at the higher envelope edge, where both sums are
+        # resolved on m = _node_count nodes: one _overlap call, where an m_x
+        # rule took (m, 730) and then (m, 726) nodes for a node term
         s0, s1 = (1.0, 0.1), (1.0, 0.01)
         sizes, overlap = [], correlations._overlap
 
@@ -226,7 +227,7 @@ class TestCrossMoments:
         monkeypatch.setattr(correlations, "_overlap", counting)
         cross_moments(s0, s1, 1)
         m = _node_count(Profile(*s0), Profile(*s1))
-        assert sizes == [(m, 730), (m, 726)]
+        assert sizes == [(m, m)]
 
     @pytest.mark.parametrize("s0,s1,n", [
         *(pytest.param((1.0, 0.02), (1.0, 0.02), n, id=f"equal-{n}") for n in (1, 2, 3, 10, 20, 40)),
@@ -343,6 +344,7 @@ class TestCrossMoments:
         ((1.0, 0.1), (1.0, 0.02), 768),
         ((1.0, 0.05), (1.0, 0.02), 512),
         ((4.18, 0.237, 1.43), (3.59, 0.0265, 17.9), 1536),
+        ((0.8, 0.1), (1.0, 0.02), 768),
     ])
     def test_wide_exterior_packet_resolved(self, s0, s1, nodes):
         # at n = 1 the exterior sum must resolve e^{-i w L} out to the diamond
@@ -351,6 +353,19 @@ class TestCrossMoments:
         # with est_error below 7e-15.  nodes is at least twice cross_moments'
         cm = cross_moments(s0, s1, 1)
         mm, mp, _ = root_node_oracle(s0, s1, nodes=nodes)
+        assert abs(cm.m_minus - mm) <= cm.est_error
+        assert abs(cm.m_plus - mp) <= cm.est_error
+
+    @pytest.mark.parametrize("spec", [(1.0, 0.2), (1.0, 0.1)])
+    def test_est_error_bounds_infrared_cut(self, spec):
+        # below both envelope edges the two omega = 0 tails multiply into
+        # c / |v|, c = |G0(0) G1(0)| / 4pi, so doubling the lower limit moves
+        # the moments by about c ln 2: 3.9e-7 at (1.0, 0.2), 4e-23 at (1.0, 0.1)
+        p = Profile(*spec)
+        c = abs(p.amplitude(0.0)) ** 2 / (4.0 * math.pi)
+        cm = cross_moments(spec, spec, 1)
+        mm, mp, _ = root_node_oracle(spec, spec, nodes=256, v_lo=-2.0 * _TAIL / p.sigma)
+        assert cm.est_error >= c * math.log(2.0)
         assert abs(cm.m_minus - mm) <= cm.est_error
         assert abs(cm.m_plus - mp) <= cm.est_error
 
@@ -376,6 +391,11 @@ class TestRouteSweep:
         bound = kg.est_error + an.est_error
         assert abs(kg.m_minus - an.m_minus) <= bound
         assert abs(kg.m_plus - an.m_plus) <= bound
+
+    def test_cut_terms_leave_est_error_small(self):
+        # the terms for the envelope cuts must not make the bound above
+        # vacuous: the largest est_error over the sweep is about 1e-14
+        assert max(cross_moments(s0, s1, 1).est_error for s0, s1 in _route_sweep_pairs()) < 1e-13
 
 
 def unfactored_root_node_oracle(spec0, spec1, n):
@@ -423,6 +443,9 @@ class TestAdjacentLattice:
         ((1.0, 0.02), (1.5, 0.02)),
         ((1.0, 0.05), (1.0, 0.05, 100.0)),
         ((1.0, 0.05, -30.0), (1.2, 0.05, 30.0)),
+        ((1.0, 0.02), (0.5, 0.1)),
+        ((0.4272, 0.05), (0.7598, 0.1)),
+        ((0.4272, 0.05, 1.73), (0.7598, 0.1, 1.38)),
     ])
     def test_est_error_bounds_gap_to_rapidity_route(self, s0, s1, monkeypatch):
         # both routes integrate each profile over omega0 +- 12 sigma; the
@@ -729,11 +752,45 @@ class TestPacketDomain:
                 call()
             assert time.perf_counter() - t0 < 1.0
 
-    def test_wide_exterior_over_narrow_diamond_fails_fast(self, bounded):
-        # the exterior sum would need 7,066 nodes, about 30 s of Gauss-Legendre solve
+    def test_wide_exterior_over_narrow_diamond_is_fast(self, bounded):
+        # an m_x rule wanted 7,066 exterior nodes here and raised; cut at the
+        # exterior edge, both packets stay on 96 nodes
+        s0, s1 = (12.0, 1.0), (1.0, 0.01)
         name, seconds, _ = bounded("from diamondfield.correlations import cross_moments",
-                                   "cross_moments((12.0, 1.0), (1.0, 0.01), 1)")
-        assert name == "DomainError" and seconds < 1.0
+                                   f"cross_moments({s0}, {s1}, 1)")
+        assert name.startswith("CrossMoments(") and seconds < 1.0
+        kg, an = cross_moments(s0, s1, 1), adjacent_moments_analytic(s0, s1)
+        assert abs(kg.m_minus - an.m_minus) <= kg.est_error + an.est_error
+        assert abs(kg.m_plus - an.m_plus) <= kg.est_error + an.est_error
+
+    @pytest.mark.parametrize("f,args", [
+        (asymptotic_moment, (10, 0.0, 1.0)),
+        (asymptotic_moment, (10, -1.0, 1.0)),
+        (asymptotic_moment, (10, math.nan, 1.0)),
+        (asymptotic_moment, (10, 1.0, math.inf)),
+        (asymptotic_moment, (10.5, 1.0, 1.0)),
+        (smeared_asymptotic_moment, ((1.0, 0.05), (1.0, 0.05), 10.5)),
+        (cross_moments, ((1.0, 0.05), (1.0, 0.05), 1.5)),
+        (cross_moments, ((1.0, 0.05), (1.0, 0.05), math.nan)),
+        (alpha_beta_numeric, (1.0, 1.3, 1.5)),
+        (alpha_beta_numeric, (math.inf, 1.0)),
+        (alpha_beta_adjacent, (math.inf, 1.0)),
+    ], ids=["zero", "negative", "nan", "inf", "fractional-n", "smeared-fractional-n",
+            "cross-fractional-n", "cross-nan-n", "numeric-fractional-n", "numeric-inf", "adjacent-inf"])
+    def test_out_of_domain_inputs_raise_domain_error(self, f, args):
+        # these ended in ZeroDivisionError, ValueError, NaN or a result for a
+        # fractional separation
+        with pytest.raises(DomainError):
+            f(*args)
+
+    def test_high_frequencies_underflow_to_zero(self):
+        # sinh(pi Omega) passes the double range at Omega ~ 226: math.sinh
+        # raised OverflowError and np.sinh warned (an error in this suite)
+        assert asymptotic_moment(10, 300.0, 1.0) == (0.0, -0.0)
+        cm = cross_moments((300.0, 0.02), (300.0, 0.02), 20)
+        assert cm.m_minus == 0.0 and cm.m_plus == 0.0 and cm.est_error == 0.0
+        an = adjacent_moments_analytic((300.0, 0.02), (300.0, 0.02))
+        assert an.m_minus == 0.0 and an.m_plus == 0.0
 
     def test_smeared_asymptotic_rejects_offset_centers(self):
         # the asymptotic form has no e^{-i w v0} phases; the numeric moments do
