@@ -45,7 +45,7 @@ import numpy as np
 
 from ._quad import PANEL_ORDER, integrate_adaptive, panel_grid
 from .errors import DomainError
-from .modes import _V_CUT, DEFAULT_SIGMA, Profile, _plane_kernel, _rapidity_integral
+from .modes import _V_CUT, DEFAULT_SIGMA, Profile, _plane_kernel, _sharp_rapidity_integral
 from .specfun import kummer_m_vec, log_gamma
 
 
@@ -71,13 +71,13 @@ def ab_numeric(omega, k, n=0):
 
     A = <g_{n,omega}, u_k> reduced to the single absolutely convergent term
     -2i Int dV g dV(u_k*); the discarded boundary term has Abel mean zero.
-    It is the rapidity integral of modes on |v| <= 40, one node per side.
+    It is the sharp rapidity integral of modes on |v| <= 40, on Gauss-Legendre
+    panels with one np.exp per node (_sharp_rapidity_integral).
     """
     Om, ka = float(omega), float(k)
     if not (Om > 0.0 and ka > 0.0):
         raise DomainError("omega and k must be positive")
-    vA, vB, err = _rapidity_integral(lambda v: _plane_kernel(n, v), np.array([Om]), np.ones(1),
-                                     np.array([ka]), np.ones(1), -_V_CUT, _V_CUT, 1.0)
+    vA, vB, err = _sharp_rapidity_integral(lambda v: _plane_kernel(n, v), Om, ka, -_V_CUT, _V_CUT, 1.0)
     c = math.sqrt(ka / Om) / (2.0 * math.pi)
     return (c * vA, -c * vB, c * err)
 

@@ -9,9 +9,10 @@ exterior mode: with the package Klein-Gordon conventions,
 where P_n carries weights G1(w') on diamond-n modes, E_minus is the exterior
 mode weighted by conj(G0(w)) / (2 sinh pi Omega), and E_plus the conjugated
 exterior mode weighted accordingly.  Each such product is one absolutely
-convergent integral over the diamond rapidity (_overlap), which serves the
-sharp coefficients (alpha_beta_numeric) and, with the packets summed inside,
-the smeared moments (cross_moments).  For adjacent diamonds (n = 1) there is
+convergent integral over the diamond rapidity: with the packets summed
+inside, on nested trapezoid grids, for the smeared moments (_overlap,
+cross_moments), and for one frequency per side on Gauss-Legendre panels for
+the sharp coefficients (alpha_beta_numeric).  For adjacent diamonds (n = 1) there is
 a closed form in Gamma functions; for large n the moments fall off as 1/n^2.
 
 Frequencies are in units of a and packet centres v0 in units of 1/a; the
@@ -29,7 +30,8 @@ import numpy as np
 
 from ._quad import _MAX_NODES, integrate
 from .errors import DomainError, PoleError
-from .modes import _SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral, _taylor_sum
+from .modes import (_SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral, _sharp_rapidity_integral,
+                    _taylor_sum)
 from .specfun import log_gamma_1pix
 
 _POLE_GUARD = 1e-12
@@ -59,9 +61,27 @@ def _log_e(W):
     return 1j * W * math.log(2.0) - np.conj(log_gamma_1pix(W))
 
 
+def _log_gamma_i(z):
+    """log Gamma(iz) for real z != 0, as log Gamma(1 + iz) - log(iz)."""
+    return log_gamma_1pix(z) - np.log(np.abs(z)) - 0.5j * math.pi * np.sign(z)
+
+
 def _gamma_i(z):
-    """Gamma(iz) for real z != 0, as Gamma(1 + iz) / (iz)."""
-    return np.exp(log_gamma_1pix(z) - np.log(np.abs(z)) - 0.5j * math.pi * np.sign(z))
+    """Gamma(iz) for real z != 0."""
+    return np.exp(_log_gamma_i(z))
+
+
+def _exp_sum(a, b):
+    """e^{a + b} for complex logs a and b whose real parts may each pass the
+    double range while their sum does not.  The real parts are added before
+    one exp, and the rounding r of that sum s is put back as e^s (1 + r)
+    (Knuth's two-sum), so the result is as accurate as e^a e^b; the phases,
+    which can reach thousands, are multiplied, not added."""
+    s = a.real + b.real
+    t = s - a.real
+    r = (a.real - (s - t)) + (b.real - t)
+    m = np.exp(s)
+    return (m + m * r) * np.exp(1j * a.imag) * np.exp(1j * b.imag)
 
 
 def _log_a(W, le):
@@ -77,15 +97,18 @@ def alpha_beta_adjacent(Omega, Omega_p):
     Omega is the exterior-mode frequency, Omega_p the first-diamond one, both
     in units of a.  alpha = <g1_{w'}, gex_w>, beta = <g1_{w'}, gex_w*>
     in the package KG convention; alpha has a simple pole at Omega = Omega_p.
+    A(W) grows like e^{pi W / 2} and the Gamma kernels fall as fast, so each
+    coefficient is one exp of their summed logs (_exp_sum), finite at every
+    frequency; a coefficient below the double range underflows to 0.
     """
     _frequencies(Omega, Omega_p)
     if abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
     W = np.array([Omega, Omega_p])
     la, lp = _log_a(W, _log_e(W))
-    K = _gamma_i(np.array([Omega - Omega_p, -(Omega_p + Omega)]))
-    alpha = np.exp(np.conj(la - lp)) * K[0] / (2.0 * math.pi)
-    beta = -np.exp(la - np.conj(lp)) * K[1] / (2.0 * math.pi)
+    lK = _log_gamma_i(np.array([Omega - Omega_p, -(Omega_p + Omega)]))
+    alpha = _exp_sum(np.conj(la - lp), lK[0]) / (2.0 * math.pi)
+    beta = -_exp_sum(la - np.conj(lp), lK[1]) / (2.0 * math.pi)
     return complex(alpha), complex(beta)
 
 
@@ -109,17 +132,20 @@ def _kernel(n, v):
     return np.cosh(v / 2.0) ** -2 / (Vm2 * Vp2), np.log(Vp2) - np.log(Vm2)
 
 
+def _rate(n):
+    """The bound on |dL/dv| of _kernel, at which the exterior phases turn per
+    unit of max om_x: 1/(4n(n - 1)) for n >= 2 (0.125 at n = 2, against a sup
+    of 0.072), 1 for n = 1."""
+    return 1.0 if n == 1 else 0.25 / (n * (n - 1))
+
+
 def _overlap(n, om_d, p, om_x, e, lo, hi):
     """(<P, E>, <P, E*>, est_error) for the diamond-n packet P = sum_j p_j g_{n,om_d[j]}
     and the exterior packet E = sum_k e_k g_{ex,om_x[k]}: by parts, alpha(W, W') =
     (2/pi) sqrt(W/W') Int dv base e^{-i(W' v + W L)} with the (base, L) of _kernel,
-    and beta the same with -base and W -> -W, on v in [lo, hi].  The
-    exterior phases turn at most at max om_x times the bound on |dL/dv| of
-    _kernel: 1/(4n(n - 1)) for n >= 2 (0.125 at n = 2, against a sup of
-    0.072), 1 for n = 1."""
-    rate = 1.0 if n == 1 else 0.25 / (n * (n - 1))
+    and beta the same with -base and W -> -W, on v in [lo, hi]."""
     I, J, err = _rapidity_integral(lambda v: _kernel(n, v), om_d, p / np.sqrt(om_d),
-                                   om_x, np.conj(e) * np.sqrt(om_x), lo, hi, rate)
+                                   om_x, np.conj(e) * np.sqrt(om_x), lo, hi, _rate(n))
     k = 2.0 / math.pi
     return k * I, k * J, k * err
 
@@ -127,7 +153,9 @@ def _overlap(n, om_d, p, om_x, e, lo, hi):
 def alpha_beta_numeric(Omega, Omega_p, n=1):
     """(alpha, beta, est_error) for diamond n >= 1 by rapidity quadrature.
 
-    _overlap, the rapidity integral of modes, runs over |v| <= 40.  For n = 1
+    The integral of _overlap for one frequency per side runs over |v| <= 40,
+    on the Gauss-Legendre panels of modes._sharp_rapidity_integral, so this
+    reference shares no grid with cross_moments.  For n = 1
     the integrand does not decay toward the tip shared with the exterior
     boundary, where it approaches a pure oscillation whose Abel mean is added
     in closed form, and alpha has a pole at Omega = Omega_p.  For n >= 2 the
@@ -138,7 +166,9 @@ def alpha_beta_numeric(Omega, Omega_p, n=1):
     if n == 1 and abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
 
-    al, be, err = _overlap(n, np.array([Omega_p]), 1.0, np.array([Omega]), 1.0, -_V_CUT, _V_CUT)
+    k = (2.0 / math.pi) * math.sqrt(Omega / Omega_p)
+    al, be, err = (k * x for x in _sharp_rapidity_integral(lambda v: _kernel(n, v), Omega_p, Omega,
+                                                           -_V_CUT, _V_CUT, _rate(n)))
     if n == 1:
         # Abel means of the residual oscillations beyond the lower cut
         base, L = _kernel(1, -_V_CUT)
@@ -326,9 +356,9 @@ def _root_route(p0, p1, V):
     K = _batched(_gamma_i, [k for (W, _, _), (Wp, _, _) in grids for k in (Wp - W[:, None], Wp + W[:, None])])
     minus, plus = [], []
     for ((W, wu, G0), (Wp, wp, G1)), l0, l1, kT, kH in zip(grids, le[0::2], le[1::2], K[0::2], K[1::2]):
-        x = wu * np.conj(G0) * np.exp(l0) * W / _sinh_pi(W)
-        y = wp * 2.0 * np.conj(G1) / np.exp(l1)
-        res = np.conj(p1.amplitude(W)) / (2.0 * np.sqrt(W) * np.exp(l0))
+        x = wu * np.conj(G0) * W * np.exp(l0 - np.log(_sinh_pi(W)))
+        y = wp * 2.0 * np.conj(G1) * np.exp(-l1)
+        res = np.conj(p1.amplitude(W)) * np.exp(-l0) / (2.0 * np.sqrt(W))
         ay = np.abs(y)
         minus.append(_lattice(x, kT @ y, np.abs(kT) @ ay, res))
         plus.append(_lattice(-np.conj(x), kH @ y, np.abs(kH) @ ay, 0.0))
@@ -365,7 +395,7 @@ def _w_route(p0, p1, V):
     minus, plus = [], []
     for i, ((j, k), s) in enumerate(zip(jk, steps)):
         la = _log_a(W[i], le[i])
-        x = s * np.conj(p0.amplitude(W[i])) * np.exp(la) / (2.0 * _sinh_pi(W[i]))
+        x = s * np.conj(p0.amplitude(W[i])) * np.exp(la - np.log(2.0 * _sinh_pi(W[i])))
         y = s * np.conj(p1.amplitude(Wp[i])) * np.exp(-_log_a(Wp[i], le[i + 2]))
         res = np.conj(p1.amplitude(W[i])) * np.exp(-la) / 2.0
         # row r of the Toeplitz kernel is gT[j.size - 1 - r:][:k.size] and of

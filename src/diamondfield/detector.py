@@ -16,11 +16,16 @@ i*epsilon prescription out of the numerics.
 
 Every window width T > 0 is in the domain of response_rate: the kernel
 cannot overflow, and it takes its series where the direct form would cancel.
-The rates of a whole energy grid come from one quadrature over 0 < d < 7T
+The rates of a whole energy grid come from one quadrature over 0 <= d <= 7T
 per block of _E_ROWS energies, since only cos(E d) in the integrand depends
-on E.  It converges in passes of about 53 T (max|E| + 1) and twice that many
-nodes, so its node budget (_quad._MAX_NODES) admits T (max|E| + 1) up to
-about 9,800 and raises ConvergenceError beyond.
+on E.  The integrand is even in d and analytic in the strip |Im d| < 2 pi,
+so the trapezoid sum over d >= 0 with half weight at d = 0, half the sum
+over the whole line, converges geometrically (_quad.integrate_trapezoid).
+Its first grid has step min(1, pi / (2 (max|E| + 1))), so 4.46 T (max|E| + 1)
+intervals once max|E| > pi/2 - 1, and one halving usually ends it: the
+default grid takes 1,071 + 1,070 nodes.  The node budget (_quad._MAX_NODES)
+admits a first grid up to T (max|E| + 1) of about 235,000 and its halving up
+to about 117,000; ConvergenceError is raised before a larger grid is built.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_adaptive
+from ._quad import integrate_trapezoid
 from .bogoliubov import _temperature_fit
 from .errors import DomainError
 from .geometry import worldline_clock
 
-_RATE_TOL = 1e-12  # absolute doubling tolerance of the response_rate integral
+_RATE_TOL = 1e-12  # absolute halving tolerance of the response_rate integral
 _E_ROWS = 4  # energies per response_rates integral: bounds its (energies x nodes) integrand
 
 
@@ -121,10 +126,11 @@ def response_rates(E, window_time=80.0, eps=1e-8):
     integrand f(d) = 2 cos(E d) g(d), g the window times the vacuum-subtracted
     correlation, and the rate is insensitive to halving it.  f depends on E
     only through the even cos(E d), which np.cos keeps even bit for bit, so
-    rate(E) and rate(-E) share its integral over 0 < d < 7T; and g, the
+    rate(E) and rate(-E) share its integral over 0 <= d <= 7T; and g, the
     costly complex factor, is formed once per node for every E of a block of
-    _E_ROWS energies, integrated together at est_freq = max|E| + 1 of the
-    block.  est_error adds to the block's doubling difference the cut beyond
+    _E_ROWS energies, integrated together on nested trapezoid grids from the
+    step min(1, pi / (2 (max|E| + 1))) of the block.  est_error adds to the
+    block's halving difference and rounding floor the cut beyond
     7T, where the window is still e^{-12.25} of its peak: the envelope
     h = 2|g| of f falls monotonically, so by parts the tail is at most
     2 h(7T) / |E|, and without the oscillation at most 2 h(7T) T^2 / 7T; the
@@ -148,13 +154,13 @@ def response_rates(E, window_time=80.0, eps=1e-8):
     for i in range(0, energies.size, _E_ROWS):
         block = energies[i:i + _E_ROWS]
 
-        def integrand(d):
+        def integrand(d, start, step):
             x = np.multiply.outer(block, d)
             np.cos(x, out=x)
-            return x * (2.0 * g(d))
+            return x * (2.0 * g(d)), 0.0
 
-        val, err = integrate_adaptive(integrand, 1e-12, d_max, _RATE_TOL,
-                                      est_freq=float(np.max(np.abs(block))) + 1.0)
+        step = min(1.0, math.pi / (2.0 * (float(np.max(np.abs(block))) + 1.0)))
+        val, err = integrate_trapezoid(integrand, 0.0, d_max, _RATE_TOL, step)
         for e, v in zip(block.tolist(), val):
             est = float(err + abs(v.imag) + 2.0 * h / max(abs(e), d_max / (T * T)))
             pairs.append(tuple(RateResult(value=float(_vacuum_window_rate(x, T) + v.real), est_error=est)

@@ -20,11 +20,14 @@ of two packets of one family is -i s Int du (f du(g*) - g* du(f)) in their
 rapidity u, s the sign of dV/du: a double sum of pure phases, integrated exactly.
 A diamond packet P meets another family Q in the one term -2i Int dv P dv Q*(V(v))
 left by parts: _rapidity_integral, with both packets summed inside, serves
-plane waves (kg_product, bogoliubov.ab_numeric) and the exterior mode
-(diamondfield.correlations).  Neither side forms a phase per node and
-frequency: P factors over the equal quadrature panels and their midpoints,
-and Q(V(v)) is a short Taylor series in its own rapidity about the points
-of one lattice.
+plane waves (kg_product) and the exterior mode (diamondfield.correlations)
+on nested trapezoid grids in v.  Neither side
+forms a phase per node and frequency: on a uniform grid P factors into a
+table of block starts times a table of in-block offsets, and Q(V(v)) is a
+short Taylor series in its own rapidity about the points of one lattice.
+The sharp references (bogoliubov.ab_numeric, correlations.alpha_beta_numeric)
+integrate their one-frequency integrand on Gauss-Legendre panels instead
+(_sharp_rapidity_integral), which keeps them independent of that route.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import PANEL_ORDER, gauss_legendre, integrate_adaptive, panel_grid, panel_nodes
+from ._quad import gauss_legendre, integrate_adaptive, integrate_trapezoid
 from .errors import DomainError
 
 DEFAULT_SIGMA = 0.02  # the one default packet bandwidth of the package and its CLI
@@ -46,7 +49,7 @@ _CUT = 8.0  # nodes in omega span omega0 +- _CUT sigma, where |G|^2 < e^{-32} of
 _SPAN = 12.0  # nodes in sqrt(omega) span omega0 +- _SPAN sigma, where G < e^{-36} of its peak
 _ROWS = 4096  # rows per phase or term matrix block (Packet.eval_natural, kg_product)
 _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
-_RAPIDITY_TOL = 1e-10  # absolute doubling tolerance of _rapidity_integral
+_RAPIDITY_TOL = 1e-10  # absolute refinement tolerance of the rapidity integrals
 _TAYLOR_TOL = np.finfo(float).eps  # Taylor remainder of _taylor_sum, relative to sum|c|
 
 
@@ -188,26 +191,23 @@ def _plane_kernel(n, v):
     return np.cosh(v / 2.0) ** -2, -(4.0 * n + 2.0 * np.tanh(v / 2.0))
 
 
-def _panel_sum(om, c, lo, hi, n_panels):
-    """sum_j c[j] e^{-i om[j] v} on the nodes v = mid[p] + off[i] of
-    panel_nodes(lo, hi, n_panels).  Equal panels are translates of one panel,
-    so the phase factors as e^{-i w mid[p]} e^{-i w off[i]}, and the midpoints
-    lo + step (p + 1/2), step = (hi - lo) / n_panels as panel_grid forms it,
-    factor once more over B ~ sqrt(panels) block starts p = B q and in-block
-    offsets r: (2 sqrt(panels) + 16) m phases, not 16 panels m.  Splitting
-    w v rounds within the floor eps (1 + max w max|v|)."""
-    _, off, _ = panel_grid(lo, hi, n_panels)
-    step, B = (hi - lo) / n_panels, math.isqrt(n_panels - 1) + 1
-    starts = lo + step * (B * np.arange(-(-n_panels // B)) + 0.5)
-    mid = (_phase(np.multiply.outer(starts, om)) * c)[:, None, :] * _phase(
-        np.multiply.outer(step * np.arange(B), om))
-    return (mid.reshape(-1, om.size)[:n_panels] @ _phase(np.multiply.outer(om, off))).ravel()
+def _grid_sum(om, c, start, step, count):
+    """sum_j c[j] e^{-i om[j] v} on the count nodes v = start + step k of a
+    uniform grid.  With B = ceil(sqrt(count)) and k = B q + r the phase
+    factors as e^{-i w (start + step B q)} e^{-i w step r}, a table of block
+    starts times a table of in-block offsets, about sqrt(count) rows each,
+    summed by one (rows x m) by (m x B) product: 2 sqrt(count) m phases, not
+    count m.  Splitting w v rounds within the floor eps (1 + max w max|v|)."""
+    B = math.isqrt(count - 1) + 1
+    starts = start + (step * B) * np.arange(-(-count // B))
+    P = (_phase(np.multiply.outer(starts, om)) * c) @ _phase(np.multiply.outer(om, step * np.arange(B)))
+    return P.ravel()[:count]
 
 
 def _taylor_sum(om, c, L):
     """(X, bound): X = sum_k c[k] e^{-i om[k] L} at the points L, with
     |X - exact| <= bound.  L need not be linear in the quadrature variable,
-    so the phase does not factor as in _panel_sum; instead X is its Taylor
+    so the phase does not factor as in _grid_sum; instead X is its Taylor
     series in d = L - L0 about the nearest point L0 = j delta of one lattice
     of spacing delta = 1/max|w|,
 
@@ -245,34 +245,53 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, rate):
     up to a constant, the KG products of a diamond packet with a plane
     (_plane_kernel) or exterior (correlations._kernel) packet Q and with Q*.
     rate bounds |dL/dv| on [lo, hi], so the phases of P X turn at most at
-    max om_p + rate max om_x, the first passes' est_freq: 1 for the plane
-    kernel and the first diamond, far less for the exterior seen from
-    diamond n >= 2 (correlations._overlap).
-    P factors over the equal quadrature panels and their midpoints
-    (_panel_sum).  L is not linear in v, so X is a short Taylor series in L
-    about the points of one lattice in L (_taylor_sum).  est_error adds to the
-    doubling difference (to _RAPIDITY_TOL) the Taylor remainder integrated
-    against |base P| and the rounding floor of the phases w v and w L, taken
-    on the scale sum|c| of each sum's terms: a packet read far from its
-    centre cancels in its sum.
+    f = max om_p + rate max om_x: 1 for the plane kernel and the first
+    diamond, far less for the exterior seen from diamond n >= 2
+    (correlations._overlap).
+    The integrand is analytic in a strip about the real line and has decayed
+    at both ends, so it takes nested trapezoid sums (integrate_trapezoid)
+    from the step min(1/2, pi / 4f).  P factors over the uniform grid
+    (_grid_sum).  L is not linear in v, so X is a short Taylor series in L
+    about the points of one lattice in L (_taylor_sum).  est_error adds to
+    the halving difference (to _RAPIDITY_TOL) the Taylor remainder
+    integrated against |base P| and the rounding floor of the phases w v and
+    w L, taken on the scale sum|c| of each sum's terms: a packet read far
+    from its centre cancels in its sum.
     """
-    last = []
+    eps, size_p, size_x = np.finfo(float).eps, float(np.sum(np.abs(c_p))), float(np.sum(np.abs(c_x)))
+    top_p, top_x = float(np.max(om_p)), float(np.max(om_x))
 
+    def f(v, start, step):
+        base, L = kernel(v)
+        P = base * _grid_sum(om_p, c_p, start, step, v.size)
+        X, bound = _taylor_sum(om_x, c_x, L)
+        phase = 1.0 + top_p * max(abs(lo), abs(hi)) + top_x * float(np.max(np.abs(L)))
+        aP = np.abs(P)
+        slack = eps * phase * (np.abs(base) * np.abs(X) * size_p + aP * size_x) + bound * aP
+        return np.stack([P * X, -P * np.conj(X)]), slack
+
+    val, err = integrate_trapezoid(f, lo, hi, _RAPIDITY_TOL, min(0.5, math.pi / (4.0 * (top_p + rate * top_x))))
+    return val[0], val[1], err
+
+
+def _sharp_rapidity_integral(kernel, w_p, w_x, lo, hi, rate):
+    """(I, J, est_error) of _rapidity_integral for one frequency per side and
+    unit coefficients, P = base e^{-i w_p v} and X = e^{-i w_x L}, with one
+    np.exp per node on Gauss-Legendre panels (integrate_adaptive): the sharp
+    references stay independent of the trapezoid grid and the phase tables.
+    est_error adds to the doubling difference the rounding of the phases,
+    eps (1 + w_p max|v| + w_x max|L|) times 2 Int |base|; L is monotone in
+    v, so max|L| is at an end."""
     def f(v):
         base, L = kernel(v)
-        P = base * _panel_sum(om_p, c_p, lo, hi, v.size // PANEL_ORDER)
-        X, bound = _taylor_sum(om_x, c_x, L)
-        last[:] = [base, L, P, X, bound]
-        return np.stack([P * X, -P * np.conj(X)])
+        P = base * np.exp(-1j * w_p * v)
+        X = np.exp(-1j * w_x * L)
+        return np.stack([P * X, -P * np.conj(X), np.abs(base)])
 
-    est_freq = float(np.max(om_p) + rate * np.max(om_x))
-    val, err = integrate_adaptive(f, lo, hi, _RAPIDITY_TOL, est_freq=est_freq)
-    base, L, P, X, bound = last
-    phase = np.max(om_p) * max(abs(lo), abs(hi)) + np.max(om_x) * np.max(np.abs(L))
-    _, w = panel_nodes(lo, hi, L.size // PANEL_ORDER)  # integrate_adaptive's final panels
-    size = np.abs(base) * np.abs(X) * np.sum(np.abs(c_p)) + np.abs(P) * np.sum(np.abs(c_x))
-    floor = np.finfo(float).eps * float(size @ w) * (1.0 + phase)
-    return val[0], val[1], float(err) + floor + bound * float(np.abs(P) @ w)
+    (I, J, size), err = integrate_adaptive(f, lo, hi, _RAPIDITY_TOL, est_freq=w_p + rate * w_x)
+    _, L = kernel(np.array([lo, hi]))
+    phase = 1.0 + w_p * max(abs(lo), abs(hi)) + w_x * float(np.max(np.abs(L)))
+    return I, J, float(err) + 2.0 * np.finfo(float).eps * phase * float(size.real)
 
 
 def _phase_terms(p):

@@ -140,8 +140,8 @@ class TestDetector:
         # the default grid is one block of response_rates: one integral at eps
         # and one for the eps / 2 check, where one per energy and eps took 6
         # and one per rate 9
-        calls, integrate = [], detector.integrate_adaptive
-        monkeypatch.setattr(detector, "integrate_adaptive",
+        calls, integrate = [], detector.integrate_trapezoid
+        monkeypatch.setattr(detector, "integrate_trapezoid",
                             lambda *a, **k: calls.append(a[1:3]) or integrate(*a, **k))
         code, _ = run(tmp_path, "detector")
         assert code == 0 and len(calls) == 2
@@ -157,10 +157,11 @@ class TestDetector:
         err = capsys.readouterr().err
         assert "rate at E=5 is" in err and "not above its est_error" in err
 
-    @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6"], ["--grid", "0.5,200"]])
+    @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6"], ["--grid", "0.5,2000"]])
     def test_oversized_quadrature_fails_fast(self, argv, bounded):
-        # the first two ask for a first pass of 43M and 80M nodes; at E = 200 the
-        # first pass (860K nodes) fits the budget and the second does not
+        # the first two ask for a first trapezoid grid of 3.6M and 13.4M
+        # nodes; at E = 2000 the first grid (713K nodes) fits the budget and
+        # its halving (1.43M) does not.  E = 200 now converges on 143K nodes
         code, seconds, err = bounded("from diamondfield.cli import main",
                                      f"main({['detector', *argv]!r})", timeout=10.0)
         assert code == "1" and seconds < 1.0

@@ -97,6 +97,40 @@ class TestAdjacentSharp:
         )
         assert abs(abs(be) ** 2 - ref) < 1e-10 * ref
 
+    @pytest.mark.parametrize("Om,Omp", [(500.0, 1.0), (1000.0, 0.5), (460.0, 3.0)])
+    def test_high_exterior_frequency_stays_finite(self, Om, Omp):
+        # A(W) ~ e^{pi W / 2} overflowed from W ~ 452 (a RuntimeWarning, NaN
+        # with warnings off); the moduli follow from |Gamma(iy)|^2 =
+        # pi / (y sinh pi y) and |A(W)|^2 = sinh(pi W) / pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            al, be = alpha_beta_adjacent(Om, Omp)
+        with mpmath.workdps(30):
+            def modulus(s):
+                s = abs(mpmath.mpf(s))
+                return mpmath.sqrt(mpmath.sinh(mpmath.pi * Om) / (
+                    4 * mpmath.pi * s * mpmath.sinh(mpmath.pi * s) * mpmath.sinh(mpmath.pi * Omp)))
+            ra, rb = float(modulus(Om - Omp)), float(modulus(Om + Omp))
+        assert abs(abs(al) - ra) <= 1e-12 * ra
+        assert abs(abs(be) - rb) <= 1e-12 * rb
+
+    def test_summed_logs_keep_the_product_values(self):
+        # below the overflow, one exp of the summed logs agrees with the
+        # product e^{log A terms} Gamma(iz) it replaced to 1e-15, on a grid
+        # where both factors of the product stay normal doubles
+        for Om in (0.3, 1.0, 7.5, 40.0, 100.0, 300.0, 449.0, 450.0):
+            for Omp in (0.05, 1.1, 3.3, 41.0, 200.0):
+                W = np.array([Om, Omp])
+                la, lp = correlations._log_a(W, correlations._log_e(W))
+                with np.errstate(over="ignore", under="ignore"):
+                    K = correlations._gamma_i(np.array([Om - Omp, -(Omp + Om)]))
+                    pairs = [(np.exp(x), k) for x, k in ((np.conj(la - lp), K[0]), (la - np.conj(lp), -K[1]))]
+                for got, (e, k) in zip(alpha_beta_adjacent(Om, Omp), pairs):
+                    if not (1e-300 < abs(e) < 1e300 and abs(k) > 1e-300):
+                        continue
+                    ref = e * k / (2.0 * math.pi)
+                    assert abs(got - ref) <= 1e-15 * abs(ref)
+
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
             alpha_beta_adjacent(1.0, 1.0)
@@ -194,6 +228,13 @@ class TestCrossMoments:
         cross_moments((1.0, 0.02), (1.0, 0.02), n)
         assert phases[0] <= limit
 
+    def test_separated_moments_on_few_grid_nodes(self, monkeypatch):
+        # the first trapezoid step is 1/2 at n = 10, so 161 + 160 kernel
+        # nodes, where Gauss-Legendre passes of 768 + 1,536 took 2,304
+        sizes = _count_kernel_nodes(monkeypatch)
+        cross_moments((1.0, 0.02), (1.0, 0.02), 10)
+        assert sum(sizes) <= 400
+
     def test_separated_passes_at_exterior_phase_rate(self, monkeypatch):
         # the passes start at max w + max w / (4n(n - 1)) over |v| <= 40, not
         # at the sum of both packets' top frequencies: 768 + 1,536 kernel
@@ -240,7 +281,13 @@ class TestCrossMoments:
         factored, sizes[:] = list(sizes), []
         monkeypatch.setattr(correlations, "_rapidity_integral", unfactored_rapidity_integral)
         ref = cross_moments(s0, s1, n)
-        assert sizes == factored  # the same panels, doubled as often
+        # a first grid of N + 1 nodes, then N, 2N, ... new midpoints per
+        # halving: each node of the final grid is evaluated once (at n = 1
+        # the cut terms evaluate the kernel after that)
+        N = factored[0] - 1
+        grid = [N + 1] + [N << i for i in range(len(factored) - 1)]
+        k = next((i for i, (a, b) in enumerate(zip(factored, grid)) if a != b), len(factored))
+        assert k >= 2 and (n == 1 or k == len(factored))
         assert abs(cm.m_minus - ref.m_minus) <= cm.est_error
         assert abs(cm.m_plus - ref.m_plus) <= cm.est_error
 
@@ -791,6 +838,19 @@ class TestPacketDomain:
         assert cm.m_minus == 0.0 and cm.m_plus == 0.0 and cm.est_error == 0.0
         an = adjacent_moments_analytic((300.0, 0.02), (300.0, 0.02))
         assert an.m_minus == 0.0 and an.m_plus == 0.0
+
+    @pytest.mark.parametrize("s0,s1", [((500.0, 0.02), (500.0, 0.02)), ((1.0, 0.02), (500.0, 0.02)),
+                                       ((500.0, 50.0), (500.0, 50.0))])
+    def test_adjacent_closed_form_finite_past_the_overflow(self, s0, s1):
+        # the weights e^{log A} / sinh(pi W) were inf / inf from W ~ 452 and
+        # gave NaN moments with a NaN est_error; the last pair reaches
+        # omega = 0 and runs on the sqrt(omega) lattices
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            an = adjacent_moments_analytic(s0, s1)
+        assert all(math.isfinite(abs(x)) for x in (an.m_minus, an.m_plus, an.est_error))
+        if s0[1] == 0.02:  # both moments are below the double range
+            assert an.m_minus == 0.0 and an.m_plus == 0.0
 
     def test_smeared_asymptotic_rejects_offset_centers(self):
         # the asymptotic form has no e^{-i w v0} phases; the numeric moments do

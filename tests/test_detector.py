@@ -110,8 +110,8 @@ class TestResponse:
 
     @pytest.mark.parametrize("E", [0.0, 0.5, -1.0, 2.0])
     def test_rates_at_plus_and_minus_E_share_one_integral(self, E, monkeypatch):
-        calls, integrate = [], detector.integrate_adaptive
-        monkeypatch.setattr(detector, "integrate_adaptive",
+        calls, integrate = [], detector.integrate_trapezoid
+        monkeypatch.setattr(detector, "integrate_trapezoid",
                             lambda *a, **k: calls.append(a[1:3]) or integrate(*a, **k))
         up, down = response_rates(E)
         assert len(calls) == 1
@@ -135,21 +135,36 @@ class TestResponse:
             for r, ref in zip(pair, single(E)):
                 assert abs(r.value - ref) <= r.est_error
 
+    def test_each_grid_node_evaluated_once(self, monkeypatch):
+        # the default grid is one block: a first grid of 1,071 nodes at step
+        # pi / 6 over 0 <= d <= 560, then 1,070 midpoints, where Gauss-Legendre
+        # passes took 38,544 nodes
+        sizes, integrate = [], detector.integrate_trapezoid
+
+        def counting(f, *a, **k):
+            return integrate(lambda d, *grid: sizes.append(d.size) or f(d, *grid), *a, **k)
+
+        monkeypatch.setattr(detector, "integrate_trapezoid", counting)
+        response_rates([0.5, 1.0, 2.0])
+        N = sizes[0] - 1
+        assert sizes == [N + 1] + [N << i for i in range(len(sizes) - 1)]
+        assert sum(sizes) <= 2_500
+
     def test_long_grids_integrate_in_blocks(self, monkeypatch):
         # 200 energies never put more than _E_ROWS rows into one integrand,
         # so its memory does not grow with the grid; a short window keeps
         # the passes small
-        rows, integrate = [], detector.integrate_adaptive
+        rows, integrate = [], detector.integrate_trapezoid
 
         def recording(f, *a, **k):
-            def shaped(d):
-                out = f(d)
-                rows.append(out.shape[0])
+            def shaped(*grid):
+                out = f(*grid)
+                rows.append(out[0].shape[0])
                 return out
 
             return integrate(shaped, *a, **k)
 
-        monkeypatch.setattr(detector, "integrate_adaptive", recording)
+        monkeypatch.setattr(detector, "integrate_trapezoid", recording)
         grid = np.linspace(-2.0, 2.0, 200)
         rates = response_rates(grid, window_time=5.0)
         assert len(rates) == 200 and max(rows) == detector._E_ROWS

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diamondfield import modes
-from diamondfield._quad import integrate_adaptive, panel_nodes
+from diamondfield._quad import integrate_adaptive
 from diamondfield.bogoliubov import ab_coefficients
 from diamondfield.correlations import _kernel
 from diamondfield.errors import DomainError
@@ -16,7 +16,7 @@ from diamondfield.modes import (
     _V_CUT,
     Packet,
     Profile,
-    _panel_sum,
+    _grid_sum,
     _phase,
     _plane_kernel,
     _taylor_sum,
@@ -99,6 +99,7 @@ class TestProductCost:
         nodes = _count_nodes(monkeypatch)
         calls = []
         monkeypatch.setattr(modes, "integrate_adaptive", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(modes, "integrate_trapezoid", lambda *a, **k: calls.append(a))
         for m1, m2 in ((p, p), (p, p.conjugate()), (p.conjugate(), p.conjugate())):
             kg_product(m1, m2)
         assert nodes[0] == 0 and calls == []
@@ -307,13 +308,21 @@ def _exterior_side(n):
 
 def _plane_side(omega, k, sigma):
     """The same for the plane side of kg_product(diamond (omega, sigma), plane
-    (k, sigma)), or of ab_numeric(omega, k) without sigma."""
+    (k, sigma)), or for one plane wave k without sigma."""
     if sigma is None:
         om, c, top = np.array([k]), np.ones(1), omega
     else:
         d, q = _plane_diamond_pair(omega, k, 0, sigma)
         om, c, top = q.omegas, np.conj(q.weights) * np.sqrt(q.omegas), np.max(d.omegas)
     return lambda v: _plane_kernel(0, v), om, c, -_V_CUT, _V_CUT, top + np.max(om)
+
+
+def _first_grids(lo, hi, est_freq):
+    """(v, start, step) of the first trapezoid grid _rapidity_integral takes
+    for a phase turning at est_freq, and of the midpoints of its first halving."""
+    n = math.ceil((hi - lo) / min(0.5, math.pi / (4.0 * est_freq)))
+    h = (hi - lo) / n
+    return [(lo + h * np.arange(n + 1), lo, h), (lo + h / 2.0 + h * np.arange(n), lo + h / 2.0, h)]
 
 
 class TestPhaseSums:
@@ -329,19 +338,17 @@ class TestPhaseSums:
     @pytest.mark.parametrize("v0", [0.0, 100.0])
     @pytest.mark.parametrize("adjacent", [False, True], ids=["cut", "n=1"])
     def test_factored_sum_matches_direct_sum(self, sigma, v0, adjacent):
-        # cross_moments' diamond side on the panels integrate_adaptive starts
-        # with and on their first doubling; the gap stays within the rounding
+        # cross_moments' diamond side on the first trapezoid grid and the
+        # midpoints of its first halving; the gap stays within the rounding
         # floor est_error already adds for the phases w v
         m = 96 + math.ceil(12.8 * sigma * v0)
         om, wt, G = Profile(1.0, sigma, v0).nodes(m, root=True)
         c = wt * G / np.sqrt(om)
         lo, hi = (-v0 - _TAIL / sigma if adjacent else -_V_CUT), _V_CUT
-        n0 = math.ceil((hi - lo) * 2.0 * np.max(om) / (2.0 * math.pi) * 3.0)
-        for n_panels in (n0, 2 * n0):
-            v, _ = panel_nodes(lo, hi, n_panels)
+        for v, start, step in _first_grids(lo, hi, 2.0 * np.max(om)):
             direct = np.exp(-1j * np.multiply.outer(v, om)) @ c
             floor = np.finfo(float).eps * np.sum(np.abs(c)) * (1.0 + np.max(om) * np.max(np.abs(v)))
-            assert np.max(np.abs(_panel_sum(om, c, lo, hi, n_panels) - direct)) <= floor
+            assert np.max(np.abs(_grid_sum(om, c, start, step, v.size) - direct)) <= floor
 
     @pytest.mark.parametrize("side", [
         *(pytest.param(_exterior_side(n), id=f"exterior-{n}") for n in (1, 2, 20)),
@@ -351,17 +358,15 @@ class TestPhaseSums:
     @pytest.mark.parametrize("tol", [modes._TAYLOR_TOL, 1e-6], ids=["eps", "1e-6"])
     def test_taylor_sum_matches_direct_sum(self, side, tol, monkeypatch):
         # the exterior side of cross_moments (at n = 1, L reaches ~275 toward
-        # the shared tip) and the plane side of kg_product and ab_numeric, on
-        # the panels integrate_adaptive starts with and on their first
-        # doubling.  Beyond the stated remainder the gap may hold the rounding
+        # the shared tip), the plane side of kg_product and one plane wave,
+        # on the first trapezoid grid and the midpoints of its
+        # first halving.  Beyond the stated remainder the gap may hold the rounding
         # of the phases w L and of the m-term sums on both sides: the direct
         # sum alone is 1.9 eps sum|c| off a long-double sum at n = 2.  At an
         # order cut at 1e-6 the remainder is the gap (0.997 of it at one node)
         monkeypatch.setattr(modes, "_TAYLOR_TOL", tol)
         kernel, om, c, lo, hi, est_freq = side
-        n0 = max(4, math.ceil((hi - lo) * est_freq / (2.0 * math.pi) * 3.0))
-        for n_panels in (n0, 2 * n0):
-            v, _ = panel_nodes(lo, hi, n_panels)
+        for v, _, _ in _first_grids(lo, hi, est_freq):
             _, L = kernel(v)
             X, bound = _taylor_sum(om, c, L)
             direct = np.exp(-1j * np.multiply.outer(L, om)) @ c

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from diamondfield import _quad
-from diamondfield._quad import gauss_legendre, integrate, integrate_adaptive, panel_grid, panel_nodes
+from diamondfield._quad import (
+    gauss_legendre,
+    integrate,
+    integrate_adaptive,
+    integrate_trapezoid,
+    panel_grid,
+    panel_nodes,
+)
 from diamondfield.errors import ConvergenceError
 
 
@@ -25,7 +32,7 @@ class TestNodes:
         assert np.all(np.diff(x) > 0)
 
     def test_nodes_are_translates_of_one_panel(self):
-        # the exact numbers an integrand factors over (modes._panel_sum)
+        # the exact numbers an integrand factors over (bogoliubov._trapezoid)
         mid, off, wt = panel_grid(-275.0, 40.0, 37)
         u, w = panel_nodes(-275.0, 40.0, 37)
         assert np.array_equal(u, (mid[:, None] + off).ravel())
@@ -83,6 +90,26 @@ class TestIntegrate:
                                    f"integrate_adaptive(lambda u: u, 0.0, {hi!r}, 1e-12, {est_freq!r})")
         assert name == "ConvergenceError" and seconds < 1.0
 
+    def test_tolerance_below_rounding_floor_stops_at_the_floor(self):
+        # tol = 1e-30 doubled until the node budget raised ConvergenceError
+        # (10 passes); the doubling now ends where the difference reaches
+        # the rounding floor eps sum|f w|
+        sizes = []
+
+        def f(u):
+            sizes.append(u.size)
+            return np.sin(37.0 * u) / (1.0 + u * u)
+
+        _, err = integrate_adaptive(f, 0.0, 4.0, tol=1e-30, est_freq=37.0)
+        assert len(sizes) <= 4 and err <= 1e-14
+
+    @pytest.mark.parametrize("est_freq", [1.0, 37.0, 300.0])
+    def test_est_error_carries_the_rounding_floor(self, est_freq):
+        # two passes that round to the same sum read est_error 0 while the
+        # sum was 2.2e-16 from arctan 4 (at est_freq 37 and 300)
+        val, err = integrate_adaptive(lambda u: 1.0 / (1.0 + u * u), 0.0, 4.0, tol=1e-30, est_freq=est_freq)
+        assert abs(val - math.atan(4.0)) <= err
+
     def test_budget_exhaustion_raises(self, monkeypatch):
         # a kink the panel doubling cannot resolve to 1e-15
         monkeypatch.setattr(_quad, "_MAX_DOUBLINGS", 3)
@@ -126,3 +153,94 @@ class TestArrayIntegrand:
     def test_empty_interval_keeps_the_component_shape(self):
         val, err = integrate_adaptive(lambda u: np.stack([u, u * u]), 1.0, 1.0, tol=1e-12)
         assert val.shape == (2,) and not val.any() and err == 0.0
+
+
+def _sech2(v, start, h):
+    return np.cosh(v / 2.0) ** -2 * np.exp(-1.3j * v), 0.0
+
+
+SECH2 = 4.0 * math.pi * 1.3 / math.sinh(math.pi * 1.3)  # Int sech^2(v/2) e^{-1.3 i v} dv
+
+
+class TestTrapezoid:
+    def test_geometric_convergence_in_a_strip(self):
+        # sech^2(v/2) has poles at +-i pi and is ~1e-17 at |v| = 40
+        val, err = integrate_trapezoid(_sech2, -40.0, 40.0, 1e-12, 0.5)
+        assert abs(val - SECH2) <= err <= 1e-12
+
+    def test_each_node_evaluated_once(self):
+        # T_{h/2} = T_h / 2 + (h/2) sum f(midpoints): the first grid, then
+        # only the new midpoints, which together make the final uniform grid
+        grids = []
+
+        def f(v, start, h):
+            grids.append((v, start, h))
+            assert np.array_equal(v, start + h * np.arange(v.size))
+            return _sech2(v, start, h)
+
+        integrate_trapezoid(f, -40.0, 40.0, 1e-30, 2.0)
+        N = grids[0][0].size - 1
+        assert [g[0].size for g in grids] == [N + 1] + [N << i for i in range(len(grids) - 1)]
+        nodes = np.sort(np.concatenate([g[0] for g in grids]))
+        h = grids[-1][2] / 2.0
+        assert np.allclose(nodes, -40.0 + h * np.arange(nodes.size), rtol=0.0, atol=1e-12)
+        assert nodes.size == 80.0 / h + 1
+
+    def test_components_halve_together(self):
+        val, err = integrate_trapezoid(lambda v, a, h: (np.stack([np.exp(-v * v), v * v * np.exp(-v * v)]), 0.0),
+                                       -9.0, 9.0, 1e-14, 1.0)
+        assert val.shape == (2,)
+        assert abs(val[0] - math.sqrt(math.pi)) <= err and abs(val[1] - math.sqrt(math.pi) / 2.0) <= err
+
+    def test_even_integrand_on_the_half_line(self):
+        # half weight at the end d = 0: half of the whole-line sum
+        full, _ = integrate_trapezoid(lambda v, a, h: (np.exp(-v * v), 0.0), -9.0, 9.0, 1e-14, 0.5)
+        half, err = integrate_trapezoid(lambda v, a, h: (np.exp(-v * v), 0.0), 0.0, 9.0, 1e-14, 0.5)
+        assert abs(half - full / 2.0) <= 1e-16 and abs(half - math.sqrt(math.pi) / 2.0) <= err
+
+    def test_node_error_bound_enters_the_stop_rule(self, monkeypatch):
+        # nodes off by up to 1e-9: with that bound per node the halving ends
+        # and est_error covers the sum's error; without it no halving reaches
+        # 1e-12
+        monkeypatch.setattr(_quad, "_MAX_DOUBLINGS", 5)
+
+        def noisy(bound):
+            return lambda v, a, h: (np.exp(-v * v) + 1e-9 * np.cos(1e5 * v), bound)
+
+        val, err = integrate_trapezoid(noisy(1e-9), -9.0, 9.0, 1e-12, 0.5)
+        assert abs(val - math.sqrt(math.pi)) <= err <= 1e-7
+        with pytest.raises(ConvergenceError):
+            integrate_trapezoid(noisy(0.0), -9.0, 9.0, 1e-12, 0.5)
+
+    def test_rounding_floor_ends_an_unreachable_tolerance(self):
+        val, err = integrate_trapezoid(_sech2, -40.0, 40.0, 1e-30, 0.5)
+        assert abs(val - SECH2) <= err <= 1e-14
+
+    def test_empty_and_reversed_intervals(self):
+        val, err = integrate_trapezoid(lambda v, a, h: (np.stack([v, v * v]), 0.0), 1.0, 1.0, 1e-12, 0.5)
+        assert val.shape == (2,) and not val.any() and err == 0.0
+        fwd, _ = integrate_trapezoid(_sech2, -40.0, 40.0, 1e-12, 0.5)
+        back, _ = integrate_trapezoid(_sech2, 40.0, -40.0, 1e-12, 0.5)
+        assert abs(fwd + back) <= 1e-15
+
+    def test_deterministic(self):
+        assert integrate_trapezoid(_sech2, -40.0, 40.0, 1e-12, 0.3) == integrate_trapezoid(_sech2, -40.0, 40.0,
+                                                                                          1e-12, 0.3)
+
+    @pytest.mark.parametrize("hi,step", [(1e300, 1.0), (1.0, 1e-9), (2**19, 1.0)])
+    def test_grid_budget_checked_before_each_level(self, bounded, hi, step):
+        # first grids of 1e300 and 1e9 nodes; a first grid of 524,289 nodes
+        # whose first halving (1,048,577) would pass the budget
+        name, seconds, _ = bounded("from diamondfield._quad import integrate_trapezoid\n"
+                                   "import numpy as np",
+                                   f"integrate_trapezoid(lambda v, a, h: (np.sin(v), 0.0), 0.0, {hi!r}, "
+                                   f"1e-30, {step!r})")
+        assert name == "ConvergenceError" and seconds < 1.0
+
+    def test_budget_error_names_the_grid(self):
+        with pytest.raises(ConvergenceError, match="a trapezoid grid of 1.04858e\\+06 nodes exceeds the budget"):
+            integrate_trapezoid(lambda v, a, h: (np.sin(v), 0.0), 0.0, 2.0**19, 1e-30, 1.0)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(ConvergenceError):
+            integrate_trapezoid(lambda v, a, h: (np.full(v.shape, np.nan), 0.0), 0.0, 1.0, 1e-10, 0.5)
