@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import PANEL_ORDER, integrate_adaptive, panel_grid
+from ._quad import integrate_adaptive
 from .errors import DomainError
 from .modes import _V_CUT, DEFAULT_SIGMA, Profile, _plane_kernel, _sharp_rapidity_integral
 from .specfun import kummer_m_vec, log_gamma
@@ -367,28 +367,27 @@ def _smeared_integral(profile, which):
 
     lo, K = 1e-9, _euler_kernels(om, coeff)
 
-    def f(kappa):
+    def f(kappa, mid, off):
         # the lanes are integrate_adaptive's equal panels, so their phases factor
-        mid, off, _ = panel_grid(lo, _KAPPA_SPLIT, kappa.size // PANEL_ORDER)
         A, B, err = _euler_lanes(mid, off, K)
         # ||X + d|^2 - |X|^2| <= (2|X| + e) e for a lane error |d| <= e
         lane = (2.0 * np.abs(np.stack([A, B])) + err) * err
         if which == "occupation":
-            return np.stack([np.abs(B) ** 2, lane[1]])
-        return np.stack([np.abs(A) ** 2 - np.abs(B) ** 2, lane[0] + lane[1]])
+            return np.abs(B) ** 2, lane[1]
+        return np.abs(A) ** 2 - np.abs(B) ** 2, lane[0] + lane[1]
 
-    # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms; lane errors are a 2nd component
-    (finite, lanes), err_f = integrate_adaptive(f, lo, _KAPPA_SPLIT, _SPECTRUM_TOL, est_freq=4.0)
-    return SpectrumResult(finite + tail, err_f + lanes + err_t, finite, tail)
+    # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms; the lane errors bound each node
+    finite, err_f = integrate_adaptive(f, lo, _KAPPA_SPLIT, _SPECTRUM_TOL, est_freq=4.0)
+    return SpectrumResult(finite + tail, err_f + err_t, finite, tail)
 
 
 def thermal_occupation(omega0, sigma=DEFAULT_SIGMA, v0=0.0):
     """Smeared diamond-mode occupation Int dka |B_G(ka)|^2 in the vacuum.
 
-    omega0, sigma are in units of a, v0 is the packet center in the diamond
-    null coordinate, in units of 1/a; the result is dimensionless and should
-    match Int dw |G(w)|^2 / (e^{2 pi w} - 1) independently of v0.  The log-kappa
-    tail must end below kappa = e^708: |v0| + 7/sigma <= 702, else DomainError.
+    omega0, sigma are in units of a, v0 in units of 1/a (the packet peaks at
+    v = -v0 in the diamond rapidity, Profile); the result is dimensionless and
+    should match Int dw |G(w)|^2 / (e^{2 pi w} - 1) independently of v0.  The
+    log-kappa tail must end below kappa = e^708: |v0| + 7/sigma <= 702, else DomainError.
     Its sector series converges while the top node omega0 + 8 sigma stays below
     about 6 (6.02 at sigma = 0.3, 6.41 at sigma = 0.02); higher packets raise
     DomainError before any quadrature, also where the series terms underflow

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _MAX_NODES, integrate
+from ._quad import _MAX_NODES, panel_nodes
 from .errors import DomainError, PoleError
 from .modes import (_SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral, _sharp_rapidity_integral,
                     _taylor_sum)
@@ -196,12 +196,12 @@ def _cut_size(om, c, exterior, lo, hi):
     packet sum S = sum_k c[k] e^{-i om[k] t}, t = L(v) for the exterior
     packet and t = v for the diamond one (_taylor_sum), on about 3 panels per
     turn of its fastest phase (|dL/dv| <= 1); 0 for an empty range."""
-    def f(v):
-        base, L = _kernel(1, v)
-        return np.abs(base * _taylor_sum(om, c, L if exterior else v)[0])
-
     panels = max(4, math.ceil(3.0 * (hi - lo) * float(np.max(om)) / (2.0 * math.pi)))
-    return (2.0 / math.pi) * float(integrate(f, lo, hi, panels))
+    v, w = panel_nodes(lo, hi, panels)
+    base, L = _kernel(1, v)
+    # summed panel by panel, as integrate_adaptive sums
+    vals = np.abs(base * _taylor_sum(om, c, L if exterior else v)[0]) * w
+    return (2.0 / math.pi) * float(vals.reshape(panels, -1).sum(axis=-1).sum())
 
 
 def cross_moments(spec0, spec_n, n):

@@ -95,7 +95,7 @@ def build_covariance(specs, adjacent="analytic"):
     The occupations on the diagonal are the closed-form thermal values
     (planck_occupation).  adjacent selects the nearest-neighbour moment
     route: 'analytic' the closed forms, 'kg' the KG-product rapidity
-    integral of cross_moments.
+    integral of cross_moments; anything else is a DomainError.
     """
     specs = tuple(specs)
     m = len(specs)
@@ -103,6 +103,8 @@ def build_covariance(specs, adjacent="analytic"):
         raise DomainError("need at least one mode")
     if not all(isinstance(s, WavepacketSpec) for s in specs):
         raise DomainError("covariance modes must be WavepacketSpec packets")
+    if adjacent not in ("analytic", "kg"):
+        raise DomainError(f"adjacent must be 'analytic' or 'kg', not {adjacent!r}")
     N, M, err = _mode_moments(specs, adjacent)
     # X(0) = b + b+ and X(pi/2) = -i b + i b+, interleaved per mode
     eye = np.eye(m)

@@ -71,9 +71,11 @@ class Profile(NamedTuple):
 
         G(w) = (2 pi sigma^2)^(-1/4) exp(-(w - omega0)^2 / 4 sigma^2) e^{-i w v0},
 
-    normalized so that Int dw |G|^2 = 1; v0 is the packet center in its
-    natural null coordinate.  Every smeared quantity in the package is an
-    integral over such a profile on the nodes(n) grid.
+    normalized so that Int dw |G|^2 = 1.  v0 shifts the packet in its
+    natural null coordinate u: a mode family with phase e^{-i sign w u}
+    peaks at u = -sign v0 (Packet.envelope_interval), so diamond and plane
+    packets peak at -v0 and exterior packets at +v0.  Every smeared quantity
+    in the package is an integral over such a profile on the nodes(n) grid.
     """
 
     omega0: float
@@ -279,19 +281,20 @@ def _sharp_rapidity_integral(kernel, w_p, w_x, lo, hi, rate):
     unit coefficients, P = base e^{-i w_p v} and X = e^{-i w_x L}, with one
     np.exp per node on Gauss-Legendre panels (integrate_adaptive): the sharp
     references stay independent of the trapezoid grid and the phase tables.
-    est_error adds to the doubling difference the rounding of the phases,
-    eps (1 + w_p max|v| + w_x max|L|) times 2 Int |base|; L is monotone in
-    v, so max|L| is at an end."""
-    def f(v):
+    Each node's error bound is the rounding of its phases,
+    2 eps (1 + w_p max|v| + w_x max|L|) |base|; L is monotone in v, so
+    max|L| is at an end."""
+    _, L = kernel(np.array([lo, hi]))
+    phase = 1.0 + w_p * max(abs(lo), abs(hi)) + w_x * float(np.max(np.abs(L)))
+
+    def f(v, *grid):
         base, L = kernel(v)
         P = base * np.exp(-1j * w_p * v)
         X = np.exp(-1j * w_x * L)
-        return np.stack([P * X, -P * np.conj(X), np.abs(base)])
+        return np.stack([P * X, -P * np.conj(X)]), 2.0 * np.finfo(float).eps * phase * np.abs(base)
 
-    (I, J, size), err = integrate_adaptive(f, lo, hi, _RAPIDITY_TOL, est_freq=w_p + rate * w_x)
-    _, L = kernel(np.array([lo, hi]))
-    phase = 1.0 + w_p * max(abs(lo), abs(hi)) + w_x * float(np.max(np.abs(L)))
-    return I, J, float(err) + 2.0 * np.finfo(float).eps * phase * float(size.real)
+    (I, J), err = integrate_adaptive(f, lo, hi, _RAPIDITY_TOL, est_freq=w_p + rate * w_x)
+    return I, J, err
 
 
 def _phase_terms(p):

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from diamondfield import bogoliubov
+from diamondfield import _quad, bogoliubov
 from diamondfield.bogoliubov import (
     ab_coefficients,
     ab_numeric,
@@ -294,15 +294,16 @@ class TestPanelFactoring:
     def test_lanes_within_both_lane_errors(self, omega0, monkeypatch):
         # both panel levels of the occupation's finite part; the shifted line
         # runs at every level from omega0 = 1 on
-        grids, grid = [], bogoliubov.panel_grid
-        monkeypatch.setattr(bogoliubov, "panel_grid", lambda *a: grids.append(a) or grid(*a))
+        grids, euler_lanes = [], bogoliubov._euler_lanes
+        monkeypatch.setattr(bogoliubov, "_euler_lanes",
+                            lambda mid, off, K: grids.append((mid, off)) or euler_lanes(mid, off, K))
         thermal_occupation(omega0)
         assert len(grids) == 2
         K = bogoliubov._euler_kernels(*_packet(omega0))
-        lanes = [bogoliubov._euler_lanes(*grid(*a)[:2], K) for a in grids]
+        lanes = [euler_lanes(*grid, K) for grid in grids]
         monkeypatch.setattr(bogoliubov, "_trapezoid", _unfactored)
-        for a, (A, B, err) in zip(grids, lanes):
-            A_ref, B_ref, err_ref = bogoliubov._euler_lanes(*grid(*a)[:2], K)
+        for grid, (A, B, err) in zip(grids, lanes):
+            A_ref, B_ref, err_ref = euler_lanes(*grid, K)
             assert np.all(np.abs(A - A_ref) <= err[0] + err_ref[0])
             assert np.all(np.abs(B - B_ref) <= err[1] + err_ref[1])
 
@@ -354,7 +355,7 @@ class TestMirroredPhases:
 
     def test_exp_outer_is_full_exp_bit_for_bit(self):
         s, theta = bogoliubov._EULER_NODES, bogoliubov._EULER_THETA
-        mid, off, _ = bogoliubov.panel_grid(1e-9, bogoliubov._KAPPA_SPLIT, 154)
+        mid, off, _ = _quad.panel_grid(1e-9, bogoliubov._KAPPA_SPLIT, 154)
         for phase in (-2j * np.tanh(s), 2j * np.tanh(s + 1j * theta)):
             for x in (mid, off):
                 got, want = bogoliubov._exp_outer(x, phase), _full_exp_outer(x, phase)

@@ -188,11 +188,11 @@ class TestAdjacentSharp:
 def unfactored_rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, rate):
     """modes._rapidity_integral with one np.exp per node and frequency on both
     sides, on the same panels; returns (I, J, doubling difference)."""
-    def f(v):
+    def f(v, *grid):
         base, L = kernel(v)
         P = base * (np.exp(-1j * np.multiply.outer(v, om_p)) @ c_p)
         X = np.exp(-1j * np.multiply.outer(L, om_x)) @ c_x
-        return np.stack([P * X, -P * np.conj(X)])
+        return np.stack([P * X, -P * np.conj(X)]), 0.0
 
     est_freq = float(np.max(om_p) + rate * np.max(om_x))
     val, err = integrate_adaptive(f, lo, hi, modes._RAPIDITY_TOL, est_freq=est_freq)

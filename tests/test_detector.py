@@ -100,9 +100,9 @@ class TestResponse:
         # 7.7e-14 / 2.4e-14 at E = 10 / 30, where est_error read 4.2e-14 / 4.7e-15
         T, eps = 80.0, 1e-8
 
-        def f(d):
+        def f(d, *grid):
             dW = -(_sinh2_deficit((d - 1j * eps) / 2.0) / (16.0 * math.pi**2))
-            return 2.0 * np.cos(E * d) * np.exp(-(d * d) / (4.0 * T * T)) * dW
+            return 2.0 * np.cos(E * d) * np.exp(-(d * d) / (4.0 * T * T)) * dW, 0.0
 
         val, _ = integrate_adaptive(f, 1e-12, 12.0 * T, 1e-14, est_freq=E + 1.0)
         res = response_rate(E, window_time=T, eps=eps)
@@ -124,9 +124,9 @@ class TestResponse:
         T, grid = 80.0, [0.1, 0.5, 1.0, 2.0, 3.0]
 
         def single(E):
-            def f(d):
+            def f(d, *grid):
                 dW = -(_sinh2_deficit((d - 1j * eps) / 2.0) / (16.0 * math.pi**2))
-                return 2.0 * np.cos(E * d) * np.exp(-(d * d) / (4.0 * T * T)) * dW
+                return 2.0 * np.cos(E * d) * np.exp(-(d * d) / (4.0 * T * T)) * dW, 0.0
 
             val, _ = integrate_adaptive(f, 1e-12, 7.0 * T, detector._RATE_TOL, est_freq=abs(E) + 1.0)
             return [_vacuum_window_rate(e, T) + val.real for e in (E, -E)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondfield import gaussian
 from diamondfield.bogoliubov import planck_occupation
 from diamondfield.errors import ConvergenceError, DomainError
 from diamondfield.gaussian import (
@@ -134,6 +135,16 @@ class TestCovariance:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             build_covariance([])
+
+    @pytest.mark.parametrize("adjacent", ["Analytic", "KG"])
+    def test_unknown_adjacent_route_rejected_before_any_moment(self, adjacent, monkeypatch):
+        # 'Analytic' used to take the KG route silently, at 4x the est_error
+        calls = []
+        for name in ("planck_occupation", "adjacent_moments_analytic", "cross_moments"):
+            monkeypatch.setattr(gaussian, name, lambda *a, name=name: calls.append(name))
+        with pytest.raises(DomainError, match="adjacent must be 'analytic' or 'kg'"):
+            build_covariance([WavepacketSpec(0, 1.0, 0.02), WavepacketSpec(1, 1.0, 0.02)], adjacent=adjacent)
+        assert calls == []
 
 
 def _planck_overlap_mpmath(s1, s2):

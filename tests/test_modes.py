@@ -122,10 +122,10 @@ def _quadrature_reference(p1, p2):
     lo, hi = p1.envelope_interval()
     s = -1.0 if p1.kind == "exterior" else 1.0
 
-    def integrand(u):
+    def integrand(u, *grid):
         f, df = p1.eval_natural(u)
         g, dg = p2.eval_natural(u)
-        return -1j * s * (f * np.conj(dg) - np.conj(g) * df)
+        return -1j * s * (f * np.conj(dg) - np.conj(g) * df), 0.0
 
     if p1.conj == p2.conj:
         beat = max(np.max(p1.omegas) - np.min(p2.omegas), np.max(p2.omegas) - np.min(p1.omegas))

@@ -6,7 +6,6 @@ import pytest
 from diamondfield import _quad
 from diamondfield._quad import (
     gauss_legendre,
-    integrate,
     integrate_adaptive,
     integrate_trapezoid,
     panel_grid,
@@ -40,14 +39,10 @@ class TestNodes:
 
 
 class TestIntegrate:
-    def test_polynomial_exact(self):
-        val = integrate(lambda u: u**3 - 2 * u, 0.0, 2.0, n_panels=2)
-        assert abs(val - 0.0) < 1e-13
-
     @pytest.mark.parametrize("omega", [1.0, 20.0, 200.0])
     def test_oscillatory(self, omega):
         val, err = integrate_adaptive(
-            lambda u: np.cos(omega * u), 0.0, 1.0, tol=1e-12, est_freq=omega
+            lambda u, *grid: (np.cos(omega * u), 0.0), 0.0, 1.0, tol=1e-12, est_freq=omega
         )
         ref = math.sin(omega) / omega
         assert abs(val - ref) < 1e-11
@@ -55,19 +50,19 @@ class TestIntegrate:
 
     def test_gaussian(self):
         val, _ = integrate_adaptive(
-            lambda u: np.exp(-(u**2)), -8.0, 8.0, tol=1e-13, est_freq=1.0
+            lambda u, *grid: (np.exp(-(u**2)), 0.0), -8.0, 8.0, tol=1e-13, est_freq=1.0
         )
         assert abs(val - math.sqrt(math.pi)) < 1e-12
 
     def test_complex_integrand(self):
         val, _ = integrate_adaptive(
-            lambda u: np.exp(1j * 5.0 * u), 0.0, 2.0, tol=1e-12, est_freq=5.0
+            lambda u, *grid: (np.exp(1j * 5.0 * u), 0.0), 0.0, 2.0, tol=1e-12, est_freq=5.0
         )
         ref = (np.exp(10j) - 1.0) / 5j
         assert abs(val - ref) < 1e-11
 
     def test_deterministic(self):
-        f = lambda u: np.sin(37.0 * u) / (1.0 + u * u)
+        f = lambda u, *grid: (np.sin(37.0 * u) / (1.0 + u * u), 0.0)
         a = integrate_adaptive(f, 0.0, 4.0, tol=1e-11, est_freq=37.0)
         b = integrate_adaptive(f, 0.0, 4.0, tol=1e-11, est_freq=37.0)
         assert a == b
@@ -75,9 +70,9 @@ class TestIntegrate:
     def test_nan_integrand_stops_at_first_estimate(self):
         sizes = []
 
-        def f(u):
+        def f(u, *grid):
             sizes.append(u.size)
-            return np.full(u.shape, np.nan)
+            return np.full(u.shape, np.nan), 0.0
 
         with pytest.raises(ConvergenceError):
             integrate_adaptive(f, 0.0, 1.0, tol=1e-10)
@@ -87,7 +82,7 @@ class TestIntegrate:
     def test_node_budget_checked_before_each_pass(self, bounded, hi, est_freq):
         # a first pass of 7.6e9 or inf nodes; a first pass of 954,944 nodes and a second of twice that
         name, seconds, _ = bounded("from diamondfield._quad import integrate_adaptive",
-                                   f"integrate_adaptive(lambda u: u, 0.0, {hi!r}, 1e-12, {est_freq!r})")
+                                   f"integrate_adaptive(lambda u, *grid: (u, 0.0), 0.0, {hi!r}, 1e-12, {est_freq!r})")
         assert name == "ConvergenceError" and seconds < 1.0
 
     def test_tolerance_below_rounding_floor_stops_at_the_floor(self):
@@ -96,9 +91,9 @@ class TestIntegrate:
         # the rounding floor eps sum|f w|
         sizes = []
 
-        def f(u):
+        def f(u, *grid):
             sizes.append(u.size)
-            return np.sin(37.0 * u) / (1.0 + u * u)
+            return np.sin(37.0 * u) / (1.0 + u * u), 0.0
 
         _, err = integrate_adaptive(f, 0.0, 4.0, tol=1e-30, est_freq=37.0)
         assert len(sizes) <= 4 and err <= 1e-14
@@ -107,22 +102,22 @@ class TestIntegrate:
     def test_est_error_carries_the_rounding_floor(self, est_freq):
         # two passes that round to the same sum read est_error 0 while the
         # sum was 2.2e-16 from arctan 4 (at est_freq 37 and 300)
-        val, err = integrate_adaptive(lambda u: 1.0 / (1.0 + u * u), 0.0, 4.0, tol=1e-30, est_freq=est_freq)
+        val, err = integrate_adaptive(lambda u, *grid: (1.0 / (1.0 + u * u), 0.0), 0.0, 4.0, tol=1e-30, est_freq=est_freq)
         assert abs(val - math.atan(4.0)) <= err
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # a kink the panel doubling cannot resolve to 1e-15
         monkeypatch.setattr(_quad, "_MAX_DOUBLINGS", 3)
         with pytest.raises(ConvergenceError):
-            integrate_adaptive(lambda u: np.abs(u - 1.0 / 3.0) ** 0.1, 0.0, 1.0, tol=1e-15, est_freq=1.0)
+            integrate_adaptive(lambda u, *grid: (np.abs(u - 1.0 / 3.0) ** 0.1, 0.0), 0.0, 1.0, tol=1e-15, est_freq=1.0)
 
 
 class TestArrayIntegrand:
     @staticmethod
     def _counted(f, sizes):
-        def g(u):
+        def g(u, *grid):
             sizes.append(u.size)
-            return f(u)
+            return f(u), 0.0
         return g
 
     def test_components_match_scalar_calls(self):
@@ -151,7 +146,7 @@ class TestArrayIntegrand:
         assert abs(val[0] - (1.0 - math.exp(-1.0))) < 1e-13
 
     def test_empty_interval_keeps_the_component_shape(self):
-        val, err = integrate_adaptive(lambda u: np.stack([u, u * u]), 1.0, 1.0, tol=1e-12)
+        val, err = integrate_adaptive(lambda u, *grid: (np.stack([u, u * u]), 0.0), 1.0, 1.0, tol=1e-12)
         assert val.shape == (2,) and not val.any() and err == 0.0
 
 
@@ -198,20 +193,6 @@ class TestTrapezoid:
         half, err = integrate_trapezoid(lambda v, a, h: (np.exp(-v * v), 0.0), 0.0, 9.0, 1e-14, 0.5)
         assert abs(half - full / 2.0) <= 1e-16 and abs(half - math.sqrt(math.pi) / 2.0) <= err
 
-    def test_node_error_bound_enters_the_stop_rule(self, monkeypatch):
-        # nodes off by up to 1e-9: with that bound per node the halving ends
-        # and est_error covers the sum's error; without it no halving reaches
-        # 1e-12
-        monkeypatch.setattr(_quad, "_MAX_DOUBLINGS", 5)
-
-        def noisy(bound):
-            return lambda v, a, h: (np.exp(-v * v) + 1e-9 * np.cos(1e5 * v), bound)
-
-        val, err = integrate_trapezoid(noisy(1e-9), -9.0, 9.0, 1e-12, 0.5)
-        assert abs(val - math.sqrt(math.pi)) <= err <= 1e-7
-        with pytest.raises(ConvergenceError):
-            integrate_trapezoid(noisy(0.0), -9.0, 9.0, 1e-12, 0.5)
-
     def test_rounding_floor_ends_an_unreachable_tolerance(self):
         val, err = integrate_trapezoid(_sech2, -40.0, 40.0, 1e-30, 0.5)
         assert abs(val - SECH2) <= err <= 1e-14
@@ -244,3 +225,43 @@ class TestTrapezoid:
     def test_non_finite_integrand_raises(self):
         with pytest.raises(ConvergenceError):
             integrate_trapezoid(lambda v, a, h: (np.full(v.shape, np.nan), 0.0), 0.0, 1.0, 1e-10, 0.5)
+
+
+RULES = {
+    "gauss-legendre": lambda f, lo, hi, tol: integrate_adaptive(f, lo, hi, tol),
+    "trapezoid": lambda f, lo, hi, tol: integrate_trapezoid(f, lo, hi, tol, 0.5),
+}
+
+
+class TestContract:
+    """Both rules call f(nodes, *grid), take back (y, s) and share one stop rule."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_node_error_bound_enters_the_stop_rule(self, rule, monkeypatch):
+        # nodes off by up to 1e-9: with that bound per node the refinement
+        # ends and est_error covers S = 18e-9 and the sum's error; without it
+        # no refinement reaches 1e-12
+        monkeypatch.setattr(_quad, "_MAX_DOUBLINGS", 5)
+
+        def noisy(bound):
+            return lambda v, *grid: (np.exp(-v * v) + 1e-9 * np.cos(1e5 * v), bound)
+
+        val, err = RULES[rule](noisy(1e-9), -9.0, 9.0, 1e-12)
+        assert abs(val - math.sqrt(math.pi)) <= err <= 1e-7
+        assert err >= 18e-9 * (1.0 - 1e-12)
+        with pytest.raises(ConvergenceError):
+            RULES[rule](noisy(0.0), -9.0, 9.0, 1e-12)
+
+    def test_panel_grid_is_handed_to_the_integrand(self):
+        # f(u, mid, off): u = mid[p] + off[i], panel by panel, as panel_grid lays them out
+        seen = []
+
+        def f(u, mid, off):
+            seen.append((u.size, mid.size))
+            assert np.array_equal(u, np.add.outer(mid, off).ravel())
+            assert np.array_equal(off, panel_grid(-1.0, 2.0, mid.size)[1])
+            return np.exp(u), 0.0
+
+        val, err = integrate_adaptive(f, -1.0, 2.0, 1e-12)
+        assert abs(val - (math.exp(2.0) - math.exp(-1.0))) <= err
+        assert [n for n, _ in seen] == [16 * p for _, p in seen]
