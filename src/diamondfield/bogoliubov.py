@@ -403,9 +403,12 @@ def completeness_check(omega0, sigma=DEFAULT_SIGMA):
 
 
 def planck_occupation(omega0, sigma=DEFAULT_SIGMA):
-    """Reference value: packet-averaged Planck factor at T = 1/2 pi."""
+    """Reference value: packet-averaged Planck factor at T = 1/2 pi.  Where
+    e^{2 pi omega} passes the double range (omega above about 113) its
+    terms are the underflowed 0, without an overflow warning."""
     om, wt, G = Profile(omega0, sigma).nodes()
-    return float(np.sum(wt * np.abs(G) ** 2 / np.expm1(2.0 * math.pi * om)))
+    with np.errstate(over="ignore"):
+        return float(np.sum(wt * np.abs(G) ** 2 / np.expm1(2.0 * math.pi * om)))
 
 
 def fit_temperature(omega, occupation):
@@ -422,9 +425,12 @@ def fit_temperature(omega, occupation):
 
 def _temperature_fit(x, y):
     """T from Boltzmann exponents y = x / T: least squares through the origin,
-    on a finite grid x with a nonzero point."""
+    on a finite grid x with a nonzero point; DomainError where the slope is
+    0 (every ratio 1, as for a detector window too short to resolve one)."""
     xx = np.sum(x * x)
     if not (math.isfinite(xx) and xx > 0.0):
         raise DomainError("the grid must be finite and hold a nonzero point")
     slope = float(np.sum(x * y) / xx)
+    if slope == 0.0:
+        raise DomainError("the Boltzmann exponents are 0: no finite temperature fits them")
     return 1.0 / slope

@@ -306,17 +306,6 @@ def _batched(f, arrays):
     return [c.reshape(a.shape) for a, c in zip(arrays, np.split(out, cuts))]
 
 
-def _lattice_nodes(p, h, offset):
-    """(W, weight, G): the nodes u = (k + offset) h >= 0 whose W = u^2 lies
-    within omega0 +- _SPAN sigma, their trapezoid weights in u (h/2 at u = 0)
-    and the profile there."""
-    lo = math.sqrt(max(p.omega0 - _SPAN * p.sigma, 0.0))
-    hi = math.sqrt(p.omega0 + _SPAN * p.sigma)
-    k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
-    u = (k + offset) * h
-    return u * u, np.where(u == 0.0, 0.5 * h, h), p.amplitude(u * u)
-
-
 def _lattice(x, Ky, aKy, res):
     """(m_minus, size of its terms) from the trapezoid weights x = a dW on the
     exterior nodes, the products Ky = K y and aKy = |K| |y| of the kernel
@@ -335,76 +324,64 @@ def _lattice(x, Ky, aKy, res):
     return complex(x @ F), size
 
 
-def _root_route(p0, p1, V):
-    """[(m_minus, size), (m_minus at 2h, size), (m_plus, size), (m_plus at
-    2h, size), W_min] for packets whose range reaches omega = 0, where a and
-    b carry a W^{-1/2} endpoint: both moments by _lattice on the lattices in
-    u = sqrt(W) of _lattice_nodes, exterior nodes at offset 1/2, at the step
-    h that keeps the W spacing 2uh below sigma/2 on both packets.  In u the
-    integrands a dW = 2u a du and b dW' = 2u' b du' are even and smooth, so
-    the trapezoid sum over u >= 0 is half the one over the whole line, and
-    the pole at u' = u falls halfway between two nodes.  W_min is the lowest
-    exterior node at h.  Both kernels are full N0 x N1 matrices, so
-    DomainError if N0 N1 at h exceeds _MAX_NODES."""
-    h = min(p.sigma / (4.0 * math.sqrt(p.omega0 + _SPAN * p.sigma) * (1.0 + V * p.sigma / (2.0 * math.pi)))
-            for p in (p0, p1))
-    grids = [(_lattice_nodes(p0, s, 0.5), _lattice_nodes(p1, s, 0.0)) for s in (h, 2.0 * h)]
-    entries = grids[0][0][0].size * grids[0][1][0].size
-    if not entries <= _MAX_NODES:
+def _adjacent_lattice(p0, p1):
+    """[(m_minus, size), (m_minus at 2s, size), (m_plus, size), (m_plus at
+    2s, size), W_min] by _lattice on trapezoid lattices in t, W = t^p, with
+    exterior nodes t = (j + 1/2) s halfway between diamond nodes t' = k s,
+    within omega0 +- _SPAN sigma; W_min is the lowest exterior node at s.
+    Where both ranges stay above omega = 0, p = 1 and s = 3 sigma / 8c.
+    Where one reaches it, a and b carry a W^{-1/2} endpoint and p = 2: a dW
+    and b dW' are even and smooth in t, so the sum over t >= 0 (half weight
+    at t' = 0) is half the one over the line, and s = sigma / (4c
+    sqrt(omega0 + _SPAN sigma)) keeps the W spacing 2ts below sigma/2.
+    c = 1 + V sigma / 2pi, V the sum of the |v0|, keeps the phases
+    e^{-i W v0} resolved.  For p = 1 Gamma(i(W' - W)) depends on k - j only
+    (Toeplitz) and Gamma(i(W + W')) on j + k only (Hankel): N0 + N1 - 1
+    Gamma values each.  For p = 2 both are full N0 x N1 matrices, so
+    DomainError if N0 N1 at s exceeds _MAX_NODES."""
+    p = 1 if min(q.omega0 - _SPAN * q.sigma for q in (p0, p1)) > 0.0 else 2
+    V = abs(p0.v0) + abs(p1.v0)
+    c = [1.0 + V * q.sigma / (2.0 * math.pi) for q in (p0, p1)]
+    s = min(3.0 * q.sigma / (8.0 * cq) if p == 1 else q.sigma / (4.0 * math.sqrt(q.omega0 + _SPAN * q.sigma) * cq)
+            for q, cq in zip((p0, p1), c))
+
+    def lattice(q, h, offset):  # (k, t, W) of the nodes t = (k + offset) h
+        ends = (max(q.omega0 - _SPAN * q.sigma, 0.0), q.omega0 + _SPAN * q.sigma)
+        lo, hi = ends if p == 1 else map(math.sqrt, ends)
+        k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
+        t = (k + offset) * h
+        return k, t, t if p == 1 else t * t
+
+    grids = [(h, lattice(p0, h, 0.5), lattice(p1, h, 0.0)) for h in (s, 2.0 * s)]
+    entries = grids[0][1][0].size * grids[0][2][0].size
+    if p == 2 and not entries <= _MAX_NODES:
         raise DomainError(f"the adjacent kernels would hold {entries} entries, over the budget of {_MAX_NODES}")
-    le = _batched(_log_e, [g[0] for pair in grids for g in pair])
-    K = _batched(_gamma_i, [k for (W, _, _), (Wp, _, _) in grids for k in (Wp - W[:, None], Wp + W[:, None])])
+    le = _batched(_log_e, [g[2] for _, *pair in grids for g in pair])
+    if p == 1:  # Toeplitz arguments (k - j - 1/2) h from k - j = k0 - j_last up, Hankel ones from j0 + k0
+        args = [(a + np.arange(j.size + k.size - 1)) * h for h, (j, _, _), (k, _, _) in grids
+                for a in (k[0] - j[-1] - 0.5, j[0] + k[0] + 0.5)]
+    else:
+        args = [z for _, (_, _, W), (_, _, Wp) in grids for z in (Wp - W[:, None], Wp + W[:, None])]
+    K = _batched(_gamma_i, args)
     minus, plus = [], []
-    for ((W, wu, G0), (Wp, wp, G1)), l0, l1, kT, kH in zip(grids, le[0::2], le[1::2], K[0::2], K[1::2]):
-        x = wu * np.conj(G0) * W * np.exp(l0 - np.log(_sinh_pi(W)))
-        y = wp * 2.0 * np.conj(G1) * np.exp(-l1)
+    for (h, (_, t, W), (_, tp, Wp)), l0, l1, kT, kH in zip(grids, le[0::2], le[1::2], K[0::2], K[1::2]):
+        # t^{p/2 - 1} on both lattices, half weight at t' = 0
+        f0, f1 = (1.0 / np.sqrt(t), 1.0 / np.sqrt(tp)) if p == 1 else (1.0, np.where(tp == 0.0, 0.5, 1.0))
+        x = p * h * W * f0 * np.conj(p0.amplitude(W)) * np.exp(l0 - np.log(2.0 * _sinh_pi(W)))
+        y = p * h * f1 * np.conj(p1.amplitude(Wp)) * np.exp(-l1)
         res = np.conj(p1.amplitude(W)) * np.exp(-l0) / (2.0 * np.sqrt(W))
         ay = np.abs(y)
-        minus.append(_lattice(x, kT @ y, np.abs(kT) @ ay, res))
-        plus.append(_lattice(-np.conj(x), kH @ y, np.abs(kH) @ ay, 0.0))
-    return minus + plus + [grids[0][0][0][0]]
-
-
-def _w_indices(p, s, offset):
-    """The k of the nodes W = (k + offset) s within omega0 +- _SPAN sigma."""
-    return np.arange(math.ceil((p.omega0 - _SPAN * p.sigma) / s - offset),
-                     math.floor((p.omega0 + _SPAN * p.sigma) / s - offset) + 1)
-
-
-def _w_route(p0, p1, V):
-    """[(m_minus, size), (m_minus at 2d, size), (m_plus, size), (m_plus at
-    2d, size), W_min] for packets whose ranges stay above omega = 0, where a
-    and b are smooth: both moments on one pair of trapezoid lattices in W itself,
-    exterior nodes W = (j + 1/2) d and diamond nodes W' = k d, with
-    d = 3 sigma / (8 (1 + V sigma / 2pi)) and V the sum of the |v0|.  Each
-    exterior node lies halfway between two diamond nodes.  On these nodes
-    Gamma(i(W' - W)) depends on k - j only (Toeplitz) and Gamma(i(W + W'))
-    on j + k only (Hankel), so each kernel takes N0 + N1 - 1 Gamma values.
-    W_min is the lowest exterior node at d."""
-    d = min(3.0 * p.sigma / (8.0 * (1.0 + V * p.sigma / (2.0 * math.pi))) for p in (p0, p1))
-    steps = (d, 2.0 * d)
-    jk = [(_w_indices(p0, s, 0.5), _w_indices(p1, s, 0.0)) for s in steps]
-    W = [(j + 0.5) * s for (j, _), s in zip(jk, steps)]
-    Wp = [k * s for (_, k), s in zip(jk, steps)]
-    le = _batched(_log_e, W + Wp)
-    # Toeplitz arguments (k - j - 1/2) s from k - j = k0 - j_last up, Hankel
-    # ones (j + k + 1/2) s from j + k = j0 + k0 up
-    g = _batched(_gamma_i, [(c + np.arange(j.size + k.size - 1)) * s
-                            for (j, k), s in zip(jk, steps)
-                            for c in (k[0] - j[-1] - 0.5, j[0] + k[0] + 0.5)])
-    minus, plus = [], []
-    for i, ((j, k), s) in enumerate(zip(jk, steps)):
-        la = _log_a(W[i], le[i])
-        x = s * np.conj(p0.amplitude(W[i])) * np.exp(la - np.log(2.0 * _sinh_pi(W[i])))
-        y = s * np.conj(p1.amplitude(Wp[i])) * np.exp(-_log_a(Wp[i], le[i + 2]))
-        res = np.conj(p1.amplitude(W[i])) * np.exp(-la) / 2.0
-        # row r of the Toeplitz kernel is gT[j.size - 1 - r:][:k.size] and of
-        # the Hankel one gH[r:][:k.size], so the products with y are
-        # correlations (np.correlate conjugates its second argument)
-        gT, gH, ay = g[2 * i], g[2 * i + 1], np.abs(y)
-        minus.append(_lattice(x, np.correlate(gT, np.conj(y))[::-1], np.correlate(np.abs(gT), ay)[::-1], res))
-        plus.append(_lattice(-np.conj(x), np.correlate(gH, np.conj(y)), np.correlate(np.abs(gH), ay), 0.0))
-    return minus + plus + [W[0][0]]
+        if p == 1:
+            # row r of the Toeplitz kernel is kT[j.size - 1 - r:][:k.size] and of
+            # the Hankel one kH[r:][:k.size], so the products with y are
+            # correlations (np.correlate conjugates its second argument)
+            Tp = np.correlate(kT, np.conj(y))[::-1], np.correlate(np.abs(kT), ay)[::-1]
+            Hp = np.correlate(kH, np.conj(y)), np.correlate(np.abs(kH), ay)
+        else:
+            Tp, Hp = (kT @ y, np.abs(kT) @ ay), (kH @ y, np.abs(kH) @ ay)
+        minus.append(_lattice(x, *Tp, res))
+        plus.append(_lattice(-np.conj(x), *Hp, 0.0))
+    return minus + plus + [grids[0][1][2][0]]
 
 
 def adjacent_moments_analytic(spec0, spec1):
@@ -412,25 +389,22 @@ def adjacent_moments_analytic(spec0, spec1):
 
     Both moments are double integrals over the two profiles' omega0 +- _SPAN
     sigma, where G falls below e^{-36} of its peak, with Gamma(iz) kernels;
-    m_minus has a pole at W' = W.  Both are summed by _lattice: where both
-    ranges stay above omega = 0 on the lattices in W of _w_route, whose
-    kernels are Toeplitz and Hankel, else on the lattices in sqrt(W) of
-    _root_route, which keep the W^{-1/2} endpoint smooth.  The step (d or h)
-    shrinks as the centres v0 move off 0 and the phases e^{-i W v0} turn
-    faster.  est_error adds three terms: the gap to the sum at step 2d or
-    2h, the floor that the Gamma error _lg_rel sets, and the infrared term
-    c ln(W_top / W_min), c = |G0(0) G1(0)| / 4pi.  Where G0(0) G1(0) != 0
-    the residue term of m_minus grows like c / W toward W = 0, so each
-    moment depends on the lowest exterior node W_min like c ln(1 / W_min);
-    W_top is the larger upper end omega0 + _SPAN sigma.  The sums take log e
-    on all their nodes from one log_gamma_1pix call, and Gamma(iz) on all
-    their kernel arguments from one more.
+    m_minus has a pole at W' = W.  Both are summed on the one trapezoid
+    route _adjacent_lattice, uniform in t with W = t^p: p = 1 where both
+    ranges stay above omega = 0 (Toeplitz and Hankel kernels), else p = 2,
+    which keeps the W^{-1/2} endpoint smooth; its step s shrinks as the
+    centres v0 move off 0.  est_error adds three terms: the gap to the sum
+    at step 2s, the floor that the Gamma error _lg_rel sets, and the
+    infrared term c ln(W_top / W_min), c = |G0(0) G1(0)| / 4pi.  Where
+    G0(0) G1(0) != 0 the residue term of m_minus grows like c / W toward
+    W = 0, so each moment depends on the lowest exterior node W_min like
+    c ln(1 / W_min); W_top is the larger upper end omega0 + _SPAN sigma.
+    The sums take log e on all their nodes from one log_gamma_1pix call,
+    and Gamma(iz) on all their kernel arguments from one more.
     """
     p0 = Profile(*spec0).checked()
     p1 = Profile(*spec1).checked()
-    V = abs(p0.v0) + abs(p1.v0)
-    route = _w_route if min(p.omega0 - _SPAN * p.sigma for p in (p0, p1)) > 0.0 else _root_route
-    (mm, size_m), (mm2, _), (mp, size_p), (mp2, _), w_min = route(p0, p1, V)
+    (mm, size_m), (mm2, _), (mp, size_p), (mp2, _), w_min = _adjacent_lattice(p0, p1)
     # each term carries three Gamma factors, whose arguments W, W', W + W'
     # and |W' - W| stay below the sum of the packets' upper ends
     tops = [p.omega0 + _SPAN * p.sigma for p in (p0, p1)]

@@ -14,8 +14,11 @@ window: the vacuum part of W is subtracted and transformed in closed form, the
 remainder is smooth on the real line and integrated directly, which keeps the
 i*epsilon prescription out of the numerics.
 
-Every window width T > 0 is in the domain of response_rate: the kernel
-cannot overflow, and it takes its series where the direct form would cancel.
+The domain of response_rate is finite energies and window widths
+_WINDOW[0] <= T <= _WINDOW[1], 1e-150 to 1e150, where T^2 and 1/T^2 are
+normal doubles; outside it DomainError is raised before any arithmetic.
+There the kernel cannot overflow, and it takes its series where the direct
+form would cancel.
 The rates of a whole energy grid come from one quadrature over 0 <= d <= 7T
 per block of _E_ROWS energies, since only cos(E d) in the integrand depends
 on E.  The integrand is even in d and analytic in the strip |Im d| < 2 pi,
@@ -42,6 +45,7 @@ from .geometry import worldline_clock
 
 _RATE_TOL = 1e-12  # absolute halving tolerance of the response_rate integral
 _E_ROWS = 4  # energies per response_rates integral: bounds its (energies x nodes) integrand
+_WINDOW = (1e-150, 1e150)  # the window widths T of response_rates: T^2 and 1/T^2 stay normal
 
 
 def wightman_minkowski(dt, dr, eps=0.0):
@@ -137,9 +141,11 @@ def response_rates(E, window_time=80.0, eps=1e-8):
     smaller bound is taken.
     """
     T = float(window_time)
-    if not T > 0.0:
-        raise DomainError("window_time must be positive")
     energies = np.atleast_1d(np.asarray(E, dtype=float))
+    if not _WINDOW[0] <= T <= _WINDOW[1]:
+        raise DomainError(f"window_time must lie in [{_WINDOW[0]:g}, {_WINDOW[1]:g}], not {T!r}")
+    if not np.all(np.isfinite(energies)):
+        raise DomainError("the energies must be finite")
 
     def g(d):
         # the window times the vacuum-subtracted thermal correlation, smooth and even in d

@@ -44,12 +44,14 @@ class CovarianceMatrix:
 
 def _same_diamond_occupation(s1, s2):
     """<b1+ b2> for two packets in the same diamond: the thermal kernel is
-    diagonal in frequency, so this is the Planck-weighted profile overlap."""
+    diagonal in frequency, so this is the Planck-weighted profile overlap,
+    its terms 0 where e^{2 pi omega} overflows (planck_occupation)."""
     lo = max(min(s1.omega0 - 8 * s1.sigma, s2.omega0 - 8 * s2.sigma), 1e-12)
     hi = max(s1.omega0 + 8 * s1.sigma, s2.omega0 + 8 * s2.sigma)
     om, wt = panel_nodes(lo, hi, 64)
     prof = np.conj(s1.profile.amplitude(om)) * s2.profile.amplitude(om)
-    return complex(np.sum(wt * prof / np.expm1(2.0 * math.pi * om)))
+    with np.errstate(over="ignore"):
+        return complex(np.sum(wt * prof / np.expm1(2.0 * math.pi * om)))
 
 
 def _mode_moments(specs, adjacent):

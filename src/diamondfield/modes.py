@@ -33,6 +33,7 @@ integrate their one-frequency integrand on Gauss-Legendre panels instead
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -128,9 +129,12 @@ def _node_count(*profiles):
 @dataclass(frozen=True)
 class Packet:
     """The Gaussian wavepacket Profile(omega0, sigma, v0) of mode family kind
-    ('diamond', 'exterior' or 'plane') in diamond n, conjugated when conj: the
-    sum_j weights[j] * (mode at omegas[j]) on Profile.nodes().  The nodes are
-    built on first use and are not fields: packets compare by their parameters."""
+    ('diamond', 'exterior' or 'plane') in the diamond of integer index n,
+    conjugated when conj: the sum_j weights[j] * (mode at omegas[j]) on
+    Profile.nodes(root=True), the rule for integrands linear in G, which
+    cuts G at omega0 +- _SPAN sigma where it is below the double resolution
+    of its peak.  The nodes are built on first use and are not fields:
+    packets compare by their parameters."""
 
     n: int
     omega0: float
@@ -142,6 +146,8 @@ class Packet:
     def __post_init__(self):
         if self.kind not in ("diamond", "exterior", "plane"):
             raise DomainError("kind must be 'diamond', 'exterior' or 'plane'")
+        if not isinstance(self.n, numbers.Integral):
+            raise DomainError(f"the diamond index n must be an integer, not {self.n!r}")
         self.profile.checked()
 
     @property
@@ -150,8 +156,9 @@ class Packet:
 
     @cached_property
     def _terms(self):
-        # 96 + 12.8 sigma |v0| nodes; e^{-i w u} on the envelope needs 70.4 + 12.8 sigma |v0|
-        om, wt, G = self.profile.nodes()
+        # 96 + 12.8 sigma |v0| nodes, as cross_moments takes on this rule: against 4x as many
+        # (at most 2,048) eval_natural on the envelope moves by at most 6.3e-14 (sigma 0.3, v0 300)
+        om, wt, G = self.profile.nodes(root=True)
         return om, wt * G
 
     omegas = property(lambda self: self._terms[0])

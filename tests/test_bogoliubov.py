@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ class TestSpectrum:
         occ = 1.0 / np.expm1(2.0 * math.pi * om)
         T = fit_temperature(om, occ)
         assert abs(T - 1.0 / (2.0 * math.pi)) < 1e-12
+
+    def test_planck_factor_underflows_without_warning(self):
+        # e^{2 pi omega} overflows on the top nodes from omega0 about 113 up,
+        # where np.expm1 warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < planck_occupation(113.0) < 1e-300
+            assert planck_occupation(120.0) == 0.0
 
     def test_fit_temperature_rejects_nonpositive(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
 import time
 
@@ -167,6 +168,28 @@ class TestDetector:
         assert code == "1" and seconds < 1.0
         assert json.loads(err)["error"] == "ConvergenceError"
         assert "exceeds the budget" in err
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("argv, code", [
+        (["detector", "--window", "1e-160"], 2),
+        (["detector", "--window", "1e-300"], 2),
+        (["detector", "--window", "1e-20"], 2),
+        (["fig2", "--grid", "1e6"], 0),
+    ])
+    def test_exit_code_without_warnings(self, argv, code, bounded):
+        # the first windows exited 1 with a ZeroDivisionError in the rate or
+        # in the fit of balance ratios that all round to 1; fig2 at omega1 =
+        # 1e6 printed an overflow warning of the Planck factor
+        setup = ("from diamondfield.cli import main\n"
+                 "def code(argv):\n"
+                 "    try:\n"
+                 "        return main(argv)\n"
+                 "    except SystemExit as exc:\n"
+                 "        return exc.code")
+        got, seconds, err = bounded(setup, f"code({[*argv, '--out', os.devnull]!r})")
+        assert got == repr(code) and seconds < 1.0
+        assert "Warning" not in err
 
 
 class TestNonFiniteInputs:

@@ -21,7 +21,7 @@ from diamondfield.detector import (
     thermal_wightman,
     wightman_minkowski,
 )
-from diamondfield.errors import DomainError
+from diamondfield.errors import ConvergenceError, DomainError
 
 
 class TestWightman:
@@ -74,6 +74,28 @@ class TestResponse:
     def test_window_must_be_positive(self):
         with pytest.raises(DomainError):
             response_rate(1.0, window_time=0.0)
+
+    @pytest.mark.parametrize("expr", [
+        "response_rates(1.0, 1e-162)", "response_rates(1.0, 1e-170)", "response_rates(1.0, 1e-300)",
+        "response_rates(1.0, 1e300)", "response_rates(1.0, math.inf)",
+        "response_rate(math.nan)", "response_rate(math.inf)", "response_rates([1.0, -math.inf])",
+    ])
+    def test_outside_the_domain_fails_fast(self, expr, bounded):
+        # T^2 underflowed to 0 at the window 1e-162 (ZeroDivisionError); at
+        # 1e-170 and 1e-300 a warning ended in a NaN ConvergenceError, and at
+        # 1e300 and inf T^2 overflowed with a warning.  A NaN energy ended in
+        # ConvergenceError after the quadrature, an infinite one in
+        # ZeroDivisionError
+        name, seconds, err = bounded("import math\nfrom diamondfield.detector import response_rate, response_rates",
+                                     expr)
+        assert name == "DomainError" and seconds < 1.0
+        assert "Warning" not in err
+
+    def test_domain_edges_are_in_the_domain(self):
+        lo, _ = response_rates(1.0, detector._WINDOW[0])
+        assert math.isfinite(lo.value) and lo.value > lo.est_error
+        with pytest.raises(ConvergenceError, match="exceeds the budget"):
+            response_rates(1.0, detector._WINDOW[1])
 
     def test_fit_temperature(self):
         Es = [0.5, 1.0, 2.0]
@@ -199,6 +221,12 @@ class TestResponse:
         # infinite rate passed rates > 0 and gave T = -0.0
         with pytest.raises(DomainError):
             fit_temperature(energies, rates)
+
+
+    def test_fit_temperature_rejects_unit_balance_ratios(self):
+        # every ratio 1 gives the slope 0, where 1 / slope raised ZeroDivisionError
+        with pytest.raises(DomainError):
+            fit_temperature([0.5, 1.0], [[2.0, 2.0], [3.0, 3.0]])
 
 
 class TestVacuumWindowRate:

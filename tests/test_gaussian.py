@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -181,6 +182,16 @@ class TestSameDiamondOccupation:
     @pytest.mark.parametrize("s", [WavepacketSpec(0, 1.0), WavepacketSpec(0, 1.3, 0.05)])
     def test_diagonal_is_planck_occupation(self, s):
         assert abs(_same_diamond_occupation(s, s) - planck_occupation(s.omega0, s.sigma)) <= 1e-15
+
+    def test_high_packets_underflow_without_warning(self):
+        # e^{2 pi omega} overflows from omega about 113 up, where np.expm1 warned
+        specs = [WavepacketSpec(0, 120.0), WavepacketSpec(0, 120.1), WavepacketSpec(1, 120.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _same_diamond_occupation(*specs[:2]) == 0.0
+            cov = build_covariance(specs)
+        # the diamond-0 block is the vacuum; the adjacent moments are e^{-pi omega} small
+        assert np.array_equal(cov.matrix[:4, :4], np.eye(4)) and np.max(np.abs(cov.matrix - np.eye(6))) < 1e-150
 
 
 class TestJointVariance:

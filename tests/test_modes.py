@@ -85,9 +85,17 @@ class TestPacket:
         assert len({p, q, p.conjugate()}) == 2
 
     def test_nodes_are_the_profile_grid(self):
+        # a packet is linear in G, so it takes the rule cut at omega0 +- _SPAN sigma
         p = Packet(0, 1.0, 0.05, v0=3.0, kind="exterior")
-        om, wt, G = p.profile.nodes()
+        om, wt, G = p.profile.nodes(root=True)
         assert np.array_equal(p.omegas, om) and np.array_equal(p.weights, wt * G)
+
+    @pytest.mark.parametrize("n", [0.5, math.nan, 1.0])
+    def test_non_integer_diamond_index_rejected(self, n):
+        # Packet(0.5, 1.0) made kg_product with a plane packet return
+        # -0.0221 + 0.0481i for a diamond that does not exist
+        with pytest.raises(DomainError):
+            Packet(n, 1.0)
 
 
 class TestProductCost:
@@ -285,6 +293,21 @@ class TestPlaneDiamond:
                             (d.conjugate(), p, -np.conj(ref_b))):
             res = kg_product(m1, m2)
             assert abs(res.value - ref) <= res.est_error <= 1e-12
+
+    @pytest.mark.parametrize("dspec, qspec", [((1.0, 0.02), (1.0, 0.02)), ((1.0, 0.1), (1.2, 0.1))])
+    def test_est_error_bounds_gap_to_16_sigma_reference(self, dspec, qspec, monkeypatch):
+        # the same rapidity integral with both profiles on 256 nodes in
+        # sqrt(omega) over omega0 +- 16 sigma: packets on the +-8 sigma rule
+        # for integrands quadratic in G were 1.6e-9 and 7.2e-9 off it, with
+        # est_error 1.4e-15 and 1.2e-14
+        d, q = Packet(0, *dspec), Packet(0, *qspec, kind="plane")
+        monkeypatch.setattr(modes, "_SPAN", 16.0)
+        (om_d, wt_d, G_d), (om_q, wt_q, G_q) = (Profile(*s).nodes(256, root=True) for s in (dspec, qspec))
+        monkeypatch.undo()
+        I, _, err = modes._rapidity_integral(lambda v: _plane_kernel(0, v), om_d, wt_d * G_d / np.sqrt(om_d),
+                                             om_q, np.conj(wt_q * G_q) * np.sqrt(om_q), -_V_CUT, _V_CUT, 1.0)
+        res = kg_product(d, q)
+        assert abs(res.value - I / (2.0 * math.pi)) <= res.est_error + err / (2.0 * math.pi)
 
     def test_no_chart_evaluation(self, monkeypatch):
         # both packets are summed inside the rapidity integrand
