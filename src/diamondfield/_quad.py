@@ -4,17 +4,17 @@ trapezoid sums that halve their step and reuse every node
 (integrate_trapezoid), for integrands analytic in a strip about the real
 line that decay at both ends.
 
-One integrand contract serves both: f(nodes, *grid) gets one pass's nodes
-and the numbers that lay them out, so it can factor over them, and returns
-(y, s): y the integrand, nodes on its last axis, and s >= 0, broadcastable
-to y, a bound on the error of y at each node.  One loop (_refine) refines
-until two passes agree.  Deterministic: node layout and summation order
-depend only on the inputs.
+One integrand contract serves both: f(nodes, *grid) gets the nodes of one
+call and the numbers that lay them out, so it can factor over them, and
+returns (y, s): y the integrand, nodes on its last axis, and s >= 0,
+broadcastable to y, a bound on the error of y at each node.  One loop
+(_refine) refines until two passes agree, so at least two passes are
+always summed: a Gauss-Legendre pass is one call, and the first call of
+the trapezoid rule covers its first two levels.  Deterministic: node
+layout and summation order depend only on the inputs.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -117,46 +117,60 @@ def _check_grid(nodes):
                                f"{_MAX_NODES} nodes")
 
 
-def _node_sums(ys, ends=False):
-    """[sum y, sum |y|, sum s] over the nodes, the last axis of y, for
-    (y, s) = ys with s broadcast to y; the two end nodes at half weight when
-    ends (the first trapezoid grid)."""
+def _node_sums(ys, nodes=np.s_[:], ends=False):
+    """[sum y, sum |y|, sum s] over the nodes (an index of the last axis) of
+    y, for (y, s) = ys with s broadcast to y; the two end nodes at half
+    weight when ends (the coarsest grid)."""
     y = np.asarray(ys[0])
+    y, s = y[..., nodes], np.broadcast_to(ys[1], y.shape)[..., nodes]
     out = []
-    for x in (y, np.abs(y), np.broadcast_to(ys[1], y.shape)):
+    for x in (y, np.abs(y), s):
         total = x.sum(axis=-1)
         out.append(total - 0.5 * (x[..., 0] + x[..., -1]) if ends else total)
     return out
+
+
+def _level(sums, h):
+    """(value, floor, S) for _refine of the trapezoid level of step h with
+    these unweighted node sums."""
+    return h * sums[0], abs(h) * _EPS * sums[1], abs(h) * sums[2]
 
 
 def integrate_trapezoid(f, lo: float, hi: float, tol: float, step: float):
     """(value, est_error) of Int_lo^hi f by trapezoid sums on nested uniform
     grids, the step halved per refinement (_refine).
 
-    The first grid has N = ceil(|hi - lo| / step) equal intervals of width
-    h; each halving evaluates only the new midpoints, T_{h/2} = T_h / 2 +
-    (h/2) sum f(midpoints), so every node is evaluated once.  For an
-    integrand analytic in a strip about [lo, hi] that has decayed at both
-    ends, or is even about an end, the error falls geometrically in 1/h
-    (Trefethen & Weideman, SIAM Rev. 56, 385, 2014), and T_h - T_{2h}
-    bounds the error of T_h once it falls.  f(v, start, h) gets the nodes
-    v = start + h * arange(v.size) of one grid or one set of midpoints;
-    y, |y| and s are summed unweighted and scaled by h.  ConvergenceError,
-    naming the grid size, also before a grid of more than _MAX_NODES nodes
-    is built.  hi < lo gives the oriented integral, hi = lo 0.
+    With N = ceil(|hi - lo| / step) and h = (hi - lo) / N, one call of f on
+    the 2N + 1 nodes of step h/2 gives the first two levels: T_h sums the
+    even nodes, the end nodes at half weight, and T_{h/2} = T_h / 2 +
+    (h/2) sum f(odd nodes) adds the rest.  _refine compares at least two
+    levels, so both are always needed.  Each later halving evaluates only
+    the new midpoints, so every node is evaluated once.  For an integrand
+    analytic in a strip about [lo, hi] that has decayed at both ends, or is
+    even about an end, the error falls geometrically in 1/h (Trefethen &
+    Weideman, SIAM Rev. 56, 385, 2014), and T_h - T_{2h} bounds the error
+    of T_h once it falls.  f(v, start, h) gets the nodes
+    v = start + h * arange(v.size) of the first call (the first grid and
+    its midpoints) or of one later set of midpoints; y, |y| and s are
+    summed unweighted and scaled by the step.
+    ConvergenceError, naming the grid size, before a grid of more than
+    _MAX_NODES nodes is built.  hi < lo gives the oriented integral, hi = lo 0.
     """
-    n = abs(hi - lo) / step
-    _check_grid(n + 1.0)
+    n = np.ceil(abs(hi - lo) / step)
+    _check_grid(2.0 * n + 1.0)
 
     def passes(N):
-        h = (hi - lo) / N
-        sums = _node_sums(f(lo + h * np.arange(N + 1), lo, h), ends=True)
+        h = 0.5 * (hi - lo) / N
+        ys = f(lo + h * np.arange(2 * N + 1), lo, h)
+        sums = _node_sums(ys, np.s_[::2], ends=True)
+        yield _level(sums, 2.0 * h)
+        mid = _node_sums(ys, np.s_[1::2])
         while True:
-            yield h * sums[0], abs(h) * _EPS * sums[1], abs(h) * sums[2]
+            sums = [a + b for a, b in zip(sums, mid)]
+            yield _level(sums, h)
+            N *= 2
             _check_grid(2.0 * N + 1.0)
             h *= 0.5
             mid = _node_sums(f(lo + h + 2.0 * h * np.arange(N), lo + h, 2.0 * h))
-            sums = [a + b for a, b in zip(sums, mid)]
-            N *= 2
 
-    return _refine(passes(max(1, math.ceil(n))), tol)
+    return _refine(passes(max(1, int(n))), tol)

@@ -24,11 +24,12 @@ per block of _E_ROWS energies, since only cos(E d) in the integrand depends
 on E.  The integrand is even in d and analytic in the strip |Im d| < 2 pi,
 so the trapezoid sum over d >= 0 with half weight at d = 0, half the sum
 over the whole line, converges geometrically (_quad.integrate_trapezoid).
-Its first grid has step min(1, pi / (2 (max|E| + 1))), so 4.46 T (max|E| + 1)
-intervals once max|E| > pi/2 - 1, and one halving usually ends it: the
-default grid takes 1,071 + 1,070 nodes.  The node budget (_quad._MAX_NODES)
-admits a first grid up to T (max|E| + 1) of about 235,000 and its halving up
-to about 117,000; ConvergenceError is raised before a larger grid is built.
+Its first step is min(1, pi / (2 (max|E| + 1))), so 4.46 T (max|E| + 1)
+intervals once max|E| > pi/2 - 1.  One integrand call on those intervals
+and their midpoints gives the first two levels, and their comparison
+usually ends it: the default grid is one call of 2,141 nodes.  The node
+budget (_quad._MAX_NODES) admits that call up to T (max|E| + 1) of about
+117,000; ConvergenceError is raised before a larger grid is built.
 """
 
 from __future__ import annotations

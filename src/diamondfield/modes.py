@@ -259,9 +259,11 @@ def _rapidity_integral(kernel, om_p, c_p, om_x, c_x, lo, hi, rate):
     (correlations._overlap).
     The integrand is analytic in a strip about the real line and has decayed
     at both ends, so it takes nested trapezoid sums (integrate_trapezoid)
-    from the step min(1/2, pi / 4f).  P factors over the uniform grid
-    (_grid_sum).  L is not linear in v, so X is a short Taylor series in L
-    about the points of one lattice in L (_taylor_sum).  est_error adds to
+    from the step min(1/2, pi / 4f): the first integrand call covers that
+    grid and its midpoints, the first two levels, and for the packets of
+    the CLI at n >= 2 their comparison ends it.  P factors over the uniform
+    grid of each call (_grid_sum).  L is not linear in v, so X is a short
+    Taylor series in L about the points of one lattice in L (_taylor_sum).  est_error adds to
     the halving difference (to _RAPIDITY_TOL) the Taylor remainder
     integrated against |base P| and the rounding floor of the phases w v and
     w L, taken on the scale sum|c| of each sum's terms: a packet read far
@@ -339,8 +341,10 @@ def kg_product(p1, p2):
 
         <f, g> = S sum_jk a_j conj(b_k) (s_j + t_k) (hi - lo) e^{-i d c} sinc(d (hi - lo) / 2 pi),
 
-    c the midpoint and S the sign of dV/du; est_error is its rounding
-    eps sum|terms| (1 + max|d| max(|lo|, |hi|)) for the phases d u.
+    c the midpoint and S the sign of dV/du.  e^{-i d c} = e^{-i s_j c} e^{+i t_k c}
+    splits into a phase per row and per column, so no phase is formed per
+    term.  est_error is the rounding eps sum|terms| (1 + (max|s| + max|t|)
+    max(|lo|, |hi|)) of the phases s_j c and t_k c and the sinc arguments d u.
     """
     if not (isinstance(p1, Packet) and isinstance(p2, Packet)):
         raise TypeError(f"kg_product takes two Packets, not {p1!r} and {p2!r}")
@@ -366,14 +370,15 @@ def kg_product(p1, p2):
     s = -1.0 if p1.kind == "exterior" else 1.0  # sign of dV/du on the chart
     (a, sa), (b, tb) = _phase_terms(p1), _phase_terms(p2)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    val, size, beat = 0.0j, 0.0, 0.0
+    a, b = a * _phase(sa * mid), b * _phase(tb * mid)  # e^{-i d mid}, split by row and column
+    val, size = 0.0j, 0.0
     for i in range(0, a.size, _ROWS):  # bounds the term matrix's memory
         rows = slice(i, i + _ROWS)
         delta = np.subtract.outer(sa[rows], tb)
         # (s_j + t_k) Int_lo^hi e^{-i delta u} du without its phase e^{-i delta mid}
         R = np.add.outer(sa[rows], tb) * (2.0 * half * np.sinc(delta * (half / math.pi)))
-        val += a[rows] @ ((_phase(delta * mid) * R) @ np.conj(b))
+        val += a[rows] @ (R @ np.conj(b))
         size += float(np.abs(a[rows]) @ np.abs(R) @ np.abs(b))
-        beat = max(beat, float(np.max(np.abs(delta))))
-    err = np.finfo(float).eps * size * (1.0 + beat * max(abs(lo), abs(hi)))
+    top = float(np.max(np.abs(sa)) + np.max(np.abs(tb)))
+    err = np.finfo(float).eps * size * (1.0 + top * max(abs(lo), abs(hi)))
     return KGProduct(complex(s * val), err)

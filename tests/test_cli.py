@@ -160,9 +160,10 @@ class TestDetector:
 
     @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6"], ["--grid", "0.5,2000"]])
     def test_oversized_quadrature_fails_fast(self, argv, bounded):
-        # the first two ask for a first trapezoid grid of 3.6M and 13.4M
-        # nodes; at E = 2000 the first grid (713K nodes) fits the budget and
-        # its halving (1.43M) does not.  E = 200 now converges on 143K nodes
+        # the first two ask for a first trapezoid call of 7.1M and 26.7M
+        # nodes; at E = 2000 the first grid alone (713K nodes) would fit the
+        # budget, but the first call takes it with its midpoints (1.43M).
+        # E = 200 now converges on 143K nodes
         code, seconds, err = bounded("from diamondfield.cli import main",
                                      f"main({['detector', *argv]!r})", timeout=10.0)
         assert code == "1" and seconds < 1.0

@@ -158,9 +158,9 @@ class TestResponse:
                 assert abs(r.value - ref) <= r.est_error
 
     def test_each_grid_node_evaluated_once(self, monkeypatch):
-        # the default grid is one block: a first grid of 1,071 nodes at step
-        # pi / 6 over 0 <= d <= 560, then 1,070 midpoints, where Gauss-Legendre
-        # passes took 38,544 nodes
+        # the default grid is one block: one call on the 2,141 nodes of the
+        # first grid (step pi / 6 over 0 <= d <= 560) and its midpoints,
+        # where Gauss-Legendre passes took 38,544 nodes
         sizes, integrate = [], detector.integrate_trapezoid
 
         def counting(f, *a, **k):

@@ -158,6 +158,16 @@ class TestSameFamilySum:
             assert abs(res.value - _quadrature_reference(m1, m2)) <= res.est_error
 
 
+    def test_phases_are_a_row_and_a_column(self, monkeypatch):
+        # e^{-i (s_j - t_k) c} = e^{-i s_j c} e^{+i t_k c}: at sigma 0.3 and
+        # v0 300 no phase is formed over the 1,248 x 1,248 beats
+        p = Packet(0, 1.0, 0.3, v0=300.0)
+        sizes, phase = [], modes._phase
+        monkeypatch.setattr(modes, "_phase", lambda x: sizes.append(np.size(x)) or phase(x))
+        kg_product(p, p.conjugate())
+        assert p.omegas.size == 1248 and sizes == [1248, 1248]
+
+
 class TestOverlaps:
     def test_same_family_frequency_space_oracle(self):
         # overlap of two packets in one diamond is the profile overlap
@@ -340,12 +350,13 @@ def _plane_side(omega, k, sigma):
     return lambda v: _plane_kernel(0, v), om, c, -_V_CUT, _V_CUT, top + np.max(om)
 
 
-def _first_grids(lo, hi, est_freq):
-    """(v, start, step) of the first trapezoid grid _rapidity_integral takes
-    for a phase turning at est_freq, and of the midpoints of its first halving."""
+def _first_grid(lo, hi, est_freq):
+    """(v, start, step) of the first trapezoid call _rapidity_integral makes
+    for a phase turning at est_freq: the 2n + 1 nodes of the first two
+    levels, n intervals of the first step and their midpoints."""
     n = math.ceil((hi - lo) / min(0.5, math.pi / (4.0 * est_freq)))
-    h = (hi - lo) / n
-    return [(lo + h * np.arange(n + 1), lo, h), (lo + h / 2.0 + h * np.arange(n), lo + h / 2.0, h)]
+    h = 0.5 * (hi - lo) / n
+    return lo + h * np.arange(2 * n + 1), lo, h
 
 
 class TestPhaseSums:
@@ -361,17 +372,17 @@ class TestPhaseSums:
     @pytest.mark.parametrize("v0", [0.0, 100.0])
     @pytest.mark.parametrize("adjacent", [False, True], ids=["cut", "n=1"])
     def test_factored_sum_matches_direct_sum(self, sigma, v0, adjacent):
-        # cross_moments' diamond side on the first trapezoid grid and the
-        # midpoints of its first halving; the gap stays within the rounding
+        # cross_moments' diamond side on the grid of its first trapezoid call,
+        # the first two levels at once; the gap stays within the rounding
         # floor est_error already adds for the phases w v
         m = 96 + math.ceil(12.8 * sigma * v0)
         om, wt, G = Profile(1.0, sigma, v0).nodes(m, root=True)
         c = wt * G / np.sqrt(om)
         lo, hi = (-v0 - _TAIL / sigma if adjacent else -_V_CUT), _V_CUT
-        for v, start, step in _first_grids(lo, hi, 2.0 * np.max(om)):
-            direct = np.exp(-1j * np.multiply.outer(v, om)) @ c
-            floor = np.finfo(float).eps * np.sum(np.abs(c)) * (1.0 + np.max(om) * np.max(np.abs(v)))
-            assert np.max(np.abs(_grid_sum(om, c, start, step, v.size) - direct)) <= floor
+        v, start, step = _first_grid(lo, hi, 2.0 * np.max(om))
+        direct = np.exp(-1j * np.multiply.outer(v, om)) @ c
+        floor = np.finfo(float).eps * np.sum(np.abs(c)) * (1.0 + np.max(om) * np.max(np.abs(v)))
+        assert np.max(np.abs(_grid_sum(om, c, start, step, v.size) - direct)) <= floor
 
     @pytest.mark.parametrize("side", [
         *(pytest.param(_exterior_side(n), id=f"exterior-{n}") for n in (1, 2, 20)),
@@ -382,20 +393,19 @@ class TestPhaseSums:
     def test_taylor_sum_matches_direct_sum(self, side, tol, monkeypatch):
         # the exterior side of cross_moments (at n = 1, L reaches ~275 toward
         # the shared tip), the plane side of kg_product and one plane wave,
-        # on the first trapezoid grid and the midpoints of its
-        # first halving.  Beyond the stated remainder the gap may hold the rounding
+        # on the grid of the first trapezoid call, the first two levels at
+        # once.  Beyond the stated remainder the gap may hold the rounding
         # of the phases w L and of the m-term sums on both sides: the direct
         # sum alone is 1.9 eps sum|c| off a long-double sum at n = 2.  At an
         # order cut at 1e-6 the remainder is the gap (0.997 of it at one node)
         monkeypatch.setattr(modes, "_TAYLOR_TOL", tol)
         kernel, om, c, lo, hi, est_freq = side
-        for v, _, _ in _first_grids(lo, hi, est_freq):
-            _, L = kernel(v)
-            X, bound = _taylor_sum(om, c, L)
-            direct = np.exp(-1j * np.multiply.outer(L, om)) @ c
-            floor = np.finfo(float).eps * np.sum(np.abs(c)) * (
-                1.0 + np.max(om) * np.max(np.abs(L)) + math.log2(om.size))
-            assert np.max(np.abs(X - direct)) <= bound + floor
+        _, L = kernel(_first_grid(lo, hi, est_freq)[0])
+        X, bound = _taylor_sum(om, c, L)
+        direct = np.exp(-1j * np.multiply.outer(L, om)) @ c
+        floor = np.finfo(float).eps * np.sum(np.abs(c)) * (
+            1.0 + np.max(om) * np.max(np.abs(L)) + math.log2(om.size))
+        assert np.max(np.abs(X - direct)) <= bound + floor
 
 
 class TestProfile:

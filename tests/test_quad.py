@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diamondfield import _quad
+from diamondfield import _quad, detector, modes
 from diamondfield._quad import (
     gauss_legendre,
     integrate_adaptive,
@@ -11,6 +11,8 @@ from diamondfield._quad import (
     panel_grid,
     panel_nodes,
 )
+from diamondfield.correlations import cross_moments
+from diamondfield.detector import response_rates
 from diamondfield.errors import ConvergenceError
 
 
@@ -164,8 +166,9 @@ class TestTrapezoid:
         assert abs(val - SECH2) <= err <= 1e-12
 
     def test_each_node_evaluated_once(self):
-        # T_{h/2} = T_h / 2 + (h/2) sum f(midpoints): the first grid, then
-        # only the new midpoints, which together make the final uniform grid
+        # T_{h/2} = T_h / 2 + (h/2) sum f(midpoints): one call on the 2N + 1
+        # nodes of the first two levels, then only the new midpoints, which
+        # together make the final uniform grid
         grids = []
 
         def f(v, start, h):
@@ -174,12 +177,64 @@ class TestTrapezoid:
             return _sech2(v, start, h)
 
         integrate_trapezoid(f, -40.0, 40.0, 1e-30, 2.0)
-        N = grids[0][0].size - 1
-        assert [g[0].size for g in grids] == [N + 1] + [N << i for i in range(len(grids) - 1)]
+        assert grids[0][0].size == 81 and grids[0][1:] == (-40.0, 1.0)
+        assert [g[0].size for g in grids] == [81] + [80 << i for i in range(len(grids) - 1)]
         nodes = np.sort(np.concatenate([g[0] for g in grids]))
         h = grids[-1][2] / 2.0
         assert np.allclose(nodes, -40.0 + h * np.arange(nodes.size), rtol=0.0, atol=1e-12)
         assert nodes.size == 80.0 / h + 1
+
+    def test_first_two_levels_in_one_call(self):
+        # 36 intervals of step 0.5 over [-9, 9]: one call on the 73 nodes of
+        # step 0.25, whose even nodes give T_0.5 and all nodes T_0.25, and
+        # the first comparison ends it
+        calls = []
+
+        def f(v, start, h):
+            calls.append((v.size, start, h))
+            return np.exp(-v * v), 0.0
+
+        val, err = integrate_trapezoid(f, -9.0, 9.0, 1e-12, 0.5)
+        assert calls == [(73, -9.0, 0.25)]
+        # the two separate sums: T_0.5 on its own grid, then its midpoints
+        v, mid = -9.0 + 0.5 * np.arange(37), -8.75 + 0.5 * np.arange(36)
+        coarse = 0.5 * (np.sum(np.exp(-v * v)) - np.exp(-81.0))
+        fine = 0.5 * coarse + 0.25 * np.sum(np.exp(-mid * mid))
+        assert abs(val - fine) <= _quad._EPS * 0.25 * (np.sum(np.exp(-v * v)) + np.sum(np.exp(-mid * mid)))
+        assert abs(val - math.sqrt(math.pi)) <= err
+
+    def test_merged_grid_over_budget_fails_before_any_call(self, monkeypatch):
+        # 50 intervals of step 1 fit a budget of 100 nodes, but the first call
+        # would take 2 * 50 + 1
+        monkeypatch.setattr(_quad, "_MAX_NODES", 100)
+        calls = []
+        with pytest.raises(ConvergenceError, match="a trapezoid grid of 101 nodes exceeds the budget of 100 nodes"):
+            integrate_trapezoid(lambda v, a, h: calls.append(v.size) or (np.sin(v), 0.0), 0.0, 50.0, 1e-30, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("run", [
+        *(pytest.param(lambda n=n: cross_moments((1.0, 0.02), (1.0, 0.02), n), id=f"cross_moments-{n}")
+          for n in (2, 10, 20)),
+        pytest.param(lambda: response_rates([0.5, 1.0, 2.0]), id="response_rates"),
+    ])
+    def test_one_integrand_call_per_integral(self, run, monkeypatch):
+        # the rapidity integral at n >= 2 and the default detector block stop
+        # at the first comparison, so each takes one integrand call
+        calls = []
+
+        def counting(f, *args):
+            calls.append(0)
+
+            def counted(*grid):
+                calls[-1] += 1
+                return f(*grid)
+
+            return integrate_trapezoid(counted, *args)
+
+        monkeypatch.setattr(modes, "integrate_trapezoid", counting)
+        monkeypatch.setattr(detector, "integrate_trapezoid", counting)
+        run()
+        assert calls == [1]
 
     def test_components_halve_together(self):
         val, err = integrate_trapezoid(lambda v, a, h: (np.stack([np.exp(-v * v), v * v * np.exp(-v * v)]), 0.0),
@@ -210,8 +265,9 @@ class TestTrapezoid:
 
     @pytest.mark.parametrize("hi,step", [(1e300, 1.0), (1.0, 1e-9), (2**19, 1.0)])
     def test_grid_budget_checked_before_each_level(self, bounded, hi, step):
-        # first grids of 1e300 and 1e9 nodes; a first grid of 524,289 nodes
-        # whose first halving (1,048,577) would pass the budget
+        # first calls of 2e300 and 2e9 nodes; 2^19 intervals, whose first
+        # grid (524,289 nodes) alone would fit the budget and whose first
+        # call with its midpoints (1,048,577) does not
         name, seconds, _ = bounded("from diamondfield._quad import integrate_trapezoid\n"
                                    "import numpy as np",
                                    f"integrate_trapezoid(lambda v, a, h: (np.sin(v), 0.0), 0.0, {hi!r}, "
