@@ -21,7 +21,9 @@ envelope in ln(kappa) of width 1/(2 sigma), so for narrow packets a large
 fraction of the integral lives at astronomically large kappa.  Direct
 quadrature handles kappa <= kappa_split = 40, with A_G, B_G from trapezoid sums
 of the Euler integral (B_G off the real line where it cancels there), whose
-lane errors are part of est_error.  The quadrature's kappa lanes are equal
+lane errors are part of est_error.  Each integral sums only the kernel rows it
+keeps: the occupation conj(K) for B_G alone, the completeness sum K and
+conj(K) for A_G and B_G.  The quadrature's kappa lanes are equal
 Gauss-Legendre panels, so the sums' phases e^{kappa phi(s)} factor into one
 row per panel midpoint and one per node offset, each computed on s >= 0 and
 conjugated onto s < 0.  Beyond kappa_split each Kummer sector is a short
@@ -49,13 +51,20 @@ from .modes import _V_CUT, DEFAULT_SIGMA, Profile, _plane_kernel, _sharp_rapidit
 from .specfun import kummer_m_vec, log_gamma
 
 
+_OMEGA_MAX = 50.0  # largest omega of ab_coefficients: kummer_m_vec's certified |Omega|
+
+
 def ab_coefficients(omega, k, n=0):
-    """(A, B) for diamond index n, vectorized over k at fixed omega."""
+    """(A, B) for diamond index n, vectorized over k at fixed omega.
+
+    The domain is 0 < omega <= _OMEGA_MAX = 50, where kummer_m_vec certifies
+    M(1 + i omega, 2, z), and finite k > 0; outside it DomainError is raised
+    before any evaluation."""
     ka = np.asarray(k, dtype=float)
-    if not omega > 0.0:
-        raise DomainError("omega must be positive")
-    if np.any(ka <= 0.0):
-        raise DomainError("k must be positive")
+    if not 0.0 < omega <= _OMEGA_MAX:
+        raise DomainError(f"omega must lie in (0, {_OMEGA_MAX:g}], not {omega!r}")
+    if not np.all((ka > 0.0) & (ka < math.inf)):
+        raise DomainError("k must be positive and finite")
     # 2 sqrt(omega ka)/sinh(pi omega), overflow-safe in omega
     pref = np.sqrt(omega * ka) * 4.0 * math.exp(-math.pi * omega) / (-math.expm1(-2.0 * math.pi * omega))
     A = pref * np.exp(2j * ka) * kummer_m_vec(1.0 + 1j * omega, 2.0, -4j * ka)
@@ -161,23 +170,26 @@ def _trapezoid(mid, off, phase, K):
     return T[:, :m], np.abs(T[:, :m] - T[:, m:]) + rounding
 
 
-def _euler_lanes(mid, off, K):
-    """(A_G, B_G, err) on the lanes ka = mid[p] + off[i], panel by panel, with
-    K of _euler_kernels; err as in smeared_ab.  B_G is summed again on
-    Im s = _EULER_THETA on the panels holding a lane it flags, and only those
-    lanes keep the shifted sum."""
+def _euler_lanes(mid, off, K, with_A=True):
+    """(X, err) on the lanes ka = mid[p] + off[i], panel by panel, with K of
+    _euler_kernels: rows (A_G, B_G) of X and err, or B_G alone without
+    with_A, err as in smeared_ab.  The real-line sum takes one kernel row per
+    row of X, K for A_G and conj(K) for B_G, so B_G's lanes are the same
+    either way.  B_G is summed again on Im s = _EULER_THETA on the panels
+    holding a lane it flags, and only those lanes keep the shifted sum."""
     s = _EULER_NODES
-    T, err = _trapezoid(mid, off, -2j * np.tanh(s), np.stack([K[0], K[0].conj()]))
-    T[:, 1] = T[:, 1].conj()
-    shift = (err[:, 1] > _EULER_TOL * np.abs(T[:, 1])).reshape(mid.size, off.size)
+    rows = [K[0], K[0].conj()] if with_A else [K[0].conj()]
+    T, err = _trapezoid(mid, off, -2j * np.tanh(s), np.stack(rows))
+    T[:, -1] = T[:, -1].conj()
+    shift = (err[:, -1] > _EULER_TOL * np.abs(T[:, -1])).reshape(mid.size, off.size)
     panels = shift.any(axis=1)
     if panels.any():
         Ts, es = _trapezoid(mid[panels], off, 2j * np.tanh(s + 1j * _EULER_THETA), K[1:])
         keep = shift[panels].ravel()
         shift = shift.ravel()
-        T[shift, 1], err[shift, 1] = Ts[keep, 0], es[keep, 0]
+        T[shift, -1], err[shift, -1] = Ts[keep, 0], es[keep, 0]
     root = np.sqrt(np.add.outer(mid, off).ravel())
-    return root * T[:, 0], root * T[:, 1], root * err.T
+    return root * T.T, root * err.T
 
 
 def smeared_ab(om, coeff, kappa):
@@ -188,7 +200,9 @@ def smeared_ab(om, coeff, kappa):
     With t = (1 + tanh s)/2 the Euler integral (DLMF 13.4.1) gives
     A_G, B_G = sqrt(ka) Int ds e^{-+2 i ka tanh s} K(s) with K of _euler_kernels,
     analytic for |Im s| < pi/2, so the trapezoid rule converges exponentially.
-    Both come from one real-line sum.  There B_G ~ e^{-pi Om0} cancels in
+    Both come from one real-line sum, which takes the kernel rows K for A_G
+    and conj(K) for B_G with the same phase matrices (the occupation sums
+    the conj(K) row alone, _euler_lanes).  There B_G ~ e^{-pi Om0} cancels in
     doubles, so a B_G lane with err above _EULER_TOL |B_G| is summed again on
     s + i theta, where K gains e^{-2 Om theta}, |e^{2 i ka tanh s}| <= 1 and
     nothing cancels.  A_G is O(1) and keeps its real-line value and error.
@@ -196,7 +210,8 @@ def smeared_ab(om, coeff, kappa):
     same sums their quadrature panels, whose phases factor (_trapezoid).
     """
     kappa = np.asarray(kappa, dtype=float)
-    return _euler_lanes(kappa, np.zeros(1), _euler_kernels(om, coeff))
+    X, err = _euler_lanes(kappa, np.zeros(1), _euler_kernels(om, coeff))
+    return X[0], X[1], err
 
 
 # log-kappa tail: where it starts, series terms per Kummer sector, by-parts
@@ -267,6 +282,11 @@ def _horner(c, x):
     return acc
 
 
+def _unconverged(kappa_split):
+    return DomainError(f"sector series not converged at kappa_split = {kappa_split:g}: "
+                       "the packet's frequencies are too high for the log-kappa tail")
+
+
 def _tail_integral(T, r, w, kappa_split, dL):
     """(value, est_error) of Int dL |sqrt(ka) X_G|^2 on ln(kappa_split) + [0, dL],
     exactly, as the Hermitian form sum T K conj(T) in the terms of _sector_terms.
@@ -283,6 +303,15 @@ def _tail_integral(T, r, w, kappa_split, dL):
     """
     S = T.shape[-1]
     absT = np.abs(T)
+    # The omitted terms are below the last kept.  |f| <= sum |T| as every term
+    # decays in L, so value <= dL (sum |T|)^2: a series that cannot pass the
+    # check on the value below (here with a factor 2 for its rounding) fails
+    # before the form is built.  Terms that all underflow to 0 (omega0 above
+    # about 127) leave no tail to check.
+    size = float(np.sum(absT))
+    truncation = 2.0 * float(np.sum(absT[..., -1]) * size)
+    if not 0.0 < truncation <= 2e-10 * dL * size * size < math.inf:
+        raise _unconverged(kappa_split)
     dr = np.subtract.outer(r[0], r[0])
     zero = dr == 0.0
     E = np.exp(-1j * dr * dL)  # e^{-mu dL} = e^{-m dL} E for every m
@@ -310,12 +339,8 @@ def _tail_integral(T, r, w, kappa_split, dL):
         rounding += 2.0 * np.dot(np.abs(K).ravel(), scale)
         # |Int_1^inf t^{-mu-1-R} e^{-y t} dt| <= 1/(R + m)
         parts += 2.0 * np.dot(np.sqrt(_horner(Rc[:, m], d2)).ravel(), scale)
-    # |f| <= sum |T| as every term decays in L; the omitted terms are below the last kept.
-    # Terms that all underflow to 0 (omega0 above about 127) leave no tail to check.
-    truncation = 2.0 * float(np.sum(absT[..., -1]) * np.sum(absT))
-    if not 0.0 < truncation <= 1e-10 * value.real:
-        raise DomainError(f"sector series not converged at kappa_split = {kappa_split:g}: "
-                          "the packet's frequencies are too high for the log-kappa tail")
+    if not truncation <= 1e-10 * value.real:
+        raise _unconverged(kappa_split)
     return float(value.real), 1e-14 * rounding + parts + truncation
 
 
@@ -368,13 +393,15 @@ def _smeared_integral(profile, which):
     lo, K = 1e-9, _euler_kernels(om, coeff)
 
     def f(kappa, mid, off):
-        # the lanes are integrate_adaptive's equal panels, so their phases factor
-        A, B, err = _euler_lanes(mid, off, K)
+        # the lanes are integrate_adaptive's equal panels, so their phases
+        # factor; the occupation sums B_G alone
+        X, err = _euler_lanes(mid, off, K, which == "completeness")
+        absX = np.abs(X)
         # ||X + d|^2 - |X|^2| <= (2|X| + e) e for a lane error |d| <= e
-        lane = (2.0 * np.abs(np.stack([A, B])) + err) * err
+        lane = (2.0 * absX + err) * err
         if which == "occupation":
-            return np.abs(B) ** 2, lane[1]
-        return np.abs(A) ** 2 - np.abs(B) ** 2, lane[0] + lane[1]
+            return absX[0] ** 2, lane[0]
+        return absX[0] ** 2 - absX[1] ** 2, lane[0] + lane[1]
 
     # |A_G|^2, |B_G|^2 carry e^{+-4 i kappa} beat terms; the lane errors bound each node
     finite, err_f = integrate_adaptive(f, lo, _KAPPA_SPLIT, _SPECTRUM_TOL, est_freq=4.0)
@@ -413,23 +440,27 @@ def planck_occupation(omega0, sigma=DEFAULT_SIGMA):
 
 def fit_temperature(omega, occupation):
     """Temperature from occupations via 1/n = e^{omega/T} - 1, least squares
-    through the origin of log(1 + 1/n) against omega."""
+    through the origin of log(1 + 1/n) against omega.  The occupations must
+    be finite normal doubles, where 1/n stays finite; the grid as in
+    _temperature_fit."""
     omega = np.asarray(omega, dtype=float)
     n = np.asarray(occupation, dtype=float)
     if omega.ndim != 1 or n.shape != omega.shape:
         raise DomainError("omega and occupation must be 1-D and of equal length")
-    if not np.all(np.isfinite(n) & (n > 0.0)):
-        raise DomainError("occupations must be positive and finite")
+    if not np.all(np.isfinite(n) & (n >= np.finfo(float).tiny)):
+        raise DomainError("occupations must be finite and at least the smallest normal double")
     return _temperature_fit(omega, np.log1p(1.0 / n))
 
 
 def _temperature_fit(x, y):
     """T from Boltzmann exponents y = x / T: least squares through the origin,
-    on a finite grid x with a nonzero point; DomainError where the slope is
-    0 (every ratio 1, as for a detector window too short to resolve one)."""
-    xx = np.sum(x * x)
+    on a grid x with a nonzero point whose sum of squares is a finite double;
+    DomainError where it is not, and where the slope is 0 (every ratio 1, as
+    for a detector window too short to resolve one)."""
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        xx = np.sum(x * x)
     if not (math.isfinite(xx) and xx > 0.0):
-        raise DomainError("the grid must be finite and hold a nonzero point")
+        raise DomainError("the grid must hold a nonzero point and its squares a finite sum")
     slope = float(np.sum(x * y) / xx)
     if slope == 0.0:
         raise DomainError("the Boltzmann exponents are 0: no finite temperature fits them")

@@ -52,6 +52,7 @@ _ROWS = 4096  # rows per phase or term matrix block (Packet.eval_natural, kg_pro
 _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
 _RAPIDITY_TOL = 1e-10  # absolute refinement tolerance of the rapidity integrals
 _TAYLOR_TOL = np.finfo(float).eps  # Taylor remainder of _taylor_sum, relative to sum|c|
+_SCALE = 1e150  # bound of the Profile domain (Profile.checked): sigma^2 stays a normal double
 
 
 def _phase(x):
@@ -92,11 +93,15 @@ class Profile(NamedTuple):
         )
 
     def checked(self):
-        """The profile itself; DomainError unless omega0 > 0, sigma > 0 and v0
-        are finite."""
-        if not (0.0 < self.omega0 < math.inf and 0.0 < self.sigma < math.inf
-                and math.isfinite(self.v0)):
-            raise DomainError("packet needs finite omega0 > 0, sigma > 0 and v0")
+        """The profile itself; DomainError outside the domain 0 < omega0,
+        1/_SCALE <= sigma and omega0, sigma, |v0|, omega0/sigma <= _SCALE.
+        There sigma^2 is a normal double and (w - omega0)^2, w v0 and
+        (w - omega0)^2 / 4 sigma^2 stay finite for every node w, also for
+        w = 0 and for nodes off omega0 by rounding alone."""
+        if not (0.0 < self.omega0 <= _SCALE and 1.0 / _SCALE <= self.sigma <= _SCALE
+                and abs(self.v0) <= _SCALE and self.omega0 <= _SCALE * self.sigma):
+            raise DomainError(f"packet needs 0 < omega0, 1/{_SCALE:g} <= sigma and omega0, sigma, "
+                              f"|v0|, omega0/sigma <= {_SCALE:g}")
         return self
 
     def nodes(self, n=None, root=False):

@@ -54,6 +54,20 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             ab_coefficients(1.0, 0.0)
 
+    @pytest.mark.parametrize("args", ["1e300, 1.0", "1e8, 1.0", "1e5, 1.0", "50.5, 1.0", "math.nan, 1.0",
+                                      "1.0, math.nan", "1.0, math.inf", "1.0, [2.0, -1.0]"])
+    def test_outside_the_certified_domain_fails_fast(self, args, bounded):
+        # Omega = 1e300 ran about 400 s into an mpmath NoConvergence, 1e8
+        # about 1 s, 1e5 warned of an invalid value; k = NaN raised ValueError
+        name, seconds, err = bounded("import math\nfrom diamondfield.bogoliubov import ab_coefficients",
+                                     f"ab_coefficients({args})")
+        assert name == "DomainError" and seconds < 1.0
+        assert "Warning" not in err
+
+    def test_domain_edge_is_in_the_domain(self):
+        A, B = ab_coefficients(bogoliubov._OMEGA_MAX, np.array([0.5, 30.0]))
+        assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
+
 
 def _ab_mpmath(Omega, kappa):
     """(A, B) at 40 digits from mpmath.hyp1f1 itself, not through kummer_m_vec."""
@@ -144,6 +158,23 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             fit_temperature(omega, occupation)
 
+    @pytest.mark.parametrize("omega,occupation", [
+        pytest.param([1.0, 2.0], [1e-300, 1e-310], id="subnormal-occupation"),
+        pytest.param([1e300], [1.0], id="overflowing-grid"),
+        pytest.param([1e154, 1e154], [1.0, 1.0], id="overflowing-sum"),
+    ])
+    def test_fit_temperature_fails_fast_without_overflow(self, omega, occupation):
+        # 1/n overflowed at a subnormal n, x * x at omega = 1e300, each with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                fit_temperature(omega, occupation)
+
+    def test_fit_temperature_at_the_domain_edges(self):
+        tiny = np.finfo(float).tiny
+        assert fit_temperature([1.0], [tiny]) == 1.0 / math.log1p(1.0 / tiny)
+        assert fit_temperature([1e154], [1.0]) == 1e154 / math.log(2.0)
+
 
 def _count_mp_calls(monkeypatch):
     import mpmath
@@ -159,8 +190,8 @@ def _count_mp_calls(monkeypatch):
     return calls
 
 
-def _packet(omega0, v0=0.0):
-    om, wt, G = Profile(omega0, 0.02, v0).nodes()
+def _packet(omega0, v0=0.0, sigma=0.02):
+    om, wt, G = Profile(omega0, sigma, v0).nodes()
     return om, wt * G
 
 
@@ -305,16 +336,52 @@ class TestPanelFactoring:
         # runs at every level from omega0 = 1 on
         grids, euler_lanes = [], bogoliubov._euler_lanes
         monkeypatch.setattr(bogoliubov, "_euler_lanes",
-                            lambda mid, off, K: grids.append((mid, off)) or euler_lanes(mid, off, K))
+                            lambda mid, off, K, *rows: grids.append((mid, off)) or euler_lanes(mid, off, K, *rows))
         thermal_occupation(omega0)
         assert len(grids) == 2
         K = bogoliubov._euler_kernels(*_packet(omega0))
         lanes = [euler_lanes(*grid, K) for grid in grids]
         monkeypatch.setattr(bogoliubov, "_trapezoid", _unfactored)
-        for grid, (A, B, err) in zip(grids, lanes):
-            A_ref, B_ref, err_ref = euler_lanes(*grid, K)
-            assert np.all(np.abs(A - A_ref) <= err[0] + err_ref[0])
-            assert np.all(np.abs(B - B_ref) <= err[1] + err_ref[1])
+        for grid, (X, err) in zip(grids, lanes):
+            X_ref, err_ref = euler_lanes(*grid, K)
+            assert np.all(np.abs(X[0] - X_ref[0]) <= err[0] + err_ref[0])
+            assert np.all(np.abs(X[1] - X_ref[1]) <= err[1] + err_ref[1])
+
+    @pytest.mark.parametrize("omega0", [0.5, 1.0, 3.0, 6.0])
+    def test_occupation_b_lanes_equal_both_row_lanes_bit_for_bit(self, omega0, monkeypatch):
+        # the occupation sums the conj(K) row alone; its B_G lanes, shift
+        # flags and lane errors must not move by a bit at either panel level
+        calls, euler_lanes = [], bogoliubov._euler_lanes
+
+        def recording(mid, off, K, *rows):
+            out = euler_lanes(mid, off, K, *rows)
+            calls.append((mid, off, K, out))
+            return out
+
+        monkeypatch.setattr(bogoliubov, "_euler_lanes", recording)
+        thermal_occupation(omega0)
+        assert len(calls) == 2
+        for mid, off, K, (X, err) in calls:
+            X_both, err_both = euler_lanes(mid, off, K)
+            assert X.shape == (1, mid.size * off.size)
+            assert np.array_equal(X[0], X_both[1])
+            assert np.array_equal(err[0], err_both[1])
+
+    @pytest.mark.parametrize("integral,rows", [(thermal_occupation, 1), (completeness_check, 2)])
+    def test_real_line_sum_takes_the_rows_it_returns(self, integral, rows, monkeypatch):
+        # the real-line sum (phase -2i tanh s, zero at s = 0) takes conj(K)
+        # for the occupation and (K, conj(K)) for completeness; the shifted
+        # line takes its one B_G row either way
+        real, shifted, trapezoid = [], [], bogoliubov._trapezoid
+
+        def recording(mid, off, phase, K):
+            (real if phase[bogoliubov._EULER_N] == 0.0 else shifted).append(len(K))
+            return trapezoid(mid, off, phase, K)
+
+        monkeypatch.setattr(bogoliubov, "_trapezoid", recording)
+        integral(1.0)
+        assert real == [rows, rows]
+        assert shifted and set(shifted) == {1}
 
     @pytest.mark.parametrize("omega0,shifted_panels", [(1.0, 16), (4.0, 77 + 154)])
     def test_phases_factor_over_panels(self, omega0, shifted_panels, monkeypatch):
@@ -526,6 +593,36 @@ class TestTailSeries:
         with pytest.raises(DomainError, match="kappa_split"):
             integral(8.0)
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("omega0,sigma", [(1.0, 1e100), (150.0, 0.02), (1e20, 0.02)])
+    def test_unconverged_series_fails_before_the_form(self, omega0, sigma, monkeypatch):
+        # at sigma = 1e100 the by-parts remainder bound formed inf * 0 and
+        # warned of an invalid value before the series check raised
+        forms = []
+        monkeypatch.setattr(bogoliubov, "_by_parts_coeffs", lambda *a: forms.append(a))
+        with pytest.raises(DomainError, match="kappa_split"):
+            thermal_occupation(omega0, sigma)
+        assert forms == []
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.3])
+    def test_early_check_rejects_only_unconverged_series(self, sigma):
+        # value <= dL (sum |T|)^2, so the check before the form must never
+        # reject a series that the check on the value would pass; the top
+        # nodes omega0 + 8 sigma straddle where the series stops converging
+        dL = 2.0 + 7.0 / sigma
+        outcomes = set()
+        for top in np.linspace(5.5, 6.6, 12):
+            T, r, w = bogoliubov._sector_terms(*_packet(top - 8.0 * sigma, sigma=sigma), 40.0, 1)
+            ref, _ = _tail_per_order(T, r, w, 40.0, dL)
+            truncation = 2.0 * np.sum(np.abs(T[..., -1])) * np.sum(np.abs(T))
+            converged = 0.0 < truncation <= 1e-10 * ref
+            outcomes.add(converged)
+            if converged:
+                bogoliubov._tail_integral(T, r, w, 40.0, dL)
+            else:
+                with pytest.raises(DomainError, match="kappa_split"):
+                    bogoliubov._tail_integral(T, r, w, 40.0, dL)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("sigma", [0.02, 0.1])
     def test_high_packets_fail_fast(self, sigma):

@@ -158,12 +158,14 @@ class TestDetector:
         err = capsys.readouterr().err
         assert "rate at E=5 is" in err and "not above its est_error" in err
 
-    @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6"], ["--grid", "0.5,2000"]])
+    @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6", "--eps", "0"],
+                                      ["--grid", "0.5,2000"]])
     def test_oversized_quadrature_fails_fast(self, argv, bounded):
         # the first two ask for a first trapezoid call of 7.1M and 26.7M
         # nodes; at E = 2000 the first grid alone (713K nodes) would fit the
         # budget, but the first call takes it with its midpoints (1.43M).
-        # E = 200 now converges on 143K nodes
+        # E = 200 now converges on 143K nodes.  At the window 1e6 only eps = 0
+        # lies in the eps domain (eps <= 20 / T^2 = 2e-11)
         code, seconds, err = bounded("from diamondfield.cli import main",
                                      f"main({['detector', *argv]!r})", timeout=10.0)
         assert code == "1" and seconds < 1.0
@@ -177,11 +179,20 @@ class TestEdgeInputs:
         (["detector", "--window", "1e-300"], 2),
         (["detector", "--window", "1e-20"], 2),
         (["fig2", "--grid", "1e6"], 0),
+        (["spectrum", "--grid", "1e300"], 2),
+        (["spectrum", "--grid", "1", "--sigma", "1e100"], 2),
+        (["spectrum", "--grid", "1", "--sigma", "1e300"], 2),
+        (["correlations", "--n", "2", "--grid", "1", "--sigma", "1e300"], 2),
+        (["detector", "--eps", "0.01"], 2),
+        (["detector", "--eps", "1e155"], 2),
     ])
     def test_exit_code_without_warnings(self, argv, code, bounded):
         # the first windows exited 1 with a ZeroDivisionError in the rate or
         # in the fit of balance ratios that all round to 1; fig2 at omega1 =
-        # 1e6 printed an overflow warning of the Planck factor
+        # 1e6 printed an overflow warning of the Planck factor; the spectrum
+        # warned of inf * 0 in the log-kappa tail or exited 1 with an
+        # OverflowError of sigma**2, as did correlations; detector eps from
+        # 0.01 up exited 1 with a ConvergenceError, 1e155 also warned
         setup = ("from diamondfield.cli import main\n"
                  "def code(argv):\n"
                  "    try:\n"

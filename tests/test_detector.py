@@ -91,11 +91,38 @@ class TestResponse:
         assert name == "DomainError" and seconds < 1.0
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("expr", [
+        "response_rates([0.5, 1.0, 2.0], 80.0, 0.01)", "response_rates(1.0, 80.0, 0.1)",
+        "response_rates(1.0, 80.0, 1e10)", "response_rates(1.0, 80.0, 1e155)",
+        "response_rates(1.0, 1000.0, 1e-3)", "response_rates(1.0, 1.0, 0.2)",
+        "response_rates(1.0, 80.0, -1e-9)", "response_rates(1.0, 80.0, math.nan)",
+    ])
+    def test_eps_outside_the_domain_fails_fast(self, expr, bounded):
+        # eps = 0.01 to 1e10 at T = 80 and 1e-3 at T = 1000 ended in a
+        # ConvergenceError past the node budget, 1e155 also warned of an overflow
+        name, seconds, err = bounded("import math\nfrom diamondfield.detector import response_rates", expr)
+        assert name == "DomainError" and seconds < 1.0
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("T", [0.01, 1.0, 10.0, 80.0, 1000.0, 1e4])
+    def test_eps_domain_edge_converges(self, T):
+        eps = min(detector._EPS[0], detector._EPS[1] / (T * T))
+        for up, down in response_rates(np.array([0.01, 0.5, 1.0, 2.0, 5.0]), T, eps):
+            assert math.isfinite(up.value) and math.isfinite(down.value)
+
+    def test_est_error_grows_with_eps(self):
+        # eps makes the integrand's imaginary part odd in d; est_error carries it
+        grid = np.array([0.5, 1.0, 2.0])
+        small, large = (max(r.est_error for pair in response_rates(grid, 80.0, eps) for r in pair)
+                        for eps in (1e-4, 3e-3))
+        assert 10.0 * small <= large <= 100.0 * small
+
     def test_domain_edges_are_in_the_domain(self):
         lo, _ = response_rates(1.0, detector._WINDOW[0])
         assert math.isfinite(lo.value) and lo.value > lo.est_error
+        # eps = 0, the one eps in the domain at every window (20 / T^2 is 2e-299 here)
         with pytest.raises(ConvergenceError, match="exceeds the budget"):
-            response_rates(1.0, detector._WINDOW[1])
+            response_rates(1.0, detector._WINDOW[1], 0.0)
 
     def test_fit_temperature(self):
         Es = [0.5, 1.0, 2.0]
@@ -222,6 +249,12 @@ class TestResponse:
         with pytest.raises(DomainError):
             fit_temperature(energies, rates)
 
+
+    @pytest.mark.parametrize("rates", [[[1e300, 1e-300]], [[1e-300, 1e300]]])
+    def test_fit_temperature_rejects_overflowing_balance_ratios(self, rates):
+        # the ratio overflowed to inf with a warning, or fell to 0, and its log was infinite
+        with pytest.raises(DomainError, match="balance ratios"):
+            fit_temperature([1.0], rates)
 
     def test_fit_temperature_rejects_unit_balance_ratios(self):
         # every ratio 1 gives the slope 0, where 1 / slope raised ZeroDivisionError

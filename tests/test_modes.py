@@ -434,3 +434,22 @@ class TestProfile:
     def test_non_finite_profile_rejected(self, args):
         with pytest.raises(DomainError):
             Profile(*args).nodes()
+
+    @pytest.mark.parametrize("args", [
+        (1e300, 0.02), (1.0, 1e300), (1.0, 1e-300), (1.0, 0.02, 1e300), (1e100, 1e-100),
+    ])
+    @pytest.mark.parametrize("root", [False, True])
+    def test_profile_outside_its_domain_rejected(self, args, root):
+        # sigma**2 raised OverflowError at sigma = 1e300; (w - omega0)^2 / 4 sigma^2
+        # overflowed with a warning at (1e100, 1e-100) on the root nodes
+        with pytest.raises(DomainError, match="omega0/sigma"):
+            Profile(*args).nodes(16, root=root)
+
+    @pytest.mark.parametrize("args", [
+        (modes._SCALE, modes._SCALE), (modes._SCALE, 1.0), (1.0, 1.0 / modes._SCALE),
+        (1e-300, 1.0 / modes._SCALE, -modes._SCALE),
+    ])
+    @pytest.mark.parametrize("root", [False, True])
+    def test_profile_domain_edges_stay_finite(self, args, root):
+        om, wt, G = Profile(*args).nodes(16, root=root)
+        assert np.all(np.isfinite(om)) and np.all(np.isfinite(G))
