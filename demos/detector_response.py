@@ -28,7 +28,7 @@ def main():
     print("response rates (per unit scaled time, window T = 80/a):")
     print(f"{'E':>6} {'rate(+E)':>13} {'rate(-E)':>13} {'balance':>12} {'e^-2piE':>12}")
     rates = []
-    # the rates at +E and -E of the whole grid, from one integral per block
+    # the rates at +E and -E of each energy, from one integral
     for E, (up, dn) in zip(ENERGIES, response_rates(ENERGIES)):
         rates.append([up.value, dn.value])
         print(

@@ -56,7 +56,6 @@ from .gaussian import (
     squeezing_witness,
 )
 from .detector import (
-    detailed_balance,
     expected_rate,
     identity_residual,
     response_rate,
@@ -102,7 +101,6 @@ __all__ = [
     "joint_variance",
     "mode_variance",
     "squeezing_witness",
-    "detailed_balance",
     "expected_rate",
     "identity_residual",
     "response_rate",

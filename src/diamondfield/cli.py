@@ -174,24 +174,20 @@ def cmd_detector(args):
     from .detector import expected_rate, fit_temperature, identity_residual, response_rates
 
     meta = _base_meta(args, "detector")
-    meta.update(eps=args.eps, window=args.window)
+    meta.update(window=args.window)
     residual = identity_residual(np.linspace(-3.0, 3.0, 20))
     meta["identity_residual"] = residual
-    rates = response_rates(args.grid, args.window, args.eps)
+    rates = response_rates(args.grid, args.window)
     for E, pair in zip(args.grid, rates):
         for e, r in zip((E, -E), pair):  # the fit needs both rates resolved
             if not r.value > r.est_error:
                 raise DomainError(f"the detector rate at E={e:g} is {r.value:.3g}, not above its "
                                   f"est_error {r.est_error:.3g}: unresolved at window {args.window:g}")
-    halves = response_rates(args.grid, args.window, args.eps / 2.0)
     pairs = [(up.value, dn.value) for up, dn in rates]
-    rows = [(E, up, up / dn, expected_rate(E), abs(up - half[0].value) <= 0.02 * abs(up))
-            for E, (up, dn), half in zip(args.grid, pairs, halves)]
     T_fit = fit_temperature(args.grid, pairs)
     meta["fitted_T"] = T_fit
-    rowsT = [row + (T_fit,) for row in rows]
-    _emit(args.out, args.format, meta,
-          ("E", "rate", "balance_ratio", "rate_thermal", "eps_consistent", "fitted_T"), rowsT)
+    rows = [(E, up, up / dn, expected_rate(E), T_fit) for E, (up, dn) in zip(args.grid, pairs)]
+    _emit(args.out, args.format, meta, ("E", "rate", "balance_ratio", "rate_thermal", "fitted_T"), rows)
     ok = residual <= 1e-10 and abs(T_fit - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
     return EXIT_OK if ok else EXIT_NUMERIC
 
@@ -324,8 +320,6 @@ def build_parser():
 
     sp = sub.add_parser("detector", help="energy-scaled detector response")
     common(sp, "0.5,1.0,2.0", sigma=False)
-    sp.add_argument("--eps", default=1e-8,
-                    type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"))
     sp.add_argument("--window", type=_POSITIVE, default=80.0)
     sp.set_defaults(func=cmd_detector)
 

@@ -9,31 +9,30 @@ accelerated detector,
 
 so an inertial detector with its gap scaled as 1/cosh^2(a eta/2) responds
 thermally at T = a / (2 pi).  Times are in units of 1/a and energies in units
-of a, so T = 1/(2 pi).  The response rate is computed with a Gaussian switching
-window: the vacuum part of W is subtracted and transformed in closed form, the
-remainder is smooth on the real line and integrated directly, which keeps the
-i*epsilon prescription out of the numerics.
+of a, so T = 1/(2 pi).  Under a Gaussian switching window of width T the
+rate is the eternal rate r(E') = (1/2 pi) E' / (e^{2 pi E'} - 1) smeared by
+the window in energy (Fewster, Juarez-Aubry & Louko, CQG 33, 165003, 2016),
 
-The domain of response_rate is finite energies, window widths
-_WINDOW[0] <= T <= _WINDOW[1], 1e-150 to 1e150, where T^2 and 1/T^2 are
-normal doubles, and regulators 0 <= eps <= min(_EPS[0], _EPS[1] / T^2),
-0.1 and 20 / T^2; outside it DomainError is raised before any arithmetic.
-There the kernel cannot overflow, and it takes its series where the direct
-form would cancel.  The eps bound is where the quadrature converges: eps
-makes the integrand's imaginary part odd in d, so its half-line trapezoid
-sum converges only like h^2 eps; past about 50 / T^2 for T >= 10, and
-past 0.15 or more for shorter windows, the halvings outgrow the node budget.
-The rates of a whole energy grid come from one quadrature over 0 <= d <= 7T
-per block of _E_ROWS energies, since only cos(E d) in the integrand depends
-on E.  The integrand is even in d and analytic in the strip |Im d| < 2 pi,
-so the trapezoid sum over d >= 0 with half weight at d = 0, half the sum
-over the whole line, converges geometrically (_quad.integrate_trapezoid).
-Its first step is min(1, pi / (2 (max|E| + 1))), so 4.46 T (max|E| + 1)
-intervals once max|E| > pi/2 - 1.  One integrand call on those intervals
-and their midpoints gives the first two levels, and their comparison
-usually ends it: the default grid is one call of 2,141 nodes.  The node
-budget (_quad._MAX_NODES) admits that call up to T (max|E| + 1) of about
-117,000; ConvergenceError is raised before a larger grid is built.
+    rate_T(E) = (1/sqrt pi) Int e^{-x^2} r(E + x/T) dx,
+
+the eps -> 0 limit of the i*eps prescription.  As r(-y) = r(y) + y / 2 pi,
+rate_T(-E) = rate_T(E) + E / 2 pi: one integral at a = |E| gives both rates.
+It is one trapezoid sum (_quad.integrate_trapezoid) on |x| <= X(T) =
+pi/T + sqrt(pi^2/T^2 + 81) from the step min(1/2, T/6), a grid set by T
+alone (75 nodes at T = 80); the integrand is analytic for |Im x| < T, so
+the sum converges geometrically, usually in the first integrand call.
+est_error bounds the error relative to the rate, which is at least r(a)
+as r is convex: the halving gap against tol = _RATE_TOL r(a); the
+roundings at each node of x, of a + x/T and 2 pi (a + x/T) in
+e^{-2 pi E'} and of x^2 in e^{-x^2}, and the smallest normal double per
+node for gradual underflow, so an underflowing rate reads unresolved; and
+the cut: log r is concave (pi^2 / sinh^2(pi y) < 1/y^2), each edge lies
+e^{-81} or more below the integrand at x = 0, and each tail is at most the
+edge value over the log-slope there, 18 or more.  The domain is window
+widths _WINDOW[0] <= T <= _WINDOW[1], 0.05 to 1e150 (60,629 nodes at
+0.05, where the node budget still admits four halvings), energies
+|E| <= _E_MAX = 1e300, where 2 pi |E'| stays finite, and finite eps >= 0;
+outside it DomainError is raised before any arithmetic.
 """
 
 from __future__ import annotations
@@ -43,15 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_trapezoid
+from ._quad import _EPS, integrate_trapezoid
 from .bogoliubov import _temperature_fit
 from .errors import DomainError
 from .geometry import worldline_clock
 
-_RATE_TOL = 1e-12  # absolute halving tolerance of the response_rate integral
-_E_ROWS = 4  # energies per response_rates integral: bounds its (energies x nodes) integrand
-_WINDOW = (1e-150, 1e150)  # the window widths T of response_rates: T^2 and 1/T^2 stay normal
-_EPS = (0.1, 20.0)  # response_rates takes eps <= min(_EPS[0], _EPS[1] / T^2)
+_RATE_TOL = 1e-13  # halving tolerance of the rate integral, relative to r(|E|)
+_WINDOW = (0.05, 1e150)  # the window widths T of response_rates (module docstring)
+_E_MAX = 1e300  # |E| of response_rates: 2 pi |E'| stays finite on every node
 
 
 def wightman_minkowski(dt, dr, eps=0.0):
@@ -98,31 +96,40 @@ def identity_residual(eta_grid):
     return float(max(r1, r2))
 
 
-def _sinh2_deficit(x):
-    """1/sinh(x)^2 - 1/x^2 for real or complex x with Re x > 0, stable through
-    x = 0 and free of overflow: the series in x^2 on |x| < 0.1, elsewhere
-    1/sinh(x)^2 = 4q/(1 - q)^2 with q = e^{-2x}, each on its own points."""
-    x = np.asarray(x)
-    out = np.empty(x.shape, dtype=np.result_type(x, float))
-    small = np.abs(x) < 0.1
-    x2 = x[small] ** 2
-    out[small] = -1.0 / 3.0 + x2 * (1.0 / 15.0 + x2 * (-2.0 / 189.0 + x2 / 675.0))
-    xl = x[~small]
-    q = np.exp(-2.0 * xl)
-    out[~small] = 4.0 * q / (1.0 - q) ** 2 - 1.0 / (xl * xl)
-    return out
-
-
 @dataclass(frozen=True)
 class RateResult:
     value: float
     est_error: float
 
 
-def _vacuum_window_rate(E, T):
-    """Closed-form windowed vacuum response
-    (1/4 pi^{3/2} T) e^{-T^2 E^2} - (E/4 pi) erfc(T E)."""
-    return math.exp(-(T * E) ** 2) / (4.0 * math.pi**1.5 * T) - (E / (4.0 * math.pi)) * math.erfc(T * E)
+def _planck(y):
+    """The eternal rate r(y) = (1/2 pi) y / (e^{2 pi y} - 1), elementwise and
+    free of overflow: with u = 2 pi |y| and g = u / (1 - e^{-u}), 1 at u = 0,
+    r = g e^{-u} / 4 pi^2 for y > 0 and g / 4 pi^2 for y <= 0."""
+    y = np.asarray(y, dtype=float)
+    u = 2.0 * math.pi * np.abs(y)
+    g = np.divide(u, -np.expm1(-u), out=np.ones_like(u), where=u > 0.0)
+    return np.where(y > 0.0, np.exp(-u), 1.0) * g / (4.0 * math.pi**2)
+
+
+def _smeared_rate(a, T):
+    """(rate_T(a), est_error) for a >= 0: the trapezoid sum of
+    (1/sqrt pi) e^{-x^2} r(a + x/T) over |x| <= X(T) (module docstring)."""
+    X = math.pi / T + math.sqrt((math.pi / T) ** 2 + 81.0)
+    r_a = float(_planck(a))
+
+    def integrand(x, start, h):
+        y = a + x / T
+        f = np.exp(-x * x) * _planck(y) / math.sqrt(math.pi)
+        # roundings in units of eps |f|: 8 operations, x^2, y and 2 pi y in
+        # e^{-2 pi y}, and the node x (3X eps) times the log-slope of f
+        c = (8.0 + x * x + 2.0 * math.pi * (2.0 * np.abs(y) + np.abs(x) / T)
+             + 3.0 * X * (2.0 * np.abs(x) + 2.0 * math.pi / T))
+        return f, _EPS * c * np.abs(f) + np.finfo(float).tiny
+
+    val, err = integrate_trapezoid(integrand, -X, X, _RATE_TOL * r_a, min(0.5, T / 6.0))
+    # the two tails past +-X: each at most e^{-81} f(0) / 18, f(0) = r(a) / sqrt pi
+    return float(val), err + math.exp(-81.0) * r_a / (9.0 * math.sqrt(math.pi))
 
 
 def response_rates(E, window_time=80.0, eps=1e-8):
@@ -131,59 +138,25 @@ def response_rates(E, window_time=80.0, eps=1e-8):
     1-D array of energies, the list of those pairs, one per energy.
 
     window_time is the Gaussian switching width T; for an eternal window the
-    rate tends to (1/2 pi) E / (e^{2 pi E} - 1).  eps must lie in
-    [0, min(_EPS[0], _EPS[1] / T^2)] (module docstring); est_error grows
-    about linearly in eps, from 5.7e-8 at 1e-4 to 1.7e-6 at 3e-3 for
-    E = 0.5, 1, 2 and T = 80.  The vacuum part of W is
-    transformed in closed form, so eps only enters the smooth subtracted
-    integrand f(d) = 2 cos(E d) g(d), g the window times the vacuum-subtracted
-    correlation, and the rate is insensitive to halving it.  f depends on E
-    only through the even cos(E d), which np.cos keeps even bit for bit, so
-    rate(E) and rate(-E) share its integral over 0 <= d <= 7T; and g, the
-    costly complex factor, is formed once per node for every E of a block of
-    _E_ROWS energies, integrated together on nested trapezoid grids from the
-    step min(1, pi / (2 (max|E| + 1))) of the block.  est_error adds to the
-    block's halving difference and rounding floor the cut beyond
-    7T, where the window is still e^{-12.25} of its peak: the envelope
-    h = 2|g| of f falls monotonically, so by parts the tail is at most
-    2 h(7T) / |E|, and without the oscillation at most 2 h(7T) T^2 / 7T; the
-    smaller bound is taken.
+    rate tends to expected_rate(E).  The rate is the eps -> 0 limit, so eps
+    has no effect, but must be finite and >= 0.  Each distinct |E| takes one
+    integral (module docstring).
     """
     T = float(window_time)
     energies = np.atleast_1d(np.asarray(E, dtype=float))
     if not _WINDOW[0] <= T <= _WINDOW[1]:
         raise DomainError(f"window_time must lie in [{_WINDOW[0]:g}, {_WINDOW[1]:g}], not {T!r}")
-    if not np.all(np.isfinite(energies)):
-        raise DomainError("the energies must be finite")
-    eps_max = min(_EPS[0], _EPS[1] / (T * T))
-    if not 0.0 <= eps <= eps_max:
-        raise DomainError(f"eps must lie in [0, {eps_max:.3g}] at window_time {T:g}, not {eps!r}: "
-                          "beyond it the rate integral does not converge")
-
-    def g(d):
-        # the window times the vacuum-subtracted thermal correlation, smooth and even in d
-        dW = -(_sinh2_deficit((d - 1j * eps) / 2.0) / (16.0 * math.pi**2))
-        return np.exp(-(d * d) / (4.0 * T * T)) * dW
-
-    # the subtracted kernel only falls like 1/d^2, so the cut is set by the
-    # window envelope, not by the thermal decay
-    d_max = 7.0 * T
-    h = 2.0 * abs(g(np.array([d_max]))[0])
+    if not np.all(np.abs(energies) <= _E_MAX):  # also catches inf and NaN
+        raise DomainError(f"the energies must be finite with |E| <= {_E_MAX:g}")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and >= 0, not {eps!r}")
+    smears = {a: _smeared_rate(a, T) for a in set(np.abs(energies).tolist())}
     pairs = []
-    for i in range(0, energies.size, _E_ROWS):
-        block = energies[i:i + _E_ROWS]
-
-        def integrand(d, start, step):
-            x = np.multiply.outer(block, d)
-            np.cos(x, out=x)
-            return x * (2.0 * g(d)), 0.0
-
-        step = min(1.0, math.pi / (2.0 * (float(np.max(np.abs(block))) + 1.0)))
-        val, err = integrate_trapezoid(integrand, 0.0, d_max, _RATE_TOL, step)
-        for e, v in zip(block.tolist(), val):
-            est = float(err + abs(v.imag) + 2.0 * h / max(abs(e), d_max / (T * T)))
-            pairs.append(tuple(RateResult(value=float(_vacuum_window_rate(x, T) + v.real), est_error=est)
-                               for x in (e, -e)))
+    for e in energies.tolist():
+        up, err = smears[abs(e)]
+        down = up + abs(e) / (2.0 * math.pi)  # without rounding at E = 0
+        pair = (RateResult(up, err), RateResult(down, float(err + 2.0 * _EPS * down) if e else err))
+        pairs.append(pair if e >= 0.0 else pair[::-1])
     return pairs if np.ndim(E) else pairs[0]
 
 
@@ -195,15 +168,7 @@ def response_rate(E, window_time=80.0, eps=1e-8):
 
 def expected_rate(E):
     """Eternal-window thermal rate (1/2 pi) E/(e^{2 pi E} - 1)."""
-    if E == 0.0:
-        return 1.0 / (4.0 * math.pi**2)
-    return (E / (2.0 * math.pi)) / math.expm1(2.0 * math.pi * E)
-
-
-def detailed_balance(E, window_time=80.0, eps=1e-8):
-    """(rate(E) / rate(-E), e^{-2 pi E}) for comparison."""
-    up, down = response_rates(E, window_time, eps)
-    return up.value / down.value, math.exp(-2.0 * math.pi * E)
+    return float(_planck(E))
 
 
 def fit_temperature(energies, rates):

@@ -53,6 +53,7 @@ _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyo
 _RAPIDITY_TOL = 1e-10  # absolute refinement tolerance of the rapidity integrals
 _TAYLOR_TOL = np.finfo(float).eps  # Taylor remainder of _taylor_sum, relative to sum|c|
 _SCALE = 1e150  # bound of the Profile domain (Profile.checked): sigma^2 stays a normal double
+_NARROW = 1e8  # largest omega0/sigma of Profile.checked: node offsets lose ~eps omega0/sigma
 
 
 def _phase(x):
@@ -94,14 +95,16 @@ class Profile(NamedTuple):
 
     def checked(self):
         """The profile itself; DomainError outside the domain 0 < omega0,
-        1/_SCALE <= sigma and omega0, sigma, |v0|, omega0/sigma <= _SCALE.
-        There sigma^2 is a normal double and (w - omega0)^2, w v0 and
-        (w - omega0)^2 / 4 sigma^2 stay finite for every node w, also for
-        w = 0 and for nodes off omega0 by rounding alone."""
+        1/_SCALE <= sigma and omega0, sigma, |v0| <= _SCALE, omega0/sigma <=
+        _NARROW.  There sigma^2 is a normal double and (w - omega0)^2, w v0
+        and (w - omega0)^2 / 4 sigma^2 stay finite for every node w, and the
+        rounding of the nodes omega0 + x sigma, about eps omega0/sigma
+        relative in x, stays near 2e-8: past it the cross moments drift far
+        outside their est_error (0.207 for 0.0216 at sigma = 1e-17)."""
         if not (0.0 < self.omega0 <= _SCALE and 1.0 / _SCALE <= self.sigma <= _SCALE
-                and abs(self.v0) <= _SCALE and self.omega0 <= _SCALE * self.sigma):
-            raise DomainError(f"packet needs 0 < omega0, 1/{_SCALE:g} <= sigma and omega0, sigma, "
-                              f"|v0|, omega0/sigma <= {_SCALE:g}")
+                and abs(self.v0) <= _SCALE and self.omega0 <= _NARROW * self.sigma):
+            raise DomainError(f"packet needs 0 < omega0, 1/{_SCALE:g} <= sigma, omega0, sigma and "
+                              f"|v0| <= {_SCALE:g}, and omega0/sigma <= {_NARROW:g}")
         return self
 
     def nodes(self, n=None, root=False):

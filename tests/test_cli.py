@@ -13,6 +13,15 @@ from diamondfield import cli, detector
 from diamondfield.cli import main
 
 
+# bounded-child setup: code(argv) is main's exit code, also when argparse exits
+_EXIT_CODE = ("from diamondfield.cli import main\n"
+              "def code(argv):\n"
+              "    try:\n"
+              "        return main(argv)\n"
+              "    except SystemExit as exc:\n"
+              "        return exc.code")
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main([*argv, "--out", str(out)])
@@ -119,8 +128,10 @@ class TestDetector:
             ln[2:].split("=", 1) for ln in lines if ln.startswith("# ")
         )
         assert float(meta["identity_residual"]) <= 1e-10
-        rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
-        assert all(r[4] == "true" for r in rows)  # eps consistency column
+        assert "eps" not in meta  # the rate is the eps -> 0 limit
+        header, *rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+        assert header == ["E", "rate", "balance_ratio", "rate_thermal", "fitted_T"]
+        assert all(float(r[1]) > float(r[3]) > 0.0 for r in rows)  # r is convex: the smear lies above it
 
     def test_negative_energies_fit(self, tmp_path):
         # rate pairs at E < 0 are fitted as Boltzmann exponents, not occupations
@@ -138,39 +149,44 @@ class TestDetector:
         assert abs(float(meta["fitted_T"]) - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
 
     def test_one_integral_per_energy_and_eps(self, tmp_path, monkeypatch):
-        # the default grid is one block of response_rates: one integral at eps
-        # and one for the eps / 2 check, where one per energy and eps took 6
-        # and one per rate 9
+        # one integral per energy, 3 for the default grid, where the time-domain
+        # route ran one at eps and one at eps / 2 on 2,141 nodes each
         calls, integrate = [], detector.integrate_trapezoid
         monkeypatch.setattr(detector, "integrate_trapezoid",
                             lambda *a, **k: calls.append(a[1:3]) or integrate(*a, **k))
         code, _ = run(tmp_path, "detector")
-        assert code == 0 and len(calls) == 2
+        assert code == 0 and len(calls) == 3
+
+    @pytest.mark.parametrize("grid", ["5,10,30", "0.5:20:0.5"])
+    def test_small_excitation_rates_resolve(self, tmp_path, grid):
+        # the time-domain route lost the rates past E = 4 at a window of 80
+        # (-9.2e-14 at E = 5, against 1.81e-14) and exited 2 as unresolved
+        code, text = run(tmp_path, "detector", "--grid", grid)
+        assert code == 0
+        meta = dict(ln[2:].split("=", 1) for ln in text.splitlines() if ln.startswith("# "))
+        assert abs(float(meta["fitted_T"]) - 1.0 / (2.0 * math.pi)) <= 0.02 / (2.0 * math.pi)
 
     def test_unresolved_rates_rejected(self, capsys):
-        # at a window of 80 the rates at E = 5, 10, 30 lie below their own
-        # est_error (-1.0e-13 at E = 5); the fit took the log of a negative
-        # ratio and printed fitted_T=nan after a numpy RuntimeWarning
+        # the excitation rate at E = 200 underflows to 0, not above its
+        # est_error; the fit took the log of a non-positive ratio and printed
+        # fitted_T=nan after a numpy RuntimeWarning
         t0 = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
-            main(["detector", "--grid", "5,10,30"])
+            main(["detector", "--grid", "0.5,200"])
         assert exc.value.code == 2 and time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
-        assert "rate at E=5 is" in err and "not above its est_error" in err
+        assert "rate at E=200 is 0" in err and "not above its est_error" in err
 
-    @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6", "--eps", "0"],
-                                      ["--grid", "0.5,2000"]])
+    @pytest.mark.parametrize("argv", [["--grid", "1e4"], ["--window", "1e6"], ["--grid", "0.5,2000"]])
     def test_oversized_quadrature_fails_fast(self, argv, bounded):
-        # the first two ask for a first trapezoid call of 7.1M and 26.7M
-        # nodes; at E = 2000 the first grid alone (713K nodes) would fit the
-        # budget, but the first call takes it with its midpoints (1.43M).
-        # E = 200 now converges on 143K nodes.  At the window 1e6 only eps = 0
-        # lies in the eps domain (eps <= 20 / T^2 = 2e-11)
-        code, seconds, err = bounded("from diamondfield.cli import main",
-                                     f"main({['detector', *argv]!r})", timeout=10.0)
-        assert code == "1" and seconds < 1.0
-        assert json.loads(err)["error"] == "ConvergenceError"
-        assert "exceeds the budget" in err
+        # the time-domain route asked for first trapezoid calls of 7.1M, 26.7M
+        # and 1.43M nodes and exited 1; the smear's grid depends on the window
+        # alone (75 nodes here): the window 1e6 fits T (exit 0), and the
+        # excitation rates at E = 1e4 and 2000 underflow, unresolved (exit 2)
+        code = 0 if "--window" in argv else 2
+        got, seconds, err = bounded(_EXIT_CODE, f"code({['detector', *argv, '--out', os.devnull]!r})", timeout=10.0)
+        assert got == repr(code) and seconds < 1.0
+        assert "Warning" not in err
 
 
 class TestEdgeInputs:
@@ -183,23 +199,21 @@ class TestEdgeInputs:
         (["spectrum", "--grid", "1", "--sigma", "1e100"], 2),
         (["spectrum", "--grid", "1", "--sigma", "1e300"], 2),
         (["correlations", "--n", "2", "--grid", "1", "--sigma", "1e300"], 2),
-        (["detector", "--eps", "0.01"], 2),
-        (["detector", "--eps", "1e155"], 2),
+        (["correlations", "--n", "1", "--grid", "1", "--sigma", "1e-17"], 2),
+        (["fig2", "--grid", "1e100", "--sigma", "1e-10"], 2),
+        (["detector", "--window", "0.04"], 2),
+        (["detector", "--grid", "1e301"], 2),
     ])
     def test_exit_code_without_warnings(self, argv, code, bounded):
         # the first windows exited 1 with a ZeroDivisionError in the rate or
         # in the fit of balance ratios that all round to 1; fig2 at omega1 =
         # 1e6 printed an overflow warning of the Planck factor; the spectrum
         # warned of inf * 0 in the log-kappa tail or exited 1 with an
-        # OverflowError of sigma**2, as did correlations; detector eps from
-        # 0.01 up exited 1 with a ConvergenceError, 1e155 also warned
-        setup = ("from diamondfield.cli import main\n"
-                 "def code(argv):\n"
-                 "    try:\n"
-                 "        return main(argv)\n"
-                 "    except SystemExit as exc:\n"
-                 "        return exc.code")
-        got, seconds, err = bounded(setup, f"code({[*argv, '--out', os.devnull]!r})")
+        # OverflowError of sigma**2, as did correlations; omega0/sigma = 1e17
+        # printed re_bb = 0.2073 for 0.0216 and 1e110 ended fig2 in an
+        # OverflowError of the lattice indices; the detector window 0.04 and
+        # energy 1e301 lie outside the rate's domain
+        got, seconds, err = bounded(_EXIT_CODE, f"code({[*argv, '--out', os.devnull]!r})")
         assert got == repr(code) and seconds < 1.0
         assert "Warning" not in err
 
@@ -212,9 +226,9 @@ class TestNonFiniteInputs:
         ["correlations", "--n", "1", "--grid", "1.0", "--sigma", "inf"],
         ["fig2", "--phi", "nan"],
         ["detector", "--window", "inf"],
-        ["detector", "--eps", "nan"],
+        ["detector", "--window", "nan"],
         ["detector", "--grid", "nan"],
-        ["detector", "--eps", "-1"],
+        ["detector", "--window", "-1"],
         ["detector", "--grid", "1:inf:1"],
         ["detector", "--window", "0"],
         ["spectrum", "--grid", "0:1e9:1e-9"],
@@ -230,10 +244,6 @@ class TestNonFiniteInputs:
         assert time.perf_counter() - t0 < 1.0
         flag = [tok for tok in argv if tok.startswith("--")][-1]
         assert f"argument {flag}:" in capsys.readouterr().err  # the message names the flag
-
-    def test_zero_eps_still_runs(self, tmp_path):
-        code, _ = run(tmp_path, "detector", "--eps", "0", "--grid", "1.0")
-        assert code == 0
 
 
 class TestValidate:
@@ -317,6 +327,13 @@ class TestOptions:
             cli.build_parser().parse_args([command, "--tol", "0.5"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    def test_detector_takes_no_eps(self, capsys):
+        # the rate is the eps -> 0 limit, so --eps and its eps / 2 check are gone
+        with pytest.raises(SystemExit) as exc:
+            main(["detector", "--eps", "1e-8"])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
 
     def test_unreachable_tolerance_is_a_usage_error(self, capsys):
         # once a quadrature tolerance that ran every doubling into a MemoryError

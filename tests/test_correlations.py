@@ -799,6 +799,18 @@ class TestPacketDomain:
                 call()
             assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("sigma", [1e-13, 1e-15, 1e-17])
+    @pytest.mark.parametrize("call", ["adjacent_moments_analytic(p, p)", "cross_moments(p, p, 2)"])
+    def test_narrow_packets_fail_fast(self, sigma, call, bounded):
+        # the node offsets omega0 + x sigma carry a rounding of eps omega0/sigma
+        # relative in x: at sigma = 1e-17 the n = 1 m_minus read 0.2073 for
+        # 0.0216 and the n = 2 one was 39 times too large, each far outside
+        # its est_error; omega0/sigma is bounded by modes._NARROW = 1e8
+        name, seconds, err = bounded("from diamondfield.correlations import adjacent_moments_analytic, "
+                                     f"cross_moments\np = (1.0, {sigma!r})", call)
+        assert name == "DomainError" and seconds < 1.0
+        assert "Warning" not in err
+
     def test_wide_exterior_over_narrow_diamond_is_fast(self, bounded):
         # an m_x rule wanted 7,066 exterior nodes here and raised; cut at the
         # exterior edge, both packets stay on 96 nodes

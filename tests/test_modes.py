@@ -446,7 +446,7 @@ class TestProfile:
             Profile(*args).nodes(16, root=root)
 
     @pytest.mark.parametrize("args", [
-        (modes._SCALE, modes._SCALE), (modes._SCALE, 1.0), (1.0, 1.0 / modes._SCALE),
+        (modes._SCALE, modes._SCALE), (modes._SCALE, modes._SCALE / modes._NARROW), (1.0, 1.0 / modes._NARROW),
         (1e-300, 1.0 / modes._SCALE, -modes._SCALE),
     ])
     @pytest.mark.parametrize("root", [False, True])

@@ -212,14 +212,15 @@ class TestTrapezoid:
             integrate_trapezoid(lambda v, a, h: calls.append(v.size) or (np.sin(v), 0.0), 0.0, 50.0, 1e-30, 1.0)
         assert calls == []
 
-    @pytest.mark.parametrize("run", [
-        *(pytest.param(lambda n=n: cross_moments((1.0, 0.02), (1.0, 0.02), n), id=f"cross_moments-{n}")
+    @pytest.mark.parametrize("run, integrals", [
+        *(pytest.param(lambda n=n: cross_moments((1.0, 0.02), (1.0, 0.02), n), 1, id=f"cross_moments-{n}")
           for n in (2, 10, 20)),
-        pytest.param(lambda: response_rates([0.5, 1.0, 2.0]), id="response_rates"),
+        pytest.param(lambda: response_rates([0.5, 1.0, 2.0]), 3, id="response_rates"),
     ])
-    def test_one_integrand_call_per_integral(self, run, monkeypatch):
-        # the rapidity integral at n >= 2 and the default detector block stop
-        # at the first comparison, so each takes one integrand call
+    def test_one_integrand_call_per_integral(self, run, integrals, monkeypatch):
+        # the rapidity integral at n >= 2 and the detector rate at each
+        # default energy stop at the first comparison, so each takes one
+        # integrand call
         calls = []
 
         def counting(f, *args):
@@ -234,7 +235,7 @@ class TestTrapezoid:
         monkeypatch.setattr(modes, "integrate_trapezoid", counting)
         monkeypatch.setattr(detector, "integrate_trapezoid", counting)
         run()
-        assert calls == [1]
+        assert calls == [1] * integrals
 
     def test_components_halve_together(self):
         val, err = integrate_trapezoid(lambda v, a, h: (np.stack([np.exp(-v * v), v * v * np.exp(-v * v)]), 0.0),
