@@ -12,17 +12,7 @@ and the response of an energy-scaled detector.
 from .errors import (
     ConvergenceError,
     DomainError,
-    OutsideDiamondError,
     PoleError,
-    SingularMapError,
-)
-from .geometry import (
-    DiamondEvent,
-    MinkowskiEvent,
-    line_element,
-    to_diamond,
-    to_minkowski,
-    worldline_clock,
 )
 from .modes import (
     Packet,
@@ -62,6 +52,7 @@ from .detector import (
     response_rates,
     thermal_wightman,
     wightman_minkowski,
+    worldline_clock,
 )
 
 __version__ = "0.1.0"
@@ -69,15 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DomainError",
-    "OutsideDiamondError",
     "PoleError",
-    "SingularMapError",
-    "DiamondEvent",
-    "MinkowskiEvent",
-    "line_element",
-    "to_diamond",
-    "to_minkowski",
-    "worldline_clock",
     "Packet",
     "Profile",
     "kg_product",
@@ -107,5 +90,6 @@ __all__ = [
     "response_rates",
     "thermal_wightman",
     "wightman_minkowski",
+    "worldline_clock",
     "__version__",
 ]

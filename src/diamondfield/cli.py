@@ -210,15 +210,6 @@ def _validate_checks():
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         return worst < 1e-11, f"max identity residual {worst:.2e}"
 
-    def geometry_roundtrip():
-        from .geometry import to_diamond, to_minkowski, MinkowskiEvent
-
-        ev = MinkowskiEvent(t=0.3, x=0.2, y=0.1, z=-0.4)
-        d = to_diamond(ev)
-        back = to_minkowski(d)
-        err = max(abs(back.t - ev.t), abs(back.x - ev.x), abs(back.y - ev.y), abs(back.z - ev.z))
-        return err < 1e-9, f"roundtrip error {err:.2e}"
-
     def mode_norms():
         from .modes import Packet, kg_product
 
@@ -258,7 +249,6 @@ def _validate_checks():
 
     return [
         ("specfun identities", specfun_identities),
-        ("geometry roundtrip", geometry_roundtrip),
         ("mode norms", mode_norms),
         ("coefficient oracle", coefficient_oracle),
         ("adjacent oracle", adjacent_oracle),

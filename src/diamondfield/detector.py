@@ -45,11 +45,11 @@ import numpy as np
 from ._quad import _EPS, integrate_trapezoid
 from .bogoliubov import _temperature_fit
 from .errors import DomainError
-from .geometry import worldline_clock
 
 _RATE_TOL = 1e-13  # halving tolerance of the rate integral, relative to r(|E|)
 _WINDOW = (0.05, 1e150)  # the window widths T of response_rates (module docstring)
 _E_MAX = 1e300  # |E| of response_rates: 2 pi |E'| stays finite on every node
+_ETA_MAX = 10.0  # |eta| of identity_residual (its docstring)
 
 
 def wightman_minkowski(dt, dr, eps=0.0):
@@ -58,6 +58,12 @@ def wightman_minkowski(dt, dr, eps=0.0):
     dt = np.asarray(dt, dtype=complex) - 1j * eps
     dr = np.asarray(dr, dtype=float)
     return -(1.0 / (4.0 * math.pi**2)) / (dt * dt - dr * dr)
+
+
+def worldline_clock(eta):
+    """Minkowski time on the static worldline, elementwise: t = 2 tanh(eta / 2),
+    in units of 1/a, so the diamond's static observer lives for -2 < t < 2."""
+    return 2.0 * np.tanh(np.asarray(eta) / 2.0)
 
 
 def scaled_static_wightman(eta, eta_p):
@@ -84,10 +90,22 @@ def thermal_wightman(d):
 
 def identity_residual(eta_grid):
     """Max relative residual between the scaled-static and accelerated forms
-    of W over all pairs from eta_grid (coincidence points excluded)."""
+    of W over all pairs from eta_grid at least 1e-3 apart.
+
+    The domain is finite eta with |eta| <= _ETA_MAX = 10 and at least one
+    such pair; outside it DomainError is raised.  The accelerated form takes
+    4 sinh^2(d/2), d = eta - eta', from differences of sinh and cosh about
+    e^|eta| in size, so it rounds by about eps e^{2|eta|} / d relative:
+    1e-4 at the edge for d = 1e-3, while at |eta| = 15.1 such a pair cancels
+    to 0 (long before cosh^2(eta/2) overflows, near |eta| = 710).
+    """
     eta = np.asarray(eta_grid, dtype=float)
+    if not np.all(np.abs(eta) <= _ETA_MAX):  # also catches inf and NaN
+        raise DomainError(f"eta_grid must be finite with |eta| <= {_ETA_MAX:g}")
     e1, e2 = np.meshgrid(eta, eta, indexing="ij")
     mask = np.abs(e1 - e2) >= 1e-3
+    if not mask.any():
+        raise DomainError("eta_grid needs two points at least 1e-3 apart")
     lhs = scaled_static_wightman(e1[mask], e2[mask])
     mid = accelerated_wightman(e1[mask], e2[mask])
     ref = thermal_wightman(e1[mask] - e2[mask])
@@ -167,7 +185,11 @@ def response_rate(E, window_time=80.0, eps=1e-8):
 
 
 def expected_rate(E):
-    """Eternal-window thermal rate (1/2 pi) E/(e^{2 pi E} - 1)."""
+    """Eternal-window thermal rate (1/2 pi) E/(e^{2 pi E} - 1), on the energy
+    domain of response_rates: finite |E| <= _E_MAX, else DomainError."""
+    E = float(E)
+    if not abs(E) <= _E_MAX:  # also catches NaN
+        raise DomainError(f"the energy must be finite with |E| <= {_E_MAX:g}")
     return float(_planck(E))
 
 

@@ -9,13 +9,5 @@ class PoleError(DomainError):
     """Evaluation requested exactly at a pole."""
 
 
-class OutsideDiamondError(DomainError):
-    """Minkowski event lies on or outside the diamond boundary."""
-
-
-class SingularMapError(DomainError):
-    """Coordinate map denominator vanished or changed sign."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative scheme or quadrature failed its own residual check."""

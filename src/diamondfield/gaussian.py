@@ -123,10 +123,16 @@ def build_covariance(specs, adjacent="analytic"):
                             min_symplectic_eig=float(eig[0]))
 
 
+def _check_phases(*phis):
+    if not all(map(math.isfinite, phis)):
+        raise DomainError("phi must be finite")
+
+
 def mode_variance(cov, i, phi=0.0):
-    """V(X_i(phi)) from the stored covariance."""
+    """V(X_i(phi)) from the stored covariance, for finite phi."""
     if not 0 <= i < len(cov.modes):
         raise IndexError(f"mode index must lie in [0, {len(cov.modes)})")
+    _check_phases(phi)
     c, s = math.cos(phi), math.sin(phi)
     u = np.zeros(cov.matrix.shape[0])
     u[2 * i], u[2 * i + 1] = c, s
@@ -134,12 +140,13 @@ def mode_variance(cov, i, phi=0.0):
 
 
 def joint_variance(cov, i, j, sign, phi=0.0):
-    """V((X_i(phi) + sign * X_j(phi)) / sqrt 2), sign in {+1, -1}."""
+    """V((X_i(phi) + sign * X_j(phi)) / sqrt 2), sign in {+1, -1}, finite phi."""
     m = len(cov.modes)
     if not (0 <= i < m and 0 <= j < m) or i == j:
         raise IndexError(f"joint variance needs two distinct mode indices in [0, {m})")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
+    _check_phases(phi)
     s = float(sign)
     c, sn = math.cos(phi), math.sin(phi)
     u = np.zeros(cov.matrix.shape[0])
@@ -163,8 +170,10 @@ def fig2_sweep(phi_list=(0.0, 0.2 * math.pi), omega1_grid=None, sigma=DEFAULT_SI
     arrays, ordered by (phi, omega1).  The zeroth packet is fixed at
     (1.0, sigma, 0); the first-diamond packet (omega1, sigma, 0) runs over
     omega1_grid.  entangled is the squeezing_witness verdict of each
-    covariance, independent of phi.
+    covariance, independent of phi.  Every phi must be finite.
     """
+    phi_list = tuple(phi_list)
+    _check_phases(*phi_list)
     if omega1_grid is None:
         omega1_grid = np.arange(0.5, 1.5 + 1e-9, 0.01)
     omega1_grid = np.asarray(omega1_grid, dtype=float)

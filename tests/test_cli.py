@@ -250,8 +250,13 @@ class TestValidate:
     def test_exit_zero(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
-        assert "specfun identities" in out
         assert "FAIL" not in out
+        # one line per check, each starting with pass (a benchmark check reads that prefix)
+        checks = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert [ln[:4] for ln in checks] == ["pass"] * 6
+        assert [ln[6:30].rstrip() for ln in checks] == [
+            "specfun identities", "mode norms", "coefficient oracle",
+            "adjacent oracle", "wightman identity", "covariance physical"]
 
 
 class TestParser:
@@ -303,11 +308,19 @@ class TestOptions:
                  for p in inspect.signature(fn).parameters if p in ("tol", "max_doublings")]
         assert knobs == []
 
+    def test_public_names_resolve(self):
+        names = diamondfield.__all__
+        assert len(set(names)) == len(names)
+        assert [name for name in names if not hasattr(diamondfield, name)] == []
+        assert diamondfield.worldline_clock is detector.worldline_clock
+        with pytest.raises(ModuleNotFoundError):  # the unused conformal map is deleted
+            importlib.import_module("diamondfield.geometry")
+
     def test_results_in_units_of_a(self):
         # no function takes the diamond's size: coordinates are in units of
         # 1/a, frequencies and energies in units of a
         names = dict(self._public_callables())
-        assert "diamondfield.geometry.to_diamond" in names
+        assert "diamondfield.detector.worldline_clock" in names
         scaled = [name for name, fn in names.items() if "scale" in inspect.signature(fn).parameters]
         assert scaled == []
 

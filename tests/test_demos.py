@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    # the suite's warning policy: a numpy overflow or invalid value fails the demo
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

@@ -1,8 +1,10 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from diamondfield import detector
@@ -17,6 +19,7 @@ from diamondfield.detector import (
     scaled_static_wightman,
     thermal_wightman,
     wightman_minkowski,
+    worldline_clock,
 )
 from diamondfield.errors import DomainError
 
@@ -79,6 +82,34 @@ def _rate_30_digits(E, T):
         return float(scale * val / mp.sqrt(mp.pi))
 
 
+def _fails_fast(call):
+    """call() raises DomainError within 1 s (a RuntimeWarning fails the run)."""
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        call()
+    assert time.perf_counter() - t0 < 1.0
+
+
+class TestWorldline:
+    def test_clock_range(self):
+        # proper time (-inf, inf) covers Minkowski time (-2, 2), in units of 1/a
+        assert worldline_clock(5.0) < 2.0
+        assert worldline_clock(0.0) == 0.0
+        assert worldline_clock(-5.0) > -2.0
+        assert abs(worldline_clock(50.0)) <= 2.0
+
+    @given(st.floats(-5.0, 5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_clock_rate_is_derivative(self, eta):
+        h = 1e-6
+        num = (worldline_clock(eta + h) - worldline_clock(eta - h)) / (2 * h)
+        assert abs(num - 1.0 / math.cosh(eta / 2.0) ** 2) < 1e-8
+
+    def test_clock_is_elementwise(self):
+        etas = [-3.0, 0.0, 0.5, 40.0]
+        assert worldline_clock(etas).tolist() == [worldline_clock(e) for e in etas]
+
+
 class TestWightman:
     def test_minkowski_timelike(self):
         val = wightman_minkowski(2.0, 0.0)
@@ -91,6 +122,20 @@ class TestWightman:
     def test_identity_grid(self):
         res = identity_residual(np.linspace(-3.0, 3.0, 20))
         assert res <= 1e-10
+
+    @pytest.mark.parametrize("grid", [
+        [math.nan, 1.0, 2.0], [0.0, math.inf], [-math.inf, 0.0],
+        [1.0, 1.0005], [], [0.0, 800.0], [0.0, 10.5], [-10.5, 0.0],
+    ])
+    def test_identity_residual_outside_the_domain_fails_fast(self, grid):
+        # a NaN was dropped (residual 4.5e-16), a grid with no pair 1e-3 apart
+        # raised numpy's zero-size reduction error, and [0, 800] overflowed
+        _fails_fast(lambda: identity_residual(grid))
+
+    @pytest.mark.parametrize("grid", [[-10.0, 10.0], [10.0 - 1.001e-3, 10.0], [-10.0, -10.0 + 1.001e-3]])
+    def test_identity_residual_domain_edges_stay_finite(self, grid):
+        # a pair 1e-3 apart cancels to 0 in the accelerated form at |eta| = 15.1
+        assert 0.0 <= identity_residual(grid) < 1e-3
 
     def test_forms_agree_pointwise(self):
         lhs = scaled_static_wightman(0.7, -0.4)
@@ -168,6 +213,15 @@ class TestResponse:
         up, down = response_rates(detector._E_MAX)
         assert up.value == 0.0 < up.est_error
         assert down.value == detector._E_MAX / (2.0 * math.pi)
+
+    @pytest.mark.parametrize("E", [math.inf, -math.inf, math.nan, 1e301, -1e301])
+    def test_expected_rate_outside_the_domain_fails_fast(self, E):
+        # -inf returned inf, inf gave NaN and 1e308 overflowed
+        _fails_fast(lambda: expected_rate(E))
+
+    @pytest.mark.parametrize("E", [detector._E_MAX, -detector._E_MAX])
+    def test_expected_rate_domain_edges_stay_finite(self, E):
+        assert 0.0 <= expected_rate(E) < math.inf
 
     def test_fit_temperature(self):
         Es = [0.5, 1.0, 2.0]

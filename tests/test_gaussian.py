@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import warnings
 
 import mpmath
@@ -236,6 +237,19 @@ class TestJointVariance:
             joint_variance(cov, i, j, -1, 0.0)
         with pytest.raises(IndexError):
             squeezing_witness(cov, i, j)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_fails_fast(self, phi, monkeypatch):
+        # fig2_sweep returned NaN rows, joint_variance raised a bare math
+        # domain error and mode_variance returned nan
+        cov = pair()
+        monkeypatch.setattr(gaussian, "build_covariance", None)  # the sweep checks first
+        for call in (lambda: fig2_sweep((0.0, phi), [1.0]), lambda: joint_variance(cov, 0, 1, -1, phi),
+                     lambda: mode_variance(cov, 0, phi)):
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError, match="phi must be finite"):
+                call()
+            assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("i", [-1, 2])
     def test_mode_variance_index_out_of_range_rejected(self, i):
