@@ -50,8 +50,6 @@ from .detector import (
     identity_residual,
     response_rate,
     response_rates,
-    thermal_wightman,
-    wightman_minkowski,
     worldline_clock,
 )
 
@@ -88,8 +86,6 @@ __all__ = [
     "identity_residual",
     "response_rate",
     "response_rates",
-    "thermal_wightman",
-    "wightman_minkowski",
     "worldline_clock",
     "__version__",
 ]

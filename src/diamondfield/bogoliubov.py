@@ -47,7 +47,7 @@ import numpy as np
 
 from ._quad import integrate_adaptive
 from .errors import DomainError
-from .modes import _V_CUT, DEFAULT_SIGMA, Profile, _plane_kernel, _sharp_rapidity_integral
+from .modes import _V_CUT, DEFAULT_SIGMA, Profile, _check_index, _plane_kernel, _sharp_rapidity_integral
 from .specfun import kummer_m_vec, log_gamma
 
 
@@ -58,13 +58,14 @@ def ab_coefficients(omega, k, n=0):
     """(A, B) for diamond index n, vectorized over k at fixed omega.
 
     The domain is 0 < omega <= _OMEGA_MAX = 50, where kummer_m_vec certifies
-    M(1 + i omega, 2, z), and finite k > 0; outside it DomainError is raised
-    before any evaluation."""
+    M(1 + i omega, 2, z), finite k > 0 and integer n; outside it DomainError
+    is raised before any evaluation."""
     ka = np.asarray(k, dtype=float)
     if not 0.0 < omega <= _OMEGA_MAX:
         raise DomainError(f"omega must lie in (0, {_OMEGA_MAX:g}], not {omega!r}")
     if not np.all((ka > 0.0) & (ka < math.inf)):
         raise DomainError("k must be positive and finite")
+    _check_index(n)
     # 2 sqrt(omega ka)/sinh(pi omega), overflow-safe in omega
     pref = np.sqrt(omega * ka) * 4.0 * math.exp(-math.pi * omega) / (-math.expm1(-2.0 * math.pi * omega))
     A = pref * np.exp(2j * ka) * kummer_m_vec(1.0 + 1j * omega, 2.0, -4j * ka)
@@ -81,11 +82,13 @@ def ab_numeric(omega, k, n=0):
     A = <g_{n,omega}, u_k> reduced to the single absolutely convergent term
     -2i Int dV g dV(u_k*); the discarded boundary term has Abel mean zero.
     It is the sharp rapidity integral of modes on |v| <= 40, on Gauss-Legendre
-    panels with one np.exp per node (_sharp_rapidity_integral).
+    panels with one np.exp per node (_sharp_rapidity_integral).  The domain
+    is finite omega > 0, finite k > 0 and integer n, else DomainError.
     """
     Om, ka = float(omega), float(k)
-    if not (Om > 0.0 and ka > 0.0):
-        raise DomainError("omega and k must be positive")
+    if not (0.0 < Om < math.inf and 0.0 < ka < math.inf):
+        raise DomainError("omega and k must be positive and finite")
+    _check_index(n)
     vA, vB, err = _sharp_rapidity_integral(lambda v: _plane_kernel(n, v), Om, ka, -_V_CUT, _V_CUT, 1.0)
     c = math.sqrt(ka / Om) / (2.0 * math.pi)
     return (c * vA, -c * vB, c * err)

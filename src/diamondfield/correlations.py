@@ -22,7 +22,6 @@ sharp alpha and beta are in units of 1/a, the smeared moments dimensionless.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -30,17 +29,11 @@ import numpy as np
 
 from ._quad import _MAX_NODES, panel_nodes
 from .errors import DomainError, PoleError
-from .modes import (_SPAN, _TAIL, _V_CUT, Profile, _node_count, _rapidity_integral, _sharp_rapidity_integral,
-                    _taylor_sum)
+from .modes import (_SPAN, _TAIL, _V_CUT, Profile, _check_index, _node_count, _rapidity_integral,
+                    _sharp_rapidity_integral, _taylor_sum)
 from .specfun import log_gamma_1pix
 
 _POLE_GUARD = 1e-12
-
-
-def _separation(n, least):
-    """DomainError unless the diamond separation n is an integer >= least."""
-    if not (isinstance(n, numbers.Integral) and n >= least):
-        raise DomainError(f"the diamond separation n must be an integer >= {least}, not {n!r}")
 
 
 def _frequencies(*W):
@@ -161,7 +154,7 @@ def alpha_beta_numeric(Omega, Omega_p, n=1):
     in closed form, and alpha has a pole at Omega = Omega_p.  For n >= 2 the
     integrand is ~1e-17 at the cut and alpha is finite on the diagonal.
     """
-    _separation(n, 1)
+    _check_index(n, 1, "diamond separation")
     _frequencies(Omega, Omega_p)
     if n == 1 and abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
@@ -226,7 +219,7 @@ def cross_moments(spec0, spec_n, n):
     adjacent_moments_analytic with 1/|lo2| as its lowest node,
     c = |G0(0) G1(0)| / 4pi and W_top the larger omega0 + _SPAN sigma.
     """
-    _separation(n, 1)
+    _check_index(n, 1, "diamond separation")
     p0 = Profile(*spec0).checked()
     p1 = Profile(*spec_n).checked()
     m = _node_count(p0, p1)
@@ -263,7 +256,7 @@ def asymptotic_moment(n, Omega, Omega_p):
     frequencies that are not positive and finite.  Where sinh(pi Omega)
     passes the double range the moments are the underflowed 0.
     """
-    _separation(n, 5)
+    _check_index(n, 5, "diamond separation")
     _frequencies(Omega, Omega_p)
     if n < 10:
         warnings.warn("asymptotic moments are rough for n < 10", stacklevel=2)

@@ -9,9 +9,17 @@ accelerated detector,
 
 so an inertial detector with its gap scaled as 1/cosh^2(a eta/2) responds
 thermally at T = a / (2 pi).  Times are in units of 1/a and energies in units
-of a, so T = 1/(2 pi).  Under a Gaussian switching window of width T the
-rate is the eternal rate r(E') = (1/2 pi) E' / (e^{2 pi E'} - 1) smeared by
-the window in energy (Fewster, Juarez-Aubry & Louko, CQG 33, 165003, 2016),
+of a, so T = 1/(2 pi).  identity_residual, the one public entry to the
+Wightman forms, checks the identity: with the Minkowski function
+W_M(dt, dr) = -(1/4 pi^2) / (dt^2 - dr^2) it compares the scaled static
+form W_M(t - t', 0) / (cosh^2(eta/2) cosh^2(eta'/2)) on the worldline
+t = 2 tanh(eta/2) (worldline_clock) and the accelerated form
+W_M(sinh eta - sinh eta', |cosh eta - cosh eta'|) on the hyperbola
+t = sinh(eta), x = cosh(eta) with the thermal form W(d).
+
+Under a Gaussian switching window of width T the rate is the eternal rate
+r(E') = (1/2 pi) E' / (e^{2 pi E'} - 1) smeared by the window in energy
+(Fewster, Juarez-Aubry & Louko, CQG 33, 165003, 2016),
 
     rate_T(E) = (1/sqrt pi) Int e^{-x^2} r(E + x/T) dx,
 
@@ -52,52 +60,35 @@ _E_MAX = 1e300  # |E| of response_rates: 2 pi |E'| stays finite on every node
 _ETA_MAX = 10.0  # |eta| of identity_residual (its docstring)
 
 
-def wightman_minkowski(dt, dr, eps=0.0):
-    """Massless-field Wightman function for separations (dt, dr):
-    -(1/4 pi^2) / ((dt - i eps)^2 - dr^2)."""
-    dt = np.asarray(dt, dtype=complex) - 1j * eps
-    dr = np.asarray(dr, dtype=float)
-    return -(1.0 / (4.0 * math.pi**2)) / (dt * dt - dr * dr)
-
-
 def worldline_clock(eta):
     """Minkowski time on the static worldline, elementwise: t = 2 tanh(eta / 2),
-    in units of 1/a, so the diamond's static observer lives for -2 < t < 2."""
-    return 2.0 * np.tanh(np.asarray(eta) / 2.0)
-
-
-def scaled_static_wightman(eta, eta_p):
-    """W along the static worldline t = worldline_clock(eta), r = 0, divided
-    by the energy-scaling factors cosh^2(eta/2) cosh^2(eta'/2)."""
-    num = wightman_minkowski(worldline_clock(eta) - worldline_clock(eta_p), 0.0)
-    return num / (np.cosh(np.asarray(eta) / 2.0) ** 2 * np.cosh(np.asarray(eta_p) / 2.0) ** 2)
-
-
-def accelerated_wightman(tau, tau_p):
-    """W along the hyperbola t = sinh(tau), x = cosh(tau)."""
-    tau = np.asarray(tau, dtype=float)
-    tau_p = np.asarray(tau_p, dtype=float)
-    dt = np.sinh(tau) - np.sinh(tau_p)
-    dr = np.cosh(tau) - np.cosh(tau_p)
-    return wightman_minkowski(dt, np.abs(dr))
-
-
-def thermal_wightman(d):
-    """Closed form -(1/16 pi^2)/sinh^2(d/2)."""
-    x = np.asarray(d, dtype=complex) / 2.0
-    return -(1.0 / (16.0 * math.pi**2)) / np.sinh(x) ** 2
+    in units of 1/a, so the diamond's static observer lives for -2 < t < 2;
+    eta = +-inf gives the tips +-2, and a NaN raises DomainError."""
+    eta = np.asarray(eta)
+    if np.isnan(eta).any():
+        raise DomainError("eta must not be NaN")
+    return 2.0 * np.tanh(eta / 2.0)
 
 
 def identity_residual(eta_grid):
-    """Max relative residual between the scaled-static and accelerated forms
-    of W over all pairs from eta_grid at least 1e-3 apart.
+    """Max relative residual of the scaled static and the accelerated form of
+    W against the thermal form (module docstring), over all pairs from
+    eta_grid at least 1e-3 apart.  With W_M(dt, dr) = -(1/4 pi^2) /
+    (dt^2 - dr^2) and d = eta - eta', the forms are
 
-    The domain is finite eta with |eta| <= _ETA_MAX = 10 and at least one
-    such pair; outside it DomainError is raised.  The accelerated form takes
-    4 sinh^2(d/2), d = eta - eta', from differences of sinh and cosh about
-    e^|eta| in size, so it rounds by about eps e^{2|eta|} / d relative:
-    1e-4 at the edge for d = 1e-3, while at |eta| = 15.1 such a pair cancels
-    to 0 (long before cosh^2(eta/2) overflows, near |eta| = 710).
+        scaled static   W_M(t(eta) - t(eta'), 0) / (cosh^2(eta/2) cosh^2(eta'/2)),
+                        t = worldline_clock, the static worldline at r = 0,
+        accelerated     W_M(sinh eta - sinh eta', |cosh eta - cosh eta'|),
+                        the hyperbola t = sinh(eta), x = cosh(eta),
+        thermal         -(1/16 pi^2) / sinh^2(d/2),
+
+    each in complex arithmetic.  The domain is finite eta with
+    |eta| <= _ETA_MAX = 10 and at least one such pair; outside it
+    DomainError is raised.  The accelerated form takes 4 sinh^2(d/2) from
+    differences of sinh and cosh about e^|eta| in size, so it rounds by
+    about eps e^{2|eta|} / d relative: 1e-4 at the edge for d = 1e-3, while
+    at |eta| = 15.1 such a pair cancels to 0 (long before cosh^2(eta/2)
+    overflows, near |eta| = 710).
     """
     eta = np.asarray(eta_grid, dtype=float)
     if not np.all(np.abs(eta) <= _ETA_MAX):  # also catches inf and NaN
@@ -106,12 +97,14 @@ def identity_residual(eta_grid):
     mask = np.abs(e1 - e2) >= 1e-3
     if not mask.any():
         raise DomainError("eta_grid needs two points at least 1e-3 apart")
-    lhs = scaled_static_wightman(e1[mask], e2[mask])
-    mid = accelerated_wightman(e1[mask], e2[mask])
-    ref = thermal_wightman(e1[mask] - e2[mask])
-    r1 = np.max(np.abs(lhs - ref) / np.abs(ref))
-    r2 = np.max(np.abs(mid - ref) / np.abs(ref))
-    return float(max(r1, r2))
+    e1, e2 = e1[mask], e2[mask]
+    c = -1.0 / (4.0 * math.pi**2)
+    dt = (worldline_clock(e1) - worldline_clock(e2)).astype(complex)
+    static = c / (dt * dt) / (np.cosh(e1 / 2.0) ** 2 * np.cosh(e2 / 2.0) ** 2)
+    dt, dr = (np.sinh(e1) - np.sinh(e2)).astype(complex), np.abs(np.cosh(e1) - np.cosh(e2))
+    accelerated = c / (dt * dt - dr * dr)
+    thermal = -(1.0 / (16.0 * math.pi**2)) / np.sinh((e1 - e2).astype(complex) / 2.0) ** 2
+    return float(max(np.max(np.abs(form - thermal) / np.abs(thermal)) for form in (static, accelerated)))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ DEFAULT_SIGMA = 0.02  # the one default packet bandwidth of the package and its 
 _TAIL = 5.5  # packet envelopes are truncated at exp(-_TAIL^2) ~ 7e-14
 _CUT = 8.0  # nodes in omega span omega0 +- _CUT sigma, where |G|^2 < e^{-32} of its peak
 _SPAN = 12.0  # nodes in sqrt(omega) span omega0 +- _SPAN sigma, where G < e^{-36} of its peak
-_ROWS = 4096  # rows per phase or term matrix block (Packet.eval_natural, kg_product)
+_ROWS = 4096  # rows per phase matrix block of Packet.eval_natural, whose point count has no bound
 _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyond it
 _RAPIDITY_TOL = 1e-10  # absolute refinement tolerance of the rapidity integrals
 _TAYLOR_TOL = np.finfo(float).eps  # Taylor remainder of _taylor_sum, relative to sum|c|
@@ -64,6 +64,13 @@ def _phase(x):
     np.sin(x, out=out.imag)
     np.negative(out.imag, out=out.imag)
     return out
+
+
+def _check_index(n, least=None, what="diamond index"):
+    """DomainError unless n is an integer, and >= least when least is given."""
+    if not (isinstance(n, numbers.Integral) and (least is None or n >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"the {what} n must be an integer{bound}, not {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +161,7 @@ class Packet:
     def __post_init__(self):
         if self.kind not in ("diamond", "exterior", "plane"):
             raise DomainError("kind must be 'diamond', 'exterior' or 'plane'")
-        if not isinstance(self.n, numbers.Integral):
-            raise DomainError(f"the diamond index n must be an integer, not {self.n!r}")
+        _check_index(self.n)
         self.profile.checked()
 
     @property
@@ -379,14 +385,11 @@ def kg_product(p1, p2):
     (a, sa), (b, tb) = _phase_terms(p1), _phase_terms(p2)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     a, b = a * _phase(sa * mid), b * _phase(tb * mid)  # e^{-i d mid}, split by row and column
-    val, size = 0.0j, 0.0
-    for i in range(0, a.size, _ROWS):  # bounds the term matrix's memory
-        rows = slice(i, i + _ROWS)
-        delta = np.subtract.outer(sa[rows], tb)
-        # (s_j + t_k) Int_lo^hi e^{-i delta u} du without its phase e^{-i delta mid}
-        R = np.add.outer(sa[rows], tb) * (2.0 * half * np.sinc(delta * (half / math.pi)))
-        val += a[rows] @ (R @ np.conj(b))
-        size += float(np.abs(a[rows]) @ np.abs(R) @ np.abs(b))
+    # (s_j + t_k) Int_lo^hi e^{-i delta u} du without its phase e^{-i delta mid}; a
+    # packet has at most _quad._MAX_ORDER = 2048 nodes, so R is at most 2048 x 2048
+    R = np.add.outer(sa, tb) * (2.0 * half * np.sinc(np.subtract.outer(sa, tb) * (half / math.pi)))
+    val = a @ (R @ np.conj(b))
+    size = float(np.abs(a) @ np.abs(R) @ np.abs(b))
     top = float(np.max(np.abs(sa)) + np.max(np.abs(tb)))
     err = np.finfo(float).eps * size * (1.0 + top * max(abs(lo), abs(hi)))
     return KGProduct(complex(s * val), err)

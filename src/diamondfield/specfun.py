@@ -13,11 +13,12 @@ arbitrary-precision Kummer fallback, on its first call.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .errors import ConvergenceError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 
 # Lanczos approximation, g = 7, 9 coefficients (~1e-13 relative accuracy).
 _LANCZOS_G = 7.0
@@ -106,9 +107,12 @@ def log_gamma_1pix(x):
 def gamma_complex(z):
     """Gamma(z) for complex z, vectorized.
 
-    Raises PoleError at nonpositive integers and OverflowError when the
-    result exceeds the double-precision range.
+    Raises DomainError unless every z is finite, PoleError at nonpositive
+    integers and OverflowError when the result exceeds the double-precision
+    range.
     """
+    if not np.all(np.isfinite(z)):
+        raise DomainError("gamma_complex needs finite arguments")
     lg = log_gamma(z)
     re = np.atleast_1d(np.asarray(lg, dtype=complex)).real
     if np.any(re > 709.0):
@@ -209,12 +213,15 @@ def kummer_m_vec(a, b, z):
     arbitrary-precision evaluation in the band between (where double
     precision cannot certify the 1e-10 contract) and for asymptotic lanes
     whose error exceeds _ASYM_REL_TOL |M|, as where the sectors cancel.
+    Non-finite a, b or z raise DomainError before any evaluation.
     """
     a = complex(a)
     b = complex(b)
+    z_in = np.asarray(z, dtype=complex)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and np.all(np.isfinite(z_in))):
+        raise DomainError("Kummer M needs finite a, b and z")
     if b.imag == 0.0 and b.real == round(b.real) and b.real <= 0.0:
         raise PoleError("M(a, b, z) undefined at nonpositive integer b")
-    z_in = np.asarray(z, dtype=complex)
     z = np.atleast_1d(z_in).ravel()
     out = np.empty(z.shape, dtype=complex)
     r = np.abs(z)

@@ -310,11 +310,26 @@ class TestOptions:
 
     def test_public_names_resolve(self):
         names = diamondfield.__all__
-        assert len(set(names)) == len(names)
+        assert names == [
+            "ConvergenceError", "DomainError", "PoleError",
+            "Packet", "Profile", "kg_product",
+            "ab_coefficients", "ab_numeric", "completeness_check", "fit_temperature",
+            "planck_occupation", "thermal_occupation",
+            "CrossMoments", "adjacent_moments_analytic", "alpha_beta_adjacent", "alpha_beta_numeric",
+            "asymptotic_moment", "cross_moments", "smeared_asymptotic_moment",
+            "CovarianceMatrix", "WavepacketSpec", "build_covariance", "fig2_sweep",
+            "joint_variance", "mode_variance", "squeezing_witness",
+            "expected_rate", "identity_residual", "response_rate", "response_rates", "worldline_clock",
+            "__version__",
+        ]
+        assert len(set(names)) == len(names) == 32
         assert [name for name in names if not hasattr(diamondfield, name)] == []
         assert diamondfield.worldline_clock is detector.worldline_clock
         with pytest.raises(ModuleNotFoundError):  # the unused conformal map is deleted
             importlib.import_module("diamondfield.geometry")
+        # identity_residual is the one entry to the Wightman forms it compares
+        assert not {"wightman_minkowski", "scaled_static_wightman", "accelerated_wightman",
+                    "thermal_wightman"} & set(vars(detector))
 
     def test_results_in_units_of_a(self):
         # no function takes the diamond's size: coordinates are in units of

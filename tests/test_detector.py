@@ -10,15 +10,11 @@ from scipy import special
 from diamondfield import detector
 from diamondfield._quad import integrate_trapezoid
 from diamondfield.detector import (
-    accelerated_wightman,
     expected_rate,
     fit_temperature,
     identity_residual,
     response_rate,
     response_rates,
-    scaled_static_wightman,
-    thermal_wightman,
-    wightman_minkowski,
     worldline_clock,
 )
 from diamondfield.errors import DomainError
@@ -110,15 +106,41 @@ class TestWorldline:
         assert worldline_clock(etas).tolist() == [worldline_clock(e) for e in etas]
 
 
+def _separate_forms_residual(eta_grid):
+    """identity_residual from four separate functions: the Minkowski
+    Wightman function with its i eps (eps = 0), and the scaled static, the
+    accelerated and the thermal form, each in complex arithmetic."""
+    def minkowski(dt, dr, eps=0.0):
+        dt = np.asarray(dt, dtype=complex) - 1j * eps
+        dr = np.asarray(dr, dtype=float)
+        return -(1.0 / (4.0 * math.pi**2)) / (dt * dt - dr * dr)
+
+    def clock(eta):
+        return 2.0 * np.tanh(np.asarray(eta) / 2.0)
+
+    def static(eta, eta_p):
+        num = minkowski(clock(eta) - clock(eta_p), 0.0)
+        return num / (np.cosh(np.asarray(eta) / 2.0) ** 2 * np.cosh(np.asarray(eta_p) / 2.0) ** 2)
+
+    def accelerated(tau, tau_p):
+        dt = np.sinh(tau) - np.sinh(tau_p)
+        dr = np.cosh(tau) - np.cosh(tau_p)
+        return minkowski(dt, np.abs(dr))
+
+    def thermal(d):
+        return -(1.0 / (16.0 * math.pi**2)) / np.sinh(np.asarray(d, dtype=complex) / 2.0) ** 2
+
+    eta = np.asarray(eta_grid, dtype=float)
+    e1, e2 = np.meshgrid(eta, eta, indexing="ij")
+    mask = np.abs(e1 - e2) >= 1e-3
+    e1, e2 = e1[mask], e2[mask]
+    ref = thermal(e1 - e2)
+    r1 = np.max(np.abs(static(e1, e2) - ref) / np.abs(ref))
+    r2 = np.max(np.abs(accelerated(e1, e2) - ref) / np.abs(ref))
+    return float(max(r1, r2))
+
+
 class TestWightman:
-    def test_minkowski_timelike(self):
-        val = wightman_minkowski(2.0, 0.0)
-        assert abs(val + 1.0 / (16.0 * math.pi**2)) < 1e-15
-
-    def test_minkowski_eps_moves_singularity(self):
-        val = wightman_minkowski(0.0, 0.0, eps=1e-3)
-        assert np.isfinite(val)
-
     def test_identity_grid(self):
         res = identity_residual(np.linspace(-3.0, 3.0, 20))
         assert res <= 1e-10
@@ -138,18 +160,20 @@ class TestWightman:
         assert 0.0 <= identity_residual(grid) < 1e-3
 
     def test_forms_agree_pointwise(self):
-        lhs = scaled_static_wightman(0.7, -0.4)
-        mid = accelerated_wightman(0.7, -0.4)
-        ref = thermal_wightman(1.1)
-        assert abs(lhs - ref) < 1e-12 * abs(ref)
-        assert abs(mid - ref) < 1e-12 * abs(ref)
+        assert identity_residual([0.7, -0.4]) < 1e-12
 
-    def test_thermal_antiperiodicity_modulus(self):
-        # |W(d)| = |W(-d)| and period 2 pi i / a in imaginary time
-        d = 0.9
-        assert abs(abs(thermal_wightman(d)) - abs(thermal_wightman(-d))) < 1e-16
-        shifted = thermal_wightman(d - 2j * math.pi)
-        assert abs(shifted - thermal_wightman(d)) < 1e-12 * abs(shifted)
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+    def test_residual_bit_equal_to_the_separate_forms(self, seed):
+        # the default grid of detector and validate, then seeded grids inside the domain
+        if seed is None:
+            grid = np.linspace(-3.0, 3.0, 20)
+        else:
+            rng = np.random.default_rng(seed)
+            grid = rng.uniform(-detector._ETA_MAX, detector._ETA_MAX, int(rng.integers(2, 40)))
+        assert identity_residual(grid) == _separate_forms_residual(grid)
+
+    def test_default_residual_keeps_its_printed_value(self):
+        assert f"{identity_residual(np.linspace(-3.0, 3.0, 20)):.12g}" == "7.05165974973e-14"
 
 
 class TestResponse:
