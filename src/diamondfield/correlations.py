@@ -49,19 +49,13 @@ def _sinh_pi(W):
         return np.sinh(math.pi * W)
 
 
-def _log_e(W):
-    """log e(W) for real W, e = 2^{iW} / Gamma(1 - iW)."""
-    return 1j * W * math.log(2.0) - np.conj(log_gamma_1pix(W))
-
-
-def _log_gamma_i(z):
-    """log Gamma(iz) for real z != 0, as log Gamma(1 + iz) - log(iz)."""
-    return log_gamma_1pix(z) - np.log(np.abs(z)) - 0.5j * math.pi * np.sign(z)
-
-
-def _gamma_i(z):
-    """Gamma(iz) for real z != 0."""
-    return np.exp(_log_gamma_i(z))
+def _gamma_logs(W, z):
+    """(log e(W), log Gamma(iz)) for real W and real z != 0 from one
+    log_gamma_1pix call on both: e = 2^{iW} / Gamma(1 - iW), and
+    log Gamma(iz) = log Gamma(1 + iz) - log(iz)."""
+    lg = log_gamma_1pix(np.concatenate([W, z]))
+    return (1j * W * math.log(2.0) - np.conj(lg[:W.size]),
+            lg[W.size:] - np.log(np.abs(z)) - 0.5j * math.pi * np.sign(z))
 
 
 def _exp_sum(a, b):
@@ -78,9 +72,10 @@ def _exp_sum(a, b):
 
 
 def _log_a(W, le):
-    """log A(W) from le = _log_e(W), A = sqrt(W) e(W): the adjacent closed
-    forms split as conj(alpha(W, W')) = A(W) Gamma(i(W' - W)) / (2 pi A(W'))
-    and conj(beta(W, W')) = -conj(A(W)) Gamma(i(W + W')) / (2 pi A(W'))."""
+    """log A(W) from le = log e(W) (_gamma_logs), A = sqrt(W) e(W): the
+    adjacent closed forms split as conj(alpha(W, W')) = A(W) Gamma(i(W' - W))
+    / (2 pi A(W')) and conj(beta(W, W')) = -conj(A(W)) Gamma(i(W + W')) /
+    (2 pi A(W'))."""
     return 0.5 * np.log(W) + le
 
 
@@ -98,8 +93,8 @@ def alpha_beta_adjacent(Omega, Omega_p):
     if abs(Omega - Omega_p) < _POLE_GUARD:
         raise PoleError("alpha diverges at Omega = Omega_p; smear into packets")
     W = np.array([Omega, Omega_p])
-    la, lp = _log_a(W, _log_e(W))
-    lK = _log_gamma_i(np.array([Omega - Omega_p, -(Omega_p + Omega)]))
+    le, lK = _gamma_logs(W, np.array([Omega - Omega_p, -(Omega_p + Omega)]))
+    la, lp = _log_a(W, le)
     alpha = _exp_sum(np.conj(la - lp), lK[0]) / (2.0 * math.pi)
     beta = -_exp_sum(la - np.conj(lp), lK[1]) / (2.0 * math.pi)
     return complex(alpha), complex(beta)
@@ -292,13 +287,6 @@ def _lg_rel(x):
     return 1.5e-15 * (1.0 + x * x)
 
 
-def _batched(f, arrays):
-    """[f(a) for a in arrays] from one call of the elementwise f."""
-    out = f(np.concatenate([a.ravel() for a in arrays]))
-    cuts = np.cumsum([a.size for a in arrays])[:-1]
-    return [c.reshape(a.shape) for a, c in zip(arrays, np.split(out, cuts))]
-
-
 def _lattice(x, Ky, aKy, res):
     """(m_minus, size of its terms) from the trapezoid weights x = a dW on the
     exterior nodes, the products Ky = K y and aKy = |K| |y| of the kernel
@@ -331,38 +319,48 @@ def _adjacent_lattice(p0, p1):
     e^{-i W v0} resolved.  For p = 1 Gamma(i(W' - W)) depends on k - j only
     (Toeplitz) and Gamma(i(W + W')) on j + k only (Hankel): N0 + N1 - 1
     Gamma values each.  For p = 2 both are full N0 x N1 matrices, so
-    DomainError if N0 N1 at s exceeds _MAX_NODES."""
+    DomainError if N0 N1 at s exceeds _MAX_NODES.  Both steps share one
+    pass: one _gamma_logs call on all their nodes and kernel arguments, one
+    Profile.amplitude call per packet, and the weights on both lattices at
+    once, with p h per node; only the sums run per step."""
     p = 1 if min(q.omega0 - _SPAN * q.sigma for q in (p0, p1)) > 0.0 else 2
     V = abs(p0.v0) + abs(p1.v0)
     c = [1.0 + V * q.sigma / (2.0 * math.pi) for q in (p0, p1)]
     s = min(3.0 * q.sigma / (8.0 * cq) if p == 1 else q.sigma / (4.0 * math.sqrt(q.omega0 + _SPAN * q.sigma) * cq)
             for q, cq in zip((p0, p1), c))
 
-    def lattice(q, h, offset):  # (k, t, W) of the nodes t = (k + offset) h
+    def lattice(q, h, offset):  # (k, t, W, p h) of the nodes t = (k + offset) h
         ends = (max(q.omega0 - _SPAN * q.sigma, 0.0), q.omega0 + _SPAN * q.sigma)
         lo, hi = ends if p == 1 else map(math.sqrt, ends)
         k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
         t = (k + offset) * h
-        return k, t, t if p == 1 else t * t
+        return k, t, t if p == 1 else t * t, np.full(k.size, p * h)
 
     grids = [(h, lattice(p0, h, 0.5), lattice(p1, h, 0.0)) for h in (s, 2.0 * s)]
-    entries = grids[0][1][0].size * grids[0][2][0].size
-    if p == 2 and not entries <= _MAX_NODES:
-        raise DomainError(f"the adjacent kernels would hold {entries} entries, over the budget of {_MAX_NODES}")
-    le = _batched(_log_e, [g[2] for _, *pair in grids for g in pair])
-    if p == 1:  # Toeplitz arguments (k - j - 1/2) h from k - j = k0 - j_last up, Hankel ones from j0 + k0
-        args = [(a + np.arange(j.size + k.size - 1)) * h for h, (j, _, _), (k, _, _) in grids
-                for a in (k[0] - j[-1] - 0.5, j[0] + k[0] + 0.5)]
+    n0, n1 = grids[0][1][0].size, grids[0][2][0].size  # the exterior and diamond nodes at s
+    if p == 2 and not n0 * n1 <= _MAX_NODES:
+        raise DomainError(f"the adjacent kernels would hold {n0 * n1} entries, over the budget of {_MAX_NODES}")
+    # per step the (Toeplitz, Hankel) kernel arguments: for p = 1 (k - j - 1/2) h
+    # from k - j = k0 - j_last up and (j + k + 1/2) h from j0 + k0 up
+    if p == 1:
+        z = [(np.array([[k[0] - j[-1] - 0.5], [j[0] + k[0] + 0.5]]) + np.arange(j.size + k.size - 1)) * h
+             for h, (j, *_), (k, *_) in grids]
     else:
-        args = [z for _, (_, _, W), (_, _, Wp) in grids for z in (Wp - W[:, None], Wp + W[:, None])]
-    K = _batched(_gamma_i, args)
+        z = [np.stack([Wp - W[:, None], Wp + W[:, None]]) for _, (*_, W, _), (*_, Wp, _) in grids]
+    # t, W and p h of the exterior, then of the diamond nodes of both steps
+    (t, W, ph0), (tp, Wp, ph1) = ([np.concatenate(f) for f in zip(*(g[i][1:] for g in grids))] for i in (1, 2))
+    le, lK = _gamma_logs(np.concatenate([W, Wp]), np.concatenate([a.ravel() for a in z]))
+    l0, l1 = le[:W.size], le[W.size:]
+    A1 = p1.amplitude(np.concatenate([Wp, W]))  # the diamond packet on both lattices
+    # t^{p/2 - 1} on both lattices, half weight at t' = 0
+    f0, f1 = (1.0 / np.sqrt(t), 1.0 / np.sqrt(tp)) if p == 1 else (1.0, np.where(tp == 0.0, 0.5, 1.0))
+    x = ph0 * W * f0 * np.conj(p0.amplitude(W)) * np.exp(l0 - np.log(2.0 * _sinh_pi(W)))
+    y = ph1 * f1 * np.conj(A1[:Wp.size]) * np.exp(-l1)
+    res = np.conj(A1[Wp.size:]) * np.exp(-l0) / (2.0 * np.sqrt(W))
     minus, plus = [], []
-    for (h, (_, t, W), (_, tp, Wp)), l0, l1, kT, kH in zip(grids, le[0::2], le[1::2], K[0::2], K[1::2]):
-        # t^{p/2 - 1} on both lattices, half weight at t' = 0
-        f0, f1 = (1.0 / np.sqrt(t), 1.0 / np.sqrt(tp)) if p == 1 else (1.0, np.where(tp == 0.0, 0.5, 1.0))
-        x = p * h * W * f0 * np.conj(p0.amplitude(W)) * np.exp(l0 - np.log(2.0 * _sinh_pi(W)))
-        y = p * h * f1 * np.conj(p1.amplitude(Wp)) * np.exp(-l1)
-        res = np.conj(p1.amplitude(W)) * np.exp(-l0) / (2.0 * np.sqrt(W))
+    for x, y, res, K, zh in zip(np.split(x, [n0]), np.split(y, [n1]), np.split(res, [n0]),
+                                np.split(np.exp(lK), [z[0].size]), z):
+        kT, kH = K.reshape(zh.shape)
         ay = np.abs(y)
         if p == 1:
             # row r of the Toeplitz kernel is kT[j.size - 1 - r:][:k.size] and of
@@ -374,7 +372,7 @@ def _adjacent_lattice(p0, p1):
             Tp, Hp = (kT @ y, np.abs(kT) @ ay), (kH @ y, np.abs(kH) @ ay)
         minus.append(_lattice(x, *Tp, res))
         plus.append(_lattice(-np.conj(x), *Hp, 0.0))
-    return minus + plus + [grids[0][1][2][0]]
+    return minus + plus + [W[0]]
 
 
 def adjacent_moments_analytic(spec0, spec1):
@@ -392,8 +390,8 @@ def adjacent_moments_analytic(spec0, spec1):
     G0(0) G1(0) != 0 the residue term of m_minus grows like c / W toward
     W = 0, so each moment depends on the lowest exterior node W_min like
     c ln(1 / W_min); W_top is the larger upper end omega0 + _SPAN sigma.
-    The sums take log e on all their nodes from one log_gamma_1pix call,
-    and Gamma(iz) on all their kernel arguments from one more.
+    The sums take log e on all their nodes and Gamma(iz) on all their
+    kernel arguments, at both steps, from one log_gamma_1pix call.
     """
     p0 = Profile(*spec0).checked()
     p1 = Profile(*spec1).checked()

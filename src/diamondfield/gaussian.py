@@ -17,7 +17,7 @@ from ._quad import panel_nodes
 from .bogoliubov import planck_occupation
 from .correlations import adjacent_moments_analytic, cross_moments
 from .errors import ConvergenceError, DomainError
-from .modes import DEFAULT_SIGMA, Packet
+from .modes import DEFAULT_SIGMA, Packet, _is_index
 
 WITNESS_MARGIN = 1e-6
 
@@ -116,7 +116,11 @@ def build_covariance(specs, adjacent="analytic"):
     cov[1::2, 0::2] = 2.0 * np.imag(M - N)
     cov[1::2, 1::2] = 2.0 * np.real(N - M) + eye
     cov = 0.5 * (cov + cov.T)
-    eig = np.linalg.eigvalsh(cov + 1j * np.kron(eye, [[0.0, 1.0], [-1.0, 0.0]]))
+    # the symplectic form, blocks [[0, 1], [-1, 0]] on the diagonal
+    sym = np.zeros((2 * m, 2 * m))
+    sym[0::2, 1::2] = eye
+    sym[1::2, 0::2] = -eye
+    eig = np.linalg.eigvalsh(cov + 1j * sym)
     if eig[0] < -1e-9:
         raise ConvergenceError(f"unphysical covariance, min eig {eig[0]:.3e}")
     return CovarianceMatrix(modes=specs, matrix=cov, est_error=err,
@@ -129,9 +133,10 @@ def _check_phases(*phis):
 
 
 def mode_variance(cov, i, phi=0.0):
-    """V(X_i(phi)) from the stored covariance, for finite phi."""
-    if not 0 <= i < len(cov.modes):
-        raise IndexError(f"mode index must lie in [0, {len(cov.modes)})")
+    """V(X_i(phi)) from the stored covariance, for an integer mode index i
+    and finite phi."""
+    if not (_is_index(i) and 0 <= i < len(cov.modes)):
+        raise IndexError(f"mode index must be an integer in [0, {len(cov.modes)}), not {i!r}")
     _check_phases(phi)
     c, s = math.cos(phi), math.sin(phi)
     u = np.zeros(cov.matrix.shape[0])
@@ -140,10 +145,11 @@ def mode_variance(cov, i, phi=0.0):
 
 
 def joint_variance(cov, i, j, sign, phi=0.0):
-    """V((X_i(phi) + sign * X_j(phi)) / sqrt 2), sign in {+1, -1}, finite phi."""
+    """V((X_i(phi) + sign * X_j(phi)) / sqrt 2) for distinct integer mode
+    indices i and j, sign in {+1, -1} and finite phi."""
     m = len(cov.modes)
-    if not (0 <= i < m and 0 <= j < m) or i == j:
-        raise IndexError(f"joint variance needs two distinct mode indices in [0, {m})")
+    if not (_is_index(i) and _is_index(j) and 0 <= i < m and 0 <= j < m) or i == j:
+        raise IndexError(f"joint variance needs two distinct integer mode indices in [0, {m}), not {i!r}, {j!r}")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     _check_phases(phi)

@@ -66,9 +66,14 @@ def _phase(x):
     return out
 
 
+def _is_index(n):
+    """True for an integer other than a bool (a bool is a numbers.Integral)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def _check_index(n, least=None, what="diamond index"):
-    """DomainError unless n is an integer, and >= least when least is given."""
-    if not (isinstance(n, numbers.Integral) and (least is None or n >= least)):
+    """DomainError unless n is an integer (_is_index), and >= least when least is given."""
+    if not (_is_index(n) and (least is None or n >= least)):
         bound = "" if least is None else f" >= {least}"
         raise DomainError(f"the {what} n must be an integer{bound}, not {n!r}")
 

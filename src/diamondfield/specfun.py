@@ -85,19 +85,22 @@ def log_gamma_1pix(x):
     The real part is the closed form log |Gamma(1 + ix)| = (1/2) log(y / sinh y)
     with y = pi |x| (DLMF 5.4.3), written so that it neither cancels near 0 nor
     overflows at large y.  The phase sums the Lanczos partial fractions
-    c_k / (k + ix) = c_k (k - ix) / (k^2 + x^2) in real arithmetic.
+    c_k / (k + ix) = c_k (k - ix) / (k^2 + x^2) in real arithmetic, with no
+    loop: the terms form one (8, *x.shape) array, reduced along its first
+    axis by subtraction, which numpy runs row after row (k = 1..8) for every
+    shape; an add reduction would sum the terms of a single point pairwise.
     """
     x = np.asarray(x, dtype=float)
     y = math.pi * np.abs(x)
     ys = np.where(y > 0.0, y, 1.0)  # y = 0 is the limit 0 of the real part
     re = np.where(y > 0.0, -0.5 * (ys + np.log(-np.expm1(-2.0 * ys) / (2.0 * ys))), 0.0)
     xx = x * x
-    s_re = np.full(x.shape, _LANCZOS_C[0])
-    s_im = np.zeros(x.shape)
-    for k in range(1, len(_LANCZOS_C)):
-        q = _LANCZOS_C[k] / (k * k + xx)
-        s_re = s_re + k * q
-        s_im = s_im - x * q
+    k = np.arange(1.0, len(_LANCZOS_C)).reshape((-1,) + (1,) * x.ndim)
+    q = k * k + xx
+    np.divide(_LANCZOS_C[1:].reshape(k.shape), q, out=q)  # q = c_k / (k^2 + x^2), in place
+    # s_re = c_0 + sum k q and s_im = -sum x q
+    s_re = np.subtract.reduce(-k * q, axis=0, initial=_LANCZOS_C[0])
+    s_im = np.subtract.reduce(np.multiply(x, q, out=q), axis=0, initial=0.0)
     # t = ix + g + 1/2: Im[(ix + 1/2) log t - t + log s]
     g = _LANCZOS_G + 0.5
     im = x * (0.5 * np.log(g * g + xx) - 1.0) + 0.5 * np.arctan2(x, g) + np.arctan2(s_im, s_re)

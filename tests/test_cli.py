@@ -112,6 +112,20 @@ class TestFig2:
         at_center = [r for r in rows if r[0] == "0" and abs(float(r[1]) - 1.0) < 1e-9]
         assert float(at_center[0][2]) < 1.0
 
+    def test_rows_keep_their_printed_values(self, tmp_path):
+        # printed before the two lattice steps of the adjacent moments shared one pass
+        code, text = run(tmp_path, "fig2", "--grid", "0.5,1.0,1.5")
+        assert code == 0
+        assert [ln for ln in text.splitlines() if not ln.startswith("#")] == [
+            "phi,omega1,v_minus,v_plus,entangled",
+            "0,0.5,1.04969240247,1.04522855684,false",
+            "0,1,0.962209303316,1.04533410499,true",
+            "0,1.5,1.00264797532,1.00128642072,false",
+            "0.628318530718,0.5,1.04365037471,1.0512705846,false",
+            "0.628318530718,1,0.990883352625,1.01666005569,true",
+            "0.628318530718,1.5,1.00291716726,1.00101722877,false",
+        ]
+
     def test_deterministic(self, tmp_path):
         args = ("fig2", "--grid", "0.95:1.05:0.05")
         _, text1 = run(tmp_path, *args)

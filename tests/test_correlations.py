@@ -121,9 +121,10 @@ class TestAdjacentSharp:
         for Om in (0.3, 1.0, 7.5, 40.0, 100.0, 300.0, 449.0, 450.0):
             for Omp in (0.05, 1.1, 3.3, 41.0, 200.0):
                 W = np.array([Om, Omp])
-                la, lp = correlations._log_a(W, correlations._log_e(W))
+                le, lK = correlations._gamma_logs(W, np.array([Om - Omp, -(Omp + Om)]))
+                la, lp = correlations._log_a(W, le)
                 with np.errstate(over="ignore", under="ignore"):
-                    K = correlations._gamma_i(np.array([Om - Omp, -(Omp + Om)]))
+                    K = np.exp(lK)
                     pairs = [(np.exp(x), k) for x, k in ((np.conj(la - lp), K[0]), (la - np.conj(lp), -K[1]))]
                 for got, (e, k) in zip(alpha_beta_adjacent(Om, Omp), pairs):
                     if not (1e-300 < abs(e) < 1e300 and abs(k) > 1e-300):
@@ -726,7 +727,7 @@ class TestRealLineKernel:
         assert max(sizes) <= 600
 
     def test_one_kernel_evaluation_per_call(self, monkeypatch):
-        # the four sums share one log e call and one Gamma(iz) call
+        # the four sums share one call for log e and Gamma(iz) at both steps
         calls = {"log_gamma_1pix": 0, "log_gamma": 0}
 
         def counting(name, fn):
@@ -739,9 +740,24 @@ class TestRealLineKernel:
                             counting("log_gamma_1pix", correlations.log_gamma_1pix))
         monkeypatch.setattr(specfun, "log_gamma", counting("log_gamma", specfun.log_gamma))
         adjacent_moments_analytic((1.0, 0.05, 0.3), (1.2, 0.05))
-        assert calls["log_gamma_1pix"] <= 2
+        assert calls["log_gamma_1pix"] == 1
         assert calls["log_gamma"] == 0
         assert not hasattr(correlations, "log_gamma")
+
+    @pytest.mark.parametrize("s0,s1", [((1.0, 0.05, 0.3), (1.2, 0.05)), ((0.3, 0.02), (0.5, 0.02))])
+    def test_one_amplitude_call_per_packet(self, monkeypatch, s0, s1):
+        # one per packet on the nodes of both steps (p = 1, then p = 2), and
+        # the two omega = 0 values of the infrared term
+        calls = []
+        amplitude = Profile.amplitude
+
+        def counting(self, om):
+            calls.append(om)
+            return amplitude(self, om)
+
+        monkeypatch.setattr(Profile, "amplitude", counting)
+        adjacent_moments_analytic(s0, s1)
+        assert len(calls) <= 4
 
 
 class TestAsymptotics:

@@ -256,6 +256,17 @@ class TestJointVariance:
         with pytest.raises(IndexError):
             mode_variance(pair(), i)
 
+    @pytest.mark.parametrize("call", [
+        lambda cov: mode_variance(cov, True),  # was the variance of mode 1
+        lambda cov: mode_variance(cov, 0.5),  # these three failed inside numpy indexing
+        lambda cov: joint_variance(cov, 0.5, 1, 1),
+        lambda cov: squeezing_witness(cov, 0.0, 1),
+        lambda cov: joint_variance(cov, 0, True, -1),
+    ])
+    def test_mode_index_must_be_an_integer(self, call):
+        with pytest.raises(IndexError, match="must be an integer|integer mode indices"):
+            call(pair())
+
 
 class TestWitness:
     def test_adjacent_entangled(self):

@@ -118,6 +118,12 @@ EXTRA = [
     ("kg_product", (NAN, _PACKET), TypeError),
     ("kg_product", (_PACKET, NAN), TypeError),
     ("build_covariance", ([NAN],), DomainError),
+    ("mode_variance", (True,), IndexError),
+    ("mode_variance", (0.5,), IndexError),
+    ("joint_variance", (0.5, 1, 1), IndexError),
+    ("squeezing_witness", (0.0, 1), IndexError),
+    ("Packet", (True, 1.0), DomainError),
+    ("cross_moments", ((1.0, 0.02, 0.0), (1.0, 0.02, 0.0), True), DomainError),
 ]
 
 

@@ -79,6 +79,36 @@ class TestGammaOnePlusIx:
             err = abs(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))
             assert err <= _lg_rel(xi), xi
 
+    @pytest.mark.parametrize("x", [np.linspace(-50.0, 50.0, 200001), np.geomspace(1e-8, 50.0, 5000),
+                                   -np.geomspace(1e-8, 50.0, 5000), 0.0, -0.0])
+    def test_bit_equal_to_the_term_loop(self, x):
+        # the (8, N) Lanczos sum keeps the bits of a running sum over k
+        def looped(x):
+            x = np.asarray(x, dtype=float)
+            y = math.pi * np.abs(x)
+            ys = np.where(y > 0.0, y, 1.0)
+            re = np.where(y > 0.0, -0.5 * (ys + np.log(-np.expm1(-2.0 * ys) / (2.0 * ys))), 0.0)
+            xx = x * x
+            s_re = np.full(x.shape, specfun._LANCZOS_C[0])
+            s_im = np.zeros(x.shape)
+            for k in range(1, len(specfun._LANCZOS_C)):
+                q = specfun._LANCZOS_C[k] / (k * k + xx)
+                s_re = s_re + k * q
+                s_im = s_im - x * q
+            g = specfun._LANCZOS_G + 0.5
+            im = x * (0.5 * np.log(g * g + xx) - 1.0) + 0.5 * np.arctan2(x, g) + np.arctan2(s_im, s_re)
+            return re + 1j * im
+
+        def bits(v):
+            return np.atleast_1d(v).view(np.int64)
+
+        got = log_gamma_1pix(x)
+        assert np.array_equal(bits(got), bits(looped(x)))
+        assert complex(np.ravel(got)[0]) == complex(np.ravel(looped(x))[0])
+        for xi in np.ravel(x)[::997]:  # single points, where numpy would add pairwise
+            assert np.array_equal(bits(log_gamma_1pix(xi)), bits(looped(xi)))
+            assert np.array_equal(bits(log_gamma_1pix([xi])), bits(looped([xi])))
+
     def test_conjugate_symmetry_is_exact(self):
         x = np.geomspace(1e-3, 1e3, 61)
         assert np.array_equal(log_gamma_1pix(-x), np.conj(log_gamma_1pix(x)))
