@@ -31,9 +31,12 @@ series in 1/kappa times kappa^{-+i Om}, so the tail,
 e^{+-4 i kappa} cross term included, is a Hermitian form in the series terms,
 integrated in closed form term by term.  The second sector is the first with
 its frequencies and beat negated, so per series order the form takes one
-same-sector block and one cross block, each used with its conjugate; the cross
-block's by-parts sum is a polynomial in the pair's frequency sum, with
-coefficients per order, evaluated by Horner.  The profile is cut at its end
+same-sector block and one cross block, each used with its conjugate.  Both are
+formed once per unordered node pair, as the same-sector block is Hermitian and
+the cross block symmetric, and gathered onto the full grid of node pairs; the
+cross block's by-parts sum and its remainder bound are polynomials in the
+pair's frequency sum, with coefficients per order, evaluated by Horner for ten
+orders at once.  The profile is cut at its end
 nodes, so past the tail window the integrand falls off like 1/ln(kappa)^2, not
 like a Gaussian; est_error bounds what the window leaves out.
 """
@@ -222,6 +225,7 @@ def smeared_ab(om, coeff, kappa):
 _KAPPA_SPLIT = 40.0
 _SERIES_TERMS = 10
 _PARTS_TERMS = 10
+_ORDER_BLOCK = 10  # orders per Horner pass of _beat_kernels: bounds its two buffers
 
 
 def _sector_terms(om, coeff, kappa_split, sign):
@@ -275,14 +279,31 @@ def _by_parts_coeffs(y, orders):
     return Kc, Rc * (abs(np.exp(-y)) / (abs(y) ** R * (R + m))) ** 2
 
 
-def _horner(c, x):
-    """sum_k c[k] x^k on the array x."""
-    acc = c[-1] * x
-    for ck in c[-2:0:-1]:
-        acc += ck
-        acc *= x
-    acc += c[0]
-    return acc
+def _beat_kernels(Kc, Rc, d):
+    """Per order m (column of the tables of _by_parts_coeffs), the by-parts sum
+    on the frequency sums d and the square root of its remainder bound.  Both
+    polynomials run by Horner in place on _ORDER_BLOCK orders at once, the real
+    and imaginary parts of Kc apart (the roundings of a complex Horner on a
+    real d) and each on a contiguous buffer, whose rows are yielded in order:
+    a row is overwritten by the next pass, so each must be used before the
+    next is drawn."""
+    def horner(c, x, out):
+        np.multiply(c[-1][:, None], x, out=out)
+        for ck in c[-2:0:-1]:
+            out += ck[:, None]
+            out *= x
+        out += c[0][:, None]
+
+    beat = np.empty((_ORDER_BLOCK, d.size), dtype=complex)
+    remainder = np.empty((_ORDER_BLOCK, d.size))
+    for lo in range(0, Kc.shape[1], _ORDER_BLOCK):
+        kc, rc = Kc[:, lo:lo + _ORDER_BLOCK], Rc[:, lo:lo + _ORDER_BLOCK]
+        b, r = beat[:kc.shape[1]], remainder[:kc.shape[1]]
+        for part, c in ((b.real, kc.real), (b.imag, kc.imag)):
+            horner(c, d, r)  # r is free until the remainder's pass
+            part[...] = r
+        horner(rc, d * d, r)
+        yield from zip(b, np.sqrt(r, out=r))
 
 
 def _unconverged(kappa_split):
@@ -302,7 +323,13 @@ def _tail_integral(T, r, w, kappa_split, dL):
     the phase E = e^{-i(r_j - r_k) dL} formed once (expm1 at m = 0, dL where
     mu = 0).  Beat pairs give K = Int_1^inf t^{-mu-1} e^{-y t} dt with
     y = -i(w_0 - w_1) kappa_split, integrated by parts: a polynomial in
-    d = r_0j - r_1k per order m (_by_parts_coeffs), evaluated by Horner.
+    d = r_0j - r_1k per order m (_by_parts_coeffs), evaluated by Horner for
+    _ORDER_BLOCK orders at once (_beat_kernels).  Both kernels are formed on
+    the n(n + 1)/2 unordered node pairs j <= k only: d = Om_j + Om_k is
+    symmetric, and r_j - r_k antisymmetric with E and the division at -dr the
+    conjugates of those at dr, bit for bit.  One gather per order spreads
+    each onto the n x n grid, conjugating the same-sector K below the
+    diagonal, and the products and dots per order run on the full grid.
     """
     S = T.shape[-1]
     absT = np.abs(T)
@@ -315,33 +342,41 @@ def _tail_integral(T, r, w, kappa_split, dL):
     truncation = 2.0 * float(np.sum(absT[..., -1]) * size)
     if not 0.0 < truncation <= 2e-10 * dL * size * size < math.inf:
         raise _unconverged(kappa_split)
-    dr = np.subtract.outer(r[0], r[0])
+    # the kernels on the unordered node pairs j <= k: sym[j, k] is the pair of {j, k}
+    n = r.shape[1]
+    j, k = np.triu_indices(n)
+    sym = np.empty((n, n), dtype=np.intp)
+    sym[j, k] = sym[k, j] = np.arange(j.size)
+    lower = np.tri(n, k=-1, dtype=bool)
+    dr = r[0][j] - r[0][k]
     zero = dr == 0.0
+    idr = 1j * dr
     E = np.exp(-1j * dr * dL)  # e^{-mu dL} = e^{-m dL} E for every m
-    d = np.subtract.outer(r[0], r[1])
-    d2 = d * d
+    d = r[0][j] - r[1][k]
     Kc, Rc = _by_parts_coeffs(-1j * (w[0] - w[1]) * kappa_split, 2 * S - 1)
     # Re sum K P_00 + conj(K) P_11 = Re sum K (P_00 + conj(P_11)): one product per m
     U = np.concatenate([T[0], T[1].conj()], axis=1)
     V = np.concatenate([T[0].conj(), T[1]], axis=1)
     absU = np.concatenate([absT[0], absT[1]], axis=1)
     value = rounding = parts = 0.0
-    for m in range(2 * S - 1):
+    for m, (beat, remainder) in enumerate(_beat_kernels(Kc, Rc, d)):
         s = np.arange(max(0, m - S + 1), min(m, S - 1) + 1)
         left, right = np.concatenate([s, S + s]), np.concatenate([m - s, S + m - s])
         if m == 0:
-            K = np.where(zero, dL, -np.expm1(-1j * dr * dL) / np.where(zero, 1.0, 1j * dr))
+            K = np.where(zero, dL, -np.expm1(-1j * dr * dL) / np.where(zero, 1.0, idr))
         else:
-            K = (1.0 - math.exp(-m * dL) * E) / (m + 1j * dr)
+            K = (1.0 - math.exp(-m * dL) * E) / (m + idr)
+        rounding += np.dot(np.abs(K)[sym].ravel(), (absU[:, left] @ absU[:, right].T).ravel())
+        # dr is antisymmetric and K(-dr) = conj(K(dr)) bit for bit: K is Hermitian
+        K = K[sym]
+        np.negative(K.imag, out=K.imag, where=lower)
         value += np.dot(K.ravel(), (U[:, left] @ V[:, right].T).ravel())
-        rounding += np.dot(np.abs(K).ravel(), (absU[:, left] @ absU[:, right].T).ravel())
-        # the (0, 1) beat block, twice
-        K = _horner(Kc[:, m], d)
+        # the (0, 1) beat block, twice; symmetric, as d = Om_j + Om_k
         scale = (absT[0][:, s] @ absT[1][:, m - s].T).ravel()
-        value += 2.0 * np.dot(K.ravel(), (T[0][:, s] @ T[1][:, m - s].conj().T).ravel())
-        rounding += 2.0 * np.dot(np.abs(K).ravel(), scale)
+        value += 2.0 * np.dot(beat[sym].ravel(), (T[0][:, s] @ T[1][:, m - s].conj().T).ravel())
+        rounding += 2.0 * np.dot(np.abs(beat)[sym].ravel(), scale)
         # |Int_1^inf t^{-mu-1-R} e^{-y t} dt| <= 1/(R + m)
-        parts += 2.0 * np.dot(np.sqrt(_horner(Rc[:, m], d2)).ravel(), scale)
+        parts += 2.0 * np.dot(remainder[sym].ravel(), scale)
     if not truncation <= 1e-10 * value.real:
         raise _unconverged(kappa_split)
     return float(value.real), 1e-14 * rounding + parts + truncation

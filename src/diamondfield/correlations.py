@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _MAX_NODES, panel_nodes
+from ._quad import _EPS, _MAX_NODES, panel_nodes
 from .errors import DomainError, PoleError
 from .modes import (_SPAN, _TAIL, _V_CUT, Profile, _check_index, _node_count, _rapidity_integral,
                     _sharp_rapidity_integral, _taylor_sum)
@@ -213,6 +213,10 @@ def cross_moments(spec0, spec_n, n):
     tails multiply into c / |v|: the infrared term c ln(W_top |lo2|) of
     adjacent_moments_analytic with 1/|lo2| as its lowest node,
     c = |G0(0) G1(0)| / 4pi and W_top the larger omega0 + _SPAN sigma.
+    For n >= 2 est_error adds the rounding of the nodes, eps (max omega0/sigma
+    + 12) 72 times the size sum|P| sum|X| Int|base| of the terms, Int|base|
+    <= 1/(4n(n - 1)) (_node_rounding, delta = 6: a node u^2 is off by up to
+    5.5 eps W_top, and the two spans hi - lo by eps W_top / 8 sigma relative).
     """
     _check_index(n, 1, "diamond separation")
     p0 = Profile(*spec0).checked()
@@ -222,8 +226,11 @@ def cross_moments(spec0, spec_n, n):
     o1, w1, G1 = p1.nodes(m, root=True)
     e = w0 * np.conj(G0) / (2.0 * _sinh_pi(o0))  # E_minus; E_plus = conj
     if n >= 2:
-        mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, -_V_CUT, _V_CUT)
-        return CrossMoments(np.conj(mm), np.conj(mp), err)
+        coeff = w1 * G1
+        mm, mp, err = _overlap(n, o1, coeff, o0, e, -_V_CUT, _V_CUT)
+        # the terms' size, with the coefficients of _overlap's sums P and X
+        size = (np.abs(coeff) @ (1.0 / np.sqrt(o1))) * (np.abs(e) @ np.sqrt(o0)) / (2.0 * math.pi * n * (n - 1))
+        return CrossMoments(np.conj(mm), np.conj(mp), err + _node_rounding(p0, p1, 6.0) * size)
 
     L_max = _TAIL / p0.sigma - p0.v0
     edge_x = -L_max - math.log1p(-2.0 * math.exp(-L_max)) if L_max > math.log(2.0) else math.inf
@@ -240,6 +247,15 @@ def cross_moments(spec0, spec_n, n):
     c = g0 * g1 / (4.0 * math.pi)
     top = max(p.omega0 + _SPAN * p.sigma for p in (p0, p1))
     return CrossMoments(np.conj(mm), np.conj(mp), err + c * math.log(top * abs(lo2)))
+
+
+def _node_rounding(p0, p1, delta):
+    """The relative error that rounded nodes put into a sum over both
+    profiles: eps (max omega0/sigma + _SPAN) _SPAN delta.  A node
+    omega0 + x sigma, |x| <= _SPAN, off by up to delta eps (omega0 + _SPAN
+    sigma) moves x by delta eps (omega0/sigma + _SPAN), and each
+    |G| ~ e^{-x^2/4} by |x|/2 <= _SPAN/2 times that, relative."""
+    return _EPS * (max(p0.omega0 / p0.sigma, p1.omega0 / p1.sigma) + _SPAN) * _SPAN * delta
 
 
 def asymptotic_moment(n, Omega, Omega_p):
@@ -384,9 +400,12 @@ def adjacent_moments_analytic(spec0, spec1):
     route _adjacent_lattice, uniform in t with W = t^p: p = 1 where both
     ranges stay above omega = 0 (Toeplitz and Hankel kernels), else p = 2,
     which keeps the W^{-1/2} endpoint smooth; its step s shrinks as the
-    centres v0 move off 0.  est_error adds three terms: the gap to the sum
-    at step 2s, the floor that the Gamma error _lg_rel sets, and the
-    infrared term c ln(W_top / W_min), c = |G0(0) G1(0)| / 4pi.  Where
+    centres v0 move off 0.  est_error adds four terms: the gap to the sum
+    at step 2s, the floor that the Gamma error _lg_rel sets, the rounding of
+    the nodes, eps (max omega0/sigma + 12) 18 times the larger size of the
+    sums' terms (_node_rounding, delta = 1.5: a node t^p is off by up to
+    1.5 eps W_top), and the infrared term c ln(W_top / W_min),
+    c = |G0(0) G1(0)| / 4pi.  Where
     G0(0) G1(0) != 0 the residue term of m_minus grows like c / W toward
     W = 0, so each moment depends on the lowest exterior node W_min like
     c ln(1 / W_min); W_top is the larger upper end omega0 + _SPAN sigma.
@@ -402,4 +421,5 @@ def adjacent_moments_analytic(spec0, spec1):
     rel = 3.0 * _lg_rel(sum(tops))
     c = abs(p0.amplitude(0.0) * p1.amplitude(0.0)) / (4.0 * math.pi)
     err = max(abs(mm - mm2) + rel * size_m, abs(mp - mp2) + rel * size_p)
+    err += _node_rounding(p0, p1, 1.5) * max(size_m, size_p)
     return CrossMoments(mm, mp, err + c * math.log(max(tops) / w_min))

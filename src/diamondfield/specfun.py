@@ -37,6 +37,10 @@ _LANCZOS_C = np.array(
 )
 
 _LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2*pi))
+_LANCZOS_BLOCK = 1 << 14  # points per block of the Lanczos sum of log_gamma_1pix
+# the partial fractions k = 1..8 of log_gamma_1pix's Lanczos sum, as columns: k, k^2, c_k
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))[:, None]
+_LANCZOS_K2, _LANCZOS_CK = _LANCZOS_K * _LANCZOS_K, _LANCZOS_C[1:, None]
 
 _ASYM_REL_TOL = 1e-11  # error of an asymptotic lane, relative to |M|, that certifies it
 _PREF_ULPS = 64.0  # rounding of a sector prefactor, in eps |a|: 5 to 30 measured for |Omega| <= 50
@@ -86,21 +90,26 @@ def log_gamma_1pix(x):
     with y = pi |x| (DLMF 5.4.3), written so that it neither cancels near 0 nor
     overflows at large y.  The phase sums the Lanczos partial fractions
     c_k / (k + ix) = c_k (k - ix) / (k^2 + x^2) in real arithmetic, with no
-    loop: the terms form one (8, *x.shape) array, reduced along its first
-    axis by subtraction, which numpy runs row after row (k = 1..8) for every
-    shape; an add reduction would sum the terms of a single point pairwise.
+    loop over k: the terms of _LANCZOS_BLOCK points at a time form one
+    (8, block) array, reduced along its first axis by subtraction, which numpy
+    runs row after row (k = 1..8) for every block, one point included; an add
+    reduction would sum the terms of a single point pairwise.  The blocks
+    bound the temporaries at any number of points.
     """
     x = np.asarray(x, dtype=float)
     y = math.pi * np.abs(x)
     ys = np.where(y > 0.0, y, 1.0)  # y = 0 is the limit 0 of the real part
     re = np.where(y > 0.0, -0.5 * (ys + np.log(-np.expm1(-2.0 * ys) / (2.0 * ys))), 0.0)
     xx = x * x
-    k = np.arange(1.0, len(_LANCZOS_C)).reshape((-1,) + (1,) * x.ndim)
-    q = k * k + xx
-    np.divide(_LANCZOS_C[1:].reshape(k.shape), q, out=q)  # q = c_k / (k^2 + x^2), in place
-    # s_re = c_0 + sum k q and s_im = -sum x q
-    s_re = np.subtract.reduce(-k * q, axis=0, initial=_LANCZOS_C[0])
-    s_im = np.subtract.reduce(np.multiply(x, q, out=q), axis=0, initial=0.0)
+    # s_re = c_0 + sum k q and s_im = -sum x q, with q = c_k / (k^2 + x^2)
+    flat, flat2, s_re, s_im = x.ravel(), xx.ravel(), np.empty(x.size), np.empty(x.size)
+    for lo in range(0, x.size, _LANCZOS_BLOCK):
+        block = slice(lo, lo + _LANCZOS_BLOCK)
+        q = _LANCZOS_K2 + flat2[block]
+        np.divide(_LANCZOS_CK, q, out=q)
+        np.subtract.reduce(-_LANCZOS_K * q, axis=0, initial=_LANCZOS_C[0], out=s_re[block])
+        np.subtract.reduce(np.multiply(flat[block], q, out=q), axis=0, initial=0.0, out=s_im[block])
+    s_re, s_im = s_re.reshape(x.shape), s_im.reshape(x.shape)
     # t = ix + g + 1/2: Im[(ix + 1/2) log t - t + log s]
     g = _LANCZOS_G + 0.5
     im = x * (0.5 * np.log(g * g + xx) - 1.0) + 0.5 * np.arctan2(x, g) + np.arctan2(s_im, s_re)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -685,6 +688,105 @@ class TestTailForm:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * n * n * 16
+
+
+def _dense_tail(T, r, w, kappa_split, dL):
+    """_tail_integral as it was before it formed its kernels on the unordered
+    node pairs: every kernel on the full n x n grid, per order m, and the beat
+    and remainder polynomials by a complex Horner on the real frequency sums.
+    The reference for the bits of the pair form."""
+    def horner(c, x):
+        acc = c[-1] * x
+        for ck in c[-2:0:-1]:
+            acc += ck
+            acc *= x
+        acc += c[0]
+        return acc
+
+    S = T.shape[-1]
+    absT = np.abs(T)
+    size = float(np.sum(absT))
+    truncation = 2.0 * float(np.sum(absT[..., -1]) * size)
+    if not 0.0 < truncation <= 2e-10 * dL * size * size < math.inf:
+        raise DomainError("kappa_split")
+    dr = np.subtract.outer(r[0], r[0])
+    zero = dr == 0.0
+    E = np.exp(-1j * dr * dL)
+    d = np.subtract.outer(r[0], r[1])
+    d2 = d * d
+    Kc, Rc = bogoliubov._by_parts_coeffs(-1j * (w[0] - w[1]) * kappa_split, 2 * S - 1)
+    U = np.concatenate([T[0], T[1].conj()], axis=1)
+    V = np.concatenate([T[0].conj(), T[1]], axis=1)
+    absU = np.concatenate([absT[0], absT[1]], axis=1)
+    value = rounding = parts = 0.0
+    for m in range(2 * S - 1):
+        s = np.arange(max(0, m - S + 1), min(m, S - 1) + 1)
+        left, right = np.concatenate([s, S + s]), np.concatenate([m - s, S + m - s])
+        if m == 0:
+            K = np.where(zero, dL, -np.expm1(-1j * dr * dL) / np.where(zero, 1.0, 1j * dr))
+        else:
+            K = (1.0 - math.exp(-m * dL) * E) / (m + 1j * dr)
+        value += np.dot(K.ravel(), (U[:, left] @ V[:, right].T).ravel())
+        rounding += np.dot(np.abs(K).ravel(), (absU[:, left] @ absU[:, right].T).ravel())
+        K = horner(Kc[:, m], d)
+        scale = (absT[0][:, s] @ absT[1][:, m - s].T).ravel()
+        value += 2.0 * np.dot(K.ravel(), (T[0][:, s] @ T[1][:, m - s].conj().T).ravel())
+        rounding += 2.0 * np.dot(np.abs(K).ravel(), scale)
+        parts += 2.0 * np.dot(np.sqrt(horner(Rc[:, m], d2)).ravel(), scale)
+    if not truncation <= 1e-10 * value.real:
+        raise DomainError("kappa_split")
+    return float(value.real), 1e-14 * rounding + parts + truncation
+
+
+def _tail_cases(seed=20261021, count=40):
+    """count (omega0, sigma, v0, sign): omega0 uniform on [0.2, 4], sigma drawn
+    from {0.01, 0.02, 0.05, 0.1, 0.3}, v0 uniform on [-20, 20], both signs."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0.2, 4.0), float(rng.choice([0.01, 0.02, 0.05, 0.1, 0.3])), rng.uniform(-20.0, 20.0),
+             sign) for _ in range(count // 2) for sign in (-1, 1)]
+
+
+class TestTailPairs:
+    """The kernels on the unordered node pairs keep every bit of the dense form."""
+
+    def test_hex_equal_to_the_dense_form(self):
+        underflowed = converged = 0
+        for omega0, sigma, v0, sign in _tail_cases():
+            om, wt, G = Profile(omega0, sigma, v0).nodes()
+            T, r, w = bogoliubov._sector_terms(om, wt * G, 40.0, sign)
+            dL = 2.0 + 7.0 / sigma + abs(v0)  # the spectrum's window
+            outcomes = []
+            for tail in (bogoliubov._tail_integral, _dense_tail):
+                try:
+                    outcomes.append(tuple(x.hex() for x in tail(T, r, w, 40.0, dL)))
+                except DomainError:
+                    outcomes.append("unconverged")
+            assert outcomes[0] == outcomes[1], (omega0, sigma, v0, sign)
+            # e^{-m dL} is 0 from some order m on; the diagonal has dr = 0
+            underflowed += math.exp(-(2 * T.shape[-1] - 2) * dL) == 0.0
+            converged += outcomes[0] != "unconverged"
+        assert underflowed and converged >= 30
+
+    def test_integrals_keep_their_bits(self):
+        # (value, est_error) as the dense form gave them.  The dot products of
+        # the tail go through BLAS, whose threads split sums past 10,000 terms
+        # (n >= 101 nodes in the tail), so the child runs on one thread, as CI does
+        pins = [
+            ("thermal_occupation(1.0)", "0x1.ee5d63fe83882p-10", "0x1.aa0531d773fd2p-53"),
+            ("thermal_occupation(0.5, 0.1, 3.0)", "0x1.d5daa8eee4bfcp-5", "0x1.dbb788dc34728p-14"),
+            ("thermal_occupation(2.0, 0.05, -7.5)", "0x1.ebbe1861b8b9dp-19", "0x1.0beac0568e8d5p-57"),
+            ("thermal_occupation(3.0, 0.3)", "0x1.4a92ff6bffe7dp-25", "0x1.8f4e88b55bce6p-57"),
+            ("completeness_check(1.0)", "0x1.0000000000012p+0", "0x1.44cfa11c5e440p-45"),
+            ("completeness_check(0.7, 0.1)", "0x1.fffffffffd583p-1", "0x1.34c01c67cecd0p-30"),
+        ]
+        code = "\n".join(["from diamondfield.bogoliubov import thermal_occupation, completeness_check",
+                          *(f"r = {call}; print(r.value.hex(), r.est_error.hex())" for call, _, _ in pins)])
+        src = os.path.dirname(os.path.dirname(bogoliubov.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [h for _, value, err in pins for h in (value, err)]
 
 
 def _planck_mp(omega0, sigma):

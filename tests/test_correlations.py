@@ -827,6 +827,23 @@ class TestPacketDomain:
         assert name == "DomainError" and seconds < 1.0
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_narrow_sweep_within_est_error(self, n):
+        # each node omega0 + x sigma carries a rounding of about eps omega0/sigma
+        # relative in x: m_minus/sigma at n = 2 read 0.0030913448479625 at
+        # sigma = 1e-6 and 0.0030913448458407 at 1e-8, where est_error/|m_minus|
+        # was 1.7e-13.  m/sigma tends to a limit as sigma -> 0, except the n = 1
+        # m_minus, which tends to 0.0216 itself
+        def scaled(sigma):
+            p = (1.0, sigma)
+            cm = adjacent_moments_analytic(p, p) if n == 1 else cross_moments(p, p, n)
+            return np.array([cm.m_plus] if n == 1 else [cm.m_minus, cm.m_plus]) / sigma, cm.est_error / sigma
+
+        ref, ref_err = scaled(1e-6)
+        for sigma in np.geomspace(1e-6, 1e-8, 9)[1:]:
+            m, err = scaled(sigma)
+            assert np.all(np.abs(m - ref) <= ref_err + err), sigma
+
     def test_wide_exterior_over_narrow_diamond_is_fast(self, bounded):
         # an m_x rule wanted 7,066 exterior nodes here and raised; cut at the
         # exterior edge, both packets stay on 96 nodes
