@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _EPS, _MAX_NODES, panel_nodes
+from ._quad import _MAX_NODES, panel_nodes
 from .errors import DomainError, PoleError
 from .modes import (_SPAN, _TAIL, _V_CUT, Profile, _check_index, _node_count, _rapidity_integral,
                     _sharp_rapidity_integral, _taylor_sum)
@@ -213,10 +213,7 @@ def cross_moments(spec0, spec_n, n):
     tails multiply into c / |v|: the infrared term c ln(W_top |lo2|) of
     adjacent_moments_analytic with 1/|lo2| as its lowest node,
     c = |G0(0) G1(0)| / 4pi and W_top the larger omega0 + _SPAN sigma.
-    For n >= 2 est_error adds the rounding of the nodes, eps (max omega0/sigma
-    + 12) 72 times the size sum|P| sum|X| Int|base| of the terms, Int|base|
-    <= 1/(4n(n - 1)) (_node_rounding, delta = 6: a node u^2 is off by up to
-    5.5 eps W_top, and the two spans hi - lo by eps W_top / 8 sigma relative).
+    G takes exact node offsets (Profile.nodes), so node rounding adds no term.
     """
     _check_index(n, 1, "diamond separation")
     p0 = Profile(*spec0).checked()
@@ -226,11 +223,8 @@ def cross_moments(spec0, spec_n, n):
     o1, w1, G1 = p1.nodes(m, root=True)
     e = w0 * np.conj(G0) / (2.0 * _sinh_pi(o0))  # E_minus; E_plus = conj
     if n >= 2:
-        coeff = w1 * G1
-        mm, mp, err = _overlap(n, o1, coeff, o0, e, -_V_CUT, _V_CUT)
-        # the terms' size, with the coefficients of _overlap's sums P and X
-        size = (np.abs(coeff) @ (1.0 / np.sqrt(o1))) * (np.abs(e) @ np.sqrt(o0)) / (2.0 * math.pi * n * (n - 1))
-        return CrossMoments(np.conj(mm), np.conj(mp), err + _node_rounding(p0, p1, 6.0) * size)
+        mm, mp, err = _overlap(n, o1, w1 * G1, o0, e, -_V_CUT, _V_CUT)
+        return CrossMoments(np.conj(mm), np.conj(mp), err)
 
     L_max = _TAIL / p0.sigma - p0.v0
     edge_x = -L_max - math.log1p(-2.0 * math.exp(-L_max)) if L_max > math.log(2.0) else math.inf
@@ -247,15 +241,6 @@ def cross_moments(spec0, spec_n, n):
     c = g0 * g1 / (4.0 * math.pi)
     top = max(p.omega0 + _SPAN * p.sigma for p in (p0, p1))
     return CrossMoments(np.conj(mm), np.conj(mp), err + c * math.log(top * abs(lo2)))
-
-
-def _node_rounding(p0, p1, delta):
-    """The relative error that rounded nodes put into a sum over both
-    profiles: eps (max omega0/sigma + _SPAN) _SPAN delta.  A node
-    omega0 + x sigma, |x| <= _SPAN, off by up to delta eps (omega0 + _SPAN
-    sigma) moves x by delta eps (omega0/sigma + _SPAN), and each
-    |G| ~ e^{-x^2/4} by |x|/2 <= _SPAN/2 times that, relative."""
-    return _EPS * (max(p0.omega0 / p0.sigma, p1.omega0 / p1.sigma) + _SPAN) * _SPAN * delta
 
 
 def asymptotic_moment(n, Omega, Omega_p):
@@ -335,22 +320,25 @@ def _adjacent_lattice(p0, p1):
     e^{-i W v0} resolved.  For p = 1 Gamma(i(W' - W)) depends on k - j only
     (Toeplitz) and Gamma(i(W + W')) on j + k only (Hankel): N0 + N1 - 1
     Gamma values each.  For p = 2 both are full N0 x N1 matrices, so
-    DomainError if N0 N1 at s exceeds _MAX_NODES.  Both steps share one
-    pass: one _gamma_logs call on all their nodes and kernel arguments, one
-    Profile.amplitude call per packet, and the weights on both lattices at
-    once, with p h per node; only the sums run per step."""
+    DomainError if N0 N1 at s exceeds _MAX_NODES.  G takes the offsets
+    W - omega0 = (t - r)(t + r)^{p - 1}, r = omega0^{1/p}, from the indices,
+    t - r = ((j + 1/2) - r/s) s, so rounding shifts each packet as a whole.
+    Both steps share one pass: one _gamma_logs call on all their nodes and
+    kernel arguments, one Profile._at call per packet, and the weights on
+    both lattices at once, with p h per node; only the sums run per step."""
     p = 1 if min(q.omega0 - _SPAN * q.sigma for q in (p0, p1)) > 0.0 else 2
     V = abs(p0.v0) + abs(p1.v0)
     c = [1.0 + V * q.sigma / (2.0 * math.pi) for q in (p0, p1)]
     s = min(3.0 * q.sigma / (8.0 * cq) if p == 1 else q.sigma / (4.0 * math.sqrt(q.omega0 + _SPAN * q.sigma) * cq)
             for q, cq in zip((p0, p1), c))
 
-    def lattice(q, h, offset):  # (k, t, W, p h) of the nodes t = (k + offset) h
-        ends = (max(q.omega0 - _SPAN * q.sigma, 0.0), q.omega0 + _SPAN * q.sigma)
-        lo, hi = ends if p == 1 else map(math.sqrt, ends)
+    def lattice(q, h, offset):  # (k, t, W, W - omega0, p h) of the nodes t = (k + offset) h
+        ends = (max(q.omega0 - _SPAN * q.sigma, 0.0), q.omega0 + _SPAN * q.sigma, q.omega0)
+        lo, hi, r = ends if p == 1 else map(math.sqrt, ends)  # the range and the centre in t
         k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
         t = (k + offset) * h
-        return k, t, t if p == 1 else t * t, np.full(k.size, p * h)
+        d = ((k + offset) - r / h) * h  # t - r
+        return k, t, t if p == 1 else t * t, d if p == 1 else d * (t + r), np.full(k.size, p * h)
 
     grids = [(h, lattice(p0, h, 0.5), lattice(p1, h, 0.0)) for h in (s, 2.0 * s)]
     n0, n1 = grids[0][1][0].size, grids[0][2][0].size  # the exterior and diamond nodes at s
@@ -362,15 +350,16 @@ def _adjacent_lattice(p0, p1):
         z = [(np.array([[k[0] - j[-1] - 0.5], [j[0] + k[0] + 0.5]]) + np.arange(j.size + k.size - 1)) * h
              for h, (j, *_), (k, *_) in grids]
     else:
-        z = [np.stack([Wp - W[:, None], Wp + W[:, None]]) for _, (*_, W, _), (*_, Wp, _) in grids]
-    # t, W and p h of the exterior, then of the diamond nodes of both steps
-    (t, W, ph0), (tp, Wp, ph1) = ([np.concatenate(f) for f in zip(*(g[i][1:] for g in grids))] for i in (1, 2))
+        z = [np.stack([Wp - W[:, None], Wp + W[:, None]]) for _, (*_, W, _, _), (*_, Wp, _, _) in grids]
+    # t, W, W - omega0 and p h of the exterior, then of the diamond nodes of both steps
+    (t, W, d0, ph0), (tp, Wp, d1, ph1) = ([np.concatenate(f) for f in zip(*(g[i][1:] for g in grids))] for i in (1, 2))
     le, lK = _gamma_logs(np.concatenate([W, Wp]), np.concatenate([a.ravel() for a in z]))
     l0, l1 = le[:W.size], le[W.size:]
-    A1 = p1.amplitude(np.concatenate([Wp, W]))  # the diamond packet on both lattices
+    # the diamond packet on both lattices
+    A1 = p1._at(np.concatenate([d1, d0 + (p0.omega0 - p1.omega0)]), np.concatenate([Wp, W]))
     # t^{p/2 - 1} on both lattices, half weight at t' = 0
     f0, f1 = (1.0 / np.sqrt(t), 1.0 / np.sqrt(tp)) if p == 1 else (1.0, np.where(tp == 0.0, 0.5, 1.0))
-    x = ph0 * W * f0 * np.conj(p0.amplitude(W)) * np.exp(l0 - np.log(2.0 * _sinh_pi(W)))
+    x = ph0 * W * f0 * np.conj(p0._at(d0, W)) * np.exp(l0 - np.log(2.0 * _sinh_pi(W)))
     y = ph1 * f1 * np.conj(A1[:Wp.size]) * np.exp(-l1)
     res = np.conj(A1[Wp.size:]) * np.exp(-l0) / (2.0 * np.sqrt(W))
     minus, plus = [], []
@@ -400,12 +389,9 @@ def adjacent_moments_analytic(spec0, spec1):
     route _adjacent_lattice, uniform in t with W = t^p: p = 1 where both
     ranges stay above omega = 0 (Toeplitz and Hankel kernels), else p = 2,
     which keeps the W^{-1/2} endpoint smooth; its step s shrinks as the
-    centres v0 move off 0.  est_error adds four terms: the gap to the sum
-    at step 2s, the floor that the Gamma error _lg_rel sets, the rounding of
-    the nodes, eps (max omega0/sigma + 12) 18 times the larger size of the
-    sums' terms (_node_rounding, delta = 1.5: a node t^p is off by up to
-    1.5 eps W_top), and the infrared term c ln(W_top / W_min),
-    c = |G0(0) G1(0)| / 4pi.  Where
+    centres v0 move off 0.  est_error adds three terms: the gap to the sum
+    at step 2s, the floor that the Gamma error _lg_rel sets, and the
+    infrared term c ln(W_top / W_min), c = |G0(0) G1(0)| / 4pi.  Where
     G0(0) G1(0) != 0 the residue term of m_minus grows like c / W toward
     W = 0, so each moment depends on the lowest exterior node W_min like
     c ln(1 / W_min); W_top is the larger upper end omega0 + _SPAN sigma.
@@ -421,5 +407,4 @@ def adjacent_moments_analytic(spec0, spec1):
     rel = 3.0 * _lg_rel(sum(tops))
     c = abs(p0.amplitude(0.0) * p1.amplitude(0.0)) / (4.0 * math.pi)
     err = max(abs(mm - mm2) + rel * size_m, abs(mp - mp2) + rel * size_p)
-    err += _node_rounding(p0, p1, 1.5) * max(size_m, size_p)
     return CrossMoments(mm, mp, err + c * math.log(max(tops) / w_min))

@@ -53,7 +53,7 @@ _V_CUT = 40.0  # rapidity cut of cross-family overlaps: sech^2(v/2) ~ 1e-17 beyo
 _RAPIDITY_TOL = 1e-10  # absolute refinement tolerance of the rapidity integrals
 _TAYLOR_TOL = np.finfo(float).eps  # Taylor remainder of _taylor_sum, relative to sum|c|
 _SCALE = 1e150  # bound of the Profile domain (Profile.checked): sigma^2 stays a normal double
-_NARROW = 1e8  # largest omega0/sigma of Profile.checked: node offsets lose ~eps omega0/sigma
+_NARROW = 1e8  # largest omega0/sigma of Profile.checked: offsets on the nodes in omega lose ~eps omega0/sigma
 
 
 def _phase(x):
@@ -99,9 +99,14 @@ class Profile(NamedTuple):
 
     def amplitude(self, om):
         """G at the frequencies om (scalar or array)."""
+        return self._at(om - self.omega0, om)
+
+    def _at(self, d, om):
+        """G at the frequencies om from their offsets d = om - omega0, formed
+        exactly where the nodes are; the phase e^{-i om v0} takes om."""
         return (
             (2.0 * math.pi * self.sigma**2) ** (-0.25)
-            * np.exp(-((om - self.omega0) ** 2) / (4.0 * self.sigma**2))
+            * np.exp(-(d**2) / (4.0 * self.sigma**2))
             * np.exp(-1j * om * self.v0)
         )
 
@@ -109,10 +114,10 @@ class Profile(NamedTuple):
         """The profile itself; DomainError outside the domain 0 < omega0,
         1/_SCALE <= sigma and omega0, sigma, |v0| <= _SCALE, omega0/sigma <=
         _NARROW.  There sigma^2 is a normal double and (w - omega0)^2, w v0
-        and (w - omega0)^2 / 4 sigma^2 stay finite for every node w, and the
-        rounding of the nodes omega0 + x sigma, about eps omega0/sigma
-        relative in x, stays near 2e-8: past it the cross moments drift far
-        outside their est_error (0.207 for 0.0216 at sigma = 1e-17)."""
+        and (w - omega0)^2 / 4 sigma^2 stay finite for every node w, and on
+        the nodes in omega (planck_occupation, thermal_occupation and
+        gaussian._same_diamond_occupation) the rounding of each node omega0 +
+        x sigma, about eps omega0/sigma relative in x, stays near 2e-8."""
         if not (0.0 < self.omega0 <= _SCALE and 1.0 / _SCALE <= self.sigma <= _SCALE
                 and abs(self.v0) <= _SCALE and self.omega0 <= _NARROW * self.sigma):
             raise DomainError(f"packet needs 0 < omega0, 1/{_SCALE:g} <= sigma, omega0, sigma and "
@@ -126,14 +131,17 @@ class Profile(NamedTuple):
         sqrt(omega) over omega0 +- _SPAN sigma, from omega = 0 up where that
         range reaches it, so that an omega^{-1/2} endpoint there becomes smooth
         and integrands linear in G are cut where G is below the double
-        resolution of its peak."""
+        resolution of its peak; G takes the offsets u^2 - omega0 from the
+        abscissae, so rounding shifts the packet as a whole."""
         self.checked()
         x, w = gauss_legendre(n or _node_count(self))
         if root:
-            lo = math.sqrt(max(self.omega0 - _SPAN * self.sigma, 0.0))
-            hi = math.sqrt(self.omega0 + _SPAN * self.sigma)
-            u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-            return u * u, (hi - lo) * w * u, self.amplitude(u * u)
+            # the range and the centre in sqrt(omega)
+            lo, hi, r = (math.sqrt(max(self.omega0 + e * self.sigma, 0.0)) for e in (-_SPAN, _SPAN, 0.0))
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            u = mid + half * x
+            # u^2 - omega0 = (u - r)(u + r), with u - r formed without the rounding of u
+            return u * u, (hi - lo) * w * u, self._at(((mid - r) + half * x) * (u + r), u * u)
         lo = max(self.omega0 - _CUT * self.sigma, 1e-12)
         hi = self.omega0 + _CUT * self.sigma
         om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x

@@ -212,6 +212,16 @@ def _count_kernel_nodes(monkeypatch):
     return sizes
 
 
+def beta_adjacent_diagonal(w):
+    """beta_1(w, w) from the adjacent closed form in mpmath at 30 digits,
+    -A(w) Gamma(-2iw) / (2 pi conj(A(w))) with A(w) = sqrt(w) 2^{iw} /
+    Gamma(1 - iw): alpha_beta_adjacent refuses the diagonal, where alpha has
+    its pole and beta none."""
+    with mpmath.workdps(30):
+        A = mpmath.sqrt(w) * mpmath.power(2, 1j * w) / mpmath.gamma(1 - 1j * w)
+        return complex(-A * mpmath.gamma(-2j * w) / (2 * mpmath.pi * mpmath.conj(A)))
+
+
 class TestCrossMoments:
     @pytest.mark.parametrize("n,limit", [(20, 60_000), (1, 250_000)])
     def test_phases_factor_over_panels(self, n, limit, monkeypatch):
@@ -356,6 +366,12 @@ class TestCrossMoments:
         assert abs(cm.m_minus - mm) <= 1e-8 * abs(mm)
         assert abs(cm.m_plus - mp) <= 1e-8 * abs(mp)
 
+    @pytest.mark.parametrize("n,bound", [(2, 1.2e-17), (20, 1.8e-19)])
+    def test_est_error_tight_at_default_sigma(self, n, bound):
+        # 5.6e-18 and 8.9e-20 from the rapidity integral alone; a worst-case
+        # bound on the rounding of every node once made them 3.8e-16 and 2.1e-18
+        assert cross_moments((1.0, 0.02), (1.3, 0.02), n).est_error <= bound
+
     @pytest.mark.parametrize("n", [1, 2, 20])
     def test_equal_centred_profiles_give_real_m_minus(self, n):
         cm = cross_moments((1.0, 0.05), (1.0, 0.05), n)
@@ -481,6 +497,17 @@ class TestSeparatedRouteSweep:
         assert abs(cm.m_plus - mp) <= cm.est_error
 
 
+# est_error of adjacent_moments_analytic at sigma = 0.02 from its step-doubling
+# gap and Gamma floor alone, against gaps to the 30-digit lattice of 2.8e-19 to
+# 1.0e-17; a worst-case bound on the rounding of every node once made these
+# 6.98e-16, 2.04e-14 and 2.06e-16
+ADJACENT_AT_DEFAULT_SIGMA = {
+    ((1.0, 0.02), (0.5, 0.02)): 5.78e-17,
+    ((1.0, 0.02), (1.0, 0.02)): 2.36e-15,
+    ((1.0, 0.02), (1.5, 0.02)): 2.36e-17,
+}
+
+
 class TestAdjacentLattice:
     @pytest.mark.parametrize("s0,s1", [
         ((1.0, 0.05), (1.0, 0.05)),
@@ -511,11 +538,14 @@ class TestAdjacentLattice:
         ((1.0, 0.02), (1.5, 0.02)),
         ((1.0, 0.05), (1.0, 0.05, 100.0)),
         ((1.0, 0.05, -30.0), (1.2, 0.05, 30.0)),
+        ((1.0, 0.02), (0.5, 0.02)),
     ])
     def test_est_error_small_for_narrow_packets(self, s0, s1):
         # the lattice step and the node count follow |v0|, which sets how fast
-        # the phases e^{-i W v0} turn
-        assert adjacent_moments_analytic(s0, s1).est_error <= 1e-9
+        # the phases e^{-i W v0} turn; at the default sigma est_error stays
+        # within 2x of ADJACENT_AT_DEFAULT_SIGMA
+        before = ADJACENT_AT_DEFAULT_SIGMA.get((s0, s1))
+        assert adjacent_moments_analytic(s0, s1).est_error <= (1e-9 if before is None else 2.0 * before)
 
     @pytest.mark.parametrize("s0,s1,old_minus,old_plus", [
         ((1.0, 0.1), (0.5, 0.1), 1.30e-7, 1.47e-7),
@@ -746,16 +776,17 @@ class TestRealLineKernel:
 
     @pytest.mark.parametrize("s0,s1", [((1.0, 0.05, 0.3), (1.2, 0.05)), ((0.3, 0.02), (0.5, 0.02))])
     def test_one_amplitude_call_per_packet(self, monkeypatch, s0, s1):
-        # one per packet on the nodes of both steps (p = 1, then p = 2), and
-        # the two omega = 0 values of the infrared term
+        # one profile evaluation per packet on the nodes of both steps (p = 1,
+        # then p = 2), and the two omega = 0 values of the infrared term
+        # through Profile.amplitude
         calls = []
-        amplitude = Profile.amplitude
+        at = Profile._at
 
-        def counting(self, om):
+        def counting(self, d, om):
             calls.append(om)
-            return amplitude(self, om)
+            return at(self, d, om)
 
-        monkeypatch.setattr(Profile, "amplitude", counting)
+        monkeypatch.setattr(Profile, "_at", counting)
         adjacent_moments_analytic(s0, s1)
         assert len(calls) <= 4
 
@@ -818,31 +849,48 @@ class TestPacketDomain:
     @pytest.mark.parametrize("sigma", [1e-13, 1e-15, 1e-17])
     @pytest.mark.parametrize("call", ["adjacent_moments_analytic(p, p)", "cross_moments(p, p, 2)"])
     def test_narrow_packets_fail_fast(self, sigma, call, bounded):
-        # the node offsets omega0 + x sigma carry a rounding of eps omega0/sigma
-        # relative in x: at sigma = 1e-17 the n = 1 m_minus read 0.2073 for
-        # 0.0216 and the n = 2 one was 39 times too large, each far outside
-        # its est_error; omega0/sigma is bounded by modes._NARROW = 1e8
+        # omega0/sigma is bounded by modes._NARROW = 1e8.  Without it the
+        # n = 1 m_minus read 0.1004 for 0.0216 at sigma = 1e-17, with est_error
+        # 5.2e-3 (0.2073 when each node offset carried its own rounding)
         name, seconds, err = bounded("from diamondfield.correlations import adjacent_moments_analytic, "
                                      f"cross_moments\np = (1.0, {sigma!r})", call)
         assert name == "DomainError" and seconds < 1.0
         assert "Warning" not in err
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_narrow_sweep_within_est_error(self, n):
-        # each node omega0 + x sigma carries a rounding of about eps omega0/sigma
-        # relative in x: m_minus/sigma at n = 2 read 0.0030913448479625 at
-        # sigma = 1e-6 and 0.0030913448458407 at 1e-8, where est_error/|m_minus|
-        # was 1.7e-13.  m/sigma tends to a limit as sigma -> 0, except the n = 1
-        # m_minus, which tends to 0.0216 itself
-        def scaled(sigma):
-            p = (1.0, sigma)
-            cm = adjacent_moments_analytic(p, p) if n == 1 else cross_moments(p, p, n)
-            return np.array([cm.m_plus] if n == 1 else [cm.m_minus, cm.m_plus]) / sigma, cm.est_error / sigma
+    @pytest.mark.parametrize("w0,w1", [(1.0, 1.0), (1.0, 1.3), (0.5, 0.5)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
+    def test_narrow_band_limits(self, n, w0, w1):
+        # as sigma -> 0 at v0 = 0, m_minus/sigma -> k conj(alpha_n) and
+        # m_plus/sigma -> k conj(beta_n), k = sqrt(2 pi) / sinh(pi w0), from the
+        # sharp routes, which share only _kernel with the smeared ones; at
+        # n = 1 and w1 = w0 alpha's pole leaves m_minus -> 1/(4 sinh pi w0)
+        # itself.  The gap at 1e-7 may take both est_errors and the sigma
+        # term, bounded by 2x the gap at 1e-6 over 10^p: m/sigma moves as
+        # sigma^2 (p = 2) and that m_minus as sigma (p = 1).  The gaps fell
+        # 92-100x from 1e-6 to 1e-7, and 10x for that m_minus
+        k = math.sqrt(2.0 * math.pi) / math.sinh(math.pi * w0)
+        if n >= 2:
+            al, be, sharp_err = alpha_beta_numeric(w0, w1, n)
+        elif w1 != w0:
+            al, be = alpha_beta_adjacent(w0, w1)
+            # the closed form's Gamma floor, as adjacent_moments_analytic takes it
+            sharp_err = 3.0 * correlations._lg_rel(w0 + w1) * max(abs(al), abs(be))
+        else:
+            al, be, sharp_err = None, beta_adjacent_diagonal(w0), 0.0
 
-        ref, ref_err = scaled(1e-6)
-        for sigma in np.geomspace(1e-6, 1e-8, 9)[1:]:
-            m, err = scaled(sigma)
-            assert np.all(np.abs(m - ref) <= ref_err + err), sigma
+        def gaps(sigma):  # (m_minus gap, m_plus/sigma gap, est_error)
+            s0, s1 = (w0, sigma), (w1, sigma)
+            cm = adjacent_moments_analytic(s0, s1) if n == 1 else cross_moments(s0, s1, n)
+            if al is None:
+                gm = abs(cm.m_minus - 0.25 / math.sinh(math.pi * w0))
+            else:
+                gm = abs(cm.m_minus / sigma - k * np.conj(al))
+            return gm, abs(cm.m_plus / sigma - k * np.conj(be)), cm.est_error
+
+        (gm6, gp6, _), (gm, gp, err) = gaps(1e-6), gaps(1e-7)
+        scaled_err = err / 1e-7 + k * sharp_err
+        assert gp <= scaled_err + 2.0 * gp6 * 1e-2
+        assert gm <= (err + 2.0 * gm6 * 1e-1 if al is None else scaled_err + 2.0 * gm6 * 1e-2)
 
     def test_wide_exterior_over_narrow_diamond_is_fast(self, bounded):
         # an m_x rule wanted 7,066 exterior nodes here and raised; cut at the
