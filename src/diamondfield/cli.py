@@ -26,7 +26,7 @@ _MAX_RANGE_POINTS = 100_000  # a 'lo:hi:step' range is counted before it is buil
 
 
 def _parse_grid(spec):
-    """Grid spec: comma list '0.5,1,2' or range 'lo:hi:step' (inclusive)."""
+    """Grid spec: comma list '0.5,1,2' or range 'lo:hi:step' (lo + i step up to hi inclusive)."""
     spec = spec.strip()
     if not spec:
         raise ValueError("empty grid")
@@ -35,9 +35,10 @@ def _parse_grid(spec):
         if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
             raise ValueError("bad range spec")
         n = (hi - lo) / step
-        if not n < _MAX_RANGE_POINTS - 0.5:  # also catches an overflow to inf
+        n += 1e-9 * max(1.0, n)  # so that the quotient (1.5 - 0.5)/0.01 = 99.99999999999999 counts 100 steps
+        if not n < _MAX_RANGE_POINTS:  # also catches an overflow to inf
             raise ValueError(f"range has {n + 1:.6g} points, more than {_MAX_RANGE_POINTS}")
-        return [lo + i * step for i in range(round(n) + 1)]
+        return [min(lo + i * step, hi) for i in range(math.floor(n) + 1)]  # not past hi by a rounding either
     return [float(x) for x in spec.split(",")]
 
 

@@ -320,63 +320,73 @@ def _adjacent_lattice(p0, p1):
     e^{-i W v0} resolved.  For p = 1 Gamma(i(W' - W)) depends on k - j only
     (Toeplitz) and Gamma(i(W + W')) on j + k only (Hankel): N0 + N1 - 1
     Gamma values each.  For p = 2 both are full N0 x N1 matrices, so
-    DomainError if N0 N1 at s exceeds _MAX_NODES.  G takes the offsets
-    W - omega0 = (t - r)(t + r)^{p - 1}, r = omega0^{1/p}, from the indices,
-    t - r = ((j + 1/2) - r/s) s, so rounding shifts each packet as a whole.
-    Both steps share one pass: one _gamma_logs call on all their nodes and
-    kernel arguments, one Profile._at call per packet, and the weights on
-    both lattices at once, with p h per node; only the sums run per step."""
+    DomainError if N0 N1 at s exceeds _MAX_NODES.
+    The four lattices (exterior at s and 2s, then diamond at s and 2s) are
+    one index array k + offset, with the step h and the centre r =
+    omega0^{1/p} repeated per lattice, so t = (k + offset) h, W, the
+    offsets W - omega0 = (t - r)(t + r)^{p - 1}, with t - r = ((k + offset)
+    - r/h) h so that rounding shifts each packet as a whole, and the
+    weights p h are one expression each.  One _gamma_logs call takes log e
+    on every node and Gamma(iz) on every kernel argument, one Profile._at
+    call per packet the profile on its nodes, and one exp the exterior
+    weights, 1/e on the diamond nodes, the residue term and the kernels;
+    the sums of each step take its slices."""
     p = 1 if min(q.omega0 - _SPAN * q.sigma for q in (p0, p1)) > 0.0 else 2
     V = abs(p0.v0) + abs(p1.v0)
     c = [1.0 + V * q.sigma / (2.0 * math.pi) for q in (p0, p1)]
     s = min(3.0 * q.sigma / (8.0 * cq) if p == 1 else q.sigma / (4.0 * math.sqrt(q.omega0 + _SPAN * q.sigma) * cq)
             for q, cq in zip((p0, p1), c))
-
-    def lattice(q, h, offset):  # (k, t, W, W - omega0, p h) of the nodes t = (k + offset) h
+    # per lattice its first k + offset, its node count and the row repeated on its nodes:
+    # (first less the nodes before it, h, r/h, r, omega0 - omega0 of the diamond packet)
+    first, n, rows, hs = [], [], [], (s, 2.0 * s)
+    for q, off in ((p0, 0.5), (p1, 0.0)):
         ends = (max(q.omega0 - _SPAN * q.sigma, 0.0), q.omega0 + _SPAN * q.sigma, q.omega0)
         lo, hi, r = ends if p == 1 else map(math.sqrt, ends)  # the range and the centre in t
-        k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
-        t = (k + offset) * h
-        d = ((k + offset) - r / h) * h  # t - r
-        return k, t, t if p == 1 else t * t, d if p == 1 else d * (t + r), np.full(k.size, p * h)
-
-    grids = [(h, lattice(p0, h, 0.5), lattice(p1, h, 0.0)) for h in (s, 2.0 * s)]
-    n0, n1 = grids[0][1][0].size, grids[0][2][0].size  # the exterior and diamond nodes at s
-    if p == 2 and not n0 * n1 <= _MAX_NODES:
-        raise DomainError(f"the adjacent kernels would hold {n0 * n1} entries, over the budget of {_MAX_NODES}")
+        for h in hs:
+            k0 = math.ceil(lo / h - off)
+            first.append(k0 + off)
+            rows.append((k0 + off - sum(n), h, r / h, r, q.omega0 - p1.omega0))
+            n.append(math.floor(hi / h - off) + 1 - k0)
+    if p == 2 and not n[0] * n[2] <= _MAX_NODES:
+        raise DomainError(f"the adjacent kernels would hold {n[0] * n[2]} entries, over the budget of {_MAX_NODES}")
+    e = n[0] + n[1]  # the exterior nodes, both steps
+    kh, H, rh, r, shift = np.repeat(np.array(rows).T, n, axis=1)
+    kh += np.arange(kh.size)  # k + offset, exact
+    t = kh * H
+    d = (kh - rh) * H  # t - r
+    W, d = (t, d) if p == 1 else (t * t, d * (t + r))
+    steps = ((np.s_[:n[0]], np.s_[:n[2]]), (np.s_[n[0]:], np.s_[n[2]:]))  # (exterior, diamond) per step
     # per step the (Toeplitz, Hankel) kernel arguments: for p = 1 (k - j - 1/2) h
     # from k - j = k0 - j_last up and (j + k + 1/2) h from j0 + k0 up
     if p == 1:
-        z = [(np.array([[k[0] - j[-1] - 0.5], [j[0] + k[0] + 0.5]]) + np.arange(j.size + k.size - 1)) * h
-             for h, (j, *_), (k, *_) in grids]
+        z = [(np.array([[first[i + 2] - first[i] - n[i] + 1], [first[i] + first[i + 2]]])
+              + np.arange(n[i] + n[i + 2] - 1)) * hs[i] for i in (0, 1)]
     else:
-        z = [np.stack([Wp - W[:, None], Wp + W[:, None]]) for _, (*_, W, _, _), (*_, Wp, _, _) in grids]
-    # t, W, W - omega0 and p h of the exterior, then of the diamond nodes of both steps
-    (t, W, d0, ph0), (tp, Wp, d1, ph1) = ([np.concatenate(f) for f in zip(*(g[i][1:] for g in grids))] for i in (1, 2))
-    le, lK = _gamma_logs(np.concatenate([W, Wp]), np.concatenate([a.ravel() for a in z]))
-    l0, l1 = le[:W.size], le[W.size:]
-    # the diamond packet on both lattices
-    A1 = p1._at(np.concatenate([d1, d0 + (p0.omega0 - p1.omega0)]), np.concatenate([Wp, W]))
-    # t^{p/2 - 1} on both lattices, half weight at t' = 0
-    f0, f1 = (1.0 / np.sqrt(t), 1.0 / np.sqrt(tp)) if p == 1 else (1.0, np.where(tp == 0.0, 0.5, 1.0))
-    x = ph0 * W * f0 * np.conj(p0._at(d0, W)) * np.exp(l0 - np.log(2.0 * _sinh_pi(W)))
-    y = ph1 * f1 * np.conj(A1[:Wp.size]) * np.exp(-l1)
-    res = np.conj(A1[Wp.size:]) * np.exp(-l0) / (2.0 * np.sqrt(W))
+        z = [np.stack([W[e:][sd] - W[:e][sx, None], W[e:][sd] + W[:e][sx, None]]) for sx, sd in steps]
+    le, lK = _gamma_logs(W, np.concatenate(z, axis=None))
+    l0, W0 = le[:e], W[:e]
+    E = np.exp(np.concatenate([l0 - np.log(2.0 * _sinh_pi(W0)), -le[e:], -l0, lK]))
+    A1 = p1._at(d + shift, W)  # the diamond packet on every node
+    f = 1.0 / np.sqrt(t) if p == 1 else np.where(t == 0.0, 0.5, 1.0)  # t^{p/2 - 1}, half weight at t' = 0
+    ph = p * H
+    x = ph[:e] * W0 * f[:e] * np.conj(p0._at(d[:e], W0)) * E[:e]
+    y = ph[e:] * f[e:] * np.conj(A1[e:]) * E[e:W.size]
+    res = np.conj(A1[:e]) * E[W.size:W.size + e] / (2.0 * np.sqrt(W0))
+    K, kz = E[W.size + e:], z[0].size
+    aK, cy, ay, xp = np.abs(K), np.conj(y), np.abs(y), -np.conj(x)
     minus, plus = [], []
-    for x, y, res, K, zh in zip(np.split(x, [n0]), np.split(y, [n1]), np.split(res, [n0]),
-                                np.split(np.exp(lK), [z[0].size]), z):
-        kT, kH = K.reshape(zh.shape)
-        ay = np.abs(y)
+    for (sx, sd), zs, sz in zip(steps, z, (np.s_[:kz], np.s_[kz:])):
+        (kT, kH), (aT, aH) = K[sz].reshape(zs.shape), aK[sz].reshape(zs.shape)
         if p == 1:
             # row r of the Toeplitz kernel is kT[j.size - 1 - r:][:k.size] and of
             # the Hankel one kH[r:][:k.size], so the products with y are
             # correlations (np.correlate conjugates its second argument)
-            Tp = np.correlate(kT, np.conj(y))[::-1], np.correlate(np.abs(kT), ay)[::-1]
-            Hp = np.correlate(kH, np.conj(y)), np.correlate(np.abs(kH), ay)
+            Tp = np.correlate(kT, cy[sd])[::-1], np.correlate(aT, ay[sd])[::-1]
+            Hp = np.correlate(kH, cy[sd]), np.correlate(aH, ay[sd])
         else:
-            Tp, Hp = (kT @ y, np.abs(kT) @ ay), (kH @ y, np.abs(kH) @ ay)
-        minus.append(_lattice(x, *Tp, res))
-        plus.append(_lattice(-np.conj(x), *Hp, 0.0))
+            Tp, Hp = (kT @ y[sd], aT @ ay[sd]), (kH @ y[sd], aH @ ay[sd])
+        minus.append(_lattice(x[sx], *Tp, res[sx]))
+        plus.append(_lattice(xp[sx], *Hp, 0.0))
     return minus + plus + [W[0]]
 
 
@@ -398,8 +408,7 @@ def adjacent_moments_analytic(spec0, spec1):
     The sums take log e on all their nodes and Gamma(iz) on all their
     kernel arguments, at both steps, from one log_gamma_1pix call.
     """
-    p0 = Profile(*spec0).checked()
-    p1 = Profile(*spec1).checked()
+    p0, p1 = (Profile(*s).checked() for s in (spec0, spec1))
     (mm, size_m), (mm2, _), (mp, size_p), (mp2, _), w_min = _adjacent_lattice(p0, p1)
     # each term carries three Gamma factors, whose arguments W, W', W + W'
     # and |W' - W| stay below the sum of the packets' upper ends

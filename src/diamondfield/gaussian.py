@@ -183,12 +183,9 @@ def fig2_sweep(phi_list=(0.0, 0.2 * math.pi), omega1_grid=None, sigma=DEFAULT_SI
     if omega1_grid is None:
         omega1_grid = np.arange(0.5, 1.5 + 1e-9, 0.01)
     omega1_grid = np.asarray(omega1_grid, dtype=float)
-    covs = []
+    covs, spec0 = [], WavepacketSpec(0, 1.0, sigma)
     for om1 in omega1_grid:
-        cov = build_covariance([
-            WavepacketSpec(0, 1.0, sigma),
-            WavepacketSpec(1, float(om1), sigma),
-        ])
+        cov = build_covariance([spec0, WavepacketSpec(1, float(om1), sigma)])
         covs.append((float(om1), cov, squeezing_witness(cov, 0, 1)["entangled"]))
     tab = {key: [] for key in ("phi", "omega1", "v_minus", "v_plus", "entangled")}
     for phi in phi_list:

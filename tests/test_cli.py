@@ -288,6 +288,20 @@ class TestParser:
         assert outs[1::2] == [fresh] * 3
         assert all(len(out.splitlines()) < len(fresh.splitlines()) for out in outs[::2])
 
+    @pytest.mark.parametrize("spec,count", [
+        ("0.5:1.0:0.3", 2), ("0:1:0.35", 3), ("1:2:0.6", 2), ("0.5:1.5:0.01", 101),
+        ("0.1:0.3:0.1", 3), ("0.8:1.2:0.05", 9),
+    ])
+    def test_range_never_passes_hi(self, spec, count):
+        # counting round((hi - lo)/step) + 1 points went past hi whenever the
+        # last fraction of a step was 1/2 or more (1.1 for 0.5:1.0:0.3); the
+        # count takes the whole steps, and (1.5 - 0.5)/0.01 = 99.99999999999999
+        # still counts 100 of them; lo + 2 step read 0.30000000000000004 for
+        # 0.1:0.3:0.1, one rounding past hi
+        lo, hi, _ = (float(x) for x in spec.split(":"))
+        grid = cli._parse_grid(spec)
+        assert len(grid) == count and grid[0] == lo and max(grid) <= hi
+
     def test_phi_bare_sign_before_pi(self):
         assert cli._checked(cli._parse_phi_list)("-pi,+pi") == [-math.pi, math.pi]
         assert cli._checked(cli._parse_phi_list)("pi,-0.5pi") == [math.pi, -0.5 * math.pi]

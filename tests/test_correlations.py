@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial import chebyshev, legendre
 
 from diamondfield import correlations, modes, specfun
-from diamondfield._quad import integrate_adaptive
+from diamondfield._quad import _MAX_NODES, integrate_adaptive
 from diamondfield.correlations import (
     _kernel,
     _overlap,
@@ -613,6 +613,116 @@ class TestAdjacentLattice:
         name, _, _ = bounded("from diamondfield.correlations import adjacent_moments_analytic",
                              "adjacent_moments_analytic((1.0, 0.1, 300.0), (1.0, 0.1, -300.0))")
         assert name.startswith("CrossMoments(")
+
+
+def _product_at(q, d, om):
+    """Profile._at as the product g e^{-i om v0}, also at v0 = 0."""
+    return (2.0 * math.pi * q.sigma**2) ** (-0.25) * np.exp(-(d**2) / (4.0 * q.sigma**2)) * np.exp(-1j * om * q.v0)
+
+
+def _per_lattice_reference(p0, p1):
+    """_adjacent_lattice as it was before its four lattices became one index
+    array: a helper per lattice, the steps joined by concatenation and split
+    again, one exp per weight, and the profiles as products.  The reference
+    for the bits of the one-pass form."""
+    p = 1 if min(q.omega0 - _SPAN * q.sigma for q in (p0, p1)) > 0.0 else 2
+    V = abs(p0.v0) + abs(p1.v0)
+    c = [1.0 + V * q.sigma / (2.0 * math.pi) for q in (p0, p1)]
+    s = min(3.0 * q.sigma / (8.0 * cq) if p == 1 else q.sigma / (4.0 * math.sqrt(q.omega0 + _SPAN * q.sigma) * cq)
+            for q, cq in zip((p0, p1), c))
+
+    def lattice(q, h, offset):
+        ends = (max(q.omega0 - _SPAN * q.sigma, 0.0), q.omega0 + _SPAN * q.sigma, q.omega0)
+        lo, hi, r = ends if p == 1 else map(math.sqrt, ends)
+        k = np.arange(math.ceil(lo / h - offset), math.floor(hi / h - offset) + 1)
+        t = (k + offset) * h
+        d = ((k + offset) - r / h) * h
+        return k, t, t if p == 1 else t * t, d if p == 1 else d * (t + r), np.full(k.size, p * h)
+
+    grids = [(h, lattice(p0, h, 0.5), lattice(p1, h, 0.0)) for h in (s, 2.0 * s)]
+    n0, n1 = grids[0][1][0].size, grids[0][2][0].size
+    if p == 2 and not n0 * n1 <= _MAX_NODES:
+        raise DomainError("over the budget")
+    if p == 1:
+        z = [(np.array([[k[0] - j[-1] - 0.5], [j[0] + k[0] + 0.5]]) + np.arange(j.size + k.size - 1)) * h
+             for h, (j, *_), (k, *_) in grids]
+    else:
+        z = [np.stack([Wp - W[:, None], Wp + W[:, None]]) for _, (*_, W, _, _), (*_, Wp, _, _) in grids]
+    (t, W, d0, ph0), (tp, Wp, d1, ph1) = ([np.concatenate(f) for f in zip(*(g[i][1:] for g in grids))] for i in (1, 2))
+    le, lK = correlations._gamma_logs(np.concatenate([W, Wp]), np.concatenate([a.ravel() for a in z]))
+    l0, l1 = le[:W.size], le[W.size:]
+    A1 = _product_at(p1, np.concatenate([d1, d0 + (p0.omega0 - p1.omega0)]), np.concatenate([Wp, W]))
+    f0, f1 = (1.0 / np.sqrt(t), 1.0 / np.sqrt(tp)) if p == 1 else (1.0, np.where(tp == 0.0, 0.5, 1.0))
+    x = ph0 * W * f0 * np.conj(_product_at(p0, d0, W)) * np.exp(l0 - np.log(2.0 * correlations._sinh_pi(W)))
+    y = ph1 * f1 * np.conj(A1[:Wp.size]) * np.exp(-l1)
+    res = np.conj(A1[Wp.size:]) * np.exp(-l0) / (2.0 * np.sqrt(W))
+    minus, plus = [], []
+    for x, y, res, K, zh in zip(np.split(x, [n0]), np.split(y, [n1]), np.split(res, [n0]),
+                                np.split(np.exp(lK), [z[0].size]), z):
+        kT, kH = K.reshape(zh.shape)
+        ay = np.abs(y)
+        if p == 1:
+            Tp = np.correlate(kT, np.conj(y))[::-1], np.correlate(np.abs(kT), ay)[::-1]
+            Hp = np.correlate(kH, np.conj(y)), np.correlate(np.abs(kH), ay)
+        else:
+            Tp, Hp = (kT @ y, np.abs(kT) @ ay), (kH @ y, np.abs(kH) @ ay)
+        minus.append(correlations._lattice(x, *Tp, res))
+        plus.append(correlations._lattice(-np.conj(x), *Hp, 0.0))
+    return minus + plus + [W[0]]
+
+
+def _per_lattice_moments(spec0, spec1):
+    """adjacent_moments_analytic over _per_lattice_reference, its est_error
+    from the product-form amplitudes at omega = 0."""
+    p0, p1 = Profile(*spec0).checked(), Profile(*spec1).checked()
+    (mm, size_m), (mm2, _), (mp, size_p), (mp2, _), w_min = _per_lattice_reference(p0, p1)
+    tops = [p.omega0 + _SPAN * p.sigma for p in (p0, p1)]
+    rel = 3.0 * correlations._lg_rel(sum(tops))
+    c = abs(_product_at(p0, -p0.omega0, 0.0) * _product_at(p1, -p1.omega0, 0.0)) / (4.0 * math.pi)
+    err = max(abs(mm - mm2) + rel * size_m, abs(mp - mp2) + rel * size_p)
+    return correlations.CrossMoments(mm, mp, err + c * math.log(max(tops) / w_min))
+
+
+def _bits(*values):
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+def _lattice_bit_pairs():
+    """The pairs the one-pass lattice must reproduce bit for bit: the 101
+    default fig2 pairs, pairs on the sqrt(W) lattices (sigma 0.1 and 0.3,
+    omega0 - 12 sigma <= 0), pairs off v0 = 0 or of mixed sigma, and a
+    seeded random sweep over all of them."""
+    pairs = [((1.0, 0.02), (0.5 + i * 0.01, 0.02)) for i in range(101)]
+    pairs += [((w0, sig), (w1, sig)) for sig in (0.1, 0.3) for w0 in (0.4, 1.0, 3.0) for w1 in (0.3, 1.2, 2.6)
+              if min(w0, w1) - _SPAN * sig <= 0.0]
+    pairs += [((1.0, 0.05, 0.3), (1.0, 0.05, -0.2)), ((1.0, 0.05, -30.0), (1.2, 0.05, 30.0)),
+              ((1.0, 0.02), (0.5, 0.1)), ((0.4272, 0.05, 1.73), (0.7598, 0.1, 1.38)),
+              ((1.0, 0.1, 0.4), (0.5, 0.1, -0.3)), ((2.0, 0.2, -0.0), (2.1, 0.2, 0.0))]
+    rng = np.random.default_rng(20261022)
+    for _ in range(40):
+        (w0, w1), (s0, s1) = rng.uniform(0.2, 4.0, 2), rng.uniform(0.01, 0.4, 2)
+        v0, v1 = rng.normal(0.0, 3.0, 2) * (rng.random(2) < 0.3)
+        pairs.append(((w0, s0, v0), (w1, s1, v1)))
+    return pairs
+
+
+class TestOnePassLattice:
+    def test_bits_match_the_per_lattice_reference(self):
+        pairs = _lattice_bit_pairs()
+        assert sum(min(q[0] - _SPAN * q[1] for q in pair) <= 0.0 for pair in pairs) >= 30  # p = 2
+        for s0, s1 in pairs:
+            p0, p1 = Profile(*s0), Profile(*s1)
+            got, ref = correlations._adjacent_lattice(p0, p1), _per_lattice_reference(p0, p1)
+            assert _bits(*(x for m in got[:4] for x in m), got[4]) == _bits(*(x for m in ref[:4] for x in m), ref[4])
+            an, old = adjacent_moments_analytic(s0, s1), _per_lattice_moments(s0, s1)
+            assert _bits(an.m_minus, an.m_plus, an.est_error) == _bits(old.m_minus, old.m_plus, old.est_error)
+
+    def test_over_budget_pair_raises_on_both(self):
+        # sigma 0.1 at v0 = +-1000 reaches omega = 0 with 8.3M kernel entries
+        p0, p1 = Profile(1.0, 0.1, 1000.0), Profile(1.0, 0.1, -1000.0)
+        for route in (correlations._adjacent_lattice, _per_lattice_reference):
+            with pytest.raises(DomainError):
+                route(p0, p1)
 
 
 def complex_route_moments(spec0, spec1):

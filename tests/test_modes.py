@@ -423,6 +423,26 @@ class TestProfile:
         mass = 0.5 * math.erfc(-8.0 / math.sqrt(2.0)) - 0.5 * math.erfc(r / math.sqrt(2.0))
         assert abs(np.sum(wt * np.abs(G) ** 2) - mass) <= 1e-12
 
+    @pytest.mark.parametrize("v0", [0.0, -0.0, 0.7, -3.0])
+    def test_profile_keeps_its_bits(self, v0, monkeypatch):
+        # a centred profile skips the phase e^{-i om v0}, which is exactly 1
+        # there; every form must give the bits and the complex dtype of the
+        # product g e^{-i om v0}, at v0 = -0.0 too
+        p = Profile(0.9, 0.1, v0)
+
+        def profiles():  # G from amplitude, nodes() and nodes(root=True)
+            return [np.atleast_1d(G) for G in (p.amplitude(np.linspace(0.0, 2.0, 33)), p.amplitude(0.0),
+                                               p.nodes()[2], p.nodes(root=True)[2], p.nodes(40, root=True)[2])]
+
+        def product(self, d, om):
+            g = (2.0 * math.pi * self.sigma**2) ** (-0.25) * np.exp(-(d**2) / (4.0 * self.sigma**2))
+            return g * np.exp(-1j * om * self.v0)
+        new = profiles()
+        monkeypatch.setattr(Profile, "_at", product)
+        for got, ref in zip(new, profiles()):
+            assert got.dtype == ref.dtype == np.complex128
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_bad_profile_rejected(self):
         with pytest.raises(DomainError):
             Profile(1.0, 0.0).nodes(16)
